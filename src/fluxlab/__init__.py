@@ -15,14 +15,15 @@ from .lattice import (
     FourierDispersion,
     RationalFlux,
     add_onsite_disorder,
+    conjugate_paired,
     harper_family,
     harper_fiber,
     hofstadter_family,
     hofstadter_fiber,
-    magnetic_translation_pair,
     peierls_quantize,
     plaquette_flux,
     symmetric_gauge_box,
+    weyl_translation,
 )
 from .spectra import (
     BandIntervals,
@@ -32,22 +33,25 @@ from .spectra import (
     check_hermitian,
     chern_numbers,
     default_gap_tol,
+    distance_to_intervals,
     dos,
     eigen_residual,
     eigenvalues_hermitian,
     eigh_hermitian,
     hausdorff,
+    sample_values,
     spectrum_union,
 )
 from .continuum import (
     ContinuumHamiltonian,
+    FieldCase,
     FourierPotential,
     LandauBasisSpec,
     StrongFieldRow,
     continuum_hamiltonian,
     distances_decreasing,
     feasible_field,
-    guiding_translation,
+    field_case,
     landau_torus_basis,
     level_form_factor,
     lll_effective,
@@ -78,7 +82,6 @@ from .disorder import (
     hashed_bits,
     hashed_normal,
     hashed_uniform,
-    scaled_realization,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

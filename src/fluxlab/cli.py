@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -25,10 +26,8 @@ import numpy as np
 from . import __version__
 from .continuum import (
     FourierPotential,
-    continuum_hamiltonian,
     distances_decreasing,
-    feasible_field,
-    landau_torus_basis,
+    field_case,
     strong_field_report,
 )
 from .disorder import anderson_realization, ensemble_dos, gap_fill_fraction
@@ -45,9 +44,9 @@ from .lattice import (
 )
 from .spectra import (
     SpectrumSample,
-    _point_to_intervals,
     band_intervals,
     chern_numbers,
+    distance_to_intervals,
     eigenvalues_hermitian,
     hausdorff,
     spectrum_union,
@@ -71,10 +70,17 @@ class RunArtifact:
     fail_code: int = 3
 
 
+def _float(value):
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError("must be a finite number")
+    return x
+
+
 def _float_list(value):
     if isinstance(value, (list, tuple)):
-        return [float(x) for x in value]
-    return [float(tok) for tok in str(value).split(",") if tok.strip()]
+        return [_float(x) for x in value]
+    return [_float(tok) for tok in str(value).split(",") if tok.strip()]
 
 
 def _str_list(value):
@@ -85,18 +91,7 @@ def _str_list(value):
 
 def _field_value(value):
     """Field parameter given as a float or a fraction string like '1/8'."""
-    return float(Fraction(str(value)))
-
-
-def _bool(value):
-    if isinstance(value, bool):
-        return value
-    text = str(value).lower()
-    if text in ("true", "1", "yes"):
-        return True
-    if text in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"expected a boolean, got {value!r}")
+    return _float(Fraction(str(value)))
 
 
 _DEFAULT_TIMES = [0.5 * i for i in range(11)]
@@ -111,26 +106,26 @@ _SPECS = {
         "flux": (str, None, "rational flux p/q"),
         "kgrid": (int, 200, "k points along k1"),
         "kgrid2": (int, 0, "k points along k2 (0 = same as kgrid)"),
-        "gap_tol": (float, 0.0, "band merge tolerance (0 = automatic)"),
+        "gap_tol": (_float, 0.0, "band merge tolerance (0 = automatic)"),
     },
     "harper-spectrum": {
         "flux": (str, None, "rational frequency p/q"),
         "thetagrid": (int, 64, "phase offsets sampled in [0, 1)"),
         "kgrid": (int, 64, "Bloch momenta sampled in [0, 2 pi)"),
-        "gap_tol": (float, 0.0, "band merge tolerance (0 = automatic)"),
-        "tol": (float, 1e-2, "pass threshold vs the 2D lattice spectrum"),
+        "gap_tol": (_float, 0.0, "band merge tolerance (0 = automatic)"),
+        "tol": (_float, 1e-2, "pass threshold vs the 2D lattice spectrum"),
     },
     "peierls-check": {
         "flux": (_str_list, ["1/3", "2/5"], "flux values to test"),
         "kgrid": (int, 16, "k points per axis"),
-        "tol": (float, 1e-10, "eigenvalue agreement threshold"),
+        "tol": (_float, 1e-10, "eigenvalue agreement threshold"),
     },
     "gauge-check": {
         "B": (_field_value, 0.125, "field parameter (float or p/q)"),
         "L": (int, 16, "torus side in sites"),
         "kgrid": (int, 64, "fiber k points per axis"),
-        "gap_tol": (float, 1.0, "band merge tolerance"),
-        "tol": (float, 0.05, "pass threshold on the Hausdorff distance"),
+        "gap_tol": (_float, 1.0, "band merge tolerance"),
+        "tol": (_float, 0.05, "pass threshold on the Hausdorff distance"),
         "qmax": (int, 64, "denominator bound when snapping 2B to p/q"),
     },
     "chern": {
@@ -141,32 +136,32 @@ _SPECS = {
         "B": (_field_value, None, "field parameter"),
         "ncells": (int, 4, "potential cells per torus side"),
         "nlevels": (int, 6, "retained Landau levels"),
-        "amplitude": (float, 1.0, "cosine potential amplitude"),
+        "amplitude": (_float, 1.0, "cosine potential amplitude"),
     },
     "lll-compare": {
         "B": (_float_list, [10.0, 20.0, 40.0], "field values"),
         "ncells": (int, 4, "potential cells per torus side"),
         "nlevels": (int, 6, "retained Landau levels"),
-        "amplitude": (float, 1.0, "cosine potential amplitude"),
+        "amplitude": (_float, 1.0, "cosine potential amplitude"),
     },
     "dynamics-defect": {
         "B": (_float_list, [10.0, 20.0, 40.0], "field values"),
         "times": (_float_list, _DEFAULT_TIMES, "time grid"),
         "ncells": (int, 4, "potential cells per torus side"),
         "nlevels": (int, 6, "retained Landau levels"),
-        "amplitude": (float, 1.0, "cosine potential amplitude"),
+        "amplitude": (_float, 1.0, "cosine potential amplitude"),
         "seed": (int, 7, "wave packet seed"),
     },
     "disorder-dos": {
         "flux": (str, "1/3", "rational flux p/q"),
         "L": (int, 30, "box side in sites"),
-        "W": (float, 2.0, "disorder strength"),
+        "W": (_float, 2.0, "disorder strength"),
         "dist": (str, "uniform", "coupling distribution (uniform|gaussian)"),
         "nseeds": (int, 20, "ensemble size"),
         "seed": (int, 0, "base seed"),
-        "width": (float, 0.02, "DOS smoothing width"),
+        "width": (_float, 0.02, "DOS smoothing width"),
         "bins": (int, 200, "DOS bins"),
-        "gap_tol": (float, 0.05, "band merge tolerance for the clean spectrum"),
+        "gap_tol": (_float, 0.05, "band merge tolerance for the clean spectrum"),
         "kgrid": (int, 200, "k grid for the clean reference bands"),
     },
 }
@@ -235,7 +230,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"{command} requires --{key.replace('_', '-')}")
         try:
             resolved[key] = caster(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})")
     if resolved["format"] not in ("csv", "json"):
         raise ConfigError(f"unknown format {resolved['format']!r}; use csv or json")
@@ -384,9 +379,7 @@ def _cmd_gauge_check(p: dict) -> RunArtifact:
     fiber_sample = spectrum_union(hofstadter_family(flux), p["kgrid"])
     fiber_bands = band_intervals(fiber_sample, p["gap_tol"])
     dist = hausdorff(box_bands, fiber_bands)
-    containment = max(
-        _point_to_intervals(float(x), fiber_bands.intervals) for x in box_vals
-    )
+    containment = float(distance_to_intervals(box_vals, fiber_bands).max())
     ok = dist <= p["tol"]
     rows = [
         (
@@ -442,10 +435,9 @@ def _cmd_chern(p: dict) -> RunArtifact:
 
 def _cmd_continuum_spectrum(p: dict) -> RunArtifact:
     potential = FourierPotential.cosine_xy(p["amplitude"])
-    b_used, n_flux = feasible_field(p["B"], p["ncells"], potential.cell)
-    basis = landau_torus_basis(b_used, n_flux, p["nlevels"], cell=potential.cell)
-    ham = continuum_hamiltonian(basis, potential)
-    w = np.linalg.eigvalsh(ham.matrix)
+    case = field_case(p["B"], potential, p["nlevels"], p["ncells"])
+    basis, w = case.basis, case.eigenvalues
+    b_used, n_flux = basis.field, basis.n_flux
     rows = [(i, float(e)) for i, e in enumerate(w)]
     return RunArtifact(
         command="continuum-spectrum",
@@ -743,6 +735,9 @@ def main(argv=None) -> int:
         cfg = parse_config(args)
         artifact = run_command(cfg)
         emit(artifact, cfg, wall_time=time.monotonic() - started)
+    except np.linalg.LinAlgError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -756,7 +751,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     for note in artifact.notes:
-        print(note)
+        print(note, file=sys.stderr)
     if not artifact.ok:
         return artifact.fail_code
     return 0

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import eval_genlaguerre
 
 from .errors import ConfigError, InfeasibleModelError
-from .lattice import _clock_matrix, _shift_matrix
+from .lattice import RationalFlux, conjugate_paired, weyl_translation
 from .spectra import check_hermitian, hausdorff
 
 
@@ -46,20 +46,11 @@ class FourierPotential:
         object.__setattr__(self, "cell", float(cell))
         if self.cell <= 0:
             raise ValueError(f"cell size must be > 0, got {cell}")
-        if not self._is_real():
+        if not conjugate_paired(self.harmonics):
             raise ValueError(
                 "potential is not real: every harmonic (n, m, c) needs the "
                 "partner (-n, -m, conj(c))"
             )
-
-    def _is_real(self, tol: float = 1e-12) -> bool:
-        table = {}
-        for n, m, c in self.harmonics:
-            table[(n, m)] = table.get((n, m), 0.0) + c
-        for (n, m), c in table.items():
-            if abs(c - np.conj(table.get((-n, -m), 0.0))) > tol:
-                return False
-        return True
 
     def evaluate(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -111,12 +102,6 @@ class LandauBasisSpec:
     def level_energies(self) -> np.ndarray:
         b = self.effective_field
         return b * (2.0 * np.arange(self.n_levels) + 1.0)
-
-    def magnetic_translation_pair(self):
-        """Clock/shift pair (U, V) on the guiding space, U V = e^{i 2 pi / n_flux} V U."""
-        u = _clock_matrix(self.n_flux, 1.0 / self.n_flux)
-        v = _shift_matrix(self.n_flux)
-        return u, v
 
 
 def landau_torus_basis(
@@ -204,23 +189,15 @@ def level_form_factor(kx: float, ky: float, b: float, n_levels: int) -> np.ndarr
     return g
 
 
-def guiding_translation(j1: int, j2: int, n_flux: int) -> np.ndarray:
-    """Projective torus translation on the guiding space.
+def _harmonic_translation(basis: LandauBasisSpec, n: float, m: float) -> np.ndarray:
+    """Projective torus translation tau(j1, j2) carried by a cell-reciprocal
+    harmonic, with (j1, j2) = n_cells * (n, m).
 
-    tau(j1, j2) = e^{i pi j1 j2 / n_flux} V^{j1} U^{j2} with V the cyclic
-    shift and U the clock; the symmetrization phase makes
-    tau(j)^dag = tau(-j) and pairs with the form-factor phase so that full
+    tau(j1, j2) = weyl_translation(1/n_flux, -j1, j2), that is
+    e^{i pi j1 j2 / n_flux} times j1 cyclic up-shifts and j2 clocks; the
+    symmetrization phase pairs with the form-factor phase so that full
     plane-wave elements compose exactly: E(K) E(K') = E(K + K').
     """
-    v = _shift_matrix(n_flux)
-    u = _clock_matrix(n_flux, 1.0 / n_flux)
-    vj = np.linalg.matrix_power(v if j1 >= 0 else v.conj().T, abs(j1))
-    uj = np.linalg.matrix_power(u if j2 >= 0 else u.conj().T, abs(j2))
-    return np.exp(1j * np.pi * j1 * j2 / n_flux) * (vj @ uj)
-
-
-def _harmonic_indices(basis: LandauBasisSpec, n: float, m: float):
-    """Map a cell-reciprocal harmonic to integer torus-translation powers."""
     j1f = n * basis.n_cells
     j2f = m * basis.n_cells
     j1, j2 = round(j1f), round(j2f)
@@ -229,7 +206,7 @@ def _harmonic_indices(basis: LandauBasisSpec, n: float, m: float):
             f"harmonic ({n}, {m}) is incompatible with the torus: "
             f"K * side / (2 pi) = ({j1f:.6g}, {j2f:.6g}) must be integers"
         )
-    return j1, j2
+    return weyl_translation(RationalFlux(1, basis.n_flux), -j1, j2)
 
 
 def plane_wave_element(basis: LandauBasisSpec, K) -> np.ndarray:
@@ -241,12 +218,10 @@ def plane_wave_element(basis: LandauBasisSpec, K) -> np.ndarray:
     translation); it is unitary up to the level truncation.
     """
     n, m = float(K[0]), float(K[1])
-    j1, j2 = _harmonic_indices(basis, n, m)
-    b = basis.effective_field
+    tau = _harmonic_translation(basis, n, m)
     kx = 2.0 * np.pi * n / basis.cell
     ky = 2.0 * np.pi * m / basis.cell
-    g = level_form_factor(kx, ky, b, basis.n_levels)
-    tau = guiding_translation(j1, j2, basis.n_flux)
+    g = level_form_factor(kx, ky, basis.effective_field, basis.n_levels)
     return np.kron(g, tau)
 
 
@@ -259,15 +234,19 @@ class ContinuumHamiltonian:
     potential: FourierPotential
 
 
-def continuum_hamiltonian(
-    basis: LandauBasisSpec, potential: FourierPotential
-) -> ContinuumHamiltonian:
-    """Kinetic Landau ladder plus the potential in plane-wave elements."""
+def _check_cell(basis: LandauBasisSpec, potential: FourierPotential) -> None:
     if abs(potential.cell - basis.cell) > 1e-12:
         raise ConfigError(
             f"potential cell {potential.cell} does not match basis cell "
             f"{basis.cell}"
         )
+
+
+def continuum_hamiltonian(
+    basis: LandauBasisSpec, potential: FourierPotential
+) -> ContinuumHamiltonian:
+    """Kinetic Landau ladder plus the potential in plane-wave elements."""
+    _check_cell(basis, potential)
     h = np.kron(
         np.diag(basis.level_energies().astype(complex)), np.eye(basis.n_flux)
     )
@@ -285,19 +264,12 @@ def lll_effective(basis: LandauBasisSpec, potential: FourierPotential) -> np.nda
     continuum_hamiltonian(basis, V) minus the kinetic ladder, exactly; the
     tests pin that identity down to roundoff.
     """
-    if abs(potential.cell - basis.cell) > 1e-12:
-        raise ConfigError(
-            f"potential cell {potential.cell} does not match basis cell "
-            f"{basis.cell}"
-        )
+    _check_cell(basis, potential)
     b = basis.effective_field
     out = np.zeros((basis.n_flux, basis.n_flux), dtype=complex)
     for n, m, c in potential.harmonics:
-        j1, j2 = _harmonic_indices(basis, n, m)
         k_sq = (2.0 * np.pi / basis.cell) ** 2 * (n * n + m * m)
-        out += c * math.exp(-k_sq / (4.0 * b)) * guiding_translation(
-            j1, j2, basis.n_flux
-        )
+        out += c * math.exp(-k_sq / (4.0 * b)) * _harmonic_translation(basis, n, m)
     check_hermitian(out, atol=1e-10)
     return out
 
@@ -314,6 +286,39 @@ def next_level_coupling(basis: LandauBasisSpec, potential: FourierPotential) -> 
         g = level_form_factor(kx, ky, b, top + 1)
         worst = max(worst, abs(c) * abs(g[top, top - 1]))
     return worst
+
+
+@dataclass(frozen=True)
+class FieldCase:
+    """The full operator at one snapped field value and its sorted spectrum.
+
+    cluster_gap separates the lowest n_flux eigenvalues (the lowest Landau
+    cluster) from the rest; it is inf when only the lowest level is kept.
+    """
+
+    field_requested: float
+    hamiltonian: ContinuumHamiltonian
+    eigenvalues: np.ndarray
+    cluster_gap: float
+
+    @property
+    def basis(self) -> LandauBasisSpec:
+        return self.hamiltonian.basis
+
+
+def field_case(
+    B: float, potential: FourierPotential, n_levels: int, n_cells: int
+) -> FieldCase:
+    """Snap B to the nearest feasible value on the n_cells x n_cells torus,
+    build the full operator there and take its eigenvalues (no vectors)."""
+    b_used, n_flux = feasible_field(float(B), n_cells, potential.cell)
+    basis = landau_torus_basis(b_used, n_flux, n_levels, cell=potential.cell)
+    ham = continuum_hamiltonian(basis, potential)
+    w = np.linalg.eigvalsh(ham.matrix)
+    gap = float(w[n_flux] - w[n_flux - 1]) if basis.dim > n_flux else float("inf")
+    return FieldCase(
+        field_requested=float(B), hamiltonian=ham, eigenvalues=w, cluster_gap=gap
+    )
 
 
 @dataclass(frozen=True)
@@ -348,41 +353,25 @@ def strong_field_report(
     """
     rows = []
     for b_req in field_values:
-        b_used, n_flux = feasible_field(float(b_req), n_cells, potential.cell)
-        basis = landau_torus_basis(b_used, n_flux, n_levels, cell=potential.cell)
-        ham = continuum_hamiltonian(basis, potential)
-        w = np.linalg.eigvalsh(ham.matrix)
+        case = field_case(b_req, potential, n_levels, n_cells)
+        basis = case.basis
         coupling = next_level_coupling(basis, potential)
-        if basis.dim > n_flux:
-            gap = float(w[n_flux] - w[n_flux - 1])
-        else:
-            gap = float("inf")
-        if gap <= sep_tol:
-            rows.append(
-                StrongFieldRow(
-                    field_requested=float(b_req),
-                    field=b_used,
-                    n_flux=n_flux,
-                    n_cells=n_cells,
-                    cluster_gap=gap,
-                    distance=float("nan"),
-                    coupling_next_level=coupling,
-                    separated=False,
-                )
-            )
-            continue
-        lowest = w[:n_flux] - 2.0 * b_used
-        eff = np.linalg.eigvalsh(lll_effective(basis, potential))
+        separated = case.cluster_gap > sep_tol
+        distance = float("nan")
+        if separated:
+            lowest = case.eigenvalues[: basis.n_flux] - 2.0 * basis.field
+            eff = np.linalg.eigvalsh(lll_effective(basis, potential))
+            distance = hausdorff(lowest, eff)
         rows.append(
             StrongFieldRow(
-                field_requested=float(b_req),
-                field=b_used,
-                n_flux=n_flux,
+                field_requested=case.field_requested,
+                field=basis.field,
+                n_flux=basis.n_flux,
                 n_cells=n_cells,
-                cluster_gap=gap,
-                distance=hausdorff(lowest, eff),
+                cluster_gap=case.cluster_gap,
+                distance=distance,
                 coupling_next_level=coupling,
-                separated=True,
+                separated=separated,
             )
         )
     return rows

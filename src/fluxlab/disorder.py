@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .spectra import BandIntervals, Histogram, _sample_values, dos
+from .spectra import BandIntervals, Histogram, dos, sample_values
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -60,14 +60,11 @@ def hashed_normal(seed: int, index) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DisorderRealization:
-    """One seeded draw of a random coupling field plus its profile.
+    """One seeded draw of on-site lattice energies.
 
     distribution is "uniform" (couplings in [-strength/2, strength/2]) or
     "gaussian" (mean zero, standard deviation = strength); both are centered,
-    mean-zero families. profile "onsite" means the couplings are on-site
-    energies on the lattice; profile "bump" means the field is the smooth sum
-    w(u) = sum_g coupling[g] * exp(-|u - g|^2 / (2 width^2)) over the coarse
-    grid, evaluated at u = scale * (x, y).
+    mean-zero families.
     """
 
     seed: int
@@ -75,45 +72,9 @@ class DisorderRealization:
     distribution: str
     strength: float
     couplings: np.ndarray
-    profile: str = "onsite"
-    profile_width: float = 0.0
-    scale: float = 1.0
 
     def onsite_values(self) -> np.ndarray:
-        if self.profile != "onsite":
-            raise ConfigError(
-                f"profile {self.profile!r} has no on-site values; "
-                "evaluate it pointwise instead"
-            )
         return self.couplings.ravel()
-
-    def evaluate(self, x, y) -> np.ndarray:
-        """Potential value(s) at arbitrary points (bump profile only)."""
-        if self.profile != "bump":
-            raise ConfigError(
-                f"profile {self.profile!r} is not pointwise-evaluable"
-            )
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        u = self.scale * np.broadcast_arrays(x, y)[0]
-        v = self.scale * np.broadcast_arrays(x, y)[1]
-        n1, n2 = self.shape
-        g1 = np.arange(n1, dtype=float)
-        g2 = np.arange(n2, dtype=float)
-        du = u[..., None, None] - g1[:, None]
-        dv = v[..., None, None] - g2[None, :]
-        weights = np.exp(-(du * du + dv * dv) / (2.0 * self.profile_width**2))
-        return np.sum(self.couplings * weights, axis=(-2, -1))
-
-
-def _draw_couplings(seed: int, count: int, distribution: str, strength: float):
-    if distribution == "uniform":
-        return (hashed_uniform(seed, np.arange(count)) - 0.5) * strength
-    if distribution == "gaussian":
-        return hashed_normal(seed, np.arange(count)) * strength
-    raise ConfigError(
-        f"unknown distribution {distribution!r}; use 'uniform' or 'gaussian'"
-    )
 
 
 def anderson_realization(
@@ -124,51 +85,21 @@ def anderson_realization(
         raise ConfigError(f"box side must be >= 1, got {side}")
     if strength < 0:
         raise ConfigError(f"disorder strength must be >= 0, got {strength}")
-    couplings = _draw_couplings(seed, side * side, distribution, strength)
+    sites = np.arange(side * side)
+    if distribution == "uniform":
+        couplings = (hashed_uniform(seed, sites) - 0.5) * strength
+    elif distribution == "gaussian":
+        couplings = hashed_normal(seed, sites) * strength
+    else:
+        raise ConfigError(
+            f"unknown distribution {distribution!r}; use 'uniform' or 'gaussian'"
+        )
     return DisorderRealization(
         seed=int(seed),
         shape=(side, side),
         distribution=distribution,
         strength=float(strength),
         couplings=couplings.reshape(side, side),
-    )
-
-
-def scaled_realization(
-    seed: int,
-    coarse: int | tuple,
-    profile_width: float,
-    scale: float,
-    distribution: str = "uniform",
-    strength: float = 1.0,
-) -> DisorderRealization:
-    """Smooth random field V(x, y) = w(scale * x, scale * y).
-
-    w is a sum of Gaussian bumps of the given width on the integer coarse
-    grid with iid weights, so V varies on spatial scale profile_width/scale:
-    large scale decorrelates neighboring unit cells, small scale makes them
-    nearly equal.
-    """
-    if scale <= 0:
-        raise ConfigError(f"scale must be > 0, got {scale}")
-    if profile_width <= 0:
-        raise ConfigError(f"profile width must be > 0, got {profile_width}")
-    if strength < 0:
-        raise ConfigError(f"disorder strength must be >= 0, got {strength}")
-    shape = (coarse, coarse) if np.isscalar(coarse) else tuple(coarse)
-    n1, n2 = int(shape[0]), int(shape[1])
-    if n1 < 1 or n2 < 1:
-        raise ConfigError(f"coarse grid must be >= 1 per side, got {shape}")
-    couplings = _draw_couplings(seed, n1 * n2, distribution, strength)
-    return DisorderRealization(
-        seed=int(seed),
-        shape=(n1, n2),
-        distribution=distribution,
-        strength=float(strength),
-        couplings=couplings.reshape(n1, n2),
-        profile="bump",
-        profile_width=float(profile_width),
-        scale=float(scale),
     )
 
 
@@ -198,7 +129,7 @@ def ensemble_dos(
     if n < 1:
         raise ConfigError(f"need at least one realization, got {n}")
     seeds = tuple(int(base_seed) + i for i in range(n))
-    values = [_sample_values(builder(s)) for s in seeds]
+    values = [sample_values(builder(s)) for s in seeds]
     if bounds is None:
         pad = 8.0 * width
         bounds = (

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuum import (
-    FourierPotential,
-    continuum_hamiltonian,
-    feasible_field,
-    landau_torus_basis,
-    lll_effective,
-)
+from .continuum import FourierPotential, field_case, lll_effective
 from .errors import ConfigError, InfeasibleModelError, NumericalCheckError
 from .spectra import eigh_hermitian
 
@@ -286,16 +280,13 @@ def defect_scaling(
     times = tuple(float(t) for t in times)
     rows = []
     for b_req in field_values:
-        b_used, n_flux = feasible_field(float(b_req), n_cells, potential.cell)
-        basis = landau_torus_basis(b_used, n_flux, n_levels, cell=potential.cell)
-        ham = continuum_hamiltonian(basis, potential)
-        h = ham.matrix
-        w = np.linalg.eigvalsh(h)
-        gap = float(w[n_flux] - w[n_flux - 1]) if basis.dim > n_flux else np.inf
-        if gap <= sep_tol:
+        case = field_case(b_req, potential, n_levels, n_cells)
+        basis, h, w = case.basis, case.hamiltonian.matrix, case.eigenvalues
+        b_used, n_flux = basis.field, basis.n_flux
+        if case.cluster_gap <= sep_tol:
             rows.append(
                 DefectRow(
-                    field_requested=float(b_req),
+                    field_requested=case.field_requested,
                     field=b_used,
                     n_flux=n_flux,
                     projector_distance=float("nan"),
@@ -306,7 +297,10 @@ def defect_scaling(
                 )
             )
             continue
-        window = (float(w[0]) - 1.0, 0.5 * float(w[n_flux - 1] + w[n_flux]))
+        # the window closes midway across the cluster gap, or above the whole
+        # spectrum when the basis keeps only the lowest level
+        top = 0.5 * float(w[n_flux - 1] + w[n_flux]) if basis.dim > n_flux else np.inf
+        window = (float(w[0]) - 1.0, top)
         p = spectral_projection(h, window)
         q = Projector.block(basis.dim, n_flux)
         intertwiner = nagy_intertwiner(p, q)
@@ -319,7 +313,7 @@ def defect_scaling(
         d0 = float(defects[np.asarray(times) == 0.0][0]) if 0.0 in times else 0.0
         rows.append(
             DefectRow(
-                field_requested=float(b_req),
+                field_requested=case.field_requested,
                 field=b_used,
                 n_flux=n_flux,
                 projector_distance=float(

@@ -86,6 +86,22 @@ class RationalFlux:
         return cls(f.numerator, f.denominator)
 
 
+def conjugate_paired(harmonics, tol: float = 1e-12) -> bool:
+    """True when the Fourier series sum_h c_h e^{i (n, m) . x} is real.
+
+    harmonics is a sequence of (n, m, c); repeated (n, m) entries add up. The
+    series is real exactly when every summed coefficient c_{n,m} equals
+    conj(c_{-n,-m}) to within tol.
+    """
+    table = {}
+    for n, m, c in harmonics:
+        table[(n, m)] = table.get((n, m), 0.0) + c
+    for (n, m), c in table.items():
+        if abs(c - np.conj(table.get((-n, -m), 0.0))) > tol:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class FourierDispersion:
     """Finite Fourier series on the 2-torus: sum_h c_h e^{i (n k1 + m k2)}.
@@ -101,15 +117,6 @@ class FourierDispersion:
         for n, m, c in harmonics:
             entries.append((int(n), int(m), complex(c)))
         object.__setattr__(self, "harmonics", tuple(entries))
-
-    def is_real(self, tol: float = 1e-12) -> bool:
-        table = {}
-        for n, m, c in self.harmonics:
-            table[(n, m)] = table.get((n, m), 0.0) + c
-        for (n, m), c in table.items():
-            if abs(c - np.conj(table.get((-n, -m), 0.0))) > tol:
-                return False
-        return True
 
     def evaluate(self, k1, k2):
         k1 = np.asarray(k1, dtype=float)
@@ -158,40 +165,36 @@ class BlochFiberFamily:
         return out
 
 
-def _shift_matrix(q: int) -> np.ndarray:
-    """Cyclic up-shift S with S[j+1 mod q, j] = 1."""
-    s = np.zeros((q, q), dtype=complex)
-    s[(np.arange(q) + 1) % q, np.arange(q)] = 1.0
-    return s
+def weyl_translation(flux: RationalFlux, n: int, m: int) -> np.ndarray:
+    """Weyl-ordered magnetic translation W(n, m) = e^{-i pi n m p/q} D^n C^m.
 
-
-def _clock_matrix(q: int, alpha: float) -> np.ndarray:
-    return np.diag(np.exp(1j * 2.0 * pi * alpha * np.arange(q)))
-
-
-def magnetic_translation_pair(flux: RationalFlux):
-    """Clock/shift pair (U, V) on C^q with U V = e^{i 2 pi p/q} V U.
-
-    U is the cyclic down-shift and V the clock diag(e^{i 2 pi (p/q) j}).
+    D is the cyclic down-shift (D x)_j = x_{j+1 mod q} and C the clock
+    diag(e^{i 2 pi (p/q) j}) on C^q, so D C = e^{i 2 pi p/q} C D. The
+    symmetrization phase makes W(n, m)^dag = W(-n, -m). The product is a
+    permutation times a phase: row j holds e^{i pi (p/q) (2 m k - n m)} in
+    column k = j + n mod q, with one rounding in each phase angle. For m = 0
+    the phase is exactly 1 and W(n, 0) is the bare permutation.
     """
-    u = _shift_matrix(flux.q).conj().T
-    v = _clock_matrix(flux.q, flux.value)
-    return u, v
+    q = flux.q
+    cols = (np.arange(q) + n) % q
+    w = np.zeros((q, q), dtype=complex)
+    phase = np.exp(1j * pi * flux.value * (2 * m * cols - n * m)) if m else 1.0
+    w[np.arange(q), cols] = phase
+    return w
 
 
 def hofstadter_family(flux: RationalFlux) -> BlochFiberFamily:
     """Landau-gauge Bloch fiber family of the square-lattice magnetic model."""
-    q = flux.q
-    s = _shift_matrix(q)
+    s = weyl_translation(flux, -1, 0)
     # 2 cos(k2 + 2 pi alpha j) split into e^{+-i k2} clock factors.
-    v = _clock_matrix(q, flux.value)
+    c = weyl_translation(flux, 0, 1)
     terms = (
         (1, 0, s),
         (-1, 0, s.conj().T),
-        (0, 1, v),
-        (0, -1, v.conj().T),
+        (0, 1, c),
+        (0, -1, c.conj().T),
     )
-    return BlochFiberFamily(flux=flux, dim=q, terms=terms, gauge="landau")
+    return BlochFiberFamily(flux=flux, dim=flux.q, terms=terms, gauge="landau")
 
 
 def hofstadter_fiber(flux: RationalFlux, k1: float, k2: float) -> np.ndarray:
@@ -229,26 +232,20 @@ def harper_family(flux: RationalFlux) -> BlochFiberFamily:
 def peierls_quantize(disp: FourierDispersion, flux: RationalFlux) -> BlochFiberFamily:
     """Quantize a Bloch dispersion into a magnetic fiber family.
 
-    Each harmonic (n, m, c) maps to c e^{i (n k1 + m k2)} W(n, m) with the
-    symmetrically ordered translation product
-    W(n, m) = e^{-i pi n m p/q} U^n V^m. The sign of the symmetrization phase
-    is pinned by W(n, m)^dag = W(-n, -m), which makes the result Hermitian
-    for every real dispersion, mixed harmonics included.
+    Each harmonic (n, m, c) maps to c e^{i (n k1 + m k2)} W(n, m) with W the
+    Weyl-ordered weyl_translation at this flux. W(n, m)^dag = W(-n, -m)
+    makes the result Hermitian for every real dispersion, mixed harmonics
+    included.
     """
-    if not disp.is_real():
+    if not conjugate_paired(disp.harmonics):
         raise ValueError(
             "dispersion is not real: every harmonic (n, m, c) needs the "
             "partner (-n, -m, conj(c))"
         )
-    u, v = magnetic_translation_pair(flux)
-    alpha = flux.value
-    terms = []
-    for n, m, c in disp.harmonics:
-        un = np.linalg.matrix_power(u if n >= 0 else u.conj().T, abs(n))
-        vm = np.linalg.matrix_power(v if m >= 0 else v.conj().T, abs(m))
-        w = np.exp(-1j * pi * n * m * alpha) * (un @ vm)
-        terms.append((n, m, c * w))
-    return BlochFiberFamily(flux=flux, dim=flux.q, terms=tuple(terms), gauge="peierls")
+    terms = tuple(
+        (n, m, c * weyl_translation(flux, n, m)) for n, m, c in disp.harmonics
+    )
+    return BlochFiberFamily(flux=flux, dim=flux.q, terms=terms, gauge="peierls")
 
 
 @dataclass(frozen=True)

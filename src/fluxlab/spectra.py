@@ -143,7 +143,8 @@ def spectrum_union(
     return SpectrumSample(values=values, meta=meta)
 
 
-def _sample_values(obj) -> np.ndarray:
+def sample_values(obj) -> np.ndarray:
+    """Sorted eigenvalues of a SpectrumSample, a BoxOperator or raw values."""
     if isinstance(obj, SpectrumSample):
         return obj.values
     if isinstance(obj, BoxOperator):
@@ -170,7 +171,7 @@ def default_gap_tol(values: np.ndarray) -> float:
 
 def band_intervals(sample, gap_tol: float | None = None) -> BandIntervals:
     """Merge consecutive eigenvalues closer than gap_tol into intervals."""
-    vals = _sample_values(sample)
+    vals = sample_values(sample)
     if gap_tol is None:
         gap_tol = default_gap_tol(vals)
     if gap_tol < 0:
@@ -230,13 +231,14 @@ def _union_distance(points, los, his):
     return np.minimum(d_prev, d_next)
 
 
-def _point_to_intervals(x: float, intervals) -> float:
-    best = np.inf
-    for a, b in intervals:
-        if a <= x <= b:
-            return 0.0
-        best = min(best, abs(x - a), abs(x - b))
-    return best
+def distance_to_intervals(points, intervals) -> np.ndarray:
+    """Distance from each point to a finite union of closed intervals.
+
+    intervals takes any form hausdorff accepts; points inside the union
+    are at distance 0.
+    """
+    los, his = _interval_arrays(intervals)
+    return _union_distance(np.asarray(points, dtype=float), los, his)
 
 
 def hausdorff(a, b) -> float:
@@ -272,7 +274,7 @@ def dos(
     bin (difference of error functions), not a midpoint evaluation, so the
     densities integrate to 1 up to the kernel tail outside the range.
     """
-    vals = _sample_values(sample)
+    vals = sample_values(sample)
     if width <= 0:
         raise ValueError("width must be > 0")
     if bins < 1:

@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from fluxlab import ConfigError
+from fluxlab import ConfigError, cli
 from fluxlab.cli import _field_value, build_parser, main, parse_config
 
 
@@ -103,8 +104,8 @@ def test_gauge_check_impossible_tolerance_exits_3(capsys):
         ["gauge-check", "--B", "1/8", "--L", "8", "--kgrid", "16", "--tol", "1e-20"]
     )
     assert code == 3
-    out = capsys.readouterr().out
-    assert "FAIL" in out
+    err = capsys.readouterr().err
+    assert "FAIL" in err
 
 
 def test_out_into_missing_directory_exits_2(tmp_path):
@@ -117,8 +118,8 @@ def test_out_into_missing_directory_exits_2(tmp_path):
 
 def test_butterfly_small_run_stdout(capsys):
     assert main(["butterfly", "--qmax", "2", "--kgrid", "8"]) == 0
-    out = capsys.readouterr().out
-    lines = out.splitlines()
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
     header_idx = lines.index("p,q,band,e_min,e_max,q25,q50,q75")
     data = [
         line
@@ -133,7 +134,53 @@ def test_butterfly_small_run_stdout(capsys):
     assert data[2].startswith("1,2,1,")
     assert data[3].startswith("1,1,0,")
     assert "# n_flux_values: 3" in lines
-    assert any(line.startswith("butterfly: 3 flux values, 4 band rows") for line in lines)
+    assert any(
+        line.startswith("butterfly: 3 flux values, 4 band rows")
+        for line in captured.err.splitlines()
+    )
+
+
+def test_json_to_stdout_parses(capsys):
+    assert main(["butterfly", "--qmax", "2", "--kgrid", "8", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["command"] == "butterfly"
+    assert len(doc["rows"]) == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lll-compare", "--B", "inf"],
+        ["lll-compare", "--B", "10,nan"],
+        ["peierls-check", "--tol", "nan"],
+        ["dynamics-defect", "--times", "nan"],
+        ["disorder-dos", "--W", "nan"],
+        ["gauge-check", "--B", "inf"],
+        ["gauge-check", "--B", "1e400"],
+        ["continuum-spectrum", "--B=-inf"],
+    ],
+)
+def test_non_finite_values_exit_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: bad value" in err
+    assert "Traceback" not in err
+
+
+def test_overflowing_config_value_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"qmax": Infinity}')
+    assert main(["butterfly", "--config", str(path)]) == 2
+    assert "error: bad value" in capsys.readouterr().err
+
+
+def test_linalg_error_exits_3(monkeypatch, capsys):
+    def no_convergence(cfg):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "run_command", no_convergence)
+    assert main(["chern"]) == 3
+    assert "did not converge" in capsys.readouterr().err
 
 
 def test_json_artifact_parses(tmp_path):

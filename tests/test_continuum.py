@@ -15,7 +15,6 @@ from fluxlab import (
     continuum_hamiltonian,
     distances_decreasing,
     feasible_field,
-    guiding_translation,
     hofstadter_fiber,
     landau_torus_basis,
     level_form_factor,
@@ -23,6 +22,7 @@ from fluxlab import (
     next_level_coupling,
     plane_wave_element,
     strong_field_report,
+    weyl_translation,
 )
 
 
@@ -47,7 +47,8 @@ def test_basis_bookkeeping():
     assert abs(basis.magnetic_length - 1.0 / math.sqrt(2.0 * np.pi)) < 1e-14
     assert basis.dim == 12
     assert np.allclose(basis.level_energies(), 2.0 * np.pi * np.array([1, 3, 5]))
-    u, v = basis.magnetic_translation_pair()
+    guiding = RationalFlux(1, basis.n_flux)
+    u, v = weyl_translation(guiding, 0, 1), weyl_translation(guiding, -1, 0)
     phase = np.exp(2j * np.pi / 4)
     assert np.allclose(u @ v, phase * (v @ u), atol=1e-12)
 
@@ -131,14 +132,20 @@ def test_form_factor_point_values_and_adjoint():
         assert np.max(np.abs(a.conj().T - c)) < 1e-12
 
 
+def tau(j1, j2, n_flux):
+    """Torus translation tau(j1, j2) on the guiding space, as the continuum
+    module builds it."""
+    return weyl_translation(RationalFlux(1, n_flux), -j1, j2)
+
+
 def test_guiding_translation_algebra():
     for n_flux in (5, 8, 51):
-        t10 = guiding_translation(1, 0, n_flux)
-        t01 = guiding_translation(0, 1, n_flux)
+        t10 = tau(1, 0, n_flux)
+        t01 = tau(0, 1, n_flux)
         # adjoint law
-        assert np.max(np.abs(t10.conj().T - guiding_translation(-1, 0, n_flux))) < 1e-12
+        assert np.max(np.abs(t10.conj().T - tau(-1, 0, n_flux))) < 1e-12
         # projective composition
-        comp = np.exp(-1j * np.pi / n_flux) * guiding_translation(1, 1, n_flux)
+        comp = np.exp(-1j * np.pi / n_flux) * tau(1, 1, n_flux)
         assert np.max(np.abs(t10 @ t01 - comp)) < 1e-12
         # commutation phase
         swap = np.exp(-2j * np.pi / n_flux) * (t01 @ t10)
@@ -177,7 +184,7 @@ def test_flat_hamiltonian_commutes_with_torus_translations():
     basis = standard_basis(n_levels=4)
     h0 = continuum_hamiltonian(basis, FourierPotential.cosine_xy(0.0)).matrix
     for j in ((1, 0), (0, 1), (2, 3)):
-        t = np.kron(np.eye(basis.n_levels), guiding_translation(*j, basis.n_flux))
+        t = np.kron(np.eye(basis.n_levels), tau(*j, basis.n_flux))
         assert np.linalg.norm(h0 @ t - t @ h0, 2) < 1e-10
 
 

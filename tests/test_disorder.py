@@ -15,7 +15,6 @@ from fluxlab import (
     hashed_bits,
     hashed_normal,
     hashed_uniform,
-    scaled_realization,
 )
 
 
@@ -62,12 +61,6 @@ def test_invalid_inputs_rejected():
         anderson_realization(8, "lognormal", 1.0, seed=0)
     with pytest.raises(ConfigError):
         anderson_realization(0, "uniform", 1.0, seed=0)
-    with pytest.raises(ConfigError):
-        scaled_realization(0, 8, profile_width=1.0, scale=0.0)
-    with pytest.raises(ConfigError):
-        scaled_realization(0, 8, profile_width=0.0, scale=1.0)
-    with pytest.raises(ConfigError):
-        scaled_realization(0, 0, profile_width=1.0, scale=1.0)
 
 
 def test_hashed_streams_vectorize_and_stay_in_range():
@@ -87,50 +80,6 @@ def test_hashed_streams_vectorize_and_stay_in_range():
 def test_profile_guards():
     onsite = anderson_realization(4, "uniform", 1.0, seed=1)
     assert onsite.onsite_values().shape == (16,)
-    with pytest.raises(ConfigError):
-        onsite.evaluate(0.0, 0.0)
-    bump = scaled_realization(1, 6, profile_width=0.8, scale=1.0)
-    assert np.isscalar(float(bump.evaluate(0.3, 0.4)))
-    with pytest.raises(ConfigError):
-        bump.onsite_values()
-
-
-def test_scaled_field_deterministic_and_broadcasts():
-    a = scaled_realization(21, 10, profile_width=0.9, scale=2.0)
-    b = scaled_realization(21, 10, profile_width=0.9, scale=2.0)
-    assert float(a.evaluate(1.3, 2.4)) == float(b.evaluate(1.3, 2.4))
-    xs = np.linspace(0.0, 3.0, 7)
-    grid = a.evaluate(xs[:, None], xs[None, :])
-    assert grid.shape == (7, 7)
-    assert float(grid[2, 5]) == float(a.evaluate(xs[2], xs[5]))
-
-
-def test_scaled_field_decorrelates_at_large_scale():
-    # scale 4 separates neighboring unit cells by 4 bump widths of 0.75,
-    # so values one cell apart should be nearly independent across seeds
-    x0, y0 = 3.2, 3.1
-    here, there = [], []
-    for seed in range(200):
-        r = scaled_realization(seed, 32, profile_width=0.75, scale=4.0)
-        here.append(float(r.evaluate(x0, y0)))
-        there.append(float(r.evaluate(x0 + 1.0, y0)))
-    corr = np.corrcoef(here, there)[0, 1]
-    assert abs(corr) < 0.25
-
-
-def test_scaled_field_is_slowly_varying_at_small_scale():
-    # with scale 0.01 a unit step moves only 0.01 through the bump field, so
-    # neighboring values differ by at most 0.01 times the field's slope;
-    # estimate that slope from the unscaled field on a fine grid
-    seed, coarse, width = 4, 16, 1.0
-    slow = scaled_realization(seed, coarse, profile_width=width, scale=0.01)
-    raw = scaled_realization(seed, coarse, profile_width=width, scale=1.0)
-    xs = np.arange(0.0, 51.0)
-    vals = slow.evaluate(xs, 2.7)
-    us = np.linspace(0.0, 0.51, 2001)
-    wvals = raw.evaluate(us, 0.027)
-    slope = float(np.abs(np.diff(wvals)).max() / (us[1] - us[0]))
-    assert np.abs(np.diff(vals)).max() <= 1.05 * 0.01 * slope + 1e-12
 
 
 def gue_values(seed, dim=24):

@@ -257,6 +257,17 @@ def test_fit_slope_through_origin():
         fit_slope_through_origin([0.0, 0.0], [0.0, 0.0])
 
 
+def test_defect_scaling_single_level_basis():
+    # with one retained level the lowest cluster is the whole spectrum and the
+    # compression is the full operator, so the defect is pure roundoff
+    report = defect_scaling(
+        [10.0], FourierPotential.cosine_xy(1.0), times=(0.0, 0.5), n_levels=1, n_cells=1
+    )
+    (row,) = report.rows
+    assert row.separated
+    assert row.max_defect < 1e-10
+
+
 def test_defect_scaling_free_case_is_exact():
     # with no potential the lowest-level compression is the exact restriction,
     # so every defect reading is pure roundoff

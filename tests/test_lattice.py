@@ -9,14 +9,15 @@ from fluxlab import (
     InfeasibleModelError,
     RationalFlux,
     add_onsite_disorder,
+    conjugate_paired,
     harper_family,
     harper_fiber,
     hofstadter_family,
     hofstadter_fiber,
-    magnetic_translation_pair,
     peierls_quantize,
     plaquette_flux,
     symmetric_gauge_box,
+    weyl_translation,
 )
 
 HERM_TOL = 1e-12
@@ -237,7 +238,7 @@ def test_peierls_mixed_harmonic_hermitian():
         [(1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0),
          (1, 1, 0.05), (-1, -1, 0.05)]
     )
-    assert disp.is_real()
+    assert conjugate_paired(disp.harmonics)
     fam = peierls_quantize(disp, RationalFlux(1, 3))
     rng = np.random.default_rng(17)
     for _ in range(10):
@@ -249,18 +250,44 @@ def test_peierls_mixed_harmonic_hermitian():
 
 def test_peierls_rejects_non_real_dispersion():
     disp = FourierDispersion([(1, 0, 1.0)])
-    assert not disp.is_real()
+    assert not conjugate_paired(disp.harmonics)
     with pytest.raises(ValueError):
         peierls_quantize(disp, RationalFlux(1, 3))
 
 
 def test_magnetic_translations_commutation():
     for flux in (RationalFlux(1, 3), RationalFlux(2, 5), RationalFlux(3, 7)):
-        u, v = magnetic_translation_pair(flux)
+        u, v = weyl_translation(flux, 1, 0), weyl_translation(flux, 0, 1)
         phase = np.exp(2j * np.pi * flux.value)
         assert np.allclose(u @ v, phase * (v @ u), atol=1e-12)
         assert np.allclose(u @ u.conj().T, np.eye(flux.q), atol=1e-12)
         assert np.allclose(v @ v.conj().T, np.eye(flux.q), atol=1e-12)
+
+
+def reference_weyl(flux, n, m):
+    """W(n, m) = e^{-i pi n m p/q} U^n V^m from repeated matrix products of
+    the cyclic down-shift U and the clock V: the construction that
+    weyl_translation replaces, kept as its oracle."""
+    q = flux.q
+    up = np.zeros((q, q), dtype=complex)
+    up[(np.arange(q) + 1) % q, np.arange(q)] = 1.0
+    u = up.conj().T
+    v = np.diag(np.exp(1j * 2.0 * np.pi * flux.value * np.arange(q)))
+    un = np.linalg.matrix_power(u if n >= 0 else u.conj().T, abs(n))
+    vm = np.linalg.matrix_power(v if m >= 0 else v.conj().T, abs(m))
+    return np.exp(-1j * np.pi * n * m * flux.value) * (un @ vm)
+
+
+def test_weyl_translation_matches_matrix_power_oracle():
+    fluxes = [RationalFlux(p, q) for q in range(1, 8) for p in range(-q, 2 * q + 1)
+              if np.gcd(p, q) == 1]
+    fluxes += [RationalFlux(1, n) for n in (13, 51, 102, 204)]
+    for flux in fluxes:
+        for n in range(-4, 5):
+            for m in range(-4, 5):
+                w = weyl_translation(flux, n, m)
+                assert np.max(np.abs(w - reference_weyl(flux, n, m))) < 1e-12
+                assert np.max(np.abs(w.conj().T - weyl_translation(flux, -n, -m))) < 1e-12
 
 
 def test_harper_fiber_examples():
@@ -323,7 +350,7 @@ def test_add_onsite_disorder_shift_and_validation():
 
 def test_dispersion_evaluate_and_reality():
     disp = FourierDispersion.nearest_neighbor(1.0)
-    assert disp.is_real()
+    assert conjugate_paired(disp.harmonics)
     k1 = np.linspace(0, 2 * np.pi, 9)
     vals = disp.evaluate(k1, 0.0)
     assert np.allclose(vals.imag, 0.0, atol=1e-12)
