@@ -48,10 +48,12 @@ from .continuum import (
     FourierPotential,
     LandauBasisSpec,
     StrongFieldRow,
+    cluster_gap,
     continuum_hamiltonian,
     distances_decreasing,
     feasible_field,
     field_case,
+    field_operator,
     landau_torus_basis,
     level_form_factor,
     lll_effective,
@@ -64,13 +66,13 @@ from .dynamics import (
     DefectScalingReport,
     IntertwinerUnitary,
     Projector,
+    SpectralProjector,
     WavePacket,
     defect_curve,
     defect_scaling,
-    evolve,
     fit_slope_through_origin,
     nagy_intertwiner,
-    peierls_defect,
+    projector_distance,
     spectral_projection,
 )
 from .disorder import (

@@ -77,16 +77,29 @@ def _float(value):
     return x
 
 
+def _count(value):
+    n = int(value)
+    if n < 1:
+        raise ValueError("must be >= 1")
+    return n
+
+
+def _nonempty(values):
+    if not values:
+        raise ValueError("must list at least one value")
+    return values
+
+
 def _float_list(value):
     if isinstance(value, (list, tuple)):
-        return [_float(x) for x in value]
-    return [_float(tok) for tok in str(value).split(",") if tok.strip()]
+        return _nonempty([_float(x) for x in value])
+    return _nonempty([_float(tok) for tok in str(value).split(",") if tok.strip()])
 
 
 def _str_list(value):
     if isinstance(value, (list, tuple)):
-        return [str(x) for x in value]
-    return [tok.strip() for tok in str(value).split(",") if tok.strip()]
+        return _nonempty([str(x) for x in value])
+    return _nonempty([tok.strip() for tok in str(value).split(",") if tok.strip()])
 
 
 def _field_value(value):
@@ -100,37 +113,37 @@ _DEFAULT_TIMES = [0.5 * i for i in range(11)]
 _SPECS = {
     "butterfly": {
         "qmax": (int, 20, "largest fiber denominator"),
-        "kgrid": (int, 64, "k points per axis"),
+        "kgrid": (_count, 64, "k points per axis"),
     },
     "fiber-spectrum": {
         "flux": (str, None, "rational flux p/q"),
-        "kgrid": (int, 200, "k points along k1"),
+        "kgrid": (_count, 200, "k points along k1"),
         "kgrid2": (int, 0, "k points along k2 (0 = same as kgrid)"),
         "gap_tol": (_float, 0.0, "band merge tolerance (0 = automatic)"),
     },
     "harper-spectrum": {
         "flux": (str, None, "rational frequency p/q"),
-        "thetagrid": (int, 64, "phase offsets sampled in [0, 1)"),
-        "kgrid": (int, 64, "Bloch momenta sampled in [0, 2 pi)"),
+        "thetagrid": (_count, 64, "phase offsets sampled in [0, 1)"),
+        "kgrid": (_count, 64, "Bloch momenta sampled in [0, 2 pi)"),
         "gap_tol": (_float, 0.0, "band merge tolerance (0 = automatic)"),
         "tol": (_float, 1e-2, "pass threshold vs the 2D lattice spectrum"),
     },
     "peierls-check": {
         "flux": (_str_list, ["1/3", "2/5"], "flux values to test"),
-        "kgrid": (int, 16, "k points per axis"),
+        "kgrid": (_count, 16, "k points per axis"),
         "tol": (_float, 1e-10, "eigenvalue agreement threshold"),
     },
     "gauge-check": {
         "B": (_field_value, 0.125, "field parameter (float or p/q)"),
         "L": (int, 16, "torus side in sites"),
-        "kgrid": (int, 64, "fiber k points per axis"),
+        "kgrid": (_count, 64, "fiber k points per axis"),
         "gap_tol": (_float, 1.0, "band merge tolerance"),
         "tol": (_float, 0.05, "pass threshold on the Hausdorff distance"),
         "qmax": (int, 64, "denominator bound when snapping 2B to p/q"),
     },
     "chern": {
         "flux": (str, "1/3", "rational flux p/q"),
-        "kgrid": (int, 30, "k points per axis"),
+        "kgrid": (_count, 30, "k points per axis"),
     },
     "continuum-spectrum": {
         "B": (_field_value, None, "field parameter"),
@@ -162,7 +175,7 @@ _SPECS = {
         "width": (_float, 0.02, "DOS smoothing width"),
         "bins": (int, 200, "DOS bins"),
         "gap_tol": (_float, 0.05, "band merge tolerance for the clean spectrum"),
-        "kgrid": (int, 200, "k grid for the clean reference bands"),
+        "kgrid": (_count, 200, "k grid for the clean reference bands"),
     },
 }
 
@@ -231,7 +244,9 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         try:
             resolved[key] = caster(value)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})")
+            raise ConfigError(
+                f"bad value for --{key.replace('_', '-')}: {value!r} ({exc})"
+            )
     if resolved["format"] not in ("csv", "json"):
         raise ConfigError(f"unknown format {resolved['format']!r}; use csv or json")
     return RunConfig(command=command, params=resolved)
@@ -240,8 +255,6 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
 def _cmd_butterfly(p: dict) -> RunArtifact:
     if p["qmax"] < 1:
         raise ConfigError("qmax must be >= 1")
-    if p["kgrid"] < 1:
-        raise ConfigError("kgrid must be >= 1")
     fluxes = [RationalFlux(0, 1), RationalFlux(1, 1)]
     for q in range(2, p["qmax"] + 1):
         for num in range(1, q):

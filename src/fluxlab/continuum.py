@@ -306,18 +306,34 @@ class FieldCase:
         return self.hamiltonian.basis
 
 
+def field_operator(
+    B: float, potential: FourierPotential, n_levels: int, n_cells: int
+) -> ContinuumHamiltonian:
+    """Snap B to the nearest feasible value on the n_cells x n_cells torus
+    and build the full operator there (no eigensolve)."""
+    b_used, n_flux = feasible_field(float(B), n_cells, potential.cell)
+    basis = landau_torus_basis(b_used, n_flux, n_levels, cell=potential.cell)
+    return continuum_hamiltonian(basis, potential)
+
+
+def cluster_gap(w: np.ndarray, n_flux: int) -> float:
+    """Gap above the lowest n_flux of the sorted eigenvalues w; inf when w
+    holds only the lowest cluster."""
+    return float(w[n_flux] - w[n_flux - 1]) if len(w) > n_flux else float("inf")
+
+
 def field_case(
     B: float, potential: FourierPotential, n_levels: int, n_cells: int
 ) -> FieldCase:
-    """Snap B to the nearest feasible value on the n_cells x n_cells torus,
-    build the full operator there and take its eigenvalues (no vectors)."""
-    b_used, n_flux = feasible_field(float(B), n_cells, potential.cell)
-    basis = landau_torus_basis(b_used, n_flux, n_levels, cell=potential.cell)
-    ham = continuum_hamiltonian(basis, potential)
+    """field_operator followed by its eigenvalues (no vectors) and the
+    lowest-cluster gap."""
+    ham = field_operator(B, potential, n_levels, n_cells)
     w = np.linalg.eigvalsh(ham.matrix)
-    gap = float(w[n_flux] - w[n_flux - 1]) if basis.dim > n_flux else float("inf")
     return FieldCase(
-        field_requested=float(B), hamiltonian=ham, eigenvalues=w, cluster_gap=gap
+        field_requested=float(B),
+        hamiltonian=ham,
+        eigenvalues=w,
+        cluster_gap=cluster_gap(w, ham.basis.n_flux),
     )
 
 

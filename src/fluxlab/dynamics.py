@@ -1,4 +1,4 @@
-"""Time evolution and effective-dynamics defect measurements.
+"""Effective-dynamics defect measurements.
 
 The central quantity is the propagation defect
 d(t) = || (e^{-i t H_full} - W^dag e^{-i t H_eff} W) P psi ||
@@ -7,15 +7,21 @@ Q on the effective space, and the canonical unitary W mapping ran P to ran Q.
 When H_eff is the exact compression of H_full the defect vanishes to
 roundoff, so any nonzero reading measures the effective model, not the
 plumbing.
+
+Everything is factored through the rank r = rank P: projectors are held as
+orthonormal d x r frames, W restricted to ran P is the r x r polar factor of
+the frame overlap, and both evolutions run in r coordinates, so one d x d
+eigendecomposition of H_full is the only dense solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .continuum import FourierPotential, field_case, lll_effective
+from .continuum import FourierPotential, cluster_gap, field_operator, lll_effective
 from .errors import ConfigError, InfeasibleModelError, NumericalCheckError
 from .spectra import eigh_hermitian
 
@@ -56,83 +62,95 @@ class WavePacket:
 
 @dataclass(frozen=True)
 class Projector:
-    """Hermitian idempotent with its rank."""
+    """Orthogonal projector P = V V^dag, held as its orthonormal frame V
+    (dim x rank); the dim x dim matrix is built only on demand."""
 
-    matrix: np.ndarray
-    rank: int = -1
+    frame: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ConfigError(f"projector must be square, got shape {m.shape}")
-        if float(np.linalg.norm(m - m.conj().T, 2)) > 1e-10:
-            raise NumericalCheckError("projector is not Hermitian to 1e-10")
-        if float(np.linalg.norm(m @ m - m, 2)) > 1e-10:
-            raise NumericalCheckError("projector is not idempotent to 1e-10")
-        trace = float(np.trace(m).real)
-        rank = int(round(trace))
-        if abs(trace - rank) > 1e-8:
-            raise NumericalCheckError(
-                f"projector trace {trace:.12g} is not near an integer"
+        v = np.asarray(self.frame, dtype=complex)
+        if v.ndim != 2 or v.shape[1] > v.shape[0]:
+            raise ConfigError(
+                f"projector frame must be dim x rank with rank <= dim, got "
+                f"shape {v.shape}"
             )
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "rank", rank)
+        # ||V^dag V - I||_F bounds the 2-norms of P^2 - P and P - P^dag
+        dev = float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])))
+        if dev > 1e-10:
+            raise NumericalCheckError(
+                f"projector frame is not orthonormal: ||V^dag V - I||_F = "
+                f"{dev:.3e} > 1e-10"
+            )
+        object.__setattr__(self, "frame", v)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.frame.shape[0]
+
+    @property
+    def rank(self) -> int:
+        return self.frame.shape[1]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.frame @ self.frame.conj().T
 
     @classmethod
     def block(cls, dim: int, size: int) -> "Projector":
         """Projector onto the first `size` coordinates."""
-        m = np.zeros((dim, dim), dtype=complex)
-        m[np.arange(size), np.arange(size)] = 1.0
-        return cls(m)
+        return cls(np.eye(dim, size, dtype=complex))
+
+
+@dataclass(frozen=True)
+class SpectralProjector(Projector):
+    """Spectral projector of a Hermitian H: the frame columns are
+    eigenvectors, H V = V diag(energies), so e^{-itH} V = V e^{-it energies}."""
+
+    energies: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        e = np.asarray(self.energies, dtype=float).ravel()
+        if e.size != self.rank:
+            raise ConfigError(
+                f"{e.size} energies for a rank-{self.rank} spectral projector"
+            )
+        object.__setattr__(self, "energies", e)
 
 
 @dataclass(frozen=True)
 class IntertwinerUnitary:
-    """Unitary W with W P W^dag = Q for the stored projector pair."""
+    """Unitary W from ran P onto ran Q in frame coordinates: W V_p = V_q U,
+    with U = `matrix` (rank x rank).
+
+    Every unitary U gives W P W^dag = Q, so unitarity of U is the whole
+    check; ||W P W^dag - Q|| <= ||U U^dag - I||.
+    """
 
     matrix: np.ndarray
     source: Projector
     target: Projector
 
     def __post_init__(self):
-        w = np.asarray(self.matrix, dtype=complex)
-        d = w.shape[0]
-        if w.shape != (d, d) or d != self.source.dim or d != self.target.dim:
+        u = np.asarray(self.matrix, dtype=complex)
+        r = self.source.rank
+        if (
+            self.source.dim != self.target.dim
+            or self.target.rank != r
+            or u.shape != (r, r)
+        ):
             raise ConfigError("intertwiner and projector dimensions disagree")
-        if float(np.linalg.norm(w @ w.conj().T - np.eye(d), 2)) > 1e-10:
-            raise NumericalCheckError("intertwiner is not unitary to 1e-10")
-        moved = w @ self.source.matrix @ w.conj().T
-        if float(np.linalg.norm(moved - self.target.matrix, 2)) > 1e-8:
+        dev = float(np.linalg.norm(u @ u.conj().T - np.eye(r)))
+        if dev > 1e-10:
             raise NumericalCheckError(
-                "intertwiner does not map the source projector to the target"
+                f"intertwiner is not unitary: ||U U^dag - I||_F = {dev:.3e} > 1e-10"
             )
-        object.__setattr__(self, "matrix", w)
+        object.__setattr__(self, "matrix", u)
 
 
-def _propagator_apply(w, v, states, t):
-    """Apply e^{-i t H} = v e^{-i t w} v^dag to the columns of `states`."""
-    coeff = v.conj().T @ states
-    return v @ (np.exp(-1j * t * w)[:, None] * coeff)
-
-
-def evolve(h: np.ndarray, psi: WavePacket, t: float) -> WavePacket:
-    """e^{-i t H} psi via full eigendecomposition."""
-    h = np.asarray(h)
-    if h.shape[0] != psi.dim:
-        raise ConfigError(
-            f"dimension mismatch: operator {h.shape[0]}, state {psi.dim}"
-        )
-    w, v = eigh_hermitian(h)
-    out = _propagator_apply(w, v, psi.vector[:, None], float(t))[:, 0]
-    return WavePacket(out)
-
-
-def spectral_projection(h: np.ndarray, window, margin: float = 1e-9) -> Projector:
-    """Spectral projector of H onto the open energy window (lo, hi).
+def spectral_projection(eigenpairs, window, margin: float = 1e-9) -> SpectralProjector:
+    """Spectral projector of H onto the open energy window (lo, hi), from
+    H's eigenpairs (w, v) as returned by eigh_hermitian(H).
 
     Any eigenvalue within `margin` of a window edge makes the cluster
     ambiguous and is treated as infeasible rather than silently assigned.
@@ -140,7 +158,7 @@ def spectral_projection(h: np.ndarray, window, margin: float = 1e-9) -> Projecto
     lo, hi = float(window[0]), float(window[1])
     if hi < lo:
         raise ConfigError(f"window ({lo}, {hi}) is reversed")
-    w, v = eigh_hermitian(h)
+    w, v = eigenpairs
     near = np.minimum(np.abs(w - lo), np.abs(w - hi))
     if np.any(near < margin):
         bad = float(w[np.argmin(near)])
@@ -149,79 +167,88 @@ def spectral_projection(h: np.ndarray, window, margin: float = 1e-9) -> Projecto
             f"({lo:.6g}, {hi:.6g}); cluster membership is ambiguous"
         )
     sel = (w > lo) & (w < hi)
-    cols = v[:, sel]
-    return Projector(cols @ cols.conj().T)
+    return SpectralProjector(frame=v[:, sel], energies=w[sel])
+
+
+def projector_distance(p: Projector, q: Projector) -> float:
+    """||P - Q|| for equal-rank projectors closer than 1, as the 2-norm of
+    (I - Q) V_p.
+
+    Unlike sqrt(1 - sigma_min^2) of the overlap V_q^dag V_p, the residual
+    keeps its relative accuracy when P and Q nearly coincide.
+    """
+    resid = p.frame - q.frame @ (q.frame.conj().T @ p.frame)
+    return float(np.linalg.norm(resid, 2))
 
 
 def nagy_intertwiner(p: Projector, q: Projector) -> IntertwinerUnitary:
-    """Canonical unitary intertwining two nearby projectors.
+    """Canonical unitary intertwining two nearby projectors, restricted to
+    ran P.
 
-    W = (I - (Q - P)^2)^{-1/2} (Q P + (I - Q)(I - P)), defined whenever
-    ||P - Q|| < 1; W is unitary and W P W^dag = Q, and W = I when P = Q.
+    Sz.-Nagy/Kato: W = (I - (Q - P)^2)^{-1/2} (Q P + (I - Q)(I - P)) is
+    defined whenever ||P - Q|| < 1, is unitary with W P W^dag = Q, and is I
+    when P = Q. On ran P it reduces to W P = Q P (P Q P)^{-1/2}; in frames,
+    with the overlap X = V_q^dag V_p, W V_p = V_q U where U = X (X^dag X)^{-1/2}
+    is the polar factor of X, taken from its SVD A S B^dag as U = A B^dag.
+    ||P - Q|| = sqrt(1 - s_min^2), so ||P - Q|| < 1 exactly when X is
+    invertible.
     """
     if p.dim != q.dim:
         raise ConfigError("projectors live on different spaces")
-    pm, qm = p.matrix, q.matrix
-    dist = float(np.linalg.norm(pm - qm, 2))
+    if p.rank != q.rank:
+        raise InfeasibleModelError(
+            f"projector ranks {p.rank} and {q.rank} differ, so ||P - Q|| = 1: "
+            "no canonical intertwiner exists"
+        )
+    a, s, bh = np.linalg.svd(q.frame.conj().T @ p.frame)
+    s_min = float(s[-1]) if s.size else 1.0
+    dist = math.sqrt(max(0.0, 1.0 - s_min * s_min))
     if dist >= 1.0 - 1e-12:
         raise InfeasibleModelError(
             f"||P - Q|| = {dist:.12g} >= 1: no canonical intertwiner exists "
-            "(ranks differ or the ranges are too far apart)"
+            "(the ranges are too far apart)"
         )
-    eye = np.eye(p.dim)
-    core = eye - (qm - pm) @ (qm - pm)
-    w_core, v_core = np.linalg.eigh(core)
-    inv_half = (v_core * (1.0 / np.sqrt(w_core))[None, :]) @ v_core.conj().T
-    w = inv_half @ (qm @ pm + (eye - qm) @ (eye - pm))
-    return IntertwinerUnitary(matrix=w, source=p, target=q)
+    return IntertwinerUnitary(matrix=a @ bh, source=p, target=q)
 
 
 def defect_curve(
-    h_full: np.ndarray,
     h_eff: np.ndarray,
-    projector: Projector,
     intertwiner: IntertwinerUnitary,
     psi: WavePacket,
     times,
 ) -> np.ndarray:
-    """Propagation defect d(t) on a grid of times, sharing one
-    eigendecomposition per operator."""
-    h_full = np.asarray(h_full)
+    """Propagation defect d(t) on a grid of times, in rank-r coordinates.
+
+    The full operator enters through the intertwiner's source, a
+    SpectralProjector (V, Lambda): on ran P, e^{-itH} = V e^{-it Lambda} V^dag.
+    h_eff is the effective operator on ran Q in the target frame's
+    coordinates (r x r). With c = V^dag psi / ||V^dag psi|| and W V = V_q U,
+    d(t) = ||e^{-it Lambda} c - U^dag e^{-it h_eff} U c||.
+    """
+    source = intertwiner.source
+    if not isinstance(source, SpectralProjector):
+        raise ConfigError(
+            "defect_curve needs the spectral projection of the full operator "
+            "as the intertwiner's source"
+        )
     h_eff = np.asarray(h_eff)
-    d = psi.dim
-    if h_full.shape[0] != d or h_eff.shape[0] != d or projector.dim != d:
+    r = source.rank
+    if psi.dim != source.dim or h_eff.shape != (r, r):
         raise ConfigError("dimension mismatch between operators, projector, state")
-    start = projector.matrix @ psi.vector
+    start = source.frame.conj().T @ psi.vector
     norm = float(np.linalg.norm(start))
     if norm < 1e-12:
         raise ConfigError("projected initial state vanishes")
     start = start / norm
 
-    w_full, v_full = eigh_hermitian(h_full)
     w_eff, v_eff = eigh_hermitian(h_eff)
-    wmat = intertwiner.matrix
-    moved = wmat @ start
-
-    out = np.empty(len(times), dtype=float)
-    for i, t in enumerate(np.asarray(times, dtype=float)):
-        a = _propagator_apply(w_full, v_full, start[:, None], t)[:, 0]
-        b = wmat.conj().T @ _propagator_apply(w_eff, v_eff, moved[:, None], t)[:, 0]
-        out[i] = float(np.linalg.norm(a - b))
-    return out
-
-
-def peierls_defect(
-    h_full: np.ndarray,
-    h_eff: np.ndarray,
-    projector: Projector,
-    intertwiner: IntertwinerUnitary,
-    psi: WavePacket,
-    t: float,
-) -> float:
-    """Single-time propagation defect; see defect_curve."""
-    return float(
-        defect_curve(h_full, h_eff, projector, intertwiner, psi, [float(t)])[0]
-    )
+    u = intertwiner.matrix
+    moved = v_eff.conj().T @ (u @ start)
+    back = u.conj().T @ v_eff
+    t = np.asarray(times, dtype=float)[:, None]
+    full = np.exp(-1j * t * source.energies[None, :]) * start[None, :]
+    eff = (np.exp(-1j * t * w_eff[None, :]) * moved[None, :]) @ back.T
+    return np.linalg.norm(full - eff, axis=1)
 
 
 def fit_slope_through_origin(times, defects) -> float:
@@ -272,21 +299,24 @@ def defect_scaling(
     """Defect experiment across a list of field values.
 
     For each requested B (snapped to the nearest feasible torus value): build
-    the full operator, project onto its lowest n_flux eigenvalues, intertwine
-    with the lowest-level block, and evolve a seeded random packet under both
-    the full operator and the lowest-level compression 2B + lll_effective.
-    Rows whose lowest cluster is not separated are flagged, not failed.
+    the full operator and take its one eigendecomposition, project onto its
+    lowest n_flux eigenvalues, intertwine with the lowest-level block, and
+    evolve a seeded random packet under both the full operator and the
+    lowest-level compression 2B + lll_effective, in rank-n_flux coordinates.
+    d(0) is always measured, whether or not 0 is on the time grid. Rows whose
+    lowest cluster is not separated are flagged, not failed.
     """
     times = tuple(float(t) for t in times)
     rows = []
     for b_req in field_values:
-        case = field_case(b_req, potential, n_levels, n_cells)
-        basis, h, w = case.basis, case.hamiltonian.matrix, case.eigenvalues
+        ham = field_operator(b_req, potential, n_levels, n_cells)
+        basis = ham.basis
         b_used, n_flux = basis.field, basis.n_flux
-        if case.cluster_gap <= sep_tol:
+        w, v = eigh_hermitian(ham.matrix)
+        if cluster_gap(w, n_flux) <= sep_tol:
             rows.append(
                 DefectRow(
-                    field_requested=case.field_requested,
+                    field_requested=float(b_req),
                     field=b_used,
                     n_flux=n_flux,
                     projector_distance=float("nan"),
@@ -300,28 +330,21 @@ def defect_scaling(
         # the window closes midway across the cluster gap, or above the whole
         # spectrum when the basis keeps only the lowest level
         top = 0.5 * float(w[n_flux - 1] + w[n_flux]) if basis.dim > n_flux else np.inf
-        window = (float(w[0]) - 1.0, top)
-        p = spectral_projection(h, window)
+        p = spectral_projection((w, v), (float(w[0]) - 1.0, top))
         q = Projector.block(basis.dim, n_flux)
         intertwiner = nagy_intertwiner(p, q)
-        h_eff = np.zeros_like(h)
-        h_eff[:n_flux, :n_flux] = 2.0 * b_used * np.eye(n_flux) + lll_effective(
-            basis, potential
-        )
+        h_eff = 2.0 * b_used * np.eye(n_flux) + lll_effective(basis, potential)
         psi = WavePacket.random(basis.dim, seed)
-        defects = defect_curve(h, h_eff, p, intertwiner, psi, times)
-        d0 = float(defects[np.asarray(times) == 0.0][0]) if 0.0 in times else 0.0
+        defects = defect_curve(h_eff, intertwiner, psi, (0.0,) + times)
         rows.append(
             DefectRow(
-                field_requested=case.field_requested,
+                field_requested=float(b_req),
                 field=b_used,
                 n_flux=n_flux,
-                projector_distance=float(
-                    np.linalg.norm(p.matrix - q.matrix, 2)
-                ),
-                defect_zero=d0,
-                max_defect=float(defects.max()),
-                slope=fit_slope_through_origin(times, defects),
+                projector_distance=projector_distance(p, q),
+                defect_zero=float(defects[0]),
+                max_defect=float(defects[1:].max()),
+                slope=fit_slope_through_origin(times, defects[1:]),
                 separated=True,
             )
         )

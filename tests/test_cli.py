@@ -167,6 +167,39 @@ def test_non_finite_values_exit_2(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["lll-compare", "--B", ","], "--B"),
+        (["dynamics-defect", "--B", ","], "--B"),
+        (["dynamics-defect", "--times", " , "], "--times"),
+        (["peierls-check", "--flux", ","], "--flux"),
+    ],
+)
+def test_empty_list_exits_2(argv, flag, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: bad value for {flag}:" in captured.err
+    assert "at least one value" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["peierls-check", "--kgrid", "0"], "--kgrid"),
+        (["harper-spectrum", "--flux", "1/3", "--kgrid", "0"], "--kgrid"),
+        (["harper-spectrum", "--flux", "1/3", "--thetagrid", "-2"], "--thetagrid"),
+        (["butterfly", "--kgrid", "0"], "--kgrid"),
+    ],
+)
+def test_nonpositive_grid_exits_2(argv, flag, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: bad value for {flag}:" in err
+    assert "must be >= 1" in err
+
+
 def test_overflowing_config_value_exits_2(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text('{"qmax": Infinity}')

@@ -16,14 +16,18 @@ from fluxlab import (
     continuum_hamiltonian,
     defect_curve,
     defect_scaling,
-    evolve,
+    eigh_hermitian,
     feasible_field,
+    field_operator,
     fit_slope_through_origin,
     landau_torus_basis,
+    lll_effective,
     nagy_intertwiner,
-    peierls_defect,
+    projector_distance,
     spectral_projection,
+    strong_field_report,
 )
+from fluxlab import dynamics
 
 
 def random_hermitian(dim, seed):
@@ -61,17 +65,59 @@ def test_projector_validation():
 
 def test_intertwiner_validation():
     p = Projector.block(4, 2)
-    q = Projector(np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex))
+    q = Projector(np.eye(4)[:, 2:])
     with pytest.raises(NumericalCheckError):
-        IntertwinerUnitary(matrix=0.5 * np.eye(4), source=p, target=p)
-    with pytest.raises(NumericalCheckError):
-        IntertwinerUnitary(matrix=np.eye(4), source=p, target=q)
+        IntertwinerUnitary(matrix=0.5 * np.eye(2), source=p, target=p)
+    with pytest.raises(ConfigError):
+        IntertwinerUnitary(matrix=np.eye(2), source=p, target=Projector.block(4, 3))
     with pytest.raises(ConfigError):
         IntertwinerUnitary(matrix=np.eye(3), source=p, target=p)
-    swap = np.zeros((4, 4))
-    swap[0, 2] = swap[1, 3] = swap[2, 0] = swap[3, 1] = 1.0
-    w = IntertwinerUnitary(matrix=swap, source=p, target=q)
-    assert np.allclose(w.matrix @ p.matrix @ w.matrix.conj().T, q.matrix)
+    # the factored swap: W V_p = V_q U carries P onto Q
+    w = IntertwinerUnitary(matrix=np.eye(2), source=p, target=q)
+    wv = q.frame @ w.matrix
+    assert np.allclose(wv @ wv.conj().T, q.matrix)
+
+
+def evolve(h, psi, t):
+    """Dense oracle: e^{-i t H} psi via a full eigendecomposition."""
+    h = np.asarray(h)
+    if h.shape[0] != psi.dim:
+        raise ConfigError(
+            f"dimension mismatch: operator {h.shape[0]}, state {psi.dim}"
+        )
+    w, v = np.linalg.eigh(h)
+    return WavePacket(v @ (np.exp(-1j * float(t) * w) * (v.conj().T @ psi.vector)))
+
+
+def dense_nagy(pm, qm):
+    """Dense oracle: W = (I - (Q - P)^2)^{-1/2} (Q P + (I - Q)(I - P))."""
+    eye = np.eye(pm.shape[0])
+    w_core, v_core = np.linalg.eigh(eye - (qm - pm) @ (qm - pm))
+    inv_half = (v_core * (1.0 / np.sqrt(w_core))[None, :]) @ v_core.conj().T
+    return inv_half @ (qm @ pm + (eye - qm) @ (eye - pm))
+
+
+def dense_defect(h_full, h_eff, pm, wmat, psi, times):
+    """Dense oracle for defect_curve with d x d operators and intertwiner."""
+    start = WavePacket.normalized(pm @ psi.vector)
+    moved = WavePacket(wmat @ start.vector)
+    return np.array(
+        [
+            np.linalg.norm(
+                evolve(h_full, start, t).vector
+                - wmat.conj().T @ evolve(h_eff, moved, t).vector
+            )
+            for t in times
+        ]
+    )
+
+
+def padded(h_r, dim):
+    """Effective operator on the coordinate block, zero elsewhere."""
+    out = np.zeros((dim, dim), dtype=complex)
+    r = h_r.shape[0]
+    out[:r, :r] = h_r
+    return out
 
 
 def test_evolve_zero_time_is_identity():
@@ -109,32 +155,34 @@ def test_evolve_dimension_mismatch():
 
 def test_spectral_projection_window_extremes():
     h = np.diag([0.0, 1.0, 2.0])
-    full = spectral_projection(h, (-1.0, 3.0))
+    full = spectral_projection(eigh_hermitian(h), (-1.0, 3.0))
     assert full.rank == 3
     assert np.allclose(full.matrix, np.eye(3))
-    empty = spectral_projection(h, (0.2, 0.8))
+    assert np.array_equal(full.energies, [0.0, 1.0, 2.0])
+    empty = spectral_projection(eigh_hermitian(h), (0.2, 0.8))
     assert empty.rank == 0
     assert np.allclose(empty.matrix, 0.0)
     with pytest.raises(ConfigError):
-        spectral_projection(h, (2.0, 1.0))
+        spectral_projection(eigh_hermitian(h), (2.0, 1.0))
 
 
 def test_spectral_projection_commutes_with_operator():
     h = random_hermitian(30, seed=11)
     w = np.linalg.eigvalsh(h)
     window = (w[0] - 1.0, 0.5 * (w[9] + w[10]))
-    p = spectral_projection(h, window)
+    p = spectral_projection(eigh_hermitian(h), window)
     assert p.rank == 10
     comm = p.matrix @ h - h @ p.matrix
     assert np.linalg.norm(comm, 2) < 1e-9
+    assert np.linalg.norm(h @ p.frame - p.frame * p.energies[None, :]) < 1e-9
 
 
 def test_spectral_projection_boundary_collision():
     h = np.diag([0.0, 1.0, 2.0])
     with pytest.raises(InfeasibleModelError):
-        spectral_projection(h, (1.0, 3.5))
+        spectral_projection(eigh_hermitian(h), (1.0, 3.5))
     with pytest.raises(InfeasibleModelError):
-        spectral_projection(h, (-0.5, 2.0 + 1e-12))
+        spectral_projection(eigh_hermitian(h), (-0.5, 2.0 + 1e-12))
 
 
 def test_spectral_projection_lowest_landau_cluster():
@@ -143,15 +191,23 @@ def test_spectral_projection_lowest_landau_cluster():
     ham = continuum_hamiltonian(basis, FourierPotential.cosine_xy(1.0))
     w = np.linalg.eigvalsh(ham.matrix)
     window = (float(w[0]) - 1.0, 0.5 * float(w[n_flux - 1] + w[n_flux]))
-    p = spectral_projection(ham.matrix, window)
+    p = spectral_projection(eigh_hermitian(ham.matrix), window)
     assert p.rank == n_flux
     assert np.linalg.norm(p.matrix @ ham.matrix - ham.matrix @ p.matrix, 2) < 1e-9
 
 
+def random_frame(dim, rank, seed):
+    return np.linalg.eigh(random_hermitian(dim, seed))[1][:, :rank]
+
+
 def test_nagy_identity_for_equal_projectors():
-    p = Projector.block(6, 2)
-    w = nagy_intertwiner(p, p)
-    assert np.linalg.norm(w.matrix - np.eye(6), 2) < 1e-12
+    for seed in range(20):
+        p = Projector(random_frame(6, 2, seed))
+        w = nagy_intertwiner(p, p)
+        assert np.linalg.norm(w.matrix - np.eye(2), 2) < 1e-12
+        dense = dense_nagy(p.matrix, p.matrix)
+        assert np.linalg.norm(dense - np.eye(6), 2) < 1e-12
+        assert np.linalg.norm(dense @ p.frame - p.frame @ w.matrix) < 1e-12
 
 
 def test_nagy_intertwines_rotated_projectors():
@@ -161,13 +217,19 @@ def test_nagy_intertwines_rotated_projectors():
         a = random_hermitian(8, seed=seed)
         wa, va = np.linalg.eigh(a)
         u = (va * np.exp(1j * eps * wa)[None, :]) @ va.conj().T
-        q = Projector(u @ p.matrix @ u.conj().T)
+        q = Projector(u @ p.frame)
         w = nagy_intertwiner(p, q)
-        moved = w.matrix @ p.matrix @ w.matrix.conj().T
+        wv = q.frame @ w.matrix
+        moved = wv @ wv.conj().T
         assert np.linalg.norm(moved - q.matrix, 2) < 1e-10
         assert np.linalg.norm(
-            w.matrix @ w.matrix.conj().T - np.eye(8), 2
+            w.matrix @ w.matrix.conj().T - np.eye(3), 2
         ) < 1e-10
+        # the factored intertwiner is the dense one restricted to ran P
+        dense = dense_nagy(p.matrix, q.matrix)
+        assert np.linalg.norm(dense @ p.frame - wv) < 1e-12
+        exact = np.linalg.norm(p.matrix - q.matrix, 2)
+        assert abs(projector_distance(p, q) - exact) < 1e-12
 
 
 def test_nagy_rank_mismatch_rejected():
@@ -185,69 +247,90 @@ def block_dominant_hamiltonian(dim, seed, strength=0.05):
     )
 
 
+def lowest_cluster(h, rank):
+    """(eigenpairs, spectral projector onto the lowest `rank` levels)."""
+    w, v = eigh_hermitian(h)
+    window = (float(w[0]) - 1.0, 0.5 * float(w[rank - 1] + w[rank]))
+    return (w, v), spectral_projection((w, v), window)
+
+
 def test_defect_vanishes_for_exact_compression():
     dim, rank = 12, 4
-    h = block_dominant_hamiltonian(dim, seed=3)
-    w, v = np.linalg.eigh(h)
-    window = (float(w[0]) - 1.0, 0.5 * float(w[rank - 1] + w[rank]))
-    p = spectral_projection(h, window)
-    psi = WavePacket.random(dim, seed=9)
     times = [0.0, 0.5, 1.0, 2.0, 4.0]
-
-    # route 1: the eigenbasis itself intertwines P with the coordinate block
     q = Projector.block(dim, rank)
-    w_eig = IntertwinerUnitary(matrix=v.conj().T, source=p, target=q)
-    d1 = defect_curve(h, np.diag(w), p, w_eig, psi, times)
-    assert d1.max() < 1e-8
+    for seed in range(20):
+        h = block_dominant_hamiltonian(dim, seed=3 + seed)
+        (w, v), p = lowest_cluster(h, rank)
+        psi = WavePacket.random(dim, seed=9 + seed)
 
-    # route 2: canonical intertwiner, effective operator = W H W^dag
-    w_can = nagy_intertwiner(p, q)
-    h_eff = w_can.matrix @ h @ w_can.matrix.conj().T
-    d2 = defect_curve(h, h_eff, p, w_can, psi, times)
-    assert d2.max() < 1e-8
+        # route 1: the eigenbasis itself intertwines P with the coordinate block
+        w_eig = IntertwinerUnitary(
+            matrix=(v.conj().T @ p.frame)[:rank], source=p, target=q
+        )
+        d1 = defect_curve(np.diag(w[:rank]), w_eig, psi, times)
+        assert d1.max() < 1e-8
+        oracle1 = dense_defect(h, np.diag(w), p.matrix, v.conj().T, psi, times)
+        assert np.max(np.abs(d1 - oracle1)) < 1e-12
+
+        # route 2: canonical intertwiner, effective operator = W H W^dag
+        w_can = nagy_intertwiner(p, q)
+        u = w_can.matrix
+        d2 = defect_curve(u @ np.diag(p.energies) @ u.conj().T, w_can, psi, times)
+        assert d2.max() < 1e-8
+        wd = dense_nagy(p.matrix, q.matrix)
+        oracle2 = dense_defect(h, wd @ h @ wd.conj().T, p.matrix, wd, psi, times)
+        assert np.max(np.abs(d2 - oracle2)) < 1e-12
 
 
 def test_defect_zero_time_and_bound():
     dim, rank = 10, 3
-    h = block_dominant_hamiltonian(dim, seed=4)
-    w, _ = np.linalg.eigh(h)
-    window = (float(w[0]) - 1.0, 0.5 * float(w[rank - 1] + w[rank]))
-    p = spectral_projection(h, window)
-    q = Projector.block(dim, rank)
-    inter = nagy_intertwiner(p, q)
-    psi = WavePacket.random(dim, seed=5)
     times = np.linspace(0.0, 3.0, 13)
-    d = defect_curve(h, np.zeros((dim, dim)), p, inter, psi, times)
-    assert d[0] < 1e-12
-    assert d.max() <= 2.0 + 1e-12
-    single = peierls_defect(h, np.zeros((dim, dim)), p, inter, psi, 1.5)
-    assert abs(single - d[np.where(times == 1.5)[0][0]]) < 1e-12
+    q = Projector.block(dim, rank)
+    for seed in range(20):
+        h = block_dominant_hamiltonian(dim, seed=4 + seed)
+        _, p = lowest_cluster(h, rank)
+        inter = nagy_intertwiner(p, q)
+        psi = WavePacket.random(dim, seed=5 + seed)
+        d = defect_curve(np.zeros((rank, rank)), inter, psi, times)
+        assert d[0] < 1e-12
+        assert d.max() <= 2.0 + 1e-12
+        single = defect_curve(np.zeros((rank, rank)), inter, psi, [1.5])[0]
+        assert abs(single - d[np.where(times == 1.5)[0][0]]) < 1e-12
+        wd = dense_nagy(p.matrix, q.matrix)
+        oracle = dense_defect(h, np.zeros((dim, dim)), p.matrix, wd, psi, times)
+        assert np.max(np.abs(d - oracle)) < 1e-12
 
 
 def test_defect_is_continuous_in_time():
     dim, rank = 10, 3
-    h = block_dominant_hamiltonian(dim, seed=6)
-    h_eff = np.zeros((dim, dim), dtype=complex)
-    h_eff[:rank, :rank] = h[:rank, :rank]
-    w, _ = np.linalg.eigh(h)
-    window = (float(w[0]) - 1.0, 0.5 * float(w[rank - 1] + w[rank]))
-    p = spectral_projection(h, window)
-    inter = nagy_intertwiner(p, Projector.block(dim, rank))
-    psi = WavePacket.random(dim, seed=7)
     delta = 1e-4
     times = [0.7, 0.7 + delta, 1.9, 1.9 + delta]
-    d = defect_curve(h, h_eff, p, inter, psi, times)
-    lipschitz = np.linalg.norm(h, 2) + np.linalg.norm(h_eff, 2)
-    assert abs(d[1] - d[0]) <= 1.01 * delta * lipschitz
-    assert abs(d[3] - d[2]) <= 1.01 * delta * lipschitz
+    q = Projector.block(dim, rank)
+    for seed in range(20):
+        h = block_dominant_hamiltonian(dim, seed=6 + seed)
+        h_eff = h[:rank, :rank]
+        _, p = lowest_cluster(h, rank)
+        inter = nagy_intertwiner(p, q)
+        psi = WavePacket.random(dim, seed=7 + seed)
+        d = defect_curve(h_eff, inter, psi, times)
+        lipschitz = np.linalg.norm(h, 2) + np.linalg.norm(h_eff, 2)
+        assert abs(d[1] - d[0]) <= 1.01 * delta * lipschitz
+        assert abs(d[3] - d[2]) <= 1.01 * delta * lipschitz
+        wd = dense_nagy(p.matrix, q.matrix)
+        oracle = dense_defect(h, padded(h_eff, dim), p.matrix, wd, psi, times)
+        assert np.max(np.abs(d - oracle)) < 1e-12
 
 
 def test_defect_rejects_orthogonal_start():
-    p = Projector.block(4, 2)
+    _, p = lowest_cluster(np.diag([0.0, 1.0, 2.0, 3.0]), 2)
     inter = nagy_intertwiner(p, p)
     psi = WavePacket.normalized([0.0, 0.0, 1.0, 0.0])
     with pytest.raises(ConfigError):
-        defect_curve(np.eye(4), np.eye(4), p, inter, psi, [0.0, 1.0])
+        defect_curve(np.eye(2), inter, psi, [0.0, 1.0])
+    # the full evolution is read from a spectral projection, never a bare frame
+    block = Projector.block(4, 2)
+    with pytest.raises(ConfigError):
+        defect_curve(np.eye(2), nagy_intertwiner(block, block), psi, [0.0, 1.0])
 
 
 def test_fit_slope_through_origin():
@@ -312,3 +395,85 @@ def test_defect_scaling_report_monotone_filter():
         rows=(row(0.2, True), row(0.5, True)), times=(0.0,)
     )
     assert not bad.monotone
+
+
+def test_defect_scaling_matches_dense_oracle():
+    # tiny tori (d = 3 n_flux <= 12) where the dense pipeline is cheap:
+    # projector_distance is ||P - Q||, and the curve uses the dense Nagy
+    # formula with d x d propagators and the zero-padded effective operator
+    potential = FourierPotential.cosine_xy(1.0)
+    times = (0.0, 0.5, 1.0, 2.0)
+    for b_req in (6.3, 9.5, 12.6):
+        for seed in range(20):
+            (row,) = defect_scaling(
+                [b_req], potential, times, n_levels=3, n_cells=1, seed=seed
+            ).rows
+            ham = field_operator(b_req, potential, 3, 1)
+            basis, h = ham.basis, ham.matrix
+            r, dim = basis.n_flux, basis.dim
+            assert dim <= 12
+            v = np.linalg.eigh(h)[1][:, :r]
+            pm = v @ v.conj().T
+            qm = padded(np.eye(r), dim)
+            h_eff = padded(
+                2.0 * basis.field * np.eye(r) + lll_effective(basis, potential), dim
+            )
+            psi = WavePacket.random(dim, seed)
+            curve = dense_defect(
+                h, h_eff, pm, dense_nagy(pm, qm), psi, times
+            )
+            assert row.separated
+            assert abs(row.projector_distance - np.linalg.norm(pm - qm, 2)) < 1e-12
+            assert abs(row.defect_zero - curve[0]) < 1e-12
+            assert abs(row.max_defect - curve.max()) < 1e-12
+            assert abs(row.slope - fit_slope_through_origin(times, curve)) < 1e-12
+
+
+def test_defect_zero_is_measured_off_grid(monkeypatch):
+    # d(0) comes from the propagation even when 0 is not on the time grid:
+    # an offset added to every reading has to show up in defect_zero
+    real = dynamics.defect_curve
+    monkeypatch.setattr(dynamics, "defect_curve", lambda *args: real(*args) + 1.0)
+    report = defect_scaling(
+        [10.0], FourierPotential.cosine_xy(1.0), times=(1.0, 2.0), n_levels=3,
+        n_cells=2,
+    )
+    (row,) = report.rows
+    assert abs(row.defect_zero - 1.0) < 1e-10
+
+
+def test_eigensolve_budget(monkeypatch):
+    # defect_scaling: one d x d eigh per field plus one r x r eigh of the
+    # effective operator, no d x d eigvalsh and no d x d 2-norm (an SVD);
+    # strong_field_report: eigenvalues only
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(a, *args, **kwargs):
+            order = kwargs.get("ord", args[0] if args else None)
+            calls.append((name, np.shape(a), order))
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "norm"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    potential = FourierPotential.cosine_xy(1.0)
+    report = defect_scaling(
+        [5.0, 10.0], potential, times=(0.5, 1.0), n_levels=3, n_cells=2
+    )
+    assert all(row.separated for row in report.rows)
+    expected = []
+    for row in report.rows:
+        dim = 3 * row.n_flux
+        expected += [(dim, dim), (row.n_flux, row.n_flux)]
+        assert not any(
+            name == "norm" and shape == (dim, dim) and order == 2
+            for name, shape, order in calls
+        )
+    assert [shape for name, shape, _ in calls if name == "eigh"] == expected
+    assert not any(name == "eigvalsh" for name, _, _ in calls)
+
+    calls.clear()
+    strong_field_report([5.0, 10.0], potential, n_levels=3, n_cells=2)
+    assert not any(name == "eigh" for name, _, _ in calls)
