@@ -154,15 +154,29 @@ class BlochFiberFamily:
         return h
 
     def batch(self, k1_vals: np.ndarray, k2_vals: np.ndarray) -> np.ndarray:
-        """Stack of fibers on the outer product grid, shape (N1, N2, q, q)."""
+        """Stack of fibers on the outer product grid, shape (N1, N2, q, q).
+
+        Each term adds its phase grid only at the nonzero entries of its
+        matrix (q of them for a Weyl translation), so a term costs q grid
+        passes instead of q^2. A term with n == 0 (m == 0) takes its phase
+        on the k2 (k1) axis alone and broadcasts it. Skipping a zero entry
+        only skips adding a signed zero, and dropping a zero multiple of a
+        finite momentum changes at most the sign of a zero argument, where
+        exp gives 1 + 0j either way, so for finite momenta the stack is
+        bit-identical to the dense sum. The entries are accumulated as
+        contiguous (q, q, N1, N2) planes and returned as a view with the
+        matrix axes last.
+        """
         k1_vals = np.asarray(k1_vals, dtype=float)
         k2_vals = np.asarray(k2_vals, dtype=float)
         kk1 = k1_vals[:, None]
         kk2 = k2_vals[None, :]
-        out = np.zeros((len(k1_vals), len(k2_vals), self.dim, self.dim), dtype=complex)
+        out = np.zeros((self.dim, self.dim, len(k1_vals), len(k2_vals)), dtype=complex)
         for n, m, mat in self.terms:
-            out += np.exp(1j * (n * kk1 + m * kk2))[..., None, None] * mat
-        return out
+            phase = np.exp(1j * ((n * kk1 if n else 0.0) + (m * kk2 if m else 0.0)))
+            for i, j in zip(*np.nonzero(mat)):
+                out[i, j] += phase * mat[i, j]
+        return np.moveaxis(out, (0, 1), (2, 3))
 
 
 def weyl_translation(flux: RationalFlux, n: int, m: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fluxlab import (
+    BlochFiberFamily,
     BoxOperator,
     FourierDispersion,
     InfeasibleModelError,
@@ -246,6 +247,33 @@ def test_peierls_mixed_harmonic_hermitian():
         h = fam.matrix(k1, k2)
         assert h.shape == (3, 3)
         assert hermiticity(h) < HERM_TOL
+
+
+def test_batch_is_bit_identical_to_dense_term_sum():
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    m[rng.random((4, 4)) < 0.5] = 0.0
+    dense_pair = BlochFiberFamily(
+        flux=RationalFlux(1, 4), dim=4, terms=((2, -1, m), (-2, 1, m.conj().T))
+    )
+    mixed = FourierDispersion(
+        [(1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0),
+         (1, 1, 0.3 + 0.2j), (-1, -1, 0.3 - 0.2j)]
+    )
+    families = [dense_pair, peierls_quantize(mixed, RationalFlux(2, 5))]
+    families += [hofstadter_family(RationalFlux(p, q)) for p, q in ((0, 1), (1, 2), (-3, 7))]
+    # the negated grids put -0.0 among the momenta
+    g1 = 2.0 * np.pi * np.arange(9) / 9
+    g2 = 2.0 * np.pi * np.arange(6) / 6
+    k1 = np.concatenate((g1, -g1, rng.uniform(-10, 10, 4)))
+    k2 = np.concatenate((g2, -g2, rng.uniform(-10, 10, 3)))
+    for fam in families:
+        dense = np.zeros((k1.size, k2.size, fam.dim, fam.dim), dtype=complex)
+        for n, mm, mat in fam.terms:
+            dense += np.exp(1j * (n * k1[:, None] + mm * k2[None, :]))[..., None, None] * mat
+        got = np.ascontiguousarray(fam.batch(k1, k2))
+        assert got.shape == dense.shape
+        assert np.array_equal(got.view(np.uint64), dense.view(np.uint64))
 
 
 def test_peierls_rejects_non_real_dispersion():
