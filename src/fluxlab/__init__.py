@@ -50,7 +50,6 @@ from .continuum import (
     StrongFieldRow,
     cluster_gap,
     continuum_hamiltonian,
-    distances_decreasing,
     feasible_field,
     field_case,
     field_operator,
@@ -63,7 +62,6 @@ from .continuum import (
 )
 from .dynamics import (
     DefectRow,
-    DefectScalingReport,
     IntertwinerUnitary,
     Projector,
     SpectralProjector,

@@ -7,6 +7,8 @@ All files are written atomically and nothing partial survives a failure.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical check failed,
 4 infeasible model (flux quantization, cluster separation, degenerate bands).
+Each command declares its pass conditions as Gates; main reports them on
+stderr and in the sidecar, and the first failing one sets the exit code.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -26,12 +28,12 @@ import numpy as np
 from . import __version__
 from .continuum import (
     FourierPotential,
-    distances_decreasing,
+    StrongFieldRow,
     field_case,
     strong_field_report,
 )
 from .disorder import anderson_realization, ensemble_dos, gap_fill_fraction
-from .dynamics import defect_scaling
+from .dynamics import DefectRow, defect_scaling
 from .errors import ConfigError, InfeasibleModelError, NumericalCheckError
 from .lattice import (
     FourierDispersion,
@@ -59,15 +61,59 @@ class RunConfig:
     params: dict
 
 
+@dataclass(frozen=True)
+class Gate:
+    """A numerical check of a run: it passes when value <= limit (so a NaN
+    value fails), and a failing gate exits with `code`."""
+
+    name: str
+    value: float
+    limit: float
+    code: int = 3
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.value <= self.limit)
+
+
+def decreasing_gate(rows, column: str) -> Gate:
+    """Gate on `column` strictly decreasing over the separated rows: the
+    value counts adjacent pairs (a, b) with `not b < a`, so NaN counts too."""
+    values = [getattr(row, column) for row in rows if row.separated]
+    pairs = sum(not b < a for a, b in zip(values, values[1:]))
+    return Gate(f"{column}_not_decreasing", pairs, 0)
+
+
+def _worst(values) -> float:
+    """Largest value, NaN if any value is NaN, 0.0 when there is none."""
+    values = list(values)
+    return float(np.max(values)) if values else 0.0
+
+
+def _separation_gate(rows) -> Gate:
+    """Exit 4 unless every lowest cluster is separated; commands list it
+    before their exit-3 gates so that it takes precedence."""
+    return Gate("unseparated_rows", sum(not row.separated for row in rows), 0, code=4)
+
+
 @dataclass
 class RunArtifact:
-    command: str
+    """The table (columns, rows, meta), a one-line stderr summary, and the
+    gates that decide pass/FAIL; the first failing gate sets the exit code."""
+
     columns: list
     rows: list
     meta: dict
-    notes: list = field(default_factory=list)
-    ok: bool = True
-    fail_code: int = 3
+    summary: str
+    gates: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return all(gate.passed for gate in self.gates)
+
+    @property
+    def exit_code(self) -> int:
+        return next((gate.code for gate in self.gates if not gate.passed), 0)
 
 
 def _float(value):
@@ -283,11 +329,10 @@ def _cmd_butterfly(p: dict) -> RunArtifact:
                 )
             )
     return RunArtifact(
-        command="butterfly",
         columns=["p", "q", "band", "e_min", "e_max", "q25", "q50", "q75"],
         rows=rows,
         meta={"n_flux_values": len(fluxes)},
-        notes=[f"butterfly: {len(fluxes)} flux values, {len(rows)} band rows"],
+        summary=f"{len(fluxes)} flux values, {len(rows)} band rows",
     )
 
 
@@ -299,7 +344,6 @@ def _cmd_fiber_spectrum(p: dict) -> RunArtifact:
     bands = band_intervals(sample, gap_tol)
     rows = [(i, a, b) for i, (a, b) in enumerate(bands.intervals)]
     return RunArtifact(
-        command="fiber-spectrum",
         columns=["band", "e_lo", "e_hi"],
         rows=rows,
         meta={
@@ -308,10 +352,8 @@ def _cmd_fiber_spectrum(p: dict) -> RunArtifact:
             "e_min": float(sample.values[0]),
             "e_max": float(sample.values[-1]),
         },
-        notes=[
-            f"fiber-spectrum: {len(rows)} band(s) in "
-            f"[{sample.values[0]:.6g}, {sample.values[-1]:.6g}]"
-        ],
+        summary=f"{len(rows)} band(s) in "
+        f"[{sample.values[0]:.6g}, {sample.values[-1]:.6g}]",
     )
 
 
@@ -332,9 +374,7 @@ def _cmd_harper_spectrum(p: dict) -> RunArtifact:
     gap_tol = p["gap_tol"] if p["gap_tol"] > 0 else None
     bands = band_intervals(sample, gap_tol)
     rows = [(i, a, b) for i, (a, b) in enumerate(bands.intervals)]
-    ok = dist <= p["tol"]
     return RunArtifact(
-        command="harper-spectrum",
         columns=["band", "e_lo", "e_hi"],
         rows=rows,
         meta={
@@ -342,11 +382,8 @@ def _cmd_harper_spectrum(p: dict) -> RunArtifact:
             "hausdorff_vs_lattice": dist,
             "tol": p["tol"],
         },
-        notes=[
-            f"harper-spectrum: hausdorff vs 2D lattice = {dist:.3e} "
-            f"(tol {p['tol']:g}) -> {'pass' if ok else 'FAIL'}"
-        ],
-        ok=ok,
+        summary=f"{len(rows)} band(s) from {vals.size} eigenvalues",
+        gates=[Gate("hausdorff_vs_lattice", dist, p["tol"])],
     )
 
 
@@ -364,17 +401,12 @@ def _cmd_peierls_check(p: dict) -> RunArtifact:
         worst = float(np.max(np.abs(wq - wr)))
         rows.append((flux.p, flux.q, worst))
         worst_overall = max(worst_overall, worst)
-    ok = worst_overall <= p["tol"]
     return RunArtifact(
-        command="peierls-check",
         columns=["p", "q", "max_eigenvalue_deviation"],
         rows=rows,
         meta={"tol": p["tol"], "kgrid": p["kgrid"]},
-        notes=[
-            f"peierls-check: max deviation {worst_overall:.3e} "
-            f"(tol {p['tol']:g}) -> {'pass' if ok else 'FAIL'}"
-        ],
-        ok=ok,
+        summary=f"{len(rows)} flux value(s) on a {p['kgrid']}^2 k grid",
+        gates=[Gate("max_eigenvalue_deviation", worst_overall, p["tol"])],
     )
 
 
@@ -393,7 +425,6 @@ def _cmd_gauge_check(p: dict) -> RunArtifact:
     fiber_bands = band_intervals(fiber_sample, p["gap_tol"])
     dist = hausdorff(box_bands, fiber_bands)
     containment = float(distance_to_intervals(box_vals, fiber_bands).max())
-    ok = dist <= p["tol"]
     rows = [
         (
             p["B"],
@@ -407,7 +438,6 @@ def _cmd_gauge_check(p: dict) -> RunArtifact:
         )
     ]
     return RunArtifact(
-        command="gauge-check",
         columns=[
             "B",
             "L",
@@ -420,11 +450,8 @@ def _cmd_gauge_check(p: dict) -> RunArtifact:
         ],
         rows=rows,
         meta={"tol": p["tol"], "gap_tol": p["gap_tol"], "kgrid": p["kgrid"]},
-        notes=[
-            f"gauge-check: hausdorff = {dist:.3e}, containment = "
-            f"{containment:.3e} (tol {p['tol']:g}) -> {'pass' if ok else 'FAIL'}"
-        ],
-        ok=ok,
+        summary=f"fiber flux {flux.p}/{flux.q}, containment = {containment:.3e}",
+        gates=[Gate("hausdorff", dist, p["tol"])],
     )
 
 
@@ -433,16 +460,12 @@ def _cmd_chern(p: dict) -> RunArtifact:
     cherns = chern_numbers(hofstadter_family(flux), grid=p["kgrid"])
     total = sum(cherns)
     rows = [(band, c) for band, c in enumerate(cherns)]
-    ok = total == 0
     return RunArtifact(
-        command="chern",
         columns=["band", "chern"],
         rows=rows,
         meta={"kgrid": p["kgrid"], "sum": total},
-        notes=[
-            f"chern: {tuple(cherns)} sum {total} -> {'pass' if ok else 'FAIL'}"
-        ],
-        ok=ok,
+        summary=f"{tuple(cherns)} sum {total}",
+        gates=[Gate("abs_chern_sum", abs(total), 0)],
     )
 
 
@@ -453,7 +476,6 @@ def _cmd_continuum_spectrum(p: dict) -> RunArtifact:
     b_used, n_flux = basis.field, basis.n_flux
     rows = [(i, float(e)) for i, e in enumerate(w)]
     return RunArtifact(
-        command="continuum-spectrum",
         columns=["index", "energy"],
         rows=rows,
         meta={
@@ -463,10 +485,8 @@ def _cmd_continuum_spectrum(p: dict) -> RunArtifact:
             "n_cells": basis.n_cells,
             "n_levels": basis.n_levels,
         },
-        notes=[
-            f"continuum-spectrum: B = {b_used:.9g} ({n_flux} flux quanta), "
-            f"{len(rows)} levels in [{w[0]:.6g}, {w[-1]:.6g}]"
-        ],
+        summary=f"B = {b_used:.9g} ({n_flux} flux quanta), "
+        f"{len(rows)} levels in [{w[0]:.6g}, {w[-1]:.6g}]",
     )
 
 
@@ -475,44 +495,12 @@ def _cmd_lll_compare(p: dict) -> RunArtifact:
     report = strong_field_report(
         p["B"], potential, n_levels=p["nlevels"], n_cells=p["ncells"]
     )
-    rows = [
-        (
-            r.field_requested,
-            r.field,
-            r.n_flux,
-            r.cluster_gap,
-            r.distance,
-            r.coupling_next_level,
-            r.separated,
-        )
-        for r in report
-    ]
-    all_separated = all(r.separated for r in report)
-    monotone = distances_decreasing(report)
-    ok = all_separated and (len(report) < 2 or monotone)
-    notes = [
-        "lll-compare: distances "
-        + ", ".join(f"{r.distance:.4e}" for r in report)
-        + (" strictly decreasing" if monotone else " NOT decreasing")
-        + ("" if all_separated else "; some clusters not separated")
-        + f" -> {'pass' if ok else 'FAIL'}"
-    ]
     return RunArtifact(
-        command="lll-compare",
-        columns=[
-            "field_requested",
-            "field",
-            "n_flux",
-            "cluster_gap",
-            "distance",
-            "coupling_next_level",
-            "separated",
-        ],
-        rows=rows,
+        columns=[f.name for f in fields(StrongFieldRow)],
+        rows=[astuple(r) for r in report],
         meta={"ncells": p["ncells"], "nlevels": p["nlevels"]},
-        notes=notes,
-        ok=ok,
-        fail_code=4 if not all_separated else 3,
+        summary="distances " + ", ".join(f"{r.distance:.4e}" for r in report),
+        gates=[_separation_gate(report), decreasing_gate(report, "distance")],
     )
 
 
@@ -526,52 +514,28 @@ def _cmd_dynamics_defect(p: dict) -> RunArtifact:
         n_cells=p["ncells"],
         seed=p["seed"],
     )
-    rows = [
-        (
-            r.field_requested,
-            r.field,
-            r.n_flux,
-            r.projector_distance,
-            r.defect_zero,
-            r.max_defect,
-            r.slope,
-            r.separated,
-        )
-        for r in report.rows
-    ]
-    all_separated = all(r.separated for r in report.rows)
-    zero_ok = all(r.defect_zero < 1e-10 for r in report.rows if r.separated)
-    bounded = all(r.max_defect <= 2.0 for r in report.rows if r.separated)
-    ok = all_separated and report.monotone and zero_ok and bounded
-    notes = [
-        "dynamics-defect: slopes "
-        + ", ".join(f"{r.slope:.4e}" for r in report.rows)
-        + (" strictly decreasing" if report.monotone else " NOT decreasing")
-        + ("" if all_separated else "; some clusters not separated")
-        + f" -> {'pass' if ok else 'FAIL'}"
-    ]
+    separated = [r for r in report if r.separated]
     return RunArtifact(
-        command="dynamics-defect",
-        columns=[
-            "field_requested",
-            "field",
-            "n_flux",
-            "projector_distance",
-            "defect_zero",
-            "max_defect",
-            "slope",
-            "separated",
-        ],
-        rows=rows,
+        columns=[f.name for f in fields(DefectRow)],
+        rows=[astuple(r) for r in report],
         meta={
             "ncells": p["ncells"],
             "nlevels": p["nlevels"],
             "seed": p["seed"],
             "times": list(p["times"]),
         },
-        notes=notes,
-        ok=ok,
-        fail_code=4 if not all_separated else 3,
+        summary="slopes " + ", ".join(f"{r.slope:.4e}" for r in report),
+        gates=[
+            _separation_gate(report),
+            decreasing_gate(report, "slope"),
+            # d(0) must be strictly below 1e-10
+            Gate(
+                "defect_zero",
+                _worst(r.defect_zero for r in separated),
+                math.nextafter(1e-10, 0.0),
+            ),
+            Gate("max_defect", _worst(r.max_defect for r in separated), 2.0),
+        ],
     )
 
 
@@ -608,7 +572,6 @@ def _cmd_disorder_dos(p: dict) -> RunArtifact:
         for i in range(len(centers))
     ]
     return RunArtifact(
-        command="disorder-dos",
         columns=["energy", "density", "stderr"],
         rows=rows,
         meta={
@@ -618,10 +581,8 @@ def _cmd_disorder_dos(p: dict) -> RunArtifact:
             "nseeds": p["nseeds"],
             "base_seed": p["seed"],
         },
-        notes=[
-            f"disorder-dos: W = {p['W']:g}, {p['nseeds']} seeds, "
-            f"gap fill fraction = {fill:.4f}"
-        ],
+        summary=f"W = {p['W']:g}, {p['nseeds']} seeds, "
+        f"gap fill fraction = {fill:.4f}",
     )
 
 
@@ -661,7 +622,7 @@ def _table_config(cfg: RunConfig) -> str:
 def render_csv(artifact: RunArtifact, cfg: RunConfig) -> str:
     lines = [
         f"# fluxlab {__version__}",
-        f"# command: {artifact.command}",
+        f"# command: {cfg.command}",
         f"# config: {_table_config(cfg)}",
     ]
     for key in sorted(artifact.meta):
@@ -675,7 +636,7 @@ def render_csv(artifact: RunArtifact, cfg: RunConfig) -> str:
 def render_json(artifact: RunArtifact, cfg: RunConfig) -> str:
     doc = {
         "version": __version__,
-        "command": artifact.command,
+        "command": cfg.command,
         "config": json.loads(_table_config(cfg)),
         "meta": artifact.meta,
         "columns": artifact.columns,
@@ -720,9 +681,18 @@ def emit(artifact: RunArtifact, cfg: RunConfig, wall_time: float) -> None:
         return
     sidecar = {
         "version": __version__,
-        "command": artifact.command,
+        "command": cfg.command,
         "config": json.loads(_table_config(cfg)),
         "ok": artifact.ok,
+        "gates": [
+            {
+                "name": g.name,
+                "value": _json_value(g.value),
+                "limit": _json_value(g.limit),
+                "passed": g.passed,
+            }
+            for g in artifact.gates
+        ],
         "rows": len(artifact.rows),
         "wall_time_s": wall_time,
     }
@@ -740,6 +710,17 @@ def emit(artifact: RunArtifact, cfg: RunConfig, wall_time: float) -> None:
         raise
 
 
+# First match wins: numpy's LinAlgError is a ValueError.
+_EXIT_CODES = {
+    np.linalg.LinAlgError: 3,
+    ConfigError: 2,
+    ValueError: 2,
+    OSError: 2,
+    NumericalCheckError: 3,
+    InfeasibleModelError: 4,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -748,26 +729,17 @@ def main(argv=None) -> int:
         cfg = parse_config(args)
         artifact = run_command(cfg)
         emit(artifact, cfg, wall_time=time.monotonic() - started)
-    except np.linalg.LinAlgError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InfeasibleModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    for note in artifact.notes:
-        print(note, file=sys.stderr)
-    if not artifact.ok:
-        return artifact.fail_code
-    return 0
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+    print(f"{cfg.command}: {artifact.summary}", file=sys.stderr)
+    for g in artifact.gates:
+        verdict = "pass" if g.passed else "FAIL"
+        print(
+            f"  {g.name} = {g.value:.6g} (limit {g.limit:.6g}) -> {verdict}",
+            file=sys.stderr,
+        )
+    return artifact.exit_code
 
 
 if __name__ == "__main__":

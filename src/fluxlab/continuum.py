@@ -252,7 +252,7 @@ def continuum_hamiltonian(
     )
     for n, m, c in potential.harmonics:
         h += c * plane_wave_element(basis, (n, m))
-    check_hermitian(h, atol=1e-10)
+    check_hermitian(h, atol=1e-12)
     return ContinuumHamiltonian(basis=basis, matrix=h, potential=potential)
 
 
@@ -344,7 +344,6 @@ class StrongFieldRow:
     field_requested: float
     field: float
     n_flux: int
-    n_cells: int
     cluster_gap: float
     distance: float
     coupling_next_level: float
@@ -383,7 +382,6 @@ def strong_field_report(
                 field_requested=case.field_requested,
                 field=basis.field,
                 n_flux=basis.n_flux,
-                n_cells=n_cells,
                 cluster_gap=case.cluster_gap,
                 distance=distance,
                 coupling_next_level=coupling,
@@ -392,8 +390,3 @@ def strong_field_report(
         )
     return rows
 
-
-def distances_decreasing(rows) -> bool:
-    """True when the distance column strictly decreases over separated rows."""
-    ds = [r.distance for r in rows if r.separated]
-    return all(b < a for a, b in zip(ds, ds[1:]))

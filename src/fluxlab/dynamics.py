@@ -275,18 +275,6 @@ class DefectRow:
     separated: bool
 
 
-@dataclass(frozen=True)
-class DefectScalingReport:
-    rows: tuple
-    times: tuple
-
-    @property
-    def monotone(self) -> bool:
-        """True when the fitted slopes strictly decrease over separated rows."""
-        slopes = [r.slope for r in self.rows if r.separated]
-        return all(b < a for a, b in zip(slopes, slopes[1:]))
-
-
 def defect_scaling(
     field_values,
     potential: FourierPotential,
@@ -295,8 +283,8 @@ def defect_scaling(
     n_cells: int = 4,
     seed: int = 7,
     sep_tol: float = 1e-6,
-) -> DefectScalingReport:
-    """Defect experiment across a list of field values.
+) -> list[DefectRow]:
+    """Defect experiment across a list of field values, one row per field.
 
     For each requested B (snapped to the nearest feasible torus value): build
     the full operator and take its one eigendecomposition, project onto its
@@ -312,7 +300,8 @@ def defect_scaling(
         ham = field_operator(b_req, potential, n_levels, n_cells)
         basis = ham.basis
         b_used, n_flux = basis.field, basis.n_flux
-        w, v = eigh_hermitian(ham.matrix)
+        # continuum_hamiltonian checked H Hermitian at 1e-12
+        w, v = np.linalg.eigh(ham.matrix)
         if cluster_gap(w, n_flux) <= sep_tol:
             rows.append(
                 DefectRow(
@@ -348,4 +337,4 @@ def defect_scaling(
                 separated=True,
             )
         )
-    return DefectScalingReport(rows=tuple(rows), times=times)
+    return rows

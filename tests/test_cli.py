@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fluxlab import ConfigError, cli
+from fluxlab import ConfigError, DefectRow, StrongFieldRow, cli
 from fluxlab.cli import _field_value, build_parser, main, parse_config
 
 
@@ -249,3 +249,77 @@ def test_config_file_value_lands_in_artifact(tmp_path):
     text = out.read_text()
     assert '"kgrid":12' in text.splitlines()[2]
     assert "# kgrid: 12" in text
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["harper-spectrum", "--flux", "1/3", "--thetagrid", "8", "--kgrid", "8"], 0),
+        (["peierls-check", "--flux", "1/3,2/5,3/7", "--kgrid", "8"], 0),
+        (["gauge-check", "--B", "1/8", "--L", "8", "--kgrid", "16"], 0),
+        (
+            ["gauge-check", "--B", "1/8", "--L", "8", "--kgrid", "16", "--tol", "1e-20"],
+            3,
+        ),
+        (["chern", "--flux", "1/3", "--kgrid", "12"], 0),
+        (["lll-compare", "--B", "5,10,20", "--ncells", "2", "--nlevels", "3"], 0),
+        (
+            ["dynamics-defect", "--B", "5,10,20", "--ncells", "2", "--nlevels", "3",
+             "--times", "0,0.5,1"],
+            0,
+        ),
+    ],
+)
+def test_sidecar_records_gates(argv, code, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main(argv + ["--out", str(out)]) == code
+    sidecar = json.loads((tmp_path / "t.meta.json").read_text())
+    gates = sidecar["gates"]
+    assert gates
+    for gate in gates:
+        assert set(gate) == {"name", "value", "limit", "passed"}
+        assert gate["passed"] == (gate["value"] <= gate["limit"])
+    assert sidecar["ok"] == all(gate["passed"] for gate in gates)
+    assert sidecar["ok"] == (code == 0)
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"{argv[0]}: ")
+    assert len(err) == 1 + len(gates)
+    for line, gate in zip(err[1:], gates):
+        assert line.startswith(f"  {gate['name']} = ")
+        assert line.endswith("pass" if gate["passed"] else "FAIL")
+
+
+def test_sidecar_nan_gate_is_strict_json(monkeypatch, tmp_path):
+    nan = float("nan")
+    rows = [DefectRow(1.0, 1.0, 2, 0.1, nan, 0.5, 0.2, True)]
+    monkeypatch.setattr(cli, "defect_scaling", lambda *args, **kwargs: rows)
+    out = tmp_path / "d.csv"
+    assert main(["dynamics-defect", "--out", str(out)]) == 3
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    text = (tmp_path / "d.meta.json").read_text()
+    gates = {g["name"]: g for g in json.loads(text, parse_constant=reject)["gates"]}
+    assert gates["defect_zero"]["value"] == "nan"
+    assert gates["defect_zero"]["passed"] is False
+
+
+def test_separation_gate_precedes_monotone_gate(monkeypatch, capsys):
+    def row(distance, separated):
+        return StrongFieldRow(
+            field_requested=1.0,
+            field=1.0,
+            n_flux=2,
+            cluster_gap=0.0,
+            distance=distance,
+            coupling_next_level=0.0,
+            separated=separated,
+        )
+
+    rows = [row(0.1, True), row(0.2, True), row(float("nan"), False)]
+    monkeypatch.setattr(cli, "strong_field_report", lambda *args, **kwargs: rows)
+    assert main(["lll-compare"]) == 4
+    err = capsys.readouterr().err
+    assert "unseparated_rows = 1 (limit 0) -> FAIL" in err
+    assert "distance_not_decreasing = 1 (limit 0) -> FAIL" in err

@@ -13,7 +13,6 @@ from fluxlab import (
     InfeasibleModelError,
     RationalFlux,
     continuum_hamiltonian,
-    distances_decreasing,
     feasible_field,
     hofstadter_fiber,
     landau_torus_basis,
@@ -24,6 +23,7 @@ from fluxlab import (
     strong_field_report,
     weyl_translation,
 )
+from fluxlab.cli import decreasing_gate
 
 
 def standard_basis(n_levels=6, field=10.0, n_cells=4):
@@ -274,4 +274,5 @@ def test_lowest_cluster_structure():
 def test_distances_decreasing_helper():
     rows = strong_field_report([10.0, 20.0], FourierPotential.cosine_xy(0.0),
                                n_levels=2, n_cells=2)
-    assert not distances_decreasing(rows)  # 0.0 is not strictly below 0.0
+    # 0.0 is not strictly below 0.0
+    assert not decreasing_gate(rows, "distance").passed

@@ -6,7 +6,6 @@ import pytest
 from fluxlab import (
     ConfigError,
     DefectRow,
-    DefectScalingReport,
     FourierPotential,
     InfeasibleModelError,
     IntertwinerUnitary,
@@ -27,7 +26,8 @@ from fluxlab import (
     spectral_projection,
     strong_field_report,
 )
-from fluxlab import dynamics
+from fluxlab import continuum, dynamics, spectra
+from fluxlab.cli import decreasing_gate
 
 
 def random_hermitian(dim, seed):
@@ -343,10 +343,9 @@ def test_fit_slope_through_origin():
 def test_defect_scaling_single_level_basis():
     # with one retained level the lowest cluster is the whole spectrum and the
     # compression is the full operator, so the defect is pure roundoff
-    report = defect_scaling(
+    (row,) = defect_scaling(
         [10.0], FourierPotential.cosine_xy(1.0), times=(0.0, 0.5), n_levels=1, n_cells=1
     )
-    (row,) = report.rows
     assert row.separated
     assert row.max_defect < 1e-10
 
@@ -362,9 +361,8 @@ def test_defect_scaling_free_case_is_exact():
         n_cells=4,
         seed=7,
     )
-    assert report.times == (0.0, 0.5, 1.0)
-    assert [r.n_flux for r in report.rows] == [51, 102]
-    for row, b_req in zip(report.rows, (10.0, 20.0)):
+    assert [r.n_flux for r in report] == [51, 102]
+    for row, b_req in zip(report, (10.0, 20.0)):
         assert row.field_requested == b_req
         assert abs(row.field - b_req) < 0.2
         assert row.separated
@@ -387,14 +385,10 @@ def test_defect_scaling_report_monotone_filter():
             separated=separated,
         )
 
-    good = DefectScalingReport(
-        rows=(row(0.5, True), row(9.0, False), row(0.2, True)), times=(0.0,)
-    )
-    assert good.monotone
-    bad = DefectScalingReport(
-        rows=(row(0.2, True), row(0.5, True)), times=(0.0,)
-    )
-    assert not bad.monotone
+    good = [row(0.5, True), row(9.0, False), row(0.2, True)]
+    assert decreasing_gate(good, "slope").passed
+    bad = [row(0.2, True), row(0.5, True)]
+    assert not decreasing_gate(bad, "slope").passed
 
 
 def test_defect_scaling_matches_dense_oracle():
@@ -407,7 +401,7 @@ def test_defect_scaling_matches_dense_oracle():
         for seed in range(20):
             (row,) = defect_scaling(
                 [b_req], potential, times, n_levels=3, n_cells=1, seed=seed
-            ).rows
+            )
             ham = field_operator(b_req, potential, 3, 1)
             basis, h = ham.basis, ham.matrix
             r, dim = basis.n_flux, basis.dim
@@ -434,11 +428,10 @@ def test_defect_zero_is_measured_off_grid(monkeypatch):
     # an offset added to every reading has to show up in defect_zero
     real = dynamics.defect_curve
     monkeypatch.setattr(dynamics, "defect_curve", lambda *args: real(*args) + 1.0)
-    report = defect_scaling(
+    (row,) = defect_scaling(
         [10.0], FourierPotential.cosine_xy(1.0), times=(1.0, 2.0), n_levels=3,
         n_cells=2,
     )
-    (row,) = report.rows
     assert abs(row.defect_zero - 1.0) < 1e-10
 
 
@@ -462,9 +455,9 @@ def test_eigensolve_budget(monkeypatch):
     report = defect_scaling(
         [5.0, 10.0], potential, times=(0.5, 1.0), n_levels=3, n_cells=2
     )
-    assert all(row.separated for row in report.rows)
+    assert all(row.separated for row in report)
     expected = []
-    for row in report.rows:
+    for row in report:
         dim = 3 * row.n_flux
         expected += [(dim, dim), (row.n_flux, row.n_flux)]
         assert not any(
@@ -477,3 +470,24 @@ def test_eigensolve_budget(monkeypatch):
     calls.clear()
     strong_field_report([5.0, 10.0], potential, n_levels=3, n_cells=2)
     assert not any(name == "eigh" for name, _, _ in calls)
+
+
+def test_one_hermiticity_check_per_field(monkeypatch):
+    # continuum_hamiltonian checks each d x d H once; the eigensolve in
+    # defect_scaling does not check it again
+    shapes = []
+    real = spectra.check_hermitian
+
+    def counted(matrix, atol=1e-12):
+        shapes.append(np.shape(matrix))
+        real(matrix, atol=atol)
+
+    monkeypatch.setattr(spectra, "check_hermitian", counted)
+    monkeypatch.setattr(continuum, "check_hermitian", counted)
+    report = defect_scaling(
+        [5.0, 10.0], FourierPotential.cosine_xy(1.0), times=(0.5, 1.0), n_levels=3,
+        n_cells=2,
+    )
+    for row in report:
+        dim = 3 * row.n_flux
+        assert shapes.count((dim, dim)) == 1
