@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuum import FourierPotential, cluster_gap, field_operator, lll_effective
+from .disorder import hashed_normal
 from .errors import ConfigError, InfeasibleModelError, NumericalCheckError
 from .spectra import eigh_hermitian
 
@@ -55,9 +56,10 @@ class WavePacket:
 
     @classmethod
     def random(cls, dim: int, seed: int) -> "WavePacket":
-        rng = np.random.default_rng(seed)
-        vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        return cls.normalized(vec)
+        """Counter-based draw: real parts are hashed_normal(seed, 0..dim-1),
+        imaginary parts hashed_normal(seed, dim..2 dim-1)."""
+        z = hashed_normal(seed, np.arange(2 * dim))
+        return cls.normalized(z[:dim] + 1j * z[dim:])
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,12 @@ def test_non_finite_values_exit_2(argv, capsys):
     assert "Traceback" not in err
 
 
+def test_negative_seed_is_valid():
+    # every seed is a valid (seed, counter) stream key, as for disorder-dos
+    argv = ["dynamics-defect", "--B", "5,10", "--ncells", "2", "--nlevels", "3"]
+    assert main(argv + ["--times", "0.5,1", "--seed", "-1"]) == 0
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

@@ -19,6 +19,7 @@ from fluxlab import (
     feasible_field,
     field_operator,
     fit_slope_through_origin,
+    hashed_normal,
     landau_torus_basis,
     lll_effective,
     nagy_intertwiner,
@@ -48,6 +49,23 @@ def test_wave_packet_validation():
     b = WavePacket.random(16, seed=5)
     assert np.array_equal(a.vector, b.vector)
     assert not np.array_equal(a.vector, WavePacket.random(16, seed=6).vector)
+
+
+def test_wave_packet_stream_is_counter_based():
+    # real parts take counters 0..d-1 of hashed_normal, imaginary parts d..2d-1
+    psi = WavePacket.random(4, seed=7)
+    z = hashed_normal(7, np.arange(8))
+    expected = z[:4] + 1j * z[4:]
+    assert np.array_equal(psi.vector, expected / np.linalg.norm(expected))
+    pinned = [
+        0.11707639112387154 - 0.1613600873672875j,
+        -0.38365608906530674 - 0.20078534983431248j,
+        0.4981533225465174 - 0.5800989980349774j,
+        -0.24715820246323106 + 0.3563573096361048j,
+    ]
+    assert np.max(np.abs(psi.vector - pinned)) < 1e-14
+    negative = WavePacket.random(3, seed=-1).vector
+    assert abs(negative[0] - (0.6431747954403726 + 0.11323270843225144j)) < 1e-14
 
 
 def test_projector_validation():
