@@ -16,12 +16,8 @@ from .lattice import (
     RationalFlux,
     add_onsite_disorder,
     conjugate_paired,
-    harper_family,
-    harper_fiber,
     hofstadter_family,
-    hofstadter_fiber,
     peierls_quantize,
-    plaquette_flux,
     symmetric_gauge_box,
     weyl_translation,
 )
@@ -35,9 +31,10 @@ from .spectra import (
     default_gap_tol,
     distance_to_intervals,
     dos,
-    eigen_residual,
     eigenvalues_hermitian,
     eigh_hermitian,
+    exact_bands,
+    fiber_eigenvalues,
     hausdorff,
     sample_values,
     spectrum_union,

@@ -39,17 +39,17 @@ from .lattice import (
     FourierDispersion,
     RationalFlux,
     add_onsite_disorder,
-    harper_family,
     hofstadter_family,
     peierls_quantize,
     symmetric_gauge_box,
 )
 from .spectra import (
-    SpectrumSample,
     band_intervals,
     chern_numbers,
     distance_to_intervals,
     eigenvalues_hermitian,
+    exact_bands,
+    fiber_eigenvalues,
     hausdorff,
     spectrum_union,
 )
@@ -158,7 +158,7 @@ _DEFAULT_TIMES = [0.5 * i for i in range(11)]
 # name -> (caster, default, help); None default means "required".
 _SPECS = {
     "butterfly": {
-        "qmax": (int, 20, "largest fiber denominator"),
+        "qmax": (_count, 20, "largest fiber denominator"),
         "kgrid": (_count, 64, "k points per axis"),
     },
     "fiber-spectrum": {
@@ -172,7 +172,7 @@ _SPECS = {
         "thetagrid": (_count, 64, "phase offsets sampled in [0, 1)"),
         "kgrid": (_count, 64, "Bloch momenta sampled in [0, 2 pi)"),
         "gap_tol": (_float, 0.0, "band merge tolerance (0 = automatic)"),
-        "tol": (_float, 1e-2, "pass threshold vs the 2D lattice spectrum"),
+        "tol": (_float, 1e-2, "largest allowed distance outside the exact bands"),
     },
     "peierls-check": {
         "flux": (_str_list, ["1/3", "2/5"], "flux values to test"),
@@ -299,18 +299,15 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_butterfly(p: dict) -> RunArtifact:
-    if p["qmax"] < 1:
-        raise ConfigError("qmax must be >= 1")
     fluxes = [RationalFlux(0, 1), RationalFlux(1, 1)]
     for q in range(2, p["qmax"] + 1):
         for num in range(1, q):
             if np.gcd(num, q) == 1:
                 fluxes.append(RationalFlux(num, q))
     fluxes.sort(key=lambda f: (f.value, f.q))
-    ks = 2.0 * np.pi * np.arange(p["kgrid"]) / p["kgrid"]
     rows = []
     for flux in fluxes:
-        w = np.linalg.eigvalsh(hofstadter_family(flux).batch(ks, ks))
+        w = fiber_eigenvalues(hofstadter_family(flux), p["kgrid"])
         per_band = w.reshape(-1, flux.q)
         lo = per_band.min(axis=0)
         hi = per_band.max(axis=0)
@@ -358,19 +355,11 @@ def _cmd_fiber_spectrum(p: dict) -> RunArtifact:
 
 
 def _cmd_harper_spectrum(p: dict) -> RunArtifact:
+    # The fiber at (k1, k2) = (k, 2 pi theta) is the Bloch-reduced 1D
+    # cosine model at phase theta and momentum k.
     flux = RationalFlux.from_string(p["flux"])
-    family = harper_family(flux)
-    ks = 2.0 * np.pi * np.arange(p["kgrid"]) / p["kgrid"]
-    thetas = 2.0 * np.pi * np.arange(p["thetagrid"]) / p["thetagrid"]
-    vals = np.sort(np.linalg.eigvalsh(family.batch(ks, thetas)).ravel())
-    sample = SpectrumSample(
-        values=vals,
-        meta={"flux": p["flux"], "grid": [p["kgrid"], p["thetagrid"]]},
-    )
-    lattice_sample = spectrum_union(
-        hofstadter_family(flux), p["kgrid"], p["thetagrid"]
-    )
-    dist = hausdorff(sample, lattice_sample)
+    sample = spectrum_union(hofstadter_family(flux), p["kgrid"], p["thetagrid"])
+    outside = float(distance_to_intervals(sample.values, exact_bands(flux)).max())
     gap_tol = p["gap_tol"] if p["gap_tol"] > 0 else None
     bands = band_intervals(sample, gap_tol)
     rows = [(i, a, b) for i, (a, b) in enumerate(bands.intervals)]
@@ -379,25 +368,22 @@ def _cmd_harper_spectrum(p: dict) -> RunArtifact:
         rows=rows,
         meta={
             "gap_tol_used": bands.gap_tol,
-            "hausdorff_vs_lattice": dist,
+            "outside_exact_bands": outside,
             "tol": p["tol"],
         },
-        summary=f"{len(rows)} band(s) from {vals.size} eigenvalues",
-        gates=[Gate("hausdorff_vs_lattice", dist, p["tol"])],
+        summary=f"{len(rows)} band(s) from {sample.values.size} eigenvalues",
+        gates=[Gate("outside_exact_bands", outside, p["tol"])],
     )
 
 
 def _cmd_peierls_check(p: dict) -> RunArtifact:
     disp = FourierDispersion.nearest_neighbor()
-    ks = 2.0 * np.pi * np.arange(p["kgrid"]) / p["kgrid"]
     rows = []
     worst_overall = 0.0
     for flux_text in p["flux"]:
         flux = RationalFlux.from_string(flux_text)
-        quantized = peierls_quantize(disp, flux)
-        reference = hofstadter_family(flux)
-        wq = np.linalg.eigvalsh(quantized.batch(ks, ks))
-        wr = np.linalg.eigvalsh(reference.batch(ks, ks))
+        wq = fiber_eigenvalues(peierls_quantize(disp, flux), p["kgrid"])
+        wr = fiber_eigenvalues(hofstadter_family(flux), p["kgrid"])
         worst = float(np.max(np.abs(wq - wr)))
         rows.append((flux.p, flux.q, worst))
         worst_overall = max(worst_overall, worst)

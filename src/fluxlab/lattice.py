@@ -9,16 +9,15 @@ Conventions used throughout:
   both k components as matrices.
 * The symmetric-gauge box uses hopping phases e^{+-i 2 pi m B} along x and
   e^{-+i 2 pi n B} along y for the site (n, m). The flux through one plaquette
-  of that operator is 2B mod 1, not B; `plaquette_flux` measures it from the
-  assembled matrix so the normalization is never assumed.
+  of that operator is 2B mod 1, not B.
 * Box operators index site (n, m) as n * L + m with n the x coordinate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, gcd, pi
+from math import gcd, pi
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,15 +51,6 @@ class RationalFlux:
     @property
     def value(self) -> float:
         return self.p / self.q
-
-    def wrapped(self) -> "RationalFlux":
-        """The same flux with p reduced into [0, q)."""
-        return RationalFlux(self.p % self.q, self.q)
-
-    @classmethod
-    def reduced(cls, p: int, q: int) -> "RationalFlux":
-        f = Fraction(p, q)
-        return cls(f.numerator, f.denominator)
 
     @classmethod
     def from_string(cls, text: str) -> "RationalFlux":
@@ -145,7 +135,6 @@ class BlochFiberFamily:
     flux: RationalFlux
     dim: int
     terms: tuple  # ((n, m, matrix), ...)
-    gauge: str = "landau"
 
     def matrix(self, k1: float, k2: float) -> np.ndarray:
         h = np.zeros((self.dim, self.dim), dtype=complex)
@@ -208,39 +197,7 @@ def hofstadter_family(flux: RationalFlux) -> BlochFiberFamily:
         (0, 1, c),
         (0, -1, c.conj().T),
     )
-    return BlochFiberFamily(flux=flux, dim=flux.q, terms=terms, gauge="landau")
-
-
-def hofstadter_fiber(flux: RationalFlux, k1: float, k2: float) -> np.ndarray:
-    """q x q Bloch fiber at momentum (k1, k2); Hermitian by construction."""
-    return hofstadter_family(flux).matrix(k1, k2)
-
-
-def harper_fiber(flux: RationalFlux, theta: float, k: float) -> np.ndarray:
-    """Bloch-reduced 1D quasiperiodic-cosine fiber at rational frequency p/q.
-
-    Diagonal 2 cos(2 pi (theta + j p/q)), hop e^{i k} with the cyclic wrap.
-    Built independently of `hofstadter_fiber`; the two constructions are
-    cross-checked in the tests.
-    """
-    q = flux.q
-    h = np.zeros((q, q), dtype=complex)
-    for j in range(q):
-        h[j, j] = 2.0 * cos(2.0 * pi * (theta + j * flux.value))
-        h[(j + 1) % q, j] += np.exp(1j * k)
-        h[j, (j + 1) % q] += np.exp(-1j * k)
-    return h
-
-
-def harper_family(flux: RationalFlux) -> BlochFiberFamily:
-    """Fiber family with axes (k1, k2) = (k, 2 pi theta).
-
-    harper_family(flux).matrix(k, 2 pi theta) agrees with
-    harper_fiber(flux, theta, k); the family form exists so the batched
-    spectrum machinery applies to the 1D model as well.
-    """
-    f = hofstadter_family(flux)
-    return BlochFiberFamily(flux=flux, dim=f.dim, terms=f.terms, gauge="harper")
+    return BlochFiberFamily(flux=flux, dim=flux.q, terms=terms)
 
 
 def peierls_quantize(disp: FourierDispersion, flux: RationalFlux) -> BlochFiberFamily:
@@ -259,7 +216,7 @@ def peierls_quantize(disp: FourierDispersion, flux: RationalFlux) -> BlochFiberF
     terms = tuple(
         (n, m, c * weyl_translation(flux, n, m)) for n, m, c in disp.harmonics
     )
-    return BlochFiberFamily(flux=flux, dim=flux.q, terms=terms, gauge="peierls")
+    return BlochFiberFamily(flux=flux, dim=flux.q, terms=terms)
 
 
 @dataclass(frozen=True)
@@ -267,19 +224,13 @@ class BoxOperator:
     """Finite L x L magnetic hopping operator.
 
     boundary is either "open" or "magnetic-periodic". The matrix acts on
-    site indices n * L + m. onsite records any diagonal disorder added later
-    so derived operators stay self-describing.
+    site indices n * L + m.
     """
 
     side: int
     boundary: str
     field: float
     matrix: np.ndarray
-    gauge: str = "symmetric"
-    onsite: np.ndarray | None = field(default=None, repr=False)
-
-    def site_index(self, n: int, m: int) -> int:
-        return (n % self.side) * self.side + (m % self.side)
 
 
 def symmetric_gauge_box(B: float, L: int, boundary: str = "open") -> BoxOperator:
@@ -332,35 +283,6 @@ def symmetric_gauge_box(B: float, L: int, boundary: str = "open") -> BoxOperator
     return BoxOperator(side=L, boundary=boundary, field=float(B), matrix=h)
 
 
-def plaquette_flux(op: BoxOperator, n: int = 0, m: int = 0) -> float:
-    """Flux through one plaquette, in units of the flux quantum, in [0, 1).
-
-    Measured from the assembled matrix: the phases of the four hopping
-    amplitudes are summed counterclockwise around the plaquette whose lower
-    left corner is site (n, m). Wrap plaquettes are meaningful only for
-    magnetic-periodic operators.
-    """
-    L = op.side
-    if L < 2:
-        raise ValueError("need at least one plaquette, box side < 2")
-    wraps = n + 1 >= L or m + 1 >= L
-    if wraps and op.boundary != "magnetic-periodic":
-        raise ValueError(f"plaquette ({n}, {m}) wraps an open boundary")
-    idx = op.site_index
-    hops = (
-        op.matrix[idx(n + 1, m), idx(n, m)],
-        op.matrix[idx(n + 1, m + 1), idx(n + 1, m)],
-        op.matrix[idx(n, m + 1), idx(n + 1, m + 1)],
-        op.matrix[idx(n, m), idx(n, m + 1)],
-    )
-    prod = 1.0 + 0.0j
-    for amp in hops:
-        if abs(amp) < 1e-14:
-            raise ValueError(f"missing bond around plaquette ({n}, {m})")
-        prod *= amp
-    return float((np.angle(prod) / (2.0 * pi)) % 1.0)
-
-
 def add_onsite_disorder(op: BoxOperator, values: Sequence[float]) -> BoxOperator:
     """Return a new box operator with real on-site energies added."""
     vals = np.asarray(values, dtype=float).ravel()
@@ -369,13 +291,9 @@ def add_onsite_disorder(op: BoxOperator, values: Sequence[float]) -> BoxOperator
             f"need {op.side * op.side} on-site values for side {op.side}, "
             f"got {vals.size}"
         )
-    mat = op.matrix + np.diag(vals)
-    prev = op.onsite if op.onsite is not None else 0.0
     return BoxOperator(
         side=op.side,
         boundary=op.boundary,
         field=op.field,
-        matrix=mat,
-        gauge=op.gauge,
-        onsite=np.asarray(prev) + vals,
+        matrix=op.matrix + np.diag(vals),
     )

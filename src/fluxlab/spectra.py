@@ -7,24 +7,29 @@ for "do these two spectra agree locally" comparisons across the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.special import erf
 
 from .errors import DegenerateBandsError, NumericalCheckError
-from .lattice import BlochFiberFamily, BoxOperator
+from .lattice import (
+    BlochFiberFamily,
+    BoxOperator,
+    RationalFlux,
+    hofstadter_family,
+)
 
 _DEDUP_ATOL = 1e-13
+_CHUNK_ENTRIES = 4_000_000  # complex fiber entries built at once
 
 
 @dataclass(frozen=True)
 class SpectrumSample:
-    """Sorted eigenvalue sample plus provenance metadata."""
+    """Sorted eigenvalue sample."""
 
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         vals = np.sort(np.asarray(self.values, dtype=float).ravel())
@@ -83,7 +88,7 @@ def check_hermitian(matrix: np.ndarray, atol: float = 1e-12) -> None:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if dev > atol:
+    if not dev <= atol:  # a NaN deviation fails too
         raise NumericalCheckError(
             f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}"
         )
@@ -101,46 +106,58 @@ def eigh_hermitian(matrix: np.ndarray, atol: float = 1e-12):
     return np.linalg.eigh(np.asarray(matrix))
 
 
-def eigen_residual(matrix: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
-    """max_i ||M v_i - w_i v_i|| / ||M||, the on-demand residual check."""
-    m = np.asarray(matrix)
-    res = m @ v - v * w[None, :]
-    scale = max(float(np.linalg.norm(m, 2)), 1e-300)
-    return float(np.max(np.linalg.norm(res, axis=0))) / scale
+def _zone_grid(n: int) -> np.ndarray:
+    """The n momenta 2 pi j / n, j = 0..n-1, uniform on [0, 2pi).
+
+    The grid contains k = 0 exactly and, for even n, k = pi as well, which
+    puts the band extrema of the standard families on the grid.
+    """
+    return 2.0 * np.pi * np.arange(n) / n
 
 
-def spectrum_union(
-    family: BlochFiberFamily,
-    n1: int,
-    n2: int | None = None,
-    chunk_rows: int | None = None,
-) -> SpectrumSample:
-    """Union of fiber eigenvalues over the uniform n1 x n2 grid on [0, 2pi)^2.
+def fiber_eigenvalues(
+    family: BlochFiberFamily, n1: int, n2: int | None = None
+) -> np.ndarray:
+    """Eigenvalues of every fiber on the zone grid n1 x n2, shape (n1, n2, q).
 
-    The grid contains k = 0 exactly and, for even counts, k = pi as well,
-    which puts the band extrema of the standard families on the grid. Large
-    grids are processed in row chunks to bound memory.
+    Row chunks of the grid are built and solved in one batched eigensolve
+    each, holding at most about _CHUNK_ENTRIES fiber entries at once.
     """
     if n2 is None:
         n2 = n1
     if n1 < 1 or n2 < 1:
         raise ValueError("grid sizes must be >= 1")
-    k1 = 2.0 * np.pi * np.arange(n1) / n1
-    k2 = 2.0 * np.pi * np.arange(n2) / n2
-    if chunk_rows is None:
-        target = 4_000_000  # complex entries held at once
-        chunk_rows = max(1, int(target / max(1, n2 * family.dim * family.dim)))
-    pieces = []
-    for start in range(0, n1, chunk_rows):
-        block = family.batch(k1[start : start + chunk_rows], k2)
-        pieces.append(np.linalg.eigvalsh(block).ravel())
-    values = np.sort(np.concatenate(pieces))
-    meta = {
-        "flux": f"{family.flux.p}/{family.flux.q}",
-        "gauge": family.gauge,
-        "grid": [int(n1), int(n2)],
-    }
-    return SpectrumSample(values=values, meta=meta)
+    k1, k2 = _zone_grid(n1), _zone_grid(n2)
+    rows = max(1, _CHUNK_ENTRIES // (n2 * family.dim * family.dim))
+    out = np.empty((n1, n2, family.dim))
+    for start in range(0, n1, rows):
+        out[start : start + rows] = np.linalg.eigvalsh(
+            family.batch(k1[start : start + rows], k2)
+        )
+    return out
+
+
+def spectrum_union(
+    family: BlochFiberFamily, n1: int, n2: int | None = None
+) -> SpectrumSample:
+    """Union of fiber eigenvalues over the zone grid n1 x n2 on [0, 2pi)^2."""
+    return SpectrumSample(fiber_eigenvalues(family, n1, n2))
+
+
+def exact_bands(flux: RationalFlux) -> np.ndarray:
+    """Exact bands of the nearest-neighbour model, shape (q, 2) as (lo, hi).
+
+    By the Chambers relation det(E - H(k)) = P_q(E) - 2 cos(q k1) - 2 cos(q k2)
+    (W. G. Chambers, Phys. Rev. 140, A135 (1965)), the spectrum of the
+    hofstadter_family fiber depends on k only through cos(q k1) + cos(q k2),
+    so band j runs between eigenvalue j at k = (0, 0) and at (pi/q, pi/q).
+    An array rather than BandIntervals: for even q the two central bands
+    touch at 0.
+    """
+    family = hofstadter_family(flux)
+    edge = np.pi / flux.q
+    corners = np.stack([family.matrix(0.0, 0.0), family.matrix(edge, edge)])
+    return np.sort(np.linalg.eigvalsh(corners).T, axis=1)
 
 
 def sample_values(obj) -> np.ndarray:
@@ -255,7 +272,7 @@ def hausdorff(a, b) -> float:
     def directed(flos, fhis, tlos, this):
         mids = 0.5 * (this[:-1] + tlos[1:])
         mids = mids[_in_union(mids, flos, fhis)]
-        cand = np.concatenate((flos, fhis, mids))
+        cand = np.concatenate((flos, fhis[fhis > flos], mids))
         return float(_union_distance(cand, tlos, this).max())
 
     return max(directed(alos, ahis, blos, bhis), directed(blos, bhis, alos, ahis))
@@ -314,7 +331,7 @@ def chern_numbers(
     if grid < 2:
         raise ValueError("grid must be >= 2")
     q = family.dim
-    ks = 2.0 * np.pi * np.arange(grid) / grid
+    ks = _zone_grid(grid)
     h = family.batch(ks, ks)
     w, v = np.linalg.eigh(h)
 

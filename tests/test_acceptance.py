@@ -23,7 +23,6 @@ from fluxlab import (
     ensemble_dos,
     feasible_field,
     gap_fill_fraction,
-    harper_fiber,
     hausdorff,
     hofstadter_family,
     landau_torus_basis,
@@ -31,6 +30,7 @@ from fluxlab import (
     symmetric_gauge_box,
 )
 from fluxlab.cli import main
+from oracles import harper_fiber
 
 
 def run_cli(args, tmp_path, name):

@@ -197,6 +197,7 @@ def test_empty_list_exits_2(argv, flag, capsys):
         (["harper-spectrum", "--flux", "1/3", "--kgrid", "0"], "--kgrid"),
         (["harper-spectrum", "--flux", "1/3", "--thetagrid", "-2"], "--thetagrid"),
         (["butterfly", "--kgrid", "0"], "--kgrid"),
+        (["butterfly", "--qmax", "0"], "--qmax"),
     ],
 )
 def test_nonpositive_grid_exits_2(argv, flag, capsys):
@@ -204,6 +205,19 @@ def test_nonpositive_grid_exits_2(argv, flag, capsys):
     err = capsys.readouterr().err
     assert f"error: bad value for {flag}:" in err
     assert "must be >= 1" in err
+
+
+def test_harper_spectrum_fails_outside_narrowed_bands(monkeypatch, capsys):
+    argv = ["harper-spectrum", "--flux", "2/5", "--thetagrid", "8", "--kgrid", "8",
+            "--tol", "1e-4"]
+    assert main(argv) == 0
+    exact = cli.exact_bands
+    monkeypatch.setattr(
+        cli, "exact_bands", lambda flux: exact(flux) + np.array([1e-3, -1e-3])
+    )
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert "outside_exact_bands" in capsys.readouterr().err
 
 
 def test_overflowing_config_value_exits_2(tmp_path, capsys):

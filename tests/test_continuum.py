@@ -14,7 +14,7 @@ from fluxlab import (
     RationalFlux,
     continuum_hamiltonian,
     feasible_field,
-    hofstadter_fiber,
+    hofstadter_family,
     landau_torus_basis,
     level_form_factor,
     lll_effective,
@@ -216,7 +216,7 @@ def test_lll_spectrum_dual_to_lattice_model():
     w = np.linalg.eigvalsh(lll_effective(basis, v))
     b = basis.effective_field
     rescaled = np.exp(np.pi ** 2 / b) * w
-    ref = np.linalg.eigvalsh(hofstadter_fiber(RationalFlux(16, 51), 0.0, 0.0))
+    ref = np.linalg.eigvalsh(hofstadter_family(RationalFlux(16, 51)).matrix(0.0, 0.0))
     assert np.max(np.abs(rescaled - ref)) < 1e-10
 
 

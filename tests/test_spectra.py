@@ -5,26 +5,24 @@ import pytest
 
 from fluxlab import (
     BandIntervals,
+    BlochFiberFamily,
     DegenerateBandsError,
     NumericalCheckError,
     RationalFlux,
     SpectrumSample,
     band_intervals,
+    check_hermitian,
     chern_numbers,
     default_gap_tol,
     dos,
-    eigen_residual,
     eigenvalues_hermitian,
-    eigh_hermitian,
+    exact_bands,
+    fiber_eigenvalues,
     hausdorff,
     hofstadter_family,
+    spectra,
     spectrum_union,
 )
-
-
-def random_hermitian(rng, dim):
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return 0.5 * (a + a.conj().T)
 
 
 def nearest_point_distance(a, b):
@@ -50,12 +48,12 @@ def test_eigenvalues_rejects_non_hermitian():
         eigenvalues_hermitian(np.zeros((2, 3)))
 
 
-def test_eigen_residual_contract():
-    rng = np.random.default_rng(101)
-    for dim in (8, 64, 257, 512):
-        m = random_hermitian(rng, dim)
-        w, v = eigh_hermitian(m)
-        assert eigen_residual(m, w, v) <= 1e-10
+def test_nan_matrix_is_not_hermitian():
+    m = np.array([[1.0, np.nan], [np.nan, 2.0]])
+    with pytest.raises(NumericalCheckError):
+        check_hermitian(m)
+    with pytest.raises(NumericalCheckError):
+        eigenvalues_hermitian(m)
 
 
 def test_spectrum_sample_sorted_and_nonempty():
@@ -138,6 +136,41 @@ def test_hausdorff_is_a_metric():
         assert dab <= hausdorff(a, c) + hausdorff(c, b) + 1e-12
 
 
+def brute_directed(a, b, samples=2001):
+    """sup over x in A of dist(x, B) for (n, 2) interval arrays, from a dense
+    sampling of every interval of A; low by at most half a sampling step."""
+    worst = 0.0
+    for lo, hi in a:
+        x = np.linspace(lo, hi, samples)[:, None]
+        gaps = np.maximum(np.maximum(b[:, 0] - x, x - b[:, 1]), 0.0)
+        worst = max(worst, float(gaps.min(axis=1).max()))
+    return worst
+
+
+def test_hausdorff_matches_brute_force_on_points_and_intervals():
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        sets = []
+        for _side in range(2):
+            n = int(rng.integers(1, 8))
+            lo = rng.uniform(-3, 3, size=n)
+            length = rng.uniform(0, 1.5, size=n)
+            length[rng.random(n) < 0.5] = 0.0  # points among the intervals
+            sets.append(np.column_stack((lo, lo + length)))
+        a, b = sets
+        step = max(float(np.max(a[:, 1] - a[:, 0])), float(np.max(b[:, 1] - b[:, 0])))
+        slack = 0.5 * step / 2000 + 1e-12
+        oracle = max(brute_directed(a, b), brute_directed(b, a))
+        got = hausdorff(a, b)
+        assert oracle - 1e-12 <= got <= oracle + slack
+        # a pure point set gives the same distance as a flat value array,
+        # a SpectrumSample or zero-length intervals
+        points = a[:, 0]
+        expect = hausdorff(np.column_stack((points, points)), b)
+        assert hausdorff(points, b) == expect
+        assert hausdorff(SpectrumSample(points), b) == expect
+
+
 def test_spectrum_union_refines_monotonically():
     fam = hofstadter_family(RationalFlux(1, 3))
     s16 = spectrum_union(fam, 16).values
@@ -159,13 +192,48 @@ def test_spectrum_union_single_point_grid():
     assert np.allclose(s.values, np.linalg.eigvalsh(fam.matrix(0.0, 0.0)), atol=1e-12)
 
 
-def test_spectrum_union_chunking_consistent():
+def test_spectrum_union_chunking_consistent(monkeypatch):
     fam = hofstadter_family(RationalFlux(1, 3))
     a = spectrum_union(fam, 24).values
-    b = spectrum_union(fam, 24, chunk_rows=1).values
+    calls = []
+    batch = BlochFiberFamily.batch
+
+    def counted(self, k1, k2):
+        calls.append(len(k1))
+        return batch(self, k1, k2)
+
+    monkeypatch.setattr(BlochFiberFamily, "batch", counted)
+    # one grid row of 24 fibers of dimension 3 holds 216 entries: 2 rows a chunk
+    monkeypatch.setattr(spectra, "_CHUNK_ENTRIES", 500)
+    b = spectrum_union(fam, 24).values
+    assert calls == [2] * 12
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
         spectrum_union(fam, 0)
+
+
+def test_fiber_eigenvalues_grid_layout():
+    fam = hofstadter_family(RationalFlux(2, 5))
+    w = fiber_eigenvalues(fam, 4, 6)
+    assert w.shape == (4, 6, 5)
+    k1, k2 = 2.0 * np.pi * 3 / 4, 2.0 * np.pi * 5 / 6
+    assert np.allclose(w[3, 5], np.linalg.eigvalsh(fam.matrix(k1, k2)), atol=1e-12)
+
+
+def test_exact_bands_are_the_grid_band_extrema():
+    # a grid of n points per axis with 2q | n holds both k = (0, 0) and
+    # k = (pi/q, pi/q), where the Chambers relation puts the band edges
+    for q in range(1, 9):
+        n = 2 * q * max(1, 8 // q)
+        for p in range(q):
+            if np.gcd(p, q) != 1:
+                continue
+            flux = RationalFlux(p, q)
+            w = fiber_eigenvalues(hofstadter_family(flux), n).reshape(-1, q)
+            bands = exact_bands(flux)
+            assert bands.shape == (q, 2)
+            assert np.max(np.abs(bands[:, 0] - w.min(axis=0))) < 1e-12
+            assert np.max(np.abs(bands[:, 1] - w.max(axis=0))) < 1e-12
 
 
 def test_dos_integral_and_symmetry():
