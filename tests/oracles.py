@@ -25,11 +25,6 @@ def harper_fiber(flux, theta, k):
     return h
 
 
-def site_index(op, n, m):
-    """Row of site (n, m) in a box operator, coordinates taken mod the side."""
-    return (n % op.side) * op.side + (m % op.side)
-
-
 def plaquette_flux(op, n=0, m=0):
     """Flux through one plaquette of a box operator, in flux quanta, in [0, 1).
 
@@ -45,8 +40,8 @@ def plaquette_flux(op, n=0, m=0):
     if wraps and op.boundary != "magnetic-periodic":
         raise ValueError(f"plaquette ({n}, {m}) wraps an open boundary")
 
-    def idx(a, b):
-        return site_index(op, a, b)
+    def idx(a, b):  # row of site (a, b), coordinates taken mod the side
+        return (a % L) * L + (b % L)
 
     hops = (
         op.matrix[idx(n + 1, m), idx(n, m)],

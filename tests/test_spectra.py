@@ -158,8 +158,8 @@ def test_hausdorff_matches_brute_force_on_points_and_intervals():
             length[rng.random(n) < 0.5] = 0.0  # points among the intervals
             sets.append(np.column_stack((lo, lo + length)))
         a, b = sets
-        step = max(float(np.max(a[:, 1] - a[:, 0])), float(np.max(b[:, 1] - b[:, 0])))
-        slack = 0.5 * step / 2000 + 1e-12
+        longest = max(np.max(a[:, 1] - a[:, 0]), np.max(b[:, 1] - b[:, 0]))
+        slack = 0.5 * longest / 2000 + 1e-12  # half the oracle's sampling step
         oracle = max(brute_directed(a, b), brute_directed(b, a))
         got = hausdorff(a, b)
         assert oracle - 1e-12 <= got <= oracle + slack
