@@ -41,14 +41,12 @@ from .spectra import (
 )
 from .continuum import (
     ContinuumHamiltonian,
-    FieldCase,
     FourierPotential,
     LandauBasisSpec,
     StrongFieldRow,
     cluster_gap,
     continuum_hamiltonian,
     feasible_field,
-    field_case,
     field_operator,
     landau_torus_basis,
     level_form_factor,
@@ -71,7 +69,6 @@ from .dynamics import (
     spectral_projection,
 )
 from .disorder import (
-    DisorderRealization,
     EnsembleStats,
     anderson_realization,
     ensemble_dos,

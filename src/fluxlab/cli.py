@@ -29,7 +29,7 @@ from . import __version__
 from .continuum import (
     FourierPotential,
     StrongFieldRow,
-    field_case,
+    field_operator,
     strong_field_report,
 )
 from .disorder import anderson_realization, ensemble_dos, gap_fill_fraction
@@ -84,6 +84,13 @@ def decreasing_gate(rows, column: str) -> Gate:
     return Gate(f"{column}_not_decreasing", pairs, 0)
 
 
+def finite_gate(name: str, values) -> Gate:
+    """Gate on every value being finite: the value counts the NaN and
+    infinite entries."""
+    count = int(np.count_nonzero(~np.isfinite(np.asarray(values, dtype=float))))
+    return Gate(f"{name}_not_finite", count, 0)
+
+
 def _worst(values) -> float:
     """Largest value, NaN if any value is NaN, 0.0 when there is none."""
     values = list(values)
@@ -130,6 +137,13 @@ def _count(value):
     return n
 
 
+def _count_or_zero(value):
+    n = int(value)
+    if n < 0:
+        raise ValueError("must be >= 0")
+    return n
+
+
 def _nonempty(values):
     if not values:
         raise ValueError("must list at least one value")
@@ -164,7 +178,7 @@ _SPECS = {
     "fiber-spectrum": {
         "flux": (str, None, "rational flux p/q"),
         "kgrid": (_count, 200, "k points along k1"),
-        "kgrid2": (int, 0, "k points along k2 (0 = same as kgrid)"),
+        "kgrid2": (_count_or_zero, 0, "k points along k2 (0 = same as kgrid)"),
         "gap_tol": (_float, 0.0, "band merge tolerance (0 = automatic)"),
     },
     "harper-spectrum": {
@@ -181,11 +195,11 @@ _SPECS = {
     },
     "gauge-check": {
         "B": (_field_value, 0.125, "field parameter (float or p/q)"),
-        "L": (int, 16, "torus side in sites"),
+        "L": (_count, 16, "torus side in sites"),
         "kgrid": (_count, 64, "fiber k points per axis"),
         "gap_tol": (_float, 1.0, "band merge tolerance"),
         "tol": (_float, 0.05, "pass threshold on the Hausdorff distance"),
-        "qmax": (int, 64, "denominator bound when snapping 2B to p/q"),
+        "qmax": (_count, 64, "denominator bound when snapping 2B to p/q"),
     },
     "chern": {
         "flux": (str, "1/3", "rational flux p/q"),
@@ -193,33 +207,33 @@ _SPECS = {
     },
     "continuum-spectrum": {
         "B": (_field_value, None, "field parameter"),
-        "ncells": (int, 4, "potential cells per torus side"),
-        "nlevels": (int, 6, "retained Landau levels"),
+        "ncells": (_count, 4, "potential cells per torus side"),
+        "nlevels": (_count, 6, "retained Landau levels"),
         "amplitude": (_float, 1.0, "cosine potential amplitude"),
     },
     "lll-compare": {
         "B": (_float_list, [10.0, 20.0, 40.0], "field values"),
-        "ncells": (int, 4, "potential cells per torus side"),
-        "nlevels": (int, 6, "retained Landau levels"),
+        "ncells": (_count, 4, "potential cells per torus side"),
+        "nlevels": (_count, 6, "retained Landau levels"),
         "amplitude": (_float, 1.0, "cosine potential amplitude"),
     },
     "dynamics-defect": {
         "B": (_float_list, [10.0, 20.0, 40.0], "field values"),
         "times": (_float_list, _DEFAULT_TIMES, "time grid"),
-        "ncells": (int, 4, "potential cells per torus side"),
-        "nlevels": (int, 6, "retained Landau levels"),
+        "ncells": (_count, 4, "potential cells per torus side"),
+        "nlevels": (_count, 6, "retained Landau levels"),
         "amplitude": (_float, 1.0, "cosine potential amplitude"),
         "seed": (int, 7, "wave packet seed"),
     },
     "disorder-dos": {
         "flux": (str, "1/3", "rational flux p/q"),
-        "L": (int, 30, "box side in sites"),
+        "L": (_count, 30, "box side in sites"),
         "W": (_float, 2.0, "disorder strength"),
         "dist": (str, "uniform", "coupling distribution (uniform|gaussian)"),
-        "nseeds": (int, 20, "ensemble size"),
+        "nseeds": (_count, 20, "ensemble size"),
         "seed": (int, 0, "base seed"),
         "width": (_float, 0.02, "DOS smoothing width"),
-        "bins": (int, 200, "DOS bins"),
+        "bins": (_count, 200, "DOS bins"),
         "gap_tol": (_float, 0.05, "band merge tolerance for the clean spectrum"),
         "kgrid": (_count, 200, "k grid for the clean reference bands"),
     },
@@ -457,9 +471,10 @@ def _cmd_chern(p: dict) -> RunArtifact:
 
 def _cmd_continuum_spectrum(p: dict) -> RunArtifact:
     potential = FourierPotential.cosine_xy(p["amplitude"])
-    case = field_case(p["B"], potential, p["nlevels"], p["ncells"])
-    basis, w = case.basis, case.eigenvalues
+    ham = field_operator(p["B"], potential, p["nlevels"], p["ncells"])
+    basis = ham.basis
     b_used, n_flux = basis.field, basis.n_flux
+    w = np.linalg.eigvalsh(ham.matrix)
     rows = [(i, float(e)) for i, e in enumerate(w)]
     return RunArtifact(
         columns=["index", "energy"],
@@ -473,6 +488,7 @@ def _cmd_continuum_spectrum(p: dict) -> RunArtifact:
         },
         summary=f"B = {b_used:.9g} ({n_flux} flux quanta), "
         f"{len(rows)} levels in [{w[0]:.6g}, {w[-1]:.6g}]",
+        gates=[finite_gate("energy", w)],
     )
 
 
@@ -486,7 +502,14 @@ def _cmd_lll_compare(p: dict) -> RunArtifact:
         rows=[astuple(r) for r in report],
         meta={"ncells": p["ncells"], "nlevels": p["nlevels"]},
         summary="distances " + ", ".join(f"{r.distance:.4e}" for r in report),
-        gates=[_separation_gate(report), decreasing_gate(report, "distance")],
+        gates=[
+            _separation_gate(report),
+            decreasing_gate(report, "distance"),
+            finite_gate(
+                "distance_or_coupling",
+                [(r.distance, r.coupling_next_level) for r in report if r.separated],
+            ),
+        ],
     )
 
 
@@ -540,7 +563,7 @@ def _cmd_disorder_dos(p: dict) -> RunArtifact:
 
     def builder(seed):
         noise = anderson_realization(p["L"], p["dist"], p["W"], seed)
-        return add_onsite_disorder(clean, noise.onsite_values())
+        return eigenvalues_hermitian(add_onsite_disorder(clean, noise).matrix)
 
     stats = ensemble_dos(
         builder,
@@ -550,8 +573,8 @@ def _cmd_disorder_dos(p: dict) -> RunArtifact:
         bins=p["bins"],
         bounds=bounds,
     )
-    fill = gap_fill_fraction(clean_bands, stats)
     hist = stats.histogram
+    fill = gap_fill_fraction(clean_bands, hist)
     centers = hist.centers
     rows = [
         (float(centers[i]), float(hist.density[i]), float(stats.stderr[i]))
@@ -569,6 +592,9 @@ def _cmd_disorder_dos(p: dict) -> RunArtifact:
         },
         summary=f"W = {p['W']:g}, {p['nseeds']} seeds, "
         f"gap fill fraction = {fill:.4f}",
+        gates=[
+            finite_gate("dos", np.concatenate([hist.density, stats.stderr, [fill]]))
+        ],
     )
 
 

@@ -231,7 +231,6 @@ class ContinuumHamiltonian:
 
     basis: LandauBasisSpec
     matrix: np.ndarray
-    potential: FourierPotential
 
 
 def _check_cell(basis: LandauBasisSpec, potential: FourierPotential) -> None:
@@ -253,7 +252,7 @@ def continuum_hamiltonian(
     for n, m, c in potential.harmonics:
         h += c * plane_wave_element(basis, (n, m))
     check_hermitian(h, atol=1e-12)
-    return ContinuumHamiltonian(basis=basis, matrix=h, potential=potential)
+    return ContinuumHamiltonian(basis=basis, matrix=h)
 
 
 def lll_effective(basis: LandauBasisSpec, potential: FourierPotential) -> np.ndarray:
@@ -270,7 +269,7 @@ def lll_effective(basis: LandauBasisSpec, potential: FourierPotential) -> np.nda
     for n, m, c in potential.harmonics:
         k_sq = (2.0 * np.pi / basis.cell) ** 2 * (n * n + m * m)
         out += c * math.exp(-k_sq / (4.0 * b)) * _harmonic_translation(basis, n, m)
-    check_hermitian(out, atol=1e-10)
+    check_hermitian(out, atol=1e-12)
     return out
 
 
@@ -288,22 +287,8 @@ def next_level_coupling(basis: LandauBasisSpec, potential: FourierPotential) -> 
     return worst
 
 
-@dataclass(frozen=True)
-class FieldCase:
-    """The full operator at one snapped field value and its sorted spectrum.
-
-    cluster_gap separates the lowest n_flux eigenvalues (the lowest Landau
-    cluster) from the rest; it is inf when only the lowest level is kept.
-    """
-
-    field_requested: float
-    hamiltonian: ContinuumHamiltonian
-    eigenvalues: np.ndarray
-    cluster_gap: float
-
-    @property
-    def basis(self) -> LandauBasisSpec:
-        return self.hamiltonian.basis
+# A lowest cluster whose gap to the rest is at most this is not separated.
+SEPARATION_TOL = 1e-6
 
 
 def field_operator(
@@ -320,21 +305,6 @@ def cluster_gap(w: np.ndarray, n_flux: int) -> float:
     """Gap above the lowest n_flux of the sorted eigenvalues w; inf when w
     holds only the lowest cluster."""
     return float(w[n_flux] - w[n_flux - 1]) if len(w) > n_flux else float("inf")
-
-
-def field_case(
-    B: float, potential: FourierPotential, n_levels: int, n_cells: int
-) -> FieldCase:
-    """field_operator followed by its eigenvalues (no vectors) and the
-    lowest-cluster gap."""
-    ham = field_operator(B, potential, n_levels, n_cells)
-    w = np.linalg.eigvalsh(ham.matrix)
-    return FieldCase(
-        field_requested=float(B),
-        hamiltonian=ham,
-        eigenvalues=w,
-        cluster_gap=cluster_gap(w, ham.basis.n_flux),
-    )
 
 
 @dataclass(frozen=True)
@@ -355,7 +325,6 @@ def strong_field_report(
     potential: FourierPotential,
     n_levels: int = 6,
     n_cells: int = 4,
-    sep_tol: float = 1e-6,
 ) -> list[StrongFieldRow]:
     """Compare lowest-cluster spectra of the full operator against the
     lowest-level compression, one row per requested field value.
@@ -368,25 +337,25 @@ def strong_field_report(
     """
     rows = []
     for b_req in field_values:
-        case = field_case(b_req, potential, n_levels, n_cells)
-        basis = case.basis
-        coupling = next_level_coupling(basis, potential)
-        separated = case.cluster_gap > sep_tol
+        ham = field_operator(b_req, potential, n_levels, n_cells)
+        basis = ham.basis
+        w = np.linalg.eigvalsh(ham.matrix)
+        gap = cluster_gap(w, basis.n_flux)
+        separated = gap > SEPARATION_TOL
         distance = float("nan")
         if separated:
-            lowest = case.eigenvalues[: basis.n_flux] - 2.0 * basis.field
+            lowest = w[: basis.n_flux] - 2.0 * basis.field
             eff = np.linalg.eigvalsh(lll_effective(basis, potential))
             distance = hausdorff(lowest, eff)
         rows.append(
             StrongFieldRow(
-                field_requested=case.field_requested,
+                field_requested=float(b_req),
                 field=basis.field,
                 n_flux=basis.n_flux,
-                cluster_gap=case.cluster_gap,
+                cluster_gap=gap,
                 distance=distance,
-                coupling_next_level=coupling,
+                coupling_next_level=next_level_coupling(basis, potential),
                 separated=separated,
             )
         )
     return rows
-

@@ -58,48 +58,26 @@ def hashed_normal(seed: int, index) -> np.ndarray:
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
-@dataclass(frozen=True)
-class DisorderRealization:
-    """One seeded draw of on-site lattice energies.
-
-    distribution is "uniform" (couplings in [-strength/2, strength/2]) or
-    "gaussian" (mean zero, standard deviation = strength); both are centered,
-    mean-zero families.
-    """
-
-    seed: int
-    shape: tuple
-    distribution: str
-    strength: float
-    couplings: np.ndarray
-
-    def onsite_values(self) -> np.ndarray:
-        return self.couplings.ravel()
-
-
 def anderson_realization(
     side: int, distribution: str, strength: float, seed: int
-) -> DisorderRealization:
-    """iid on-site couplings for an side x side box, keyed by (seed, site)."""
+) -> np.ndarray:
+    """iid on-site couplings of a side x side box, keyed by (seed, site) and
+    flat in site order.
+
+    distribution is "uniform" (couplings in [-strength/2, strength/2]) or
+    "gaussian" (mean zero, standard deviation = strength).
+    """
     if side < 1:
         raise ConfigError(f"box side must be >= 1, got {side}")
     if strength < 0:
         raise ConfigError(f"disorder strength must be >= 0, got {strength}")
     sites = np.arange(side * side)
     if distribution == "uniform":
-        couplings = (hashed_uniform(seed, sites) - 0.5) * strength
-    elif distribution == "gaussian":
-        couplings = hashed_normal(seed, sites) * strength
-    else:
-        raise ConfigError(
-            f"unknown distribution {distribution!r}; use 'uniform' or 'gaussian'"
-        )
-    return DisorderRealization(
-        seed=int(seed),
-        shape=(side, side),
-        distribution=distribution,
-        strength=float(strength),
-        couplings=couplings.reshape(side, side),
+        return (hashed_uniform(seed, sites) - 0.5) * strength
+    if distribution == "gaussian":
+        return hashed_normal(seed, sites) * strength
+    raise ConfigError(
+        f"unknown distribution {distribution!r}; use 'uniform' or 'gaussian'"
     )
 
 
@@ -107,10 +85,8 @@ def anderson_realization(
 class EnsembleStats:
     """Disorder-averaged histogram with per-bin standard errors."""
 
-    count: int
     histogram: Histogram
     stderr: np.ndarray
-    seeds: tuple
 
 
 def ensemble_dos(
@@ -121,15 +97,15 @@ def ensemble_dos(
     bins: int = 200,
     bounds: tuple | None = None,
 ) -> EnsembleStats:
-    """Average the smoothed DOS of builder(seed) over seeds base..base+n-1.
+    """Average the smoothed DOS of the eigenvalues builder(seed) returns
+    over seeds base..base+n-1.
 
     All realizations share one binning; when no bounds are given they are
     fixed from the pooled eigenvalue range so the average is well defined.
     """
     if n < 1:
         raise ConfigError(f"need at least one realization, got {n}")
-    seeds = tuple(int(base_seed) + i for i in range(n))
-    values = [sample_values(builder(s)) for s in seeds]
+    values = [sample_values(builder(int(base_seed) + i)) for i in range(n)]
     if bounds is None:
         pad = 8.0 * width
         bounds = (
@@ -144,25 +120,18 @@ def ensemble_dos(
     else:
         stderr = np.zeros_like(mean)
     return EnsembleStats(
-        count=n,
-        histogram=Histogram(
-            edges=hists[0].edges, density=mean, normalized=hists[0].normalized
-        ),
-        stderr=stderr,
-        seeds=seeds,
+        histogram=Histogram(edges=hists[0].edges, density=mean), stderr=stderr
     )
 
 
-def gap_fill_fraction(clean: BandIntervals, disordered) -> float:
-    """Fraction of averaged DOS mass inside the gaps of the clean spectrum.
+def gap_fill_fraction(clean: BandIntervals, hist: Histogram) -> float:
+    """Fraction of the DOS mass of hist inside the gaps of the clean spectrum.
 
-    Bins straddling a gap edge contribute pro rata. Accepts EnsembleStats or
-    a bare Histogram.
+    Bins straddling a gap edge contribute pro rata.
     """
     gaps = clean.gaps()
     if not gaps:
         raise ConfigError("clean spectrum has no gap to fill")
-    hist = disordered.histogram if isinstance(disordered, EnsembleStats) else disordered
     edges = hist.edges
     widths = np.diff(edges)
     total = float(np.sum(hist.density * widths))

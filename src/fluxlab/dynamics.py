@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuum import FourierPotential, cluster_gap, field_operator, lll_effective
+from .continuum import (
+    SEPARATION_TOL, FourierPotential, cluster_gap, field_operator, lll_effective
+)
 from .disorder import hashed_normal
 from .errors import ConfigError, InfeasibleModelError, NumericalCheckError
 from .spectra import eigh_hermitian
@@ -284,7 +286,6 @@ def defect_scaling(
     n_levels: int = 6,
     n_cells: int = 4,
     seed: int = 7,
-    sep_tol: float = 1e-6,
 ) -> list[DefectRow]:
     """Defect experiment across a list of field values, one row per field.
 
@@ -304,7 +305,7 @@ def defect_scaling(
         b_used, n_flux = basis.field, basis.n_flux
         # continuum_hamiltonian checked H Hermitian at 1e-12
         w, v = np.linalg.eigh(ham.matrix)
-        if cluster_gap(w, n_flux) <= sep_tol:
+        if cluster_gap(w, n_flux) <= SEPARATION_TOL:
             rows.append(
                 DefectRow(
                     field_requested=float(b_req),

@@ -24,8 +24,6 @@ import numpy as np
 
 from .errors import InfeasibleModelError
 
-_HERMITIAN_ATOL = 1e-12
-
 
 @dataclass(frozen=True)
 class RationalFlux:

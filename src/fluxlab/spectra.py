@@ -8,18 +8,12 @@ for "do these two spectra agree locally" comparisons across the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import erf
 
 from .errors import DegenerateBandsError, NumericalCheckError
-from .lattice import (
-    BlochFiberFamily,
-    BoxOperator,
-    RationalFlux,
-    hofstadter_family,
-)
+from .lattice import BlochFiberFamily, RationalFlux, hofstadter_family
 
 _DEDUP_ATOL = 1e-13
 _CHUNK_ENTRIES = 4_000_000  # complex fiber entries built at once
@@ -55,10 +49,6 @@ class BandIntervals:
                 raise ValueError("intervals overlap or are out of order")
         object.__setattr__(self, "intervals", iv)
 
-    @property
-    def hull(self):
-        return (self.intervals[0][0], self.intervals[-1][1])
-
     def gaps(self):
         return [
             (b0, a1) for (_, b0), (a1, _) in zip(self.intervals, self.intervals[1:])
@@ -67,12 +57,10 @@ class BandIntervals:
 
 @dataclass(frozen=True)
 class Histogram:
-    """Uniform-bin density histogram; sum(density) * bin width integrates to 1
-    when normalized."""
+    """Uniform-bin density histogram; sum(density) * bin width is 1."""
 
     edges: np.ndarray
     density: np.ndarray
-    normalized: bool
 
     @property
     def centers(self):
@@ -161,11 +149,9 @@ def exact_bands(flux: RationalFlux) -> np.ndarray:
 
 
 def sample_values(obj) -> np.ndarray:
-    """Sorted eigenvalues of a SpectrumSample, a BoxOperator or raw values."""
+    """Sorted values of a SpectrumSample or of raw values."""
     if isinstance(obj, SpectrumSample):
         return obj.values
-    if isinstance(obj, BoxOperator):
-        return eigenvalues_hermitian(obj.matrix)
     return np.sort(np.asarray(obj, dtype=float).ravel())
 
 
@@ -283,13 +269,12 @@ def dos(
     width: float = 0.05,
     bins: int = 200,
     bounds: tuple | None = None,
-    normalize: bool = True,
 ) -> Histogram:
     """Gaussian-kernel smoothed density of states on a uniform binning.
 
     The per-bin mass is the exact integral of the Gaussian mixture over the
-    bin (difference of error functions), not a midpoint evaluation, so the
-    densities integrate to 1 up to the kernel tail outside the range.
+    bin (difference of error functions), not a midpoint evaluation. The
+    masses are normalized over the range, so the densities integrate to 1.
     """
     vals = sample_values(sample)
     if width <= 0:
@@ -307,12 +292,10 @@ def dos(
     cdf = 0.5 * (1.0 + erf(z))
     mass = np.sum(cdf[:, 1:] - cdf[:, :-1], axis=0) / vals.size
     total = float(mass.sum())
-    if normalize:
-        if total <= 0:
-            raise ValueError("all spectral weight fell outside the range")
-        mass = mass / total
-    density = mass / (edges[1] - edges[0])
-    return Histogram(edges=edges, density=density, normalized=normalize)
+    if total <= 0:
+        raise ValueError("all spectral weight fell outside the range")
+    density = mass / total / (edges[1] - edges[0])
+    return Histogram(edges=edges, density=density)
 
 
 def chern_numbers(

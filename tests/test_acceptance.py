@@ -283,12 +283,12 @@ def test_acceptance_10_disorder_gap_fill(capsys):
 
         def builder(seed):
             noise = anderson_realization(30, "uniform", strength, seed)
-            return add_onsite_disorder(clean, noise.onsite_values())
+            return eigenvalues_hermitian(add_onsite_disorder(clean, noise).matrix)
 
         stats = ensemble_dos(
             builder, nseeds, 0, width=width, bins=bins, bounds=bounds
         )
-        return gap_fill_fraction(clean_bands, stats), stats
+        return gap_fill_fraction(clean_bands, stats.histogram), stats
 
     fill_clean, _ = fill_at(0.0)
     fills = []

@@ -198,13 +198,52 @@ def test_empty_list_exits_2(argv, flag, capsys):
         (["harper-spectrum", "--flux", "1/3", "--thetagrid", "-2"], "--thetagrid"),
         (["butterfly", "--kgrid", "0"], "--kgrid"),
         (["butterfly", "--qmax", "0"], "--qmax"),
+        (["gauge-check", "--qmax", "0"], "--qmax"),
+        (["gauge-check", "--L", "0"], "--L"),
+        (["disorder-dos", "--L", "0"], "--L"),
+        (["disorder-dos", "--L", "6", "--nseeds", "0"], "--nseeds"),
+        (["disorder-dos", "--L", "6", "--bins", "-1"], "--bins"),
+        (["continuum-spectrum", "--B", "10", "--ncells", "0"], "--ncells"),
+        (["continuum-spectrum", "--B", "10", "--nlevels", "0"], "--nlevels"),
+        (["lll-compare", "--ncells", "0"], "--ncells"),
+        (["lll-compare", "--nlevels", "0"], "--nlevels"),
+        (["dynamics-defect", "--ncells", "-3"], "--ncells"),
+        (["dynamics-defect", "--nlevels", "0"], "--nlevels"),
+        (["fiber-spectrum", "--flux", "1/3", "--kgrid2", "-1"], "--kgrid2"),
     ],
 )
 def test_nonpositive_grid_exits_2(argv, flag, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"error: bad value for {flag}:" in err
-    assert "must be >= 1" in err
+    least = 0 if flag == "--kgrid2" else 1
+    assert f"must be >= {least}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, gate",
+    [
+        (["continuum-spectrum", "--B", "10", "--amplitude", "1e308"], "energy"),
+        (["lll-compare", "--B", "10", "--amplitude", "1e308"], "distance_or_coupling"),
+        (["disorder-dos", "--L", "6", "--nseeds", "2", "--W", "1e308"], "dos"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_result_exits_3(argv, gate, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"  {gate}_not_finite = " in err
+    assert err.rstrip().endswith("-> FAIL")
+    assert "Traceback" not in err
+
+
+def test_single_level_infinite_cluster_gap_exits_0(capsys):
+    # with only the lowest level kept the cluster gap is a legitimate inf
+    assert main(["lll-compare", "--B", "10", "--nlevels", "1"]) == 0
+    out, err = capsys.readouterr()
+    header, row = [line for line in out.splitlines() if not line.startswith("#")]
+    assert dict(zip(header.split(","), row.split(",")))["cluster_gap"] == "inf"
+    assert "distance_or_coupling_not_finite = 0 (limit 0) -> pass" in err
 
 
 def test_harper_spectrum_fails_outside_narrowed_bands(monkeypatch, capsys):
