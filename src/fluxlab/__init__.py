@@ -46,14 +46,13 @@ from .continuum import (
     StrongFieldRow,
     cluster_gap,
     continuum_hamiltonian,
-    feasible_field,
     field_operator,
-    landau_torus_basis,
     level_form_factor,
     lll_effective,
     next_level_coupling,
     plane_wave_element,
     strong_field_report,
+    torus_basis,
 )
 from .dynamics import (
     DefectRow,

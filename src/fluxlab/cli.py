@@ -124,21 +124,27 @@ class RunArtifact:
 
 
 def _float(value):
-    x = float(value)
+    """Parsed from its text, as the flag would be: a config-file true fails."""
+    x = float(str(value))
     if not math.isfinite(x):
         raise ValueError("must be a finite number")
     return x
 
 
+def _int(value):
+    """Parsed from its text, as the flag would be: true, 2.7 and 2.0 fail."""
+    return int(str(value))
+
+
 def _count(value):
-    n = int(value)
+    n = _int(value)
     if n < 1:
         raise ValueError("must be >= 1")
     return n
 
 
 def _count_or_zero(value):
-    n = int(value)
+    n = _int(value)
     if n < 0:
         raise ValueError("must be >= 0")
     return n
@@ -164,7 +170,7 @@ def _str_list(value):
 
 def _field_value(value):
     """Field parameter given as a float or a fraction string like '1/8'."""
-    return _float(Fraction(str(value)))
+    return _float(float(Fraction(str(value))))
 
 
 _DEFAULT_TIMES = [0.5 * i for i in range(11)]
@@ -223,7 +229,7 @@ _SPECS = {
         "ncells": (_count, 4, "potential cells per torus side"),
         "nlevels": (_count, 6, "retained Landau levels"),
         "amplitude": (_float, 1.0, "cosine potential amplitude"),
-        "seed": (int, 7, "wave packet seed"),
+        "seed": (_int, 7, "wave packet seed"),
     },
     "disorder-dos": {
         "flux": (str, "1/3", "rational flux p/q"),
@@ -231,7 +237,7 @@ _SPECS = {
         "W": (_float, 2.0, "disorder strength"),
         "dist": (str, "uniform", "coupling distribution (uniform|gaussian)"),
         "nseeds": (_count, 20, "ensemble size"),
-        "seed": (int, 0, "base seed"),
+        "seed": (_int, 0, "base seed"),
         "width": (_float, 0.02, "DOS smoothing width"),
         "bins": (_count, 200, "DOS bins"),
         "gap_tol": (_float, 0.05, "band merge tolerance for the clean spectrum"),
@@ -738,9 +744,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        cfg = parse_config(args)
-        artifact = run_command(cfg)
-        emit(artifact, cfg, wall_time=time.monotonic() - started)
+        # overflow and NaN reach the gates and checks, not numpy warnings
+        with np.errstate(all="ignore"):
+            cfg = parse_config(args)
+            artifact = run_command(cfg)
+            emit(artifact, cfg, wall_time=time.monotonic() - started)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

@@ -6,7 +6,7 @@ the effective field strength b = 2B: level energies b(2n + 1), magnetic
 length l = 1/sqrt(b). The factor of two is easy to lose, so it is funneled
 through LandauBasisSpec.effective_field and never rederived inline.
 
-Basis layout: the torus is n_cells x n_cells copies of the square potential
+Basis layout: the torus is n_cells x n_cells copies of the unit potential
 cell, carries n_flux quanta of effective flux (b * area = 2 pi n_flux), and
 states are indexed level-major: index = level * n_flux + guiding, with the
 guiding degree of freedom carrying an n_flux-dimensional clock/shift pair of
@@ -21,52 +21,40 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_genlaguerre
 
-from .errors import ConfigError, InfeasibleModelError
+from .errors import ConfigError
 from .lattice import RationalFlux, conjugate_paired, weyl_translation
 from .spectra import check_hermitian, hausdorff
 
 
 @dataclass(frozen=True)
 class FourierPotential:
-    """Real potential V(x, y) = sum_h c_h e^{i 2 pi (n x + m y) / cell}.
+    """Real potential V(x, y) = sum_h c_h e^{i 2 pi (n x + m y)} on the unit cell.
 
-    Harmonics are (n, m, c) with n, m counted in reciprocal units 2 pi / cell.
+    Harmonics are (n, m, c) with n, m counted in reciprocal units 2 pi.
     Reality requires the partner (-n, -m, conj(c)) for every harmonic.
     """
 
     harmonics: tuple
-    cell: float = 1.0
 
-    def __init__(self, harmonics, cell: float = 1.0):
+    def __init__(self, harmonics):
         entries = []
         for n, m, c in harmonics:
             entries.append((float(n), float(m), complex(c)))
         entries.sort(key=lambda h: (h[0], h[1]))
         object.__setattr__(self, "harmonics", tuple(entries))
-        object.__setattr__(self, "cell", float(cell))
-        if self.cell <= 0:
-            raise ValueError(f"cell size must be > 0, got {cell}")
         if not conjugate_paired(self.harmonics):
             raise ValueError(
                 "potential is not real: every harmonic (n, m, c) needs the "
                 "partner (-n, -m, conj(c))"
             )
 
-    def evaluate(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(np.broadcast(x, y).shape, dtype=complex)
-        for n, m, c in self.harmonics:
-            out += c * np.exp(2j * np.pi * (n * x + m * y) / self.cell)
-        return out.real
-
     @classmethod
-    def cosine_xy(cls, amplitude: float = 1.0, cell: float = 1.0):
-        """2 a cos(2 pi x / cell) + 2 a cos(2 pi y / cell)."""
+    def cosine_xy(cls, amplitude: float = 1.0):
+        """2 a cos(2 pi x) + 2 a cos(2 pi y)."""
         a = float(amplitude)
         if a == 0.0:
-            return cls([], cell=cell)
-        return cls([(1, 0, a), (-1, 0, a), (0, 1, a), (0, -1, a)], cell=cell)
+            return cls([])
+        return cls([(1, 0, a), (-1, 0, a), (0, 1, a), (0, -1, a)])
 
 
 @dataclass(frozen=True)
@@ -81,19 +69,10 @@ class LandauBasisSpec:
     n_flux: int
     n_levels: int
     n_cells: int
-    cell: float = 1.0
 
     @property
     def effective_field(self) -> float:
         return 2.0 * self.field
-
-    @property
-    def magnetic_length(self) -> float:
-        return 1.0 / math.sqrt(self.effective_field)
-
-    @property
-    def torus_side(self) -> float:
-        return self.n_cells * self.cell
 
     @property
     def dim(self) -> int:
@@ -104,60 +83,33 @@ class LandauBasisSpec:
         return b * (2.0 * np.arange(self.n_levels) + 1.0)
 
 
-def landau_torus_basis(
-    B: float,
-    n_flux: int,
-    n_levels: int,
-    cell: float = 1.0,
-    tol: float = 1e-6,
-) -> LandauBasisSpec:
-    """Validate (B, n_flux, n_levels) and solve for the cell count.
+def torus_basis(B: float, n_levels: int, n_cells: int) -> LandauBasisSpec:
+    """Basis on the n_cells x n_cells torus at the feasible field nearest B.
 
-    Flux quantization fixes the torus area: 2B * area = 2 pi * n_flux. The
-    cell count per side must come out an integer for the potential lattice to
-    tile the torus; if it does not, the nearest feasible field value at the
-    rounded cell count is reported in the error.
+    Magnetic translations commute only at integer flux (J. Zak, Phys. Rev.
+    134, A1602 (1964)), so 2B * n_cells^2 = 2 pi * n_flux: n_flux is B's
+    rounded flux-quantum count, forced to at least one, and the field used
+    is pi * n_flux / n_cells^2.
     """
-    if n_flux < 1:
-        raise ConfigError(f"n_flux must be >= 1, got {n_flux}")
-    if n_levels < 1:
-        raise ConfigError(f"n_levels must be >= 1, got {n_levels}")
     if B <= 0:
         raise ConfigError(f"field parameter must be > 0, got {B}")
-    if cell <= 0:
-        raise ConfigError(f"cell size must be > 0, got {cell}")
-    side = math.sqrt(math.pi * n_flux / B)
-    cells = side / cell
-    n_cells = max(1, round(cells))
-    if abs(cells - n_cells) > tol * max(1.0, abs(cells)):
-        nearest = math.pi * n_flux / (n_cells * cell) ** 2
-        raise InfeasibleModelError(
-            f"no integer cell count fits B = {B:.12g} with {n_flux} flux "
-            f"quanta (side/cell = {cells:.9g}); nearest feasible field is "
-            f"B = {nearest:.12g} at {n_cells} cells per side"
+    if n_levels < 1:
+        raise ConfigError(f"n_levels must be >= 1, got {n_levels}")
+    if n_cells < 1:
+        raise ConfigError(f"n_cells must be >= 1, got {n_cells}")
+    quanta = B * n_cells * n_cells / math.pi
+    if not math.isfinite(quanta):
+        raise ConfigError(
+            f"field parameter {B} on {n_cells} cells per side gives a "
+            "non-finite flux-quantum count"
         )
+    n_flux = max(1, round(quanta))
     return LandauBasisSpec(
-        field=float(B),
+        field=math.pi * n_flux / (n_cells * n_cells),
         n_flux=int(n_flux),
         n_levels=int(n_levels),
         n_cells=int(n_cells),
-        cell=float(cell),
     )
-
-
-def feasible_field(B: float, n_cells: int, cell: float = 1.0):
-    """Snap B to the nearest value quantizable on an n_cells x n_cells torus.
-
-    Returns (field, n_flux) with field = pi * n_flux / side^2; n_flux is the
-    rounded flux-quantum count, forced to at least one.
-    """
-    if n_cells < 1:
-        raise ConfigError(f"n_cells must be >= 1, got {n_cells}")
-    if B <= 0:
-        raise ConfigError(f"field parameter must be > 0, got {B}")
-    side = n_cells * cell
-    n_flux = max(1, round(B * side * side / math.pi))
-    return math.pi * n_flux / (side * side), int(n_flux)
 
 
 def level_form_factor(kx: float, ky: float, b: float, n_levels: int) -> np.ndarray:
@@ -212,15 +164,15 @@ def _harmonic_translation(basis: LandauBasisSpec, n: float, m: float) -> np.ndar
 def plane_wave_element(basis: LandauBasisSpec, K) -> np.ndarray:
     """Matrix of e^{i K . r} in the truncated Landau basis.
 
-    K is an (n, m) pair in reciprocal units 2 pi / cell (fractions allowed as
-    long as they are multiples of 1 / n_cells, the torus reciprocal step).
+    K is an (n, m) pair in reciprocal units 2 pi (fractions allowed as long
+    as they are multiples of 1 / n_cells, the torus reciprocal step).
     The result factorizes as kron(inter-level form factor, guiding
     translation); it is unitary up to the level truncation.
     """
     n, m = float(K[0]), float(K[1])
     tau = _harmonic_translation(basis, n, m)
-    kx = 2.0 * np.pi * n / basis.cell
-    ky = 2.0 * np.pi * m / basis.cell
+    kx = 2.0 * np.pi * n
+    ky = 2.0 * np.pi * m
     g = level_form_factor(kx, ky, basis.effective_field, basis.n_levels)
     return np.kron(g, tau)
 
@@ -233,25 +185,16 @@ class ContinuumHamiltonian:
     matrix: np.ndarray
 
 
-def _check_cell(basis: LandauBasisSpec, potential: FourierPotential) -> None:
-    if abs(potential.cell - basis.cell) > 1e-12:
-        raise ConfigError(
-            f"potential cell {potential.cell} does not match basis cell "
-            f"{basis.cell}"
-        )
-
-
 def continuum_hamiltonian(
     basis: LandauBasisSpec, potential: FourierPotential
 ) -> ContinuumHamiltonian:
     """Kinetic Landau ladder plus the potential in plane-wave elements."""
-    _check_cell(basis, potential)
     h = np.kron(
         np.diag(basis.level_energies().astype(complex)), np.eye(basis.n_flux)
     )
     for n, m, c in potential.harmonics:
         h += c * plane_wave_element(basis, (n, m))
-    check_hermitian(h, atol=1e-12)
+    check_hermitian(h)
     return ContinuumHamiltonian(basis=basis, matrix=h)
 
 
@@ -263,13 +206,12 @@ def lll_effective(basis: LandauBasisSpec, potential: FourierPotential) -> np.nda
     continuum_hamiltonian(basis, V) minus the kinetic ladder, exactly; the
     tests pin that identity down to roundoff.
     """
-    _check_cell(basis, potential)
     b = basis.effective_field
     out = np.zeros((basis.n_flux, basis.n_flux), dtype=complex)
     for n, m, c in potential.harmonics:
-        k_sq = (2.0 * np.pi / basis.cell) ** 2 * (n * n + m * m)
+        k_sq = (2.0 * np.pi) ** 2 * (n * n + m * m)
         out += c * math.exp(-k_sq / (4.0 * b)) * _harmonic_translation(basis, n, m)
-    check_hermitian(out, atol=1e-12)
+    check_hermitian(out)
     return out
 
 
@@ -280,8 +222,8 @@ def next_level_coupling(basis: LandauBasisSpec, potential: FourierPotential) -> 
     top = basis.n_levels
     worst = 0.0
     for n, m, c in potential.harmonics:
-        kx = 2.0 * np.pi * n / basis.cell
-        ky = 2.0 * np.pi * m / basis.cell
+        kx = 2.0 * np.pi * n
+        ky = 2.0 * np.pi * m
         g = level_form_factor(kx, ky, b, top + 1)
         worst = max(worst, abs(c) * abs(g[top, top - 1]))
     return worst
@@ -296,9 +238,7 @@ def field_operator(
 ) -> ContinuumHamiltonian:
     """Snap B to the nearest feasible value on the n_cells x n_cells torus
     and build the full operator there (no eigensolve)."""
-    b_used, n_flux = feasible_field(float(B), n_cells, potential.cell)
-    basis = landau_torus_basis(b_used, n_flux, n_levels, cell=potential.cell)
-    return continuum_hamiltonian(basis, potential)
+    return continuum_hamiltonian(torus_basis(float(B), n_levels, n_cells), potential)
 
 
 def cluster_gap(w: np.ndarray, n_flux: int) -> float:

@@ -152,22 +152,22 @@ class IntertwinerUnitary:
         object.__setattr__(self, "matrix", u)
 
 
-def spectral_projection(eigenpairs, window, margin: float = 1e-9) -> SpectralProjector:
+def spectral_projection(eigenpairs, window) -> SpectralProjector:
     """Spectral projector of H onto the open energy window (lo, hi), from
     H's eigenpairs (w, v) as returned by eigh_hermitian(H).
 
-    Any eigenvalue within `margin` of a window edge makes the cluster
-    ambiguous and is treated as infeasible rather than silently assigned.
+    Any eigenvalue within 1e-9 of a window edge makes the cluster ambiguous
+    and is treated as infeasible rather than silently assigned.
     """
     lo, hi = float(window[0]), float(window[1])
     if hi < lo:
         raise ConfigError(f"window ({lo}, {hi}) is reversed")
     w, v = eigenpairs
     near = np.minimum(np.abs(w - lo), np.abs(w - hi))
-    if np.any(near < margin):
+    if np.any(near < 1e-9):
         bad = float(w[np.argmin(near)])
         raise InfeasibleModelError(
-            f"eigenvalue {bad:.12g} lies within {margin:g} of the window "
+            f"eigenvalue {bad:.12g} lies within 1e-9 of the window "
             f"({lo:.6g}, {hi:.6g}); cluster membership is ambiguous"
         )
     sel = (w > lo) & (w < hi)
@@ -305,6 +305,10 @@ def defect_scaling(
         b_used, n_flux = basis.field, basis.n_flux
         # continuum_hamiltonian checked H Hermitian at 1e-12
         w, v = np.linalg.eigh(ham.matrix)
+        if not np.all(np.isfinite(w)):
+            raise NumericalCheckError(
+                f"operator at B = {b_used:.12g} has non-finite eigenvalues"
+            )
         if cluster_gap(w, n_flux) <= SEPARATION_TOL:
             rows.append(
                 DefectRow(

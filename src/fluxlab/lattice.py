@@ -74,18 +74,18 @@ class RationalFlux:
         return cls(f.numerator, f.denominator)
 
 
-def conjugate_paired(harmonics, tol: float = 1e-12) -> bool:
+def conjugate_paired(harmonics) -> bool:
     """True when the Fourier series sum_h c_h e^{i (n, m) . x} is real.
 
     harmonics is a sequence of (n, m, c); repeated (n, m) entries add up. The
     series is real exactly when every summed coefficient c_{n,m} equals
-    conj(c_{-n,-m}) to within tol.
+    conj(c_{-n,-m}) to within 1e-12.
     """
     table = {}
     for n, m, c in harmonics:
         table[(n, m)] = table.get((n, m), 0.0) + c
     for (n, m), c in table.items():
-        if abs(c - np.conj(table.get((-n, -m), 0.0))) > tol:
+        if abs(c - np.conj(table.get((-n, -m), 0.0))) > 1e-12:
             return False
     return True
 
@@ -105,14 +105,6 @@ class FourierDispersion:
         for n, m, c in harmonics:
             entries.append((int(n), int(m), complex(c)))
         object.__setattr__(self, "harmonics", tuple(entries))
-
-    def evaluate(self, k1, k2):
-        k1 = np.asarray(k1, dtype=float)
-        k2 = np.asarray(k2, dtype=float)
-        out = np.zeros(np.broadcast(k1, k2).shape, dtype=complex)
-        for n, m, c in self.harmonics:
-            out += c * np.exp(1j * (n * k1 + m * k2))
-        return out
 
     @classmethod
     def nearest_neighbor(cls, amplitude: float = 1.0) -> "FourierDispersion":

@@ -66,31 +66,28 @@ class Histogram:
     def centers(self):
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
-    @property
-    def bin_width(self):
-        return float(self.edges[1] - self.edges[0])
 
-
-def check_hermitian(matrix: np.ndarray, atol: float = 1e-12) -> None:
+def check_hermitian(matrix: np.ndarray) -> None:
+    """Raise unless max |M - M^dag| <= 1e-12."""
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if not dev <= atol:  # a NaN deviation fails too
+    if not dev <= 1e-12:  # a NaN deviation fails too
         raise NumericalCheckError(
             f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}"
         )
 
 
-def eigenvalues_hermitian(matrix: np.ndarray, atol: float = 1e-12) -> np.ndarray:
+def eigenvalues_hermitian(matrix: np.ndarray) -> np.ndarray:
     """Sorted real eigenvalues of a Hermitian matrix, Hermiticity checked."""
-    check_hermitian(matrix, atol=atol)
+    check_hermitian(matrix)
     return np.linalg.eigvalsh(np.asarray(matrix))
 
 
-def eigh_hermitian(matrix: np.ndarray, atol: float = 1e-12):
+def eigh_hermitian(matrix: np.ndarray):
     """(eigenvalues, eigenvectors) with the same validation as above."""
-    check_hermitian(matrix, atol=atol)
+    check_hermitian(matrix)
     return np.linalg.eigh(np.asarray(matrix))
 
 
@@ -298,18 +295,15 @@ def dos(
     return Histogram(edges=edges, density=density)
 
 
-def chern_numbers(
-    family: BlochFiberFamily,
-    grid: int = 30,
-    degeneracy_tol: float = 1e-8,
-) -> list[int]:
+def chern_numbers(family: BlochFiberFamily, grid: int = 30) -> list[int]:
     """Band Chern numbers from lattice field strengths of overlap links.
 
     The link-variable sum runs over the full [0, 2pi)^2 zone where the fiber
     family is exactly matrix-periodic, then divides by q: the Berry curvature
     repeats across the q magnetic subcells, so the full-zone integer is q
     times the magnetic-zone Chern number. A non-divisible raw sum or a band
-    degeneracy on the grid raises instead of returning a rounded guess.
+    degeneracy on the grid (a band gap below 1e-8) raises instead of
+    returning a rounded guess.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
@@ -320,7 +314,7 @@ def chern_numbers(
 
     sep = np.diff(w, axis=-1)
     worst = np.unravel_index(np.argmin(sep), sep.shape)
-    if sep[worst] < degeneracy_tol:
+    if sep[worst] < 1e-8:
         k_point = (float(ks[worst[0]]), float(ks[worst[1]]))
         raise DegenerateBandsError(
             f"bands {worst[2]} and {worst[2] + 1} are degenerate at "

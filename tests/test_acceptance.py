@@ -21,13 +21,12 @@ from fluxlab import (
     continuum_hamiltonian,
     eigenvalues_hermitian,
     ensemble_dos,
-    feasible_field,
     gap_fill_fraction,
     hausdorff,
     hofstadter_family,
-    landau_torus_basis,
     spectrum_union,
     symmetric_gauge_box,
+    torus_basis,
 )
 from fluxlab.cli import main
 from oracles import harper_fiber
@@ -195,8 +194,8 @@ def test_acceptance_06_chern_integers(capsys):
 
 
 def test_acceptance_07_free_continuum_levels(capsys):
-    b_used, n_flux = feasible_field(10.0, 4)
-    basis = landau_torus_basis(b_used, n_flux, 6)
+    basis = torus_basis(10.0, 6, 4)
+    n_flux = basis.n_flux
     ham = continuum_hamiltonian(basis, FourierPotential.cosine_xy(0.0))
     w = np.linalg.eigvalsh(ham.matrix)
     expected = np.repeat(basis.level_energies(), n_flux)

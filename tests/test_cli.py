@@ -226,15 +226,48 @@ def test_nonpositive_grid_exits_2(argv, flag, capsys):
         (["continuum-spectrum", "--B", "10", "--amplitude", "1e308"], "energy"),
         (["lll-compare", "--B", "10", "--amplitude", "1e308"], "distance_or_coupling"),
         (["disorder-dos", "--L", "6", "--nseeds", "2", "--W", "1e308"], "dos"),
+        # the overflowing operator fails its eigenvalue check before any gate
+        (
+            ["dynamics-defect", "--B", "10", "--ncells", "2", "--nlevels", "3",
+             "--amplitude", "1e308"],
+            None,
+        ),
     ],
 )
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# a numpy RuntimeWarning raised as an error would escape main
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_result_exits_3(argv, gate, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
-    assert f"  {gate}_not_finite = " in err
-    assert err.rstrip().endswith("-> FAIL")
+    if gate is None:
+        assert err.startswith("error: ") and "non-finite" in err
+    else:
+        assert f"  {gate}_not_finite = " in err
+        assert err.rstrip().endswith("-> FAIL")
     assert "Traceback" not in err
+
+
+def test_overflowing_flux_count_exits_2(capsys):
+    assert main(["continuum-spectrum", "--B", "1e308", "--ncells", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite flux-quantum count" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "config, flag",
+    [
+        ({"nlevels": 2.7}, "--nlevels"),
+        ({"nlevels": True}, "--nlevels"),
+        ({"ncells": 2.0}, "--ncells"),
+        ({"amplitude": True}, "--amplitude"),
+    ],
+)
+def test_config_value_parses_as_its_flag_string(config, flag, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["continuum-spectrum", "--B", "10", "--config", str(path)]) == 2
+    assert f"error: bad value for {flag}:" in capsys.readouterr().err
 
 
 def test_single_level_infinite_cluster_gap_exits_0(capsys):

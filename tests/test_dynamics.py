@@ -16,16 +16,15 @@ from fluxlab import (
     defect_curve,
     defect_scaling,
     eigh_hermitian,
-    feasible_field,
     field_operator,
     fit_slope_through_origin,
     hashed_normal,
-    landau_torus_basis,
     lll_effective,
     nagy_intertwiner,
     projector_distance,
     spectral_projection,
     strong_field_report,
+    torus_basis,
 )
 from fluxlab import continuum, dynamics, spectra
 from fluxlab.cli import decreasing_gate
@@ -204,8 +203,8 @@ def test_spectral_projection_boundary_collision():
 
 
 def test_spectral_projection_lowest_landau_cluster():
-    b_used, n_flux = feasible_field(10.0, 4)
-    basis = landau_torus_basis(b_used, n_flux, 4)
+    basis = torus_basis(10.0, 4, 4)
+    n_flux = basis.n_flux
     ham = continuum_hamiltonian(basis, FourierPotential.cosine_xy(1.0))
     w = np.linalg.eigvalsh(ham.matrix)
     window = (float(w[0]) - 1.0, 0.5 * float(w[n_flux - 1] + w[n_flux]))
@@ -496,9 +495,9 @@ def test_one_hermiticity_check_per_field(monkeypatch):
     shapes = []
     real = spectra.check_hermitian
 
-    def counted(matrix, atol=1e-12):
+    def counted(matrix):
         shapes.append(np.shape(matrix))
-        real(matrix, atol=atol)
+        real(matrix)
 
     monkeypatch.setattr(spectra, "check_hermitian", counted)
     monkeypatch.setattr(continuum, "check_hermitian", counted)

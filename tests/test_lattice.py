@@ -364,6 +364,8 @@ def test_dispersion_evaluate_and_reality():
     disp = FourierDispersion.nearest_neighbor(1.0)
     assert conjugate_paired(disp.harmonics)
     k1 = np.linspace(0, 2 * np.pi, 9)
-    vals = disp.evaluate(k1, 0.0)
+    # the 1 x 1 fiber at zero flux is the dispersion value
+    zero = peierls_quantize(disp, RationalFlux(0, 1))
+    vals = np.array([zero.matrix(k, 0.0)[0, 0] for k in k1])
     assert np.allclose(vals.imag, 0.0, atol=1e-12)
     assert np.allclose(vals.real, 2.0 * np.cos(k1) + 2.0, atol=1e-12)

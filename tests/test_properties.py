@@ -1,4 +1,5 @@
-"""Property tests: Hausdorff metric axioms and Chambers invariance.
+"""Property tests: Hausdorff metric axioms, Chambers invariance, and the
+exit-code contract of the continuum commands.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same cases. Hypothesis also caches the literals it scans from the
@@ -6,15 +7,20 @@ source under its home directory; with the home at os.devnull that cache
 cannot be written, and a run leaves no files behind.
 """
 
+import io
+import math
 import os
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from math import gcd
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from fluxlab import BandIntervals, RationalFlux, exact_bands, hausdorff, hofstadter_family
+from fluxlab.cli import main
 
 set_hypothesis_home_dir(os.devnull)
 fixed = settings(derandomize=True, database=None, deadline=None)
@@ -83,3 +89,52 @@ def test_chambers_invariance(flux, k1, k2, move):
     bands = exact_bands(flux)
     assert np.all(w >= bands[:, 0] - 1e-12)
     assert np.all(w <= bands[:, 1] + 1e-12)
+
+
+def table_rows(csv_text):
+    """Rows of a CSV table as {column: text}, metadata lines skipped."""
+    header, *rows = [line for line in csv_text.splitlines() if not line.startswith("#")]
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
+def usually(valid, invalid):
+    """Draws from `invalid` one time in four."""
+    return st.integers(0, 3).flatmap(lambda i: invalid if i == 0 else valid)
+
+
+counts = usually(st.sampled_from(["1", "2", "3"]), st.sampled_from(["-1", "0", "2.7"]))
+
+
+@fixed
+@given(
+    st.sampled_from(["continuum-spectrum", "lll-compare", "dynamics-defect"]),
+    usually(
+        st.floats(0.0, 20.0, exclude_min=True),
+        st.sampled_from([math.nan, math.inf, 0.0, -1.0]),
+    ),
+    counts,
+    counts,
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([1e308, -1e308]),
+    ),
+)
+def test_continuum_commands_keep_the_exit_code_contract(
+    command, field, ncells, nlevels, amplitude
+):
+    if field > 0 and math.isfinite(field) and ncells in ("1", "2", "3"):
+        assume(field * int(ncells) ** 2 / math.pi <= 30)  # at most 30 flux quanta
+    argv = [command, f"--B={field!r}", f"--ncells={ncells}", f"--nlevels={nlevels}",
+            f"--amplitude={amplitude!r}"]
+    if command == "dynamics-defect":
+        argv.append("--times=0.5,1")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 2, 3, 4), err.getvalue()
+    if code == 0:
+        for row in table_rows(out.getvalue()):
+            for column, text in row.items():
+                if column != "cluster_gap" and text not in ("true", "false"):
+                    assert math.isfinite(float(text)), (argv, column, text)
