@@ -22,9 +22,7 @@ from .lattice import (
     weyl_translation,
 )
 from .spectra import (
-    BandIntervals,
     Histogram,
-    SpectrumSample,
     band_intervals,
     check_hermitian,
     chern_numbers,

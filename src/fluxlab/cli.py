@@ -46,6 +46,7 @@ from .lattice import (
 from .spectra import (
     band_intervals,
     chern_numbers,
+    default_gap_tol,
     distance_to_intervals,
     eigenvalues_hermitian,
     exact_bands,
@@ -136,18 +137,35 @@ def _int(value):
     return int(str(value))
 
 
-def _count(value):
-    n = _int(value)
-    if n < 1:
-        raise ValueError("must be >= 1")
-    return n
+def _at_least(cast, least):
+    """Caster for values of `cast` that are >= least."""
+
+    def checked(value):
+        x = cast(value)
+        if x < least:
+            raise ValueError(f"must be >= {least}")
+        return x
+
+    return checked
 
 
-def _count_or_zero(value):
-    n = _int(value)
-    if n < 0:
-        raise ValueError("must be >= 0")
-    return n
+_count = _at_least(_int, 1)
+_count_or_zero = _at_least(_int, 0)
+_tolerance = _at_least(_float, 0)
+
+
+def _positive(value):
+    x = _float(value)
+    if x <= 0:
+        raise ValueError("must be > 0")
+    return x
+
+
+def _distribution(value):
+    name = str(value)
+    if name not in ("uniform", "gaussian"):
+        raise ValueError("must be uniform or gaussian")
+    return name
 
 
 def _nonempty(values):
@@ -160,6 +178,13 @@ def _float_list(value):
     if isinstance(value, (list, tuple)):
         return _nonempty([_float(x) for x in value])
     return _nonempty([_float(tok) for tok in str(value).split(",") if tok.strip()])
+
+
+def _time_grid(value):
+    times = _float_list(value)
+    if not any(times):
+        raise ValueError("must hold a nonzero time")
+    return times
 
 
 def _str_list(value):
@@ -185,31 +210,31 @@ _SPECS = {
         "flux": (str, None, "rational flux p/q"),
         "kgrid": (_count, 200, "k points along k1"),
         "kgrid2": (_count_or_zero, 0, "k points along k2 (0 = same as kgrid)"),
-        "gap_tol": (_float, 0.0, "band merge tolerance (0 = automatic)"),
+        "gap_tol": (_tolerance, 0.0, "band merge tolerance (0 = automatic)"),
     },
     "harper-spectrum": {
         "flux": (str, None, "rational frequency p/q"),
         "thetagrid": (_count, 64, "phase offsets sampled in [0, 1)"),
         "kgrid": (_count, 64, "Bloch momenta sampled in [0, 2 pi)"),
-        "gap_tol": (_float, 0.0, "band merge tolerance (0 = automatic)"),
-        "tol": (_float, 1e-2, "largest allowed distance outside the exact bands"),
+        "gap_tol": (_tolerance, 0.0, "band merge tolerance (0 = automatic)"),
+        "tol": (_tolerance, 1e-2, "largest allowed distance outside the exact bands"),
     },
     "peierls-check": {
         "flux": (_str_list, ["1/3", "2/5"], "flux values to test"),
         "kgrid": (_count, 16, "k points per axis"),
-        "tol": (_float, 1e-10, "eigenvalue agreement threshold"),
+        "tol": (_tolerance, 1e-10, "eigenvalue agreement threshold"),
     },
     "gauge-check": {
         "B": (_field_value, 0.125, "field parameter (float or p/q)"),
         "L": (_count, 16, "torus side in sites"),
         "kgrid": (_count, 64, "fiber k points per axis"),
-        "gap_tol": (_float, 1.0, "band merge tolerance"),
-        "tol": (_float, 0.05, "pass threshold on the Hausdorff distance"),
+        "gap_tol": (_tolerance, 1.0, "band merge tolerance"),
+        "tol": (_tolerance, 0.05, "pass threshold on the Hausdorff distance"),
         "qmax": (_count, 64, "denominator bound when snapping 2B to p/q"),
     },
     "chern": {
         "flux": (str, "1/3", "rational flux p/q"),
-        "kgrid": (_count, 30, "k points per axis"),
+        "kgrid": (_at_least(_int, 2), 30, "k points per axis"),
     },
     "continuum-spectrum": {
         "B": (_field_value, None, "field parameter"),
@@ -225,7 +250,7 @@ _SPECS = {
     },
     "dynamics-defect": {
         "B": (_float_list, [10.0, 20.0, 40.0], "field values"),
-        "times": (_float_list, _DEFAULT_TIMES, "time grid"),
+        "times": (_time_grid, _DEFAULT_TIMES, "time grid"),
         "ncells": (_count, 4, "potential cells per torus side"),
         "nlevels": (_count, 6, "retained Landau levels"),
         "amplitude": (_float, 1.0, "cosine potential amplitude"),
@@ -235,12 +260,12 @@ _SPECS = {
         "flux": (str, "1/3", "rational flux p/q"),
         "L": (_count, 30, "box side in sites"),
         "W": (_float, 2.0, "disorder strength"),
-        "dist": (str, "uniform", "coupling distribution (uniform|gaussian)"),
+        "dist": (_distribution, "uniform", "coupling distribution (uniform|gaussian)"),
         "nseeds": (_count, 20, "ensemble size"),
         "seed": (_int, 0, "base seed"),
-        "width": (_float, 0.02, "DOS smoothing width"),
+        "width": (_positive, 0.02, "DOS smoothing width"),
         "bins": (_count, 200, "DOS bins"),
-        "gap_tol": (_float, 0.05, "band merge tolerance for the clean spectrum"),
+        "gap_tol": (_tolerance, 0.05, "band merge tolerance for the clean spectrum"),
         "kgrid": (_count, 200, "k grid for the clean reference bands"),
     },
 }
@@ -353,24 +378,29 @@ def _cmd_butterfly(p: dict) -> RunArtifact:
     )
 
 
+def _band_rows(sample, gap_tol):
+    """Band table rows (band, e_lo, e_hi) of a sample and the merge tolerance
+    used: a gap_tol of 0 means default_gap_tol of the sample."""
+    gap_tol = gap_tol or default_gap_tol(sample)
+    bands = band_intervals(sample, gap_tol)
+    return [(i, a, b) for i, (a, b) in enumerate(bands.tolist())], gap_tol
+
+
 def _cmd_fiber_spectrum(p: dict) -> RunArtifact:
     flux = RationalFlux.from_string(p["flux"])
     n2 = p["kgrid2"] or p["kgrid"]
     sample = spectrum_union(hofstadter_family(flux), p["kgrid"], n2)
-    gap_tol = p["gap_tol"] if p["gap_tol"] > 0 else None
-    bands = band_intervals(sample, gap_tol)
-    rows = [(i, a, b) for i, (a, b) in enumerate(bands.intervals)]
+    rows, gap_tol = _band_rows(sample, p["gap_tol"])
     return RunArtifact(
         columns=["band", "e_lo", "e_hi"],
         rows=rows,
         meta={
-            "gap_tol_used": bands.gap_tol,
-            "n_eigenvalues": int(sample.values.size),
-            "e_min": float(sample.values[0]),
-            "e_max": float(sample.values[-1]),
+            "gap_tol_used": gap_tol,
+            "n_eigenvalues": int(sample.size),
+            "e_min": float(sample[0]),
+            "e_max": float(sample[-1]),
         },
-        summary=f"{len(rows)} band(s) in "
-        f"[{sample.values[0]:.6g}, {sample.values[-1]:.6g}]",
+        summary=f"{len(rows)} band(s) in [{sample[0]:.6g}, {sample[-1]:.6g}]",
     )
 
 
@@ -379,19 +409,17 @@ def _cmd_harper_spectrum(p: dict) -> RunArtifact:
     # cosine model at phase theta and momentum k.
     flux = RationalFlux.from_string(p["flux"])
     sample = spectrum_union(hofstadter_family(flux), p["kgrid"], p["thetagrid"])
-    outside = float(distance_to_intervals(sample.values, exact_bands(flux)).max())
-    gap_tol = p["gap_tol"] if p["gap_tol"] > 0 else None
-    bands = band_intervals(sample, gap_tol)
-    rows = [(i, a, b) for i, (a, b) in enumerate(bands.intervals)]
+    outside = float(distance_to_intervals(sample, exact_bands(flux)).max())
+    rows, gap_tol = _band_rows(sample, p["gap_tol"])
     return RunArtifact(
         columns=["band", "e_lo", "e_hi"],
         rows=rows,
         meta={
-            "gap_tol_used": bands.gap_tol,
+            "gap_tol_used": gap_tol,
             "outside_exact_bands": outside,
             "tol": p["tol"],
         },
-        summary=f"{len(rows)} band(s) from {sample.values.size} eigenvalues",
+        summary=f"{len(rows)} band(s) from {sample.size} eigenvalues",
         gates=[Gate("outside_exact_bands", outside, p["tol"])],
     )
 
@@ -439,8 +467,8 @@ def _cmd_gauge_check(p: dict) -> RunArtifact:
             flux.q,
             dist,
             containment,
-            len(box_bands.intervals),
-            len(fiber_bands.intervals),
+            len(box_bands),
+            len(fiber_bands),
         )
     ]
     return RunArtifact(
@@ -591,7 +619,7 @@ def _cmd_disorder_dos(p: dict) -> RunArtifact:
         rows=rows,
         meta={
             "gap_fill_fraction": fill,
-            "clean_bands": [list(iv) for iv in clean_bands.intervals],
+            "clean_bands": clean_bands.tolist(),
             "W": p["W"],
             "nseeds": p["nseeds"],
             "base_seed": p["seed"],

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .spectra import BandIntervals, Histogram, dos, sample_values
+from .spectra import Histogram, dos, sample_values
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -124,13 +124,12 @@ def ensemble_dos(
     )
 
 
-def gap_fill_fraction(clean: BandIntervals, hist: Histogram) -> float:
-    """Fraction of the DOS mass of hist inside the gaps of the clean spectrum.
+def gap_fill_fraction(clean: np.ndarray, hist: Histogram) -> float:
+    """Fraction of the DOS mass of hist inside the gaps of the clean band set.
 
     Bins straddling a gap edge contribute pro rata.
     """
-    gaps = clean.gaps()
-    if not gaps:
+    if len(clean) < 2:
         raise ConfigError("clean spectrum has no gap to fill")
     edges = hist.edges
     widths = np.diff(edges)
@@ -138,7 +137,7 @@ def gap_fill_fraction(clean: BandIntervals, hist: Histogram) -> float:
     if total <= 0:
         raise ConfigError("histogram carries no mass")
     inside = 0.0
-    for lo, hi in gaps:
+    for lo, hi in zip(clean[:-1, 1], clean[1:, 0]):
         overlap = np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo)
         inside += float(np.sum(hist.density * np.clip(overlap, 0.0, None)))
     return inside / total

@@ -1,5 +1,8 @@
 """Spectral post-processing: eigenvalue collection, band intervals, distances.
 
+A spectrum is a sorted 1-D float array of eigenvalues; a band set is an
+(n, 2) float array of disjoint ascending (lo, hi) rows.
+
 The Hausdorff distance here is exact on finite unions of closed intervals
 (isolated points count as zero-length intervals). It is the workhorse metric
 for "do these two spectra agree locally" comparisons across the package.
@@ -17,42 +20,6 @@ from .lattice import BlochFiberFamily, RationalFlux, hofstadter_family
 
 _DEDUP_ATOL = 1e-13
 _CHUNK_ENTRIES = 4_000_000  # complex fiber entries built at once
-
-
-@dataclass(frozen=True)
-class SpectrumSample:
-    """Sorted eigenvalue sample."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.sort(np.asarray(self.values, dtype=float).ravel())
-        if vals.size == 0:
-            raise ValueError("empty spectrum sample")
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True)
-class BandIntervals:
-    """Disjoint closed intervals [(lo, hi), ...] in increasing order."""
-
-    intervals: tuple
-    gap_tol: float
-
-    def __post_init__(self):
-        iv = tuple((float(a), float(b)) for a, b in self.intervals)
-        for a, b in iv:
-            if b < a:
-                raise ValueError(f"interval ({a}, {b}) is reversed")
-        for (_, b0), (a1, _) in zip(iv, iv[1:]):
-            if a1 <= b0:
-                raise ValueError("intervals overlap or are out of order")
-        object.__setattr__(self, "intervals", iv)
-
-    def gaps(self):
-        return [
-            (b0, a1) for (_, b0), (a1, _) in zip(self.intervals, self.intervals[1:])
-        ]
 
 
 @dataclass(frozen=True)
@@ -124,9 +91,9 @@ def fiber_eigenvalues(
 
 def spectrum_union(
     family: BlochFiberFamily, n1: int, n2: int | None = None
-) -> SpectrumSample:
-    """Union of fiber eigenvalues over the zone grid n1 x n2 on [0, 2pi)^2."""
-    return SpectrumSample(fiber_eigenvalues(family, n1, n2))
+) -> np.ndarray:
+    """Sorted union of fiber eigenvalues over the zone grid n1 x n2 on [0, 2pi)^2."""
+    return np.sort(fiber_eigenvalues(family, n1, n2).ravel())
 
 
 def exact_bands(flux: RationalFlux) -> np.ndarray:
@@ -136,8 +103,8 @@ def exact_bands(flux: RationalFlux) -> np.ndarray:
     (W. G. Chambers, Phys. Rev. 140, A135 (1965)), the spectrum of the
     hofstadter_family fiber depends on k only through cos(q k1) + cos(q k2),
     so band j runs between eigenvalue j at k = (0, 0) and at (pi/q, pi/q).
-    An array rather than BandIntervals: for even q the two central bands
-    touch at 0.
+    For even q the two central rows touch at 0; hausdorff and
+    distance_to_intervals merge them.
     """
     family = hofstadter_family(flux)
     edge = np.pi / flux.q
@@ -145,11 +112,12 @@ def exact_bands(flux: RationalFlux) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(corners).T, axis=1)
 
 
-def sample_values(obj) -> np.ndarray:
-    """Sorted values of a SpectrumSample or of raw values."""
-    if isinstance(obj, SpectrumSample):
-        return obj.values
-    return np.sort(np.asarray(obj, dtype=float).ravel())
+def sample_values(values) -> np.ndarray:
+    """The values as a sorted 1-D float array; raises on an empty one."""
+    vals = np.sort(np.asarray(values, dtype=float).ravel())
+    if vals.size == 0:
+        raise ValueError("empty spectrum sample")
+    return vals
 
 
 def default_gap_tol(values: np.ndarray) -> float:
@@ -169,41 +137,30 @@ def default_gap_tol(values: np.ndarray) -> float:
     return 10.0 * float(np.median(spacings))
 
 
-def band_intervals(sample, gap_tol: float | None = None) -> BandIntervals:
-    """Merge consecutive eigenvalues closer than gap_tol into intervals."""
+def band_intervals(sample, gap_tol: float) -> np.ndarray:
+    """Merge consecutive eigenvalues at most gap_tol apart into a band set."""
     vals = sample_values(sample)
-    if gap_tol is None:
-        gap_tol = default_gap_tol(vals)
     if gap_tol < 0:
         raise ValueError("gap_tol must be >= 0")
     breaks = np.flatnonzero(np.diff(vals) > gap_tol)
     starts = np.concatenate(([0], breaks + 1))
     ends = np.concatenate((breaks, [vals.size - 1]))
-    intervals = tuple(
-        (float(vals[i]), float(vals[j])) for i, j in zip(starts, ends)
-    )
-    return BandIntervals(intervals=intervals, gap_tol=float(gap_tol))
+    return np.column_stack((vals[starts], vals[ends]))
 
 
 def _interval_arrays(obj):
     """Canonical (lo, hi) arrays of a disjoint ascending interval union.
 
-    Accepts BandIntervals, SpectrumSample, an (n, 2) array of intervals, or
-    a flat array of values (degenerate intervals). Overlapping or duplicate
-    inputs are merged so downstream gap logic can rely on strict ordering.
+    Accepts an (n, 2) array of intervals or a flat array of values
+    (degenerate intervals). Overlapping or duplicate inputs are merged so
+    downstream gap logic can rely on strict ordering.
     """
-    if isinstance(obj, BandIntervals):
-        iv = np.asarray(obj.intervals, dtype=float).reshape(-1, 2)
-        los, his = iv[:, 0], iv[:, 1]
-    elif isinstance(obj, SpectrumSample):
-        los = his = obj.values.astype(float)
+    arr = np.asarray(obj, dtype=float)
+    if arr.ndim == 2 and arr.shape[1] == 2:
+        order = np.argsort(arr[:, 0], kind="stable")
+        los, his = arr[order, 0], np.maximum(arr[order, 0], arr[order, 1])
     else:
-        arr = np.asarray(obj, dtype=float)
-        if arr.ndim == 2 and arr.shape[1] == 2:
-            order = np.argsort(arr[:, 0], kind="stable")
-            los, his = arr[order, 0], np.maximum(arr[order, 0], arr[order, 1])
-        else:
-            los = his = np.sort(arr.ravel())
+        los = his = np.sort(arr.ravel())
     if los.size == 0:
         raise ValueError("empty interval set")
     run = np.maximum.accumulate(his)

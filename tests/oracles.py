@@ -55,3 +55,22 @@ def plaquette_flux(op, n=0, m=0):
             raise ValueError(f"missing bond around plaquette ({n}, {m})")
         prod *= amp
     return float((np.angle(prod) / (2.0 * pi)) % 1.0)
+
+
+def tknn_cherns(p, q):
+    """Band Chern numbers of the nearest-neighbour model at flux p/q, odd q.
+
+    From the Diophantine equation r = q s_r + p t_r with |t_r| < q/2 of
+    Thouless, Kohmoto, Nightingale and den Nijs (PRL 49, 405 (1982)): for odd
+    q each r = 0..q has one such t_r, with t_0 = t_q = 0, and band r (counted
+    from 1) has Chern number t_r - t_{r-1}. Even q is excluded because there
+    the two central bands touch and t_{q/2} is not unique.
+    """
+    if q % 2 == 0:
+        raise ValueError("the Diophantine rule needs an odd denominator")
+    half = q // 2
+    t = [
+        next(t for t in range(-half, half + 1) if (r - p * t) % q == 0)
+        for r in range(q + 1)
+    ]
+    return [b - a for a, b in zip(t, t[1:])]

@@ -210,14 +210,44 @@ def test_empty_list_exits_2(argv, flag, capsys):
         (["dynamics-defect", "--ncells", "-3"], "--ncells"),
         (["dynamics-defect", "--nlevels", "0"], "--nlevels"),
         (["fiber-spectrum", "--flux", "1/3", "--kgrid2", "-1"], "--kgrid2"),
+        (["harper-spectrum", "--flux", "1/3", "--tol", "-1"], "--tol"),
+        (["peierls-check", "--kgrid", "4", "--tol", "-1"], "--tol"),
+        (["gauge-check", "--tol", "-1"], "--tol"),
+        (["fiber-spectrum", "--flux", "1/3", "--kgrid", "8", "--gap-tol", "-1"],
+         "--gap-tol"),
+        (["harper-spectrum", "--flux", "1/3", "--gap-tol", "-1"], "--gap-tol"),
+        (["gauge-check", "--gap-tol", "-1"], "--gap-tol"),
+        (["disorder-dos", "--L", "6", "--gap-tol", "-1"], "--gap-tol"),
     ],
 )
 def test_nonpositive_grid_exits_2(argv, flag, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"error: bad value for {flag}:" in err
-    least = 0 if flag == "--kgrid2" else 1
+    least = 0 if flag in ("--kgrid2", "--tol", "--gap-tol") else 1
     assert f"must be >= {least}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, reason",
+    [
+        (["disorder-dos", "--width", "-1"], "--width", "must be > 0"),
+        (["disorder-dos", "--dist", "foo"], "--dist", "must be uniform or gaussian"),
+        (["dynamics-defect", "--times", "0"], "--times", "must hold a nonzero time"),
+        (["chern", "--kgrid", "1"], "--kgrid", "must be >= 2"),
+    ],
+)
+def test_bad_value_exits_2_before_any_eigensolve(
+    argv, flag, reason, monkeypatch, capsys
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve before the config was checked")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+    monkeypatch.setattr(np.linalg, "eigh", no_solve)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: bad value for {flag}:" in err and reason in err
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fluxlab import (
-    BandIntervals,
     ConfigError,
     EnsembleStats,
     Histogram,
@@ -123,7 +122,7 @@ def test_ensemble_rejects_empty():
 
 
 def test_gap_fill_fraction_uniform_mass():
-    clean = BandIntervals(intervals=((0.0, 1.0), (2.0, 3.0)), gap_tol=0.1)
+    clean = np.array([[0.0, 1.0], [2.0, 3.0]])
     for bins in (300, 5):
         edges = np.linspace(0.0, 3.0, bins + 1)
         hist = Histogram(edges=edges, density=np.full(bins, 1.0 / 3.0))
@@ -134,19 +133,19 @@ def test_gap_fill_fraction_uniform_mass():
 
 
 def test_gap_fill_fraction_guards():
-    solid = BandIntervals(intervals=((0.0, 3.0),), gap_tol=0.1)
+    solid = np.array([[0.0, 3.0]])
     edges = np.linspace(0.0, 3.0, 11)
     hist = Histogram(edges=edges, density=np.full(10, 0.1))
     with pytest.raises(ConfigError):
         gap_fill_fraction(solid, hist)
-    gapped = BandIntervals(intervals=((0.0, 1.0), (2.0, 3.0)), gap_tol=0.1)
+    gapped = np.array([[0.0, 1.0], [2.0, 3.0]])
     empty = Histogram(edges=edges, density=np.zeros(10))
     with pytest.raises(ConfigError):
         gap_fill_fraction(gapped, empty)
 
 
 def test_gap_fill_fraction_of_ensemble_histogram():
-    clean = BandIntervals(intervals=((-30.0, -0.5), (0.5, 30.0)), gap_tol=0.1)
+    clean = np.array([[-30.0, -0.5], [0.5, 30.0]])
     stats = ensemble_dos(gue_values, 4, base_seed=3, bounds=(-31.0, 31.0))
     fill = gap_fill_fraction(clean, stats.histogram)
     assert 0.0 <= fill <= 1.0

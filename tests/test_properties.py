@@ -1,5 +1,6 @@
-"""Property tests: Hausdorff metric axioms, Chambers invariance, and the
-exit-code contract of the continuum commands.
+"""Property tests: Hausdorff metric axioms, Chambers invariance, Chern numbers
+against the TKNN Diophantine rule, and the exit-code contract of the continuum
+and lattice commands.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same cases. Hypothesis also caches the literals it scans from the
@@ -19,8 +20,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from fluxlab import BandIntervals, RationalFlux, exact_bands, hausdorff, hofstadter_family
+from fluxlab import (
+    RationalFlux,
+    chern_numbers,
+    exact_bands,
+    hausdorff,
+    hofstadter_family,
+)
 from fluxlab.cli import main
+from oracles import tknn_cherns
 
 set_hypothesis_home_dir(os.devnull)
 fixed = settings(derandomize=True, database=None, deadline=None)
@@ -41,7 +49,7 @@ def interval_unions(draw):
 def forms(iv):
     """Every accepted form of one interval union; the flat value array only
     describes a union of points."""
-    out = [iv, BandIntervals(intervals=tuple(map(tuple, iv)), gap_tol=0.0)]
+    out = [iv]
     if np.array_equal(iv[:, 0], iv[:, 1]):
         out.append(iv[:, 0])
     return out
@@ -59,8 +67,8 @@ def test_hausdorff_metric_axioms(a, b, c):
 
 
 @st.composite
-def fluxes(draw):
-    q = draw(st.integers(1, 12))
+def fluxes(draw, qmax=12):
+    q = draw(st.integers(1, qmax))
     p = draw(st.integers(0, q).filter(lambda p: gcd(p, q) == 1))
     return RationalFlux(p, q)
 
@@ -91,15 +99,28 @@ def test_chambers_invariance(flux, k1, k2, move):
     assert np.all(w <= bands[:, 1] + 1e-12)
 
 
+ODD_Q_FLUXES = [
+    RationalFlux(p, q) for q in range(3, 12, 2) for p in range(1, q) if gcd(p, q) == 1
+]
+
+
+@fixed
+@given(st.sampled_from(ODD_Q_FLUXES))
+def test_chern_numbers_match_the_tknn_rule(flux):
+    cherns = chern_numbers(hofstadter_family(flux), grid=30)
+    assert cherns == tknn_cherns(flux.p, flux.q)
+    assert sum(cherns) == 0
+
+
 def table_rows(csv_text):
     """Rows of a CSV table as {column: text}, metadata lines skipped."""
     header, *rows = [line for line in csv_text.splitlines() if not line.startswith("#")]
     return [dict(zip(header.split(","), row.split(","))) for row in rows]
 
 
-def usually(valid, invalid):
-    """Draws from `invalid` one time in four."""
-    return st.integers(0, 3).flatmap(lambda i: invalid if i == 0 else valid)
+def usually(valid, invalid, one_in=4):
+    """Draws from `invalid` one time in `one_in`."""
+    return st.integers(1, one_in).flatmap(lambda i: invalid if i == 1 else valid)
 
 
 counts = usually(st.sampled_from(["1", "2", "3"]), st.sampled_from(["-1", "0", "2.7"]))
@@ -138,3 +159,49 @@ def test_continuum_commands_keep_the_exit_code_contract(
             for column, text in row.items():
                 if column != "cluster_gap" and text not in ("true", "false"):
                     assert math.isfinite(float(text)), (argv, column, text)
+
+
+# six drawn values a run: rarer invalid ones leave most runs valid
+tolerances = usually(
+    st.floats(0.0, 10.0),
+    st.sampled_from([-1.0, -1e-12, math.nan, math.inf]),
+    one_in=10,
+)
+grids = usually(st.integers(1, 8).map(str), st.sampled_from(["0", "2.7"]), one_in=10)
+flux_texts = usually(
+    fluxes(qmax=5).map(lambda f: f"{f.p}/{f.q}"),
+    st.sampled_from(["2/4", "x"]),
+    one_in=10,
+)
+
+
+@fixed
+@given(
+    st.sampled_from(["fiber-spectrum", "harper-spectrum", "peierls-check",
+                     "gauge-check"]),
+    flux_texts,
+    grids,
+    grids,
+    tolerances,
+    tolerances,
+)
+def test_lattice_commands_keep_the_exit_code_contract(
+    command, flux, grid, grid2, tol, gap_tol
+):
+    flags = {
+        "fiber-spectrum": {"flux": flux, "kgrid": grid, "kgrid2": grid2,
+                           "gap-tol": gap_tol},
+        "harper-spectrum": {"flux": flux, "kgrid": grid, "thetagrid": grid2,
+                            "gap-tol": gap_tol, "tol": tol},
+        "peierls-check": {"flux": flux, "kgrid": grid, "tol": tol},
+        "gauge-check": {"B": flux, "L": grid, "kgrid": grid2, "gap-tol": gap_tol,
+                        "tol": tol},
+    }[command]
+    argv = [command] + [f"--{key}={value}" for key, value in flags.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    if any(flags.get(key, 0.0) < 0 for key in ("tol", "gap-tol")):
+        assert code == 2, argv

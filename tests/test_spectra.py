@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from fluxlab import (
-    BandIntervals,
     BlochFiberFamily,
     DegenerateBandsError,
     NumericalCheckError,
     RationalFlux,
-    SpectrumSample,
     band_intervals,
     check_hermitian,
     chern_numbers,
@@ -56,35 +54,28 @@ def test_nan_matrix_is_not_hermitian():
         eigenvalues_hermitian(m)
 
 
-def test_spectrum_sample_sorted_and_nonempty():
-    s = SpectrumSample(values=[3.0, 1.0, 2.0])
-    assert np.array_equal(s.values, [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        SpectrumSample(values=[])
+def test_band_intervals_rejects_an_empty_sample():
+    with pytest.raises(ValueError, match="empty spectrum sample"):
+        band_intervals(np.array([]), 0.1)
 
 
 def test_band_intervals_small_example():
     bands = band_intervals(np.array([0.0, 0.001, 5.0]), gap_tol=0.1)
-    assert bands.intervals == ((0.0, 0.001), (5.0, 5.0))
-    assert bands.gaps() == [(0.001, 5.0)]
+    assert np.array_equal(bands, [[0.0, 0.001], [5.0, 5.0]])
 
 
 def test_band_intervals_validation():
     with pytest.raises(ValueError):
         band_intervals(np.array([0.0, 1.0]), gap_tol=-0.5)
-    with pytest.raises(ValueError):
-        BandIntervals(intervals=((0.0, 1.0), (0.5, 2.0)), gap_tol=0.1)
-    with pytest.raises(ValueError):
-        BandIntervals(intervals=((1.0, 0.0),), gap_tol=0.1)
 
 
 def test_band_counts_for_standard_fluxes():
     third = spectrum_union(hofstadter_family(RationalFlux(1, 3)), 100)
-    assert len(band_intervals(third, 0.05).intervals) == 3
+    assert len(band_intervals(third, 0.05)) == 3
     # the half-flux bands touch at E = 0 through a conical point, so the
     # sample needs a dense grid there before the merge sees one interval
     half = spectrum_union(hofstadter_family(RationalFlux(1, 2)), 256)
-    assert len(band_intervals(half, 0.05).intervals) == 1
+    assert len(band_intervals(half, 0.05)) == 1
 
 
 def test_default_gap_tol_ignores_duplicates():
@@ -94,12 +85,12 @@ def test_default_gap_tol_ignores_duplicates():
 
 
 def test_hausdorff_examples():
-    a = BandIntervals(intervals=((0.0, 1.0),), gap_tol=0.0)
+    a = np.array([[0.0, 1.0]])
     assert hausdorff(a, a) == 0.0
-    b = BandIntervals(intervals=((0.1, 1.1),), gap_tol=0.0)
+    b = np.array([[0.1, 1.1]])
     assert abs(hausdorff(a, b) - 0.1) < 1e-14
-    c = BandIntervals(intervals=((-1.0, 0.5), (0.6, 1.0)), gap_tol=0.0)
-    full = BandIntervals(intervals=((-1.0, 1.0),), gap_tol=0.0)
+    c = np.array([[-1.0, 0.5], [0.6, 1.0]])
+    full = np.array([[-1.0, 1.0]])
     assert abs(hausdorff(full, c) - 0.05) < 1e-14
 
 
@@ -114,10 +105,7 @@ def test_hausdorff_accepts_raw_values():
 
 def random_interval_union(rng):
     pts = np.sort(rng.uniform(-3, 3, size=rng.integers(2, 7) * 2))
-    return BandIntervals(
-        intervals=tuple((pts[2 * i], pts[2 * i + 1]) for i in range(len(pts) // 2)),
-        gap_tol=0.0,
-    )
+    return np.array([(pts[2 * i], pts[2 * i + 1]) for i in range(len(pts) // 2)])
 
 
 def test_hausdorff_is_a_metric():
@@ -130,7 +118,7 @@ def test_hausdorff_is_a_metric():
         assert dab >= 0.0
         assert abs(dab - hausdorff(b, a)) < 1e-14
         assert hausdorff(a, a) == 0.0
-        if a.intervals != b.intervals:
+        if not np.array_equal(a, b):
             assert dab > 0.0
         assert dab <= hausdorff(a, c) + hausdorff(c, b) + 1e-12
 
@@ -162,19 +150,17 @@ def test_hausdorff_matches_brute_force_on_points_and_intervals():
         oracle = max(brute_directed(a, b), brute_directed(b, a))
         got = hausdorff(a, b)
         assert oracle - 1e-12 <= got <= oracle + slack
-        # a pure point set gives the same distance as a flat value array,
-        # a SpectrumSample or zero-length intervals
+        # a pure point set gives the same distance as a flat value array
+        # or zero-length intervals
         points = a[:, 0]
-        expect = hausdorff(np.column_stack((points, points)), b)
-        assert hausdorff(points, b) == expect
-        assert hausdorff(SpectrumSample(points), b) == expect
+        assert hausdorff(points, b) == hausdorff(np.column_stack((points, points)), b)
 
 
 def test_spectrum_union_refines_monotonically():
     fam = hofstadter_family(RationalFlux(1, 3))
-    s16 = spectrum_union(fam, 16).values
-    s32 = spectrum_union(fam, 32).values
-    s64 = spectrum_union(fam, 64).values
+    s16 = spectrum_union(fam, 16)
+    s32 = spectrum_union(fam, 32)
+    s64 = spectrum_union(fam, 64)
     d_coarse = max(nearest_point_distance(s16, s32),
                    nearest_point_distance(s32, s16))
     d_fine = max(nearest_point_distance(s32, s64),
@@ -187,13 +173,13 @@ def test_spectrum_union_refines_monotonically():
 def test_spectrum_union_single_point_grid():
     fam = hofstadter_family(RationalFlux(2, 5))
     s = spectrum_union(fam, 1)
-    assert s.values.size == 5
-    assert np.allclose(s.values, np.linalg.eigvalsh(fam.matrix(0.0, 0.0)), atol=1e-12)
+    assert s.size == 5
+    assert np.allclose(s, np.linalg.eigvalsh(fam.matrix(0.0, 0.0)), atol=1e-12)
 
 
 def test_spectrum_union_chunking_consistent(monkeypatch):
     fam = hofstadter_family(RationalFlux(1, 3))
-    a = spectrum_union(fam, 24).values
+    a = spectrum_union(fam, 24)
     calls = []
     batch = BlochFiberFamily.batch
 
@@ -204,7 +190,7 @@ def test_spectrum_union_chunking_consistent(monkeypatch):
     monkeypatch.setattr(BlochFiberFamily, "batch", counted)
     # one grid row of 24 fibers of dimension 3 holds 216 entries: 2 rows a chunk
     monkeypatch.setattr(spectra, "_CHUNK_ENTRIES", 500)
-    b = spectrum_union(fam, 24).values
+    b = spectrum_union(fam, 24)
     assert calls == [2] * 12
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
