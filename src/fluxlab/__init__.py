@@ -54,16 +54,12 @@ from .continuum import (
 )
 from .dynamics import (
     DefectRow,
-    IntertwinerUnitary,
-    Projector,
-    SpectralProjector,
-    WavePacket,
     defect_curve,
     defect_scaling,
     fit_slope_through_origin,
     nagy_intertwiner,
     projector_distance,
-    spectral_projection,
+    random_packet,
 )
 from .disorder import (
     EnsembleStats,

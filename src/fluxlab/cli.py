@@ -259,7 +259,7 @@ _SPECS = {
     "disorder-dos": {
         "flux": (str, "1/3", "rational flux p/q"),
         "L": (_count, 30, "box side in sites"),
-        "W": (_float, 2.0, "disorder strength"),
+        "W": (_at_least(_float, 0), 2.0, "disorder strength"),
         "dist": (_distribution, "uniform", "coupling distribution (uniform|gaussian)"),
         "nseeds": (_count, 20, "ensemble size"),
         "seed": (_int, 0, "base seed"),
@@ -584,14 +584,19 @@ def _cmd_dynamics_defect(p: dict) -> RunArtifact:
 
 def _cmd_disorder_dos(p: dict) -> RunArtifact:
     flux = RationalFlux.from_string(p["flux"])
-    b_box = flux.value / 2.0
-    clean = symmetric_gauge_box(b_box, p["L"], boundary="magnetic-periodic")
-    clean_vals = eigenvalues_hermitian(clean.matrix)
     # Clean gaps come from the dense fiber spectrum (the crystal's actual
     # band set): the finite box samples each band at only L^2 momenta, and
     # those within-band sampling holes would masquerade as gaps.
     reference = spectrum_union(hofstadter_family(flux), p["kgrid"])
     clean_bands = band_intervals(reference, p["gap_tol"])
+    if len(clean_bands) < 2:
+        raise ConfigError(
+            f"clean spectrum at flux {flux.p}/{flux.q} has no gap to fill "
+            f"(--gap-tol {p['gap_tol']:g})"
+        )
+    b_box = flux.value / 2.0
+    clean = symmetric_gauge_box(b_box, p["L"], boundary="magnetic-periodic")
+    clean_vals = eigenvalues_hermitian(clean.matrix)
     pad = 8.0 * p["width"]
     bounds = (float(clean_vals[0]) - pad - p["W"], float(clean_vals[-1]) + pad + p["W"])
 

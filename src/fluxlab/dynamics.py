@@ -29,165 +29,29 @@ from .errors import ConfigError, InfeasibleModelError, NumericalCheckError
 from .spectra import eigh_hermitian
 
 
-@dataclass(frozen=True)
-class WavePacket:
-    """Normalized complex state vector."""
-
-    vector: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.vector, dtype=complex).ravel()
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > 1e-10:
-            raise ConfigError(
-                f"wave packet must be normalized, got norm {norm:.12g}"
-            )
-        object.__setattr__(self, "vector", vec)
-
-    @property
-    def dim(self) -> int:
-        return self.vector.size
-
-    @classmethod
-    def normalized(cls, vector) -> "WavePacket":
-        vec = np.asarray(vector, dtype=complex).ravel()
-        norm = float(np.linalg.norm(vec))
-        if norm < 1e-12:
-            raise ConfigError("cannot normalize a (near) zero vector")
-        return cls(vec / norm)
-
-    @classmethod
-    def random(cls, dim: int, seed: int) -> "WavePacket":
-        """Counter-based draw: real parts are hashed_normal(seed, 0..dim-1),
-        imaginary parts hashed_normal(seed, dim..2 dim-1)."""
-        z = hashed_normal(seed, np.arange(2 * dim))
-        return cls.normalized(z[:dim] + 1j * z[dim:])
+def random_packet(dim: int, seed: int) -> np.ndarray:
+    """Normalized complex state from a counter-based draw: real parts are
+    hashed_normal(seed, 0..dim-1), imaginary parts hashed_normal(seed,
+    dim..2 dim-1)."""
+    z = hashed_normal(seed, np.arange(2 * dim))
+    vec = z[:dim] + 1j * z[dim:]
+    return vec / float(np.linalg.norm(vec))
 
 
-@dataclass(frozen=True)
-class Projector:
-    """Orthogonal projector P = V V^dag, held as its orthonormal frame V
-    (dim x rank); the dim x dim matrix is built only on demand."""
-
-    frame: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.frame, dtype=complex)
-        if v.ndim != 2 or v.shape[1] > v.shape[0]:
-            raise ConfigError(
-                f"projector frame must be dim x rank with rank <= dim, got "
-                f"shape {v.shape}"
-            )
-        # ||V^dag V - I||_F bounds the 2-norms of P^2 - P and P - P^dag
-        dev = float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])))
-        if dev > 1e-10:
-            raise NumericalCheckError(
-                f"projector frame is not orthonormal: ||V^dag V - I||_F = "
-                f"{dev:.3e} > 1e-10"
-            )
-        object.__setattr__(self, "frame", v)
-
-    @property
-    def dim(self) -> int:
-        return self.frame.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.frame.shape[1]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.frame @ self.frame.conj().T
-
-    @classmethod
-    def block(cls, dim: int, size: int) -> "Projector":
-        """Projector onto the first `size` coordinates."""
-        return cls(np.eye(dim, size, dtype=complex))
-
-
-@dataclass(frozen=True)
-class SpectralProjector(Projector):
-    """Spectral projector of a Hermitian H: the frame columns are
-    eigenvectors, H V = V diag(energies), so e^{-itH} V = V e^{-it energies}."""
-
-    energies: np.ndarray
-
-    def __post_init__(self):
-        super().__post_init__()
-        e = np.asarray(self.energies, dtype=float).ravel()
-        if e.size != self.rank:
-            raise ConfigError(
-                f"{e.size} energies for a rank-{self.rank} spectral projector"
-            )
-        object.__setattr__(self, "energies", e)
-
-
-@dataclass(frozen=True)
-class IntertwinerUnitary:
-    """Unitary W from ran P onto ran Q in frame coordinates: W V_p = V_q U,
-    with U = `matrix` (rank x rank).
-
-    Every unitary U gives W P W^dag = Q, so unitarity of U is the whole
-    check; ||W P W^dag - Q|| <= ||U U^dag - I||.
-    """
-
-    matrix: np.ndarray
-    source: Projector
-    target: Projector
-
-    def __post_init__(self):
-        u = np.asarray(self.matrix, dtype=complex)
-        r = self.source.rank
-        if (
-            self.source.dim != self.target.dim
-            or self.target.rank != r
-            or u.shape != (r, r)
-        ):
-            raise ConfigError("intertwiner and projector dimensions disagree")
-        dev = float(np.linalg.norm(u @ u.conj().T - np.eye(r)))
-        if dev > 1e-10:
-            raise NumericalCheckError(
-                f"intertwiner is not unitary: ||U U^dag - I||_F = {dev:.3e} > 1e-10"
-            )
-        object.__setattr__(self, "matrix", u)
-
-
-def spectral_projection(eigenpairs, window) -> SpectralProjector:
-    """Spectral projector of H onto the open energy window (lo, hi), from
-    H's eigenpairs (w, v) as returned by eigh_hermitian(H).
-
-    Any eigenvalue within 1e-9 of a window edge makes the cluster ambiguous
-    and is treated as infeasible rather than silently assigned.
-    """
-    lo, hi = float(window[0]), float(window[1])
-    if hi < lo:
-        raise ConfigError(f"window ({lo}, {hi}) is reversed")
-    w, v = eigenpairs
-    near = np.minimum(np.abs(w - lo), np.abs(w - hi))
-    if np.any(near < 1e-9):
-        bad = float(w[np.argmin(near)])
-        raise InfeasibleModelError(
-            f"eigenvalue {bad:.12g} lies within 1e-9 of the window "
-            f"({lo:.6g}, {hi:.6g}); cluster membership is ambiguous"
-        )
-    sel = (w > lo) & (w < hi)
-    return SpectralProjector(frame=v[:, sel], energies=w[sel])
-
-
-def projector_distance(p: Projector, q: Projector) -> float:
-    """||P - Q|| for equal-rank projectors closer than 1, as the 2-norm of
-    (I - Q) V_p.
+def projector_distance(p: np.ndarray, q: np.ndarray) -> float:
+    """||P - Q|| for equal-rank projectors closer than 1, given their
+    orthonormal d x r frames, as the 2-norm of (I - Q) V_p.
 
     Unlike sqrt(1 - sigma_min^2) of the overlap V_q^dag V_p, the residual
     keeps its relative accuracy when P and Q nearly coincide.
     """
-    resid = p.frame - q.frame @ (q.frame.conj().T @ p.frame)
+    resid = p - q @ (q.conj().T @ p)
     return float(np.linalg.norm(resid, 2))
 
 
-def nagy_intertwiner(p: Projector, q: Projector) -> IntertwinerUnitary:
+def nagy_intertwiner(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Canonical unitary intertwining two nearby projectors, restricted to
-    ran P.
+    ran P, from their orthonormal d x r frames V_p and V_q.
 
     Sz.-Nagy/Kato: W = (I - (Q - P)^2)^{-1/2} (Q P + (I - Q)(I - P)) is
     defined whenever ||P - Q|| < 1, is unitary with W P W^dag = Q, and is I
@@ -195,16 +59,18 @@ def nagy_intertwiner(p: Projector, q: Projector) -> IntertwinerUnitary:
     with the overlap X = V_q^dag V_p, W V_p = V_q U where U = X (X^dag X)^{-1/2}
     is the polar factor of X, taken from its SVD A S B^dag as U = A B^dag.
     ||P - Q|| = sqrt(1 - s_min^2), so ||P - Q|| < 1 exactly when X is
-    invertible.
+    invertible. Returns U (r x r). Every unitary U gives W P W^dag = Q, so
+    unitarity of U is the whole check; ||W P W^dag - Q|| <= ||U U^dag - I||.
     """
-    if p.dim != q.dim:
+    if p.shape[0] != q.shape[0]:
         raise ConfigError("projectors live on different spaces")
-    if p.rank != q.rank:
+    r = p.shape[1]
+    if q.shape[1] != r:
         raise InfeasibleModelError(
-            f"projector ranks {p.rank} and {q.rank} differ, so ||P - Q|| = 1: "
+            f"projector ranks {r} and {q.shape[1]} differ, so ||P - Q|| = 1: "
             "no canonical intertwiner exists"
         )
-    a, s, bh = np.linalg.svd(q.frame.conj().T @ p.frame)
+    a, s, bh = np.linalg.svd(q.conj().T @ p)
     s_min = float(s[-1]) if s.size else 1.0
     dist = math.sqrt(max(0.0, 1.0 - s_min * s_min))
     if dist >= 1.0 - 1e-12:
@@ -212,45 +78,51 @@ def nagy_intertwiner(p: Projector, q: Projector) -> IntertwinerUnitary:
             f"||P - Q|| = {dist:.12g} >= 1: no canonical intertwiner exists "
             "(the ranges are too far apart)"
         )
-    return IntertwinerUnitary(matrix=a @ bh, source=p, target=q)
+    u = a @ bh
+    dev = float(np.linalg.norm(u @ u.conj().T - np.eye(r)))
+    if dev > 1e-10:
+        raise NumericalCheckError(
+            f"intertwiner is not unitary: ||U U^dag - I||_F = {dev:.3e} > 1e-10"
+        )
+    return u
 
 
 def defect_curve(
+    energies: np.ndarray,
+    frame: np.ndarray,
+    u: np.ndarray,
     h_eff: np.ndarray,
-    intertwiner: IntertwinerUnitary,
-    psi: WavePacket,
+    psi: np.ndarray,
     times,
 ) -> np.ndarray:
     """Propagation defect d(t) on a grid of times, in rank-r coordinates.
 
-    The full operator enters through the intertwiner's source, a
-    SpectralProjector (V, Lambda): on ran P, e^{-itH} = V e^{-it Lambda} V^dag.
-    h_eff is the effective operator on ran Q in the target frame's
-    coordinates (r x r). With c = V^dag psi / ||V^dag psi|| and W V = V_q U,
-    d(t) = ||e^{-it Lambda} c - U^dag e^{-it h_eff} U c||.
+    The full operator H enters through its spectral projection: the d x r
+    frame V of eigenvectors and their r energies Lambda, so on ran P,
+    e^{-itH} = V e^{-it Lambda} V^dag. u is the intertwiner's polar factor,
+    W V = V_q u, and h_eff the effective operator on ran Q in the target
+    frame's coordinates (r x r). With c = V^dag psi / ||V^dag psi||,
+    d(t) = ||e^{-it Lambda} c - u^dag e^{-it h_eff} u c||.
     """
-    source = intertwiner.source
-    if not isinstance(source, SpectralProjector):
-        raise ConfigError(
-            "defect_curve needs the spectral projection of the full operator "
-            "as the intertwiner's source"
-        )
-    h_eff = np.asarray(h_eff)
-    r = source.rank
-    if psi.dim != source.dim or h_eff.shape != (r, r):
+    r = frame.shape[1]
+    if (
+        psi.shape != (frame.shape[0],)
+        or energies.shape != (r,)
+        or u.shape != (r, r)
+        or h_eff.shape != (r, r)
+    ):
         raise ConfigError("dimension mismatch between operators, projector, state")
-    start = source.frame.conj().T @ psi.vector
+    start = frame.conj().T @ psi
     norm = float(np.linalg.norm(start))
     if norm < 1e-12:
         raise ConfigError("projected initial state vanishes")
     start = start / norm
 
     w_eff, v_eff = eigh_hermitian(h_eff)
-    u = intertwiner.matrix
     moved = v_eff.conj().T @ (u @ start)
     back = u.conj().T @ v_eff
     t = np.asarray(times, dtype=float)[:, None]
-    full = np.exp(-1j * t * source.energies[None, :]) * start[None, :]
+    full = np.exp(-1j * t * energies[None, :]) * start[None, :]
     eff = (np.exp(-1j * t * w_eff[None, :]) * moved[None, :]) @ back.T
     return np.linalg.norm(full - eff, axis=1)
 
@@ -323,15 +195,19 @@ def defect_scaling(
                 )
             )
             continue
-        # the window closes midway across the cluster gap, or above the whole
-        # spectrum when the basis keeps only the lowest level
-        top = 0.5 * float(w[n_flux - 1] + w[n_flux]) if basis.dim > n_flux else np.inf
-        p = spectral_projection((w, v), (float(w[0]) - 1.0, top))
-        q = Projector.block(basis.dim, n_flux)
-        intertwiner = nagy_intertwiner(p, q)
+        p, energies = v[:, :n_flux], w[:n_flux]
+        # ||V^dag V - I||_F bounds the 2-norms of P^2 - P and P - P^dag
+        dev = float(np.linalg.norm(p.conj().T @ p - np.eye(n_flux)))
+        if dev > 1e-10:
+            raise NumericalCheckError(
+                f"projector frame at B = {b_used:.12g} is not orthonormal: "
+                f"||V^dag V - I||_F = {dev:.3e} > 1e-10"
+            )
+        q = np.eye(basis.dim, n_flux, dtype=complex)
+        u = nagy_intertwiner(p, q)
         h_eff = 2.0 * b_used * np.eye(n_flux) + lll_effective(basis, potential)
-        psi = WavePacket.random(basis.dim, seed)
-        defects = defect_curve(h_eff, intertwiner, psi, (0.0,) + times)
+        psi = random_packet(basis.dim, seed)
+        defects = defect_curve(energies, p, u, h_eff, psi, (0.0,) + times)
         rows.append(
             DefectRow(
                 field_requested=float(b_req),

@@ -219,7 +219,6 @@ class BoxOperator:
 
     side: int
     boundary: str
-    field: float
     matrix: np.ndarray
 
 
@@ -270,7 +269,7 @@ def symmetric_gauge_box(B: float, L: int, boundary: str = "open") -> BoxOperator
                     -1j * 2.0 * pi * B * L * n
                 )
     h = h + h.conj().T
-    return BoxOperator(side=L, boundary=boundary, field=float(B), matrix=h)
+    return BoxOperator(side=L, boundary=boundary, matrix=h)
 
 
 def add_onsite_disorder(op: BoxOperator, values: Sequence[float]) -> BoxOperator:
@@ -284,6 +283,5 @@ def add_onsite_disorder(op: BoxOperator, values: Sequence[float]) -> BoxOperator
     return BoxOperator(
         side=op.side,
         boundary=op.boundary,
-        field=op.field,
         matrix=op.matrix + np.diag(vals),
     )

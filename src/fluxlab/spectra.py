@@ -269,16 +269,18 @@ def chern_numbers(family: BlochFiberFamily, grid: int = 30) -> list[int]:
     h = family.batch(ks, ks)
     w, v = np.linalg.eigh(h)
 
-    sep = np.diff(w, axis=-1)
-    worst = np.unravel_index(np.argmin(sep), sep.shape)
-    if sep[worst] < 1e-8:
-        k_point = (float(ks[worst[0]]), float(ks[worst[1]]))
-        raise DegenerateBandsError(
-            f"bands {worst[2]} and {worst[2] + 1} are degenerate at "
-            f"k = ({k_point[0]:.6f}, {k_point[1]:.6f}) "
-            f"(gap {sep[worst]:.3e}); Chern numbers are undefined there",
-            k_point=k_point,
-        )
+    # a single band (q = 1) has no neighbour to touch
+    if q > 1:
+        sep = np.diff(w, axis=-1)
+        worst = np.unravel_index(np.argmin(sep), sep.shape)
+        if sep[worst] < 1e-8:
+            k_point = (float(ks[worst[0]]), float(ks[worst[1]]))
+            raise DegenerateBandsError(
+                f"bands {worst[2]} and {worst[2] + 1} are degenerate at "
+                f"k = ({k_point[0]:.6f}, {k_point[1]:.6f}) "
+                f"(gap {sep[worst]:.3e}); Chern numbers are undefined there",
+                k_point=k_point,
+            )
 
     vx = np.roll(v, -1, axis=0)
     vy = np.roll(v, -1, axis=1)

@@ -94,6 +94,12 @@ def test_chern_artifact_bytes_are_stable(tmp_path):
     assert sidecar["config"]["kgrid"] == 30
 
 
+@pytest.mark.parametrize("flux", ["0/1", "1/1"])
+def test_chern_single_band_is_zero(flux, capsys):
+    assert main(["chern", "--flux", flux]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["band,chern", "0,0"]
+
+
 def test_chern_degenerate_bands_exit_4(capsys):
     assert main(["chern", "--flux", "1/2", "--kgrid", "32"]) == 4
     assert "error:" in capsys.readouterr().err
@@ -235,6 +241,7 @@ def test_nonpositive_grid_exits_2(argv, flag, capsys):
         (["disorder-dos", "--dist", "foo"], "--dist", "must be uniform or gaussian"),
         (["dynamics-defect", "--times", "0"], "--times", "must hold a nonzero time"),
         (["chern", "--kgrid", "1"], "--kgrid", "must be >= 2"),
+        (["disorder-dos", "--W", "-1"], "--W", "must be >= 0"),
     ],
 )
 def test_bad_value_exits_2_before_any_eigensolve(
@@ -248,6 +255,27 @@ def test_bad_value_exits_2_before_any_eigensolve(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"error: bad value for {flag}:" in err and reason in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["disorder-dos", "--flux", "0/1", "--L", "30", "--nseeds", "20"],
+        ["disorder-dos", "--flux", "1/3", "--gap-tol", "10"],
+    ],
+)
+def test_gapless_clean_bands_exit_2_before_any_box_solve(argv, monkeypatch, capsys):
+    # the clean bands come from stacks of fibers; a single 2-D solve is a box
+    real = np.linalg.eigvalsh
+
+    def fibers_only(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            raise AssertionError("box eigensolve before the clean gaps were checked")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fibers_only)
+    assert main(argv) == 2
+    assert "has no gap to fill" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

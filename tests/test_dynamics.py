@@ -1,4 +1,4 @@
-"""Tests for time evolution, spectral projectors, intertwiners, defects."""
+"""Tests for time evolution, projector frames, intertwiners, defects."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,7 @@ from fluxlab import (
     DefectRow,
     FourierPotential,
     InfeasibleModelError,
-    IntertwinerUnitary,
     NumericalCheckError,
-    Projector,
-    WavePacket,
-    continuum_hamiltonian,
     defect_curve,
     defect_scaling,
     eigh_hermitian,
@@ -22,12 +18,11 @@ from fluxlab import (
     lll_effective,
     nagy_intertwiner,
     projector_distance,
-    spectral_projection,
+    random_packet,
     strong_field_report,
-    torus_basis,
 )
 from fluxlab import continuum, dynamics, spectra
-from fluxlab.cli import decreasing_gate
+from fluxlab.cli import decreasing_gate, main
 
 
 def random_hermitian(dim, seed):
@@ -36,74 +31,70 @@ def random_hermitian(dim, seed):
     return 0.5 * (a + a.conj().T)
 
 
+def normalized(vector):
+    vec = np.asarray(vector, dtype=complex)
+    return vec / np.linalg.norm(vec)
+
+
+def block(dim, size):
+    """Frame of the projector onto the first `size` coordinates."""
+    return np.eye(dim, size, dtype=complex)
+
+
+def matrix(frame):
+    """The d x d projector V V^dag of an orthonormal frame."""
+    return frame @ frame.conj().T
+
+
 def test_wave_packet_validation():
-    with pytest.raises(ConfigError):
-        WavePacket(np.array([1.0, 1.0]))
-    with pytest.raises(ConfigError):
-        WavePacket.normalized(np.zeros(4))
-    psi = WavePacket.normalized([3.0, 4.0])
-    assert abs(np.linalg.norm(psi.vector) - 1.0) < 1e-12
-    assert psi.dim == 2
-    a = WavePacket.random(16, seed=5)
-    b = WavePacket.random(16, seed=5)
-    assert np.array_equal(a.vector, b.vector)
-    assert not np.array_equal(a.vector, WavePacket.random(16, seed=6).vector)
+    psi = random_packet(16, seed=5)
+    assert psi.shape == (16,) and psi.dtype == complex
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+    assert np.array_equal(psi, random_packet(16, seed=5))
+    assert not np.array_equal(psi, random_packet(16, seed=6))
 
 
 def test_wave_packet_stream_is_counter_based():
     # real parts take counters 0..d-1 of hashed_normal, imaginary parts d..2d-1
-    psi = WavePacket.random(4, seed=7)
+    psi = random_packet(4, seed=7)
     z = hashed_normal(7, np.arange(8))
     expected = z[:4] + 1j * z[4:]
-    assert np.array_equal(psi.vector, expected / np.linalg.norm(expected))
+    assert np.array_equal(psi, expected / np.linalg.norm(expected))
     pinned = [
         0.11707639112387154 - 0.1613600873672875j,
         -0.38365608906530674 - 0.20078534983431248j,
         0.4981533225465174 - 0.5800989980349774j,
         -0.24715820246323106 + 0.3563573096361048j,
     ]
-    assert np.max(np.abs(psi.vector - pinned)) < 1e-14
-    negative = WavePacket.random(3, seed=-1).vector
+    assert np.max(np.abs(psi - pinned)) < 1e-14
+    negative = random_packet(3, seed=-1)
     assert abs(negative[0] - (0.6431747954403726 + 0.11323270843225144j)) < 1e-14
 
 
-def test_projector_validation():
-    with pytest.raises(ConfigError):
-        Projector(np.zeros((2, 3)))
-    with pytest.raises(NumericalCheckError):
-        Projector(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(NumericalCheckError):
-        Projector(0.5 * np.eye(3))
-    p = Projector.block(5, 2)
-    assert p.rank == 2
-    assert p.dim == 5
-    assert np.array_equal(np.diag(p.matrix).real, [1, 1, 0, 0, 0])
+def test_intertwiner_validation(monkeypatch):
+    p = block(4, 2)
+    assert np.linalg.norm(nagy_intertwiner(p, p) - np.eye(2)) < 1e-12
+    # a non-unitary polar factor fails the unitarity check, not a config check
+    real = np.linalg.svd
 
+    def shrunk(a, *args, **kwargs):
+        u, s, vh = real(a, *args, **kwargs)
+        return u, s, 0.5 * vh
 
-def test_intertwiner_validation():
-    p = Projector.block(4, 2)
-    q = Projector(np.eye(4)[:, 2:])
-    with pytest.raises(NumericalCheckError):
-        IntertwinerUnitary(matrix=0.5 * np.eye(2), source=p, target=p)
-    with pytest.raises(ConfigError):
-        IntertwinerUnitary(matrix=np.eye(2), source=p, target=Projector.block(4, 3))
-    with pytest.raises(ConfigError):
-        IntertwinerUnitary(matrix=np.eye(3), source=p, target=p)
-    # the factored swap: W V_p = V_q U carries P onto Q
-    w = IntertwinerUnitary(matrix=np.eye(2), source=p, target=q)
-    wv = q.frame @ w.matrix
-    assert np.allclose(wv @ wv.conj().T, q.matrix)
+    monkeypatch.setattr(np.linalg, "svd", shrunk)
+    with pytest.raises(NumericalCheckError, match="not unitary"):
+        nagy_intertwiner(p, p)
 
 
 def evolve(h, psi, t):
     """Dense oracle: e^{-i t H} psi via a full eigendecomposition."""
     h = np.asarray(h)
-    if h.shape[0] != psi.dim:
+    if h.shape[0] != psi.size:
         raise ConfigError(
-            f"dimension mismatch: operator {h.shape[0]}, state {psi.dim}"
+            f"dimension mismatch: operator {h.shape[0]}, state {psi.size}"
         )
     w, v = np.linalg.eigh(h)
-    return WavePacket(v @ (np.exp(-1j * float(t) * w) * (v.conj().T @ psi.vector)))
+    return v @ (np.exp(-1j * float(t) * w) * (v.conj().T @ psi))
 
 
 def dense_nagy(pm, qm):
@@ -116,13 +107,12 @@ def dense_nagy(pm, qm):
 
 def dense_defect(h_full, h_eff, pm, wmat, psi, times):
     """Dense oracle for defect_curve with d x d operators and intertwiner."""
-    start = WavePacket.normalized(pm @ psi.vector)
-    moved = WavePacket(wmat @ start.vector)
+    start = normalized(pm @ psi)
+    moved = wmat @ start
     return np.array(
         [
             np.linalg.norm(
-                evolve(h_full, start, t).vector
-                - wmat.conj().T @ evolve(h_eff, moved, t).vector
+                evolve(h_full, start, t) - wmat.conj().T @ evolve(h_eff, moved, t)
             )
             for t in times
         ]
@@ -139,78 +129,35 @@ def padded(h_r, dim):
 
 def test_evolve_zero_time_is_identity():
     h = random_hermitian(9, seed=0)
-    psi = WavePacket.random(9, seed=1)
+    psi = random_packet(9, seed=1)
     out = evolve(h, psi, 0.0)
-    assert np.linalg.norm(out.vector - psi.vector) < 1e-12
+    assert np.linalg.norm(out - psi) < 1e-12
 
 
 def test_evolve_diagonal_phases():
     h = np.diag([1.0, 2.0, 5.0])
-    psi = WavePacket.normalized([1.0, 1.0, 1.0])
+    psi = normalized([1.0, 1.0, 1.0])
     out = evolve(h, psi, 0.25)
-    expected = psi.vector * np.exp(-1j * 0.25 * np.array([1.0, 2.0, 5.0]))
-    assert np.linalg.norm(out.vector - expected) < 1e-12
+    expected = psi * np.exp(-1j * 0.25 * np.array([1.0, 2.0, 5.0]))
+    assert np.linalg.norm(out - expected) < 1e-12
 
 
 def test_evolve_unitary_and_group_law():
     h = random_hermitian(12, seed=2)
-    psi = WavePacket.random(12, seed=3)
+    psi = random_packet(12, seed=3)
     for t in (0.3, 1.7, -0.9):
         out = evolve(h, psi, t)
-        assert abs(np.linalg.norm(out.vector) - 1.0) < 1e-10
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-10
         back = evolve(h, out, -t)
-        assert np.linalg.norm(back.vector - psi.vector) < 1e-10
+        assert np.linalg.norm(back - psi) < 1e-10
     ab = evolve(h, evolve(h, psi, 0.4), 0.8)
     direct = evolve(h, psi, 1.2)
-    assert np.linalg.norm(ab.vector - direct.vector) < 1e-8
+    assert np.linalg.norm(ab - direct) < 1e-8
 
 
 def test_evolve_dimension_mismatch():
     with pytest.raises(ConfigError):
-        evolve(np.eye(3), WavePacket.random(4, seed=0), 1.0)
-
-
-def test_spectral_projection_window_extremes():
-    h = np.diag([0.0, 1.0, 2.0])
-    full = spectral_projection(eigh_hermitian(h), (-1.0, 3.0))
-    assert full.rank == 3
-    assert np.allclose(full.matrix, np.eye(3))
-    assert np.array_equal(full.energies, [0.0, 1.0, 2.0])
-    empty = spectral_projection(eigh_hermitian(h), (0.2, 0.8))
-    assert empty.rank == 0
-    assert np.allclose(empty.matrix, 0.0)
-    with pytest.raises(ConfigError):
-        spectral_projection(eigh_hermitian(h), (2.0, 1.0))
-
-
-def test_spectral_projection_commutes_with_operator():
-    h = random_hermitian(30, seed=11)
-    w = np.linalg.eigvalsh(h)
-    window = (w[0] - 1.0, 0.5 * (w[9] + w[10]))
-    p = spectral_projection(eigh_hermitian(h), window)
-    assert p.rank == 10
-    comm = p.matrix @ h - h @ p.matrix
-    assert np.linalg.norm(comm, 2) < 1e-9
-    assert np.linalg.norm(h @ p.frame - p.frame * p.energies[None, :]) < 1e-9
-
-
-def test_spectral_projection_boundary_collision():
-    h = np.diag([0.0, 1.0, 2.0])
-    with pytest.raises(InfeasibleModelError):
-        spectral_projection(eigh_hermitian(h), (1.0, 3.5))
-    with pytest.raises(InfeasibleModelError):
-        spectral_projection(eigh_hermitian(h), (-0.5, 2.0 + 1e-12))
-
-
-def test_spectral_projection_lowest_landau_cluster():
-    basis = torus_basis(10.0, 4, 4)
-    n_flux = basis.n_flux
-    ham = continuum_hamiltonian(basis, FourierPotential.cosine_xy(1.0))
-    w = np.linalg.eigvalsh(ham.matrix)
-    window = (float(w[0]) - 1.0, 0.5 * float(w[n_flux - 1] + w[n_flux]))
-    p = spectral_projection(eigh_hermitian(ham.matrix), window)
-    assert p.rank == n_flux
-    assert np.linalg.norm(p.matrix @ ham.matrix - ham.matrix @ p.matrix, 2) < 1e-9
+        evolve(np.eye(3), random_packet(4, seed=0), 1.0)
 
 
 def random_frame(dim, rank, seed):
@@ -219,41 +166,41 @@ def random_frame(dim, rank, seed):
 
 def test_nagy_identity_for_equal_projectors():
     for seed in range(20):
-        p = Projector(random_frame(6, 2, seed))
-        w = nagy_intertwiner(p, p)
-        assert np.linalg.norm(w.matrix - np.eye(2), 2) < 1e-12
-        dense = dense_nagy(p.matrix, p.matrix)
+        p = random_frame(6, 2, seed)
+        u = nagy_intertwiner(p, p)
+        assert np.linalg.norm(u - np.eye(2), 2) < 1e-12
+        dense = dense_nagy(matrix(p), matrix(p))
         assert np.linalg.norm(dense - np.eye(6), 2) < 1e-12
-        assert np.linalg.norm(dense @ p.frame - p.frame @ w.matrix) < 1e-12
+        assert np.linalg.norm(dense @ p - p @ u) < 1e-12
 
 
 def test_nagy_intertwines_rotated_projectors():
-    p = Projector.block(8, 3)
+    p = block(8, 3)
     eps = 0.05
     for seed in range(40):
         a = random_hermitian(8, seed=seed)
         wa, va = np.linalg.eigh(a)
-        u = (va * np.exp(1j * eps * wa)[None, :]) @ va.conj().T
-        q = Projector(u @ p.frame)
-        w = nagy_intertwiner(p, q)
-        wv = q.frame @ w.matrix
-        moved = wv @ wv.conj().T
-        assert np.linalg.norm(moved - q.matrix, 2) < 1e-10
-        assert np.linalg.norm(
-            w.matrix @ w.matrix.conj().T - np.eye(3), 2
-        ) < 1e-10
+        rot = (va * np.exp(1j * eps * wa)[None, :]) @ va.conj().T
+        q = rot @ p
+        u = nagy_intertwiner(p, q)
+        wv = q @ u
+        assert np.linalg.norm(matrix(wv) - matrix(q), 2) < 1e-10
+        assert np.linalg.norm(u @ u.conj().T - np.eye(3), 2) < 1e-10
         # the factored intertwiner is the dense one restricted to ran P
-        dense = dense_nagy(p.matrix, q.matrix)
-        assert np.linalg.norm(dense @ p.frame - wv) < 1e-12
-        exact = np.linalg.norm(p.matrix - q.matrix, 2)
+        dense = dense_nagy(matrix(p), matrix(q))
+        assert np.linalg.norm(dense @ p - wv) < 1e-12
+        exact = np.linalg.norm(matrix(p) - matrix(q), 2)
         assert abs(projector_distance(p, q) - exact) < 1e-12
 
 
 def test_nagy_rank_mismatch_rejected():
     with pytest.raises(InfeasibleModelError):
-        nagy_intertwiner(Projector.block(6, 2), Projector.block(6, 3))
+        nagy_intertwiner(block(6, 2), block(6, 3))
     with pytest.raises(ConfigError):
-        nagy_intertwiner(Projector.block(6, 2), Projector.block(7, 2))
+        nagy_intertwiner(block(6, 2), block(7, 2))
+    # orthogonal ranges: ||P - Q|| = 1
+    with pytest.raises(InfeasibleModelError, match=">= 1"):
+        nagy_intertwiner(block(4, 2), np.eye(4)[:, 2:])
 
 
 def block_dominant_hamiltonian(dim, seed, strength=0.05):
@@ -265,56 +212,55 @@ def block_dominant_hamiltonian(dim, seed, strength=0.05):
 
 
 def lowest_cluster(h, rank):
-    """(eigenpairs, spectral projector onto the lowest `rank` levels)."""
+    """(eigenpairs, frame and energies of the lowest `rank` levels)."""
     w, v = eigh_hermitian(h)
-    window = (float(w[0]) - 1.0, 0.5 * float(w[rank - 1] + w[rank]))
-    return (w, v), spectral_projection((w, v), window)
+    return (w, v), v[:, :rank], w[:rank]
 
 
 def test_defect_vanishes_for_exact_compression():
     dim, rank = 12, 4
     times = [0.0, 0.5, 1.0, 2.0, 4.0]
-    q = Projector.block(dim, rank)
+    q = block(dim, rank)
     for seed in range(20):
         h = block_dominant_hamiltonian(dim, seed=3 + seed)
-        (w, v), p = lowest_cluster(h, rank)
-        psi = WavePacket.random(dim, seed=9 + seed)
+        (w, v), p, energies = lowest_cluster(h, rank)
+        psi = random_packet(dim, seed=9 + seed)
 
         # route 1: the eigenbasis itself intertwines P with the coordinate block
-        w_eig = IntertwinerUnitary(
-            matrix=(v.conj().T @ p.frame)[:rank], source=p, target=q
-        )
-        d1 = defect_curve(np.diag(w[:rank]), w_eig, psi, times)
+        u_eig = (v.conj().T @ p)[:rank]
+        d1 = defect_curve(energies, p, u_eig, np.diag(w[:rank]), psi, times)
         assert d1.max() < 1e-8
-        oracle1 = dense_defect(h, np.diag(w), p.matrix, v.conj().T, psi, times)
+        oracle1 = dense_defect(h, np.diag(w), matrix(p), v.conj().T, psi, times)
         assert np.max(np.abs(d1 - oracle1)) < 1e-12
 
         # route 2: canonical intertwiner, effective operator = W H W^dag
-        w_can = nagy_intertwiner(p, q)
-        u = w_can.matrix
-        d2 = defect_curve(u @ np.diag(p.energies) @ u.conj().T, w_can, psi, times)
+        u = nagy_intertwiner(p, q)
+        d2 = defect_curve(
+            energies, p, u, u @ np.diag(energies) @ u.conj().T, psi, times
+        )
         assert d2.max() < 1e-8
-        wd = dense_nagy(p.matrix, q.matrix)
-        oracle2 = dense_defect(h, wd @ h @ wd.conj().T, p.matrix, wd, psi, times)
+        wd = dense_nagy(matrix(p), matrix(q))
+        oracle2 = dense_defect(h, wd @ h @ wd.conj().T, matrix(p), wd, psi, times)
         assert np.max(np.abs(d2 - oracle2)) < 1e-12
 
 
 def test_defect_zero_time_and_bound():
     dim, rank = 10, 3
     times = np.linspace(0.0, 3.0, 13)
-    q = Projector.block(dim, rank)
+    q = block(dim, rank)
+    zero = np.zeros((rank, rank))
     for seed in range(20):
         h = block_dominant_hamiltonian(dim, seed=4 + seed)
-        _, p = lowest_cluster(h, rank)
-        inter = nagy_intertwiner(p, q)
-        psi = WavePacket.random(dim, seed=5 + seed)
-        d = defect_curve(np.zeros((rank, rank)), inter, psi, times)
+        _, p, energies = lowest_cluster(h, rank)
+        u = nagy_intertwiner(p, q)
+        psi = random_packet(dim, seed=5 + seed)
+        d = defect_curve(energies, p, u, zero, psi, times)
         assert d[0] < 1e-12
         assert d.max() <= 2.0 + 1e-12
-        single = defect_curve(np.zeros((rank, rank)), inter, psi, [1.5])[0]
+        single = defect_curve(energies, p, u, zero, psi, [1.5])[0]
         assert abs(single - d[np.where(times == 1.5)[0][0]]) < 1e-12
-        wd = dense_nagy(p.matrix, q.matrix)
-        oracle = dense_defect(h, np.zeros((dim, dim)), p.matrix, wd, psi, times)
+        wd = dense_nagy(matrix(p), matrix(q))
+        oracle = dense_defect(h, np.zeros((dim, dim)), matrix(p), wd, psi, times)
         assert np.max(np.abs(d - oracle)) < 1e-12
 
 
@@ -322,32 +268,38 @@ def test_defect_is_continuous_in_time():
     dim, rank = 10, 3
     delta = 1e-4
     times = [0.7, 0.7 + delta, 1.9, 1.9 + delta]
-    q = Projector.block(dim, rank)
+    q = block(dim, rank)
     for seed in range(20):
         h = block_dominant_hamiltonian(dim, seed=6 + seed)
         h_eff = h[:rank, :rank]
-        _, p = lowest_cluster(h, rank)
-        inter = nagy_intertwiner(p, q)
-        psi = WavePacket.random(dim, seed=7 + seed)
-        d = defect_curve(h_eff, inter, psi, times)
+        _, p, energies = lowest_cluster(h, rank)
+        u = nagy_intertwiner(p, q)
+        psi = random_packet(dim, seed=7 + seed)
+        d = defect_curve(energies, p, u, h_eff, psi, times)
         lipschitz = np.linalg.norm(h, 2) + np.linalg.norm(h_eff, 2)
         assert abs(d[1] - d[0]) <= 1.01 * delta * lipschitz
         assert abs(d[3] - d[2]) <= 1.01 * delta * lipschitz
-        wd = dense_nagy(p.matrix, q.matrix)
-        oracle = dense_defect(h, padded(h_eff, dim), p.matrix, wd, psi, times)
+        wd = dense_nagy(matrix(p), matrix(q))
+        oracle = dense_defect(h, padded(h_eff, dim), matrix(p), wd, psi, times)
         assert np.max(np.abs(d - oracle)) < 1e-12
 
 
 def test_defect_rejects_orthogonal_start():
-    _, p = lowest_cluster(np.diag([0.0, 1.0, 2.0, 3.0]), 2)
-    inter = nagy_intertwiner(p, p)
-    psi = WavePacket.normalized([0.0, 0.0, 1.0, 0.0])
-    with pytest.raises(ConfigError):
-        defect_curve(np.eye(2), inter, psi, [0.0, 1.0])
-    # the full evolution is read from a spectral projection, never a bare frame
-    block = Projector.block(4, 2)
-    with pytest.raises(ConfigError):
-        defect_curve(np.eye(2), nagy_intertwiner(block, block), psi, [0.0, 1.0])
+    _, p, energies = lowest_cluster(np.diag([0.0, 1.0, 2.0, 3.0]), 2)
+    u = nagy_intertwiner(p, p)
+    psi = normalized([0.0, 0.0, 1.0, 0.0])
+    with pytest.raises(ConfigError, match="vanishes"):
+        defect_curve(energies, p, u, np.eye(2), psi, [0.0, 1.0])
+    # every operand has to match the frame's d x r shape
+    start = normalized([1.0, 0.0, 0.0, 0.0])
+    for args in (
+        (energies, p, u, np.eye(3), start),
+        (energies[:1], p, u, np.eye(2), start),
+        (energies, p, np.eye(3), np.eye(2), start),
+        (energies, p, u, np.eye(2), start[:3]),
+    ):
+        with pytest.raises(ConfigError, match="dimension mismatch"):
+            defect_curve(*args, [0.0, 1.0])
 
 
 def test_fit_slope_through_origin():
@@ -429,7 +381,7 @@ def test_defect_scaling_matches_dense_oracle():
             h_eff = padded(
                 2.0 * basis.field * np.eye(r) + lll_effective(basis, potential), dim
             )
-            psi = WavePacket.random(dim, seed)
+            psi = random_packet(dim, seed)
             curve = dense_defect(
                 h, h_eff, pm, dense_nagy(pm, qm), psi, times
             )
@@ -450,6 +402,25 @@ def test_defect_zero_is_measured_off_grid(monkeypatch):
         n_cells=2,
     )
     assert abs(row.defect_zero - 1.0) < 1e-10
+
+
+def test_non_orthonormal_frame_fails_the_frame_check(monkeypatch, capsys):
+    # eigenvectors stretched by 1e-8 give ||V^dag V - I||_F ~ 2e-8 sqrt(r)
+    real = np.linalg.eigh
+
+    def stretched(a, *args, **kwargs):
+        w, v = real(a, *args, **kwargs)
+        return w, (1.0 + 1e-8) * v
+
+    monkeypatch.setattr(dynamics.np.linalg, "eigh", stretched)
+    with pytest.raises(NumericalCheckError, match="not orthonormal"):
+        defect_scaling(
+            [5.0], FourierPotential.cosine_xy(1.0), times=(0.5,), n_levels=3,
+            n_cells=2,
+        )
+    argv = ["dynamics-defect", "--B", "5", "--nlevels", "3", "--ncells", "2"]
+    assert main(argv) == 3
+    assert "not orthonormal" in capsys.readouterr().err
 
 
 def test_eigensolve_budget(monkeypatch):

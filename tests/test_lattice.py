@@ -193,7 +193,7 @@ def test_plaquette_flux_reads_the_matrix_not_the_label():
             if m + 1 < L:
                 h[idx(n, m), idx(n, m + 1)] += np.exp(-2j * np.pi * alpha * n)
     h = h + h.conj().T
-    op = BoxOperator(side=L, boundary="open", field=alpha, matrix=h)
+    op = BoxOperator(side=L, boundary="open", matrix=h)
     for n in range(L - 1):
         for m in range(L - 1):
             assert abs(plaquette_flux(op, n, m) - alpha) < 1e-12

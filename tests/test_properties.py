@@ -1,6 +1,6 @@
 """Property tests: Hausdorff metric axioms, Chambers invariance, Chern numbers
-against the TKNN Diophantine rule, and the exit-code contract of the continuum
-and lattice commands.
+against the TKNN Diophantine rule, and the exit-code contract of the continuum,
+lattice and disorder commands.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same cases. Hypothesis also caches the literals it scans from the
@@ -204,4 +204,33 @@ def test_lattice_commands_keep_the_exit_code_contract(
         code = main(argv)
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     if any(flags.get(key, 0.0) < 0 for key in ("tol", "gap-tol")):
+        assert code == 2, argv
+
+
+@fixed
+@given(
+    usually(
+        st.floats(0.0, 10.0),
+        st.sampled_from([-1.0, -1e-12, math.nan, math.inf, -math.inf, 1e308]),
+    ),
+    usually(st.floats(1e-3, 1.0), st.sampled_from([0.0, -1.0, math.nan]), one_in=10),
+    st.integers(1, 40),
+    tolerances,
+    usually(st.sampled_from([3, 6]), st.integers(1, 5)),
+    usually(st.sampled_from(["1/3", "0/1"]), st.just("2/4"), one_in=10),
+    st.integers(1, 2),
+    st.integers(1, 8),
+)
+def test_disorder_command_keeps_the_exit_code_contract(
+    strength, width, bins, gap_tol, side, flux, nseeds, kgrid
+):
+    flags = {"W": strength, "width": width, "bins": bins, "gap-tol": gap_tol,
+             "L": side, "flux": flux, "nseeds": nseeds, "kgrid": kgrid}
+    argv = ["disorder-dos"] + [f"--{key}={value}" for key, value in flags.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    if not strength >= 0 or math.isinf(strength):
         assert code == 2, argv
