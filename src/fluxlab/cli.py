@@ -98,6 +98,16 @@ def _worst(values) -> float:
     return float(np.max(values)) if values else 0.0
 
 
+# Limit of the exact-band gates of butterfly and fiber-spectrum; the grid
+# eigenvalues of the nearest-neighbour model sit within ~1e-14 of the bands.
+_EXACT_BAND_TOL = 1e-10
+
+
+def _outside_exact_bands(values, flux) -> float:
+    """Largest distance from any of the values to exact_bands(flux)."""
+    return float(distance_to_intervals(values, exact_bands(flux)).max())
+
+
 def _separation_gate(rows) -> Gate:
     """Exit 4 unless every lowest cluster is separated; commands list it
     before their exit-3 gates so that it takes precedence."""
@@ -351,9 +361,11 @@ def _cmd_butterfly(p: dict) -> RunArtifact:
                 fluxes.append(RationalFlux(num, q))
     fluxes.sort(key=lambda f: (f.value, f.q))
     rows = []
+    outside = []
     for flux in fluxes:
         w = fiber_eigenvalues(hofstadter_family(flux), p["kgrid"])
         per_band = w.reshape(-1, flux.q)
+        outside.append(_outside_exact_bands(per_band, flux))
         lo = per_band.min(axis=0)
         hi = per_band.max(axis=0)
         quarts = np.quantile(per_band, [0.25, 0.5, 0.75], axis=0)
@@ -375,6 +387,7 @@ def _cmd_butterfly(p: dict) -> RunArtifact:
         rows=rows,
         meta={"n_flux_values": len(fluxes)},
         summary=f"{len(fluxes)} flux values, {len(rows)} band rows",
+        gates=[Gate("outside_exact_bands", _worst(outside), _EXACT_BAND_TOL)],
     )
 
 
@@ -390,6 +403,7 @@ def _cmd_fiber_spectrum(p: dict) -> RunArtifact:
     flux = RationalFlux.from_string(p["flux"])
     n2 = p["kgrid2"] or p["kgrid"]
     sample = spectrum_union(hofstadter_family(flux), p["kgrid"], n2)
+    outside = _outside_exact_bands(sample, flux)
     rows, gap_tol = _band_rows(sample, p["gap_tol"])
     return RunArtifact(
         columns=["band", "e_lo", "e_hi"],
@@ -401,6 +415,7 @@ def _cmd_fiber_spectrum(p: dict) -> RunArtifact:
             "e_max": float(sample[-1]),
         },
         summary=f"{len(rows)} band(s) in [{sample[0]:.6g}, {sample[-1]:.6g}]",
+        gates=[Gate("outside_exact_bands", outside, _EXACT_BAND_TOL)],
     )
 
 
@@ -409,7 +424,7 @@ def _cmd_harper_spectrum(p: dict) -> RunArtifact:
     # cosine model at phase theta and momentum k.
     flux = RationalFlux.from_string(p["flux"])
     sample = spectrum_union(hofstadter_family(flux), p["kgrid"], p["thetagrid"])
-    outside = float(distance_to_intervals(sample, exact_bands(flux)).max())
+    outside = _outside_exact_bands(sample, flux)
     rows, gap_tol = _band_rows(sample, p["gap_tol"])
     return RunArtifact(
         columns=["band", "e_lo", "e_hi"],

@@ -120,11 +120,16 @@ class BlochFiberFamily:
     The terms must come in conjugate pairs so H(k) is Hermitian at every k.
     Storing the harmonic decomposition keeps evaluation over large k grids a
     single einsum instead of a Python loop per point.
+
+    chambers declares that the fiber spectrum depends on k only through
+    cos(q k1) + cos(q k2) (the Chambers relation). Only hofstadter_family
+    sets it; it is never inferred from the terms.
     """
 
     flux: RationalFlux
     dim: int
     terms: tuple  # ((n, m, matrix), ...)
+    chambers: bool = False
 
     def matrix(self, k1: float, k2: float) -> np.ndarray:
         h = np.zeros((self.dim, self.dim), dtype=complex)
@@ -187,7 +192,7 @@ def hofstadter_family(flux: RationalFlux) -> BlochFiberFamily:
         (0, 1, c),
         (0, -1, c.conj().T),
     )
-    return BlochFiberFamily(flux=flux, dim=flux.q, terms=terms)
+    return BlochFiberFamily(flux=flux, dim=flux.q, terms=terms, chambers=True)
 
 
 def peierls_quantize(disp: FourierDispersion, flux: RationalFlux) -> BlochFiberFamily:

@@ -72,20 +72,58 @@ def fiber_eigenvalues(
 ) -> np.ndarray:
     """Eigenvalues of every fiber on the zone grid n1 x n2, shape (n1, n2, q).
 
-    Row chunks of the grid are built and solved in one batched eigensolve
-    each, holding at most about _CHUNK_ENTRIES fiber entries at once.
+    For a family that declares the Chambers relation (family.chambers), the
+    spectrum at k depends only on cos(q k1) + cos(q k2). On the grid
+    k = 2 pi j / n, cos(q k) depends only on the integer
+    r = min(qj mod n, n - qj mod n), so one fiber per distinct r on each
+    axis is solved, at the first grid point with that r, and the result is
+    scattered back to the grid. On a square grid the pair (r1, r2) is
+    unordered as well and only one triangle is solved.
     """
     if n2 is None:
         n2 = n1
     if n1 < 1 or n2 < 1:
         raise ValueError("grid sizes must be >= 1")
     k1, k2 = _zone_grid(n1), _zone_grid(n2)
-    rows = max(1, _CHUNK_ENTRIES // (n2 * family.dim * family.dim))
-    out = np.empty((n1, n2, family.dim))
+    if not family.chambers:
+        return _product_eigenvalues(family, k1, k2, triangle=False)
+    rep1, i1 = _chambers_classes(n1, family.dim)
+    rep2, i2 = _chambers_classes(n2, family.dim)
+    tab = _product_eigenvalues(family, k1[rep1], k2[rep2], triangle=n1 == n2)
+    return tab[i1][:, i2]
+
+
+def _chambers_classes(n: int, q: int):
+    """First grid index of each distinct r = min(qj mod n, n - qj mod n),
+    and the class of every grid index j = 0..n-1."""
+    r = q * np.arange(n) % n
+    _, rep, inv = np.unique(
+        np.minimum(r, n - r), return_index=True, return_inverse=True
+    )
+    return rep, inv
+
+
+def _product_eigenvalues(family, k1, k2, triangle: bool) -> np.ndarray:
+    """Eigenvalues on the product grid k1 x k2, shape (len(k1), len(k2), q).
+
+    Row chunks are built and solved in one batched eigensolve each, holding
+    at most about _CHUNK_ENTRIES fiber entries at once. With triangle (k1
+    and k2 the same momenta and a spectrum symmetric in them) only the
+    fibers on or above the diagonal are solved, and the rest are mirrored.
+    """
+    n1, n2, q = len(k1), len(k2), family.dim
+    rows = max(1, _CHUNK_ENTRIES // (n2 * q * q))
+    out = np.empty((n1, n2, q))
     for start in range(0, n1, rows):
-        out[start : start + rows] = np.linalg.eigvalsh(
-            family.batch(k1[start : start + rows], k2)
-        )
+        h = family.batch(k1[start : start + rows], k2)
+        if triangle:
+            upper = np.arange(n2) >= np.arange(start, start + len(h))[:, None]
+            out[start : start + rows][upper] = np.linalg.eigvalsh(h[upper])
+        else:
+            out[start : start + rows] = np.linalg.eigvalsh(h)
+    if triangle:
+        lower = np.tril_indices(n1, -1)
+        out[lower] = out[lower[::-1]]
     return out
 
 
@@ -153,14 +191,18 @@ def _interval_arrays(obj):
 
     Accepts an (n, 2) array of intervals or a flat array of values
     (degenerate intervals). Overlapping or duplicate inputs are merged so
-    downstream gap logic can rely on strict ordering.
+    downstream gap logic can rely on strict ordering. A flat array that is
+    already non-decreasing, such as a spectrum_union sample, is not sorted
+    again.
     """
     arr = np.asarray(obj, dtype=float)
     if arr.ndim == 2 and arr.shape[1] == 2:
         order = np.argsort(arr[:, 0], kind="stable")
         los, his = arr[order, 0], np.maximum(arr[order, 0], arr[order, 1])
     else:
-        los = his = np.sort(arr.ravel())
+        los = his = arr.ravel()
+        if not np.all(los[1:] >= los[:-1]):  # a NaN sorts too
+            los = his = np.sort(los)
     if los.size == 0:
         raise ValueError("empty interval set")
     run = np.maximum.accumulate(his)

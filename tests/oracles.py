@@ -74,3 +74,14 @@ def tknn_cherns(p, q):
         for r in range(q + 1)
     ]
     return [b - a for a, b in zip(t, t[1:])]
+
+
+def grid_fiber_eigenvalues(family, n1, n2):
+    """Eigenvalues of every fiber on the zone grid n1 x n2, shape (n1, n2, q).
+
+    The whole grid k = 2 pi j / n is built in one `family.batch` call and
+    every fiber is solved, with no use of the Chambers relation.
+    """
+    k1 = 2.0 * np.pi * np.arange(n1) / n1
+    k2 = 2.0 * np.pi * np.arange(n2) / n2
+    return np.linalg.eigvalsh(family.batch(k1, k2))

@@ -350,6 +350,34 @@ def test_harper_spectrum_fails_outside_narrowed_bands(monkeypatch, capsys):
     assert "outside_exact_bands" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["butterfly", "--qmax", "4", "--kgrid", "8"],
+        ["fiber-spectrum", "--flux", "2/5", "--kgrid", "16"],
+    ],
+)
+def test_shifted_fiber_eigenvalues_fail_the_exact_band_gate(argv, monkeypatch, capsys):
+    assert main(argv) == 0
+    assert "  outside_exact_bands = " in capsys.readouterr().err
+    eigvalsh = np.linalg.eigvalsh
+    exact = cli.exact_bands
+
+    def unshifted_exact_bands(flux):
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigvalsh", eigvalsh)
+            return exact(flux)
+
+    # every eigenvalue moves up by 1e-3, the reference bands stay put
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a, *args, **kw: eigvalsh(a, *args, **kw) + 1e-3
+    )
+    monkeypatch.setattr(cli, "exact_bands", unshifted_exact_bands)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "  outside_exact_bands = 0.001" in err and err.rstrip().endswith("FAIL")
+
+
 def test_overflowing_config_value_exits_2(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text('{"qmax": Infinity}')
@@ -404,6 +432,8 @@ def test_config_file_value_lands_in_artifact(tmp_path):
 @pytest.mark.parametrize(
     "argv, code",
     [
+        (["butterfly", "--qmax", "3", "--kgrid", "8"], 0),
+        (["fiber-spectrum", "--flux", "2/5", "--kgrid", "16"], 0),
         (["harper-spectrum", "--flux", "1/3", "--thetagrid", "8", "--kgrid", "8"], 0),
         (["peierls-check", "--flux", "1/3,2/5,3/7", "--kgrid", "8"], 0),
         (["gauge-check", "--B", "1/8", "--L", "8", "--kgrid", "16"], 0),

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from math import gcd
+
 from fluxlab import (
     BlochFiberFamily,
     DegenerateBandsError,
+    FourierDispersion,
     NumericalCheckError,
     RationalFlux,
     band_intervals,
@@ -18,9 +21,12 @@ from fluxlab import (
     fiber_eigenvalues,
     hausdorff,
     hofstadter_family,
+    peierls_quantize,
     spectra,
     spectrum_union,
 )
+
+from oracles import grid_fiber_eigenvalues
 
 
 def nearest_point_distance(a, b):
@@ -103,6 +109,23 @@ def test_hausdorff_accepts_raw_values():
         hausdorff([], [0.0])
 
 
+def test_hausdorff_does_not_sort_a_sorted_sample(monkeypatch):
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=500)
+    b = random_interval_union(rng)
+    sort = np.sort
+
+    def sort_unsorted_only(x, *args, **kwargs):
+        if np.all(np.diff(np.ravel(x)) >= 0):
+            raise AssertionError("a sorted sample was sorted again")
+        return sort(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", sort_unsorted_only)
+    # the unsorted sample is sorted first and gives the same bits
+    assert hausdorff(sort(a), b) == hausdorff(a, b)
+    assert hausdorff(b, sort(a)) == hausdorff(b, a)
+
+
 def random_interval_union(rng):
     pts = np.sort(rng.uniform(-3, 3, size=rng.integers(2, 7) * 2))
     return np.array([(pts[2 * i], pts[2 * i + 1]) for i in range(len(pts) // 2)])
@@ -177,8 +200,17 @@ def test_spectrum_union_single_point_grid():
     assert np.allclose(s, np.linalg.eigvalsh(fam.matrix(0.0, 0.0)), atol=1e-12)
 
 
+def mixed_family(flux):
+    """A Peierls family with a mixed (1, 1) harmonic: no Chambers relation."""
+    disp = FourierDispersion(
+        FourierDispersion.nearest_neighbor().harmonics
+        + ((1, 1, 0.3 + 0.2j), (-1, -1, 0.3 - 0.2j))
+    )
+    return peierls_quantize(disp, flux)
+
+
 def test_spectrum_union_chunking_consistent(monkeypatch):
-    fam = hofstadter_family(RationalFlux(1, 3))
+    fam = mixed_family(RationalFlux(1, 3))
     a = spectrum_union(fam, 24)
     calls = []
     batch = BlochFiberFamily.batch
@@ -195,6 +227,100 @@ def test_spectrum_union_chunking_consistent(monkeypatch):
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
         spectrum_union(fam, 0)
+
+
+def coprime_fluxes(qmax):
+    return [
+        RationalFlux(p, q)
+        for q in range(1, qmax + 1)
+        for p in range(-q, 2 * q + 1)
+        if gcd(p, q) == 1
+    ]
+
+
+def test_chambers_dedup_matches_full_grid():
+    for flux in coprime_fluxes(20):
+        fam = hofstadter_family(flux)
+        assert fam.chambers
+        got = fiber_eigenvalues(fam, 24)
+        assert np.max(np.abs(got - grid_fiber_eigenvalues(fam, 24, 24))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n1, n2",
+    # one- and two-point axes, rectangular grids, grids sharing a factor
+    # with q, and the 64-point butterfly grid
+    [(1, 1), (2, 2), (1, 2), (2, 1), (2, 7), (9, 12), (12, 9), (10, 25), (64, 64),
+     (24, 64)],
+)
+def test_chambers_dedup_matches_full_grid_on_any_grid(n1, n2):
+    sample = coprime_fluxes(20)[:: 3 if n1 * n2 < 1000 else 19]
+    for flux in sample + [RationalFlux(1, 6), RationalFlux(5, 12), RationalFlux(3, 16)]:
+        fam = hofstadter_family(flux)
+        got = fiber_eigenvalues(fam, n1, n2)
+        assert got.shape == (n1, n2, flux.q)
+        assert np.max(np.abs(got - grid_fiber_eigenvalues(fam, n1, n2))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "disp",
+    [
+        FourierDispersion.nearest_neighbor(),
+        FourierDispersion([(1, 1, 0.3 + 0.2j), (-1, -1, 0.3 - 0.2j), (1, 0, 1.0),
+                           (-1, 0, 1.0)]),
+    ],
+)
+def test_peierls_families_solve_the_whole_grid(disp):
+    # even the nearest-neighbour dispersion, whose spectrum obeys the
+    # Chambers relation, keeps the plain grid path: it is never inferred
+    for flux in (RationalFlux(1, 3), RationalFlux(2, 5), RationalFlux(3, 8)):
+        fam = peierls_quantize(disp, flux)
+        assert not fam.chambers
+        for n1, n2 in ((24, 24), (9, 12)):
+            assert np.array_equal(
+                fiber_eigenvalues(fam, n1, n2), grid_fiber_eigenvalues(fam, n1, n2)
+            )
+
+
+@pytest.mark.parametrize("n1, n2", [(64, 64), (64, 24)])
+def test_chambers_dedup_respects_the_chunk_bound(n1, n2, monkeypatch):
+    fam = hofstadter_family(RationalFlux(3, 7))
+    a = fiber_eigenvalues(fam, n1, n2)
+    calls = []
+    batch = BlochFiberFamily.batch
+
+    def counted(self, k1, k2):
+        calls.append(len(k1) * len(k2) * self.dim**2)
+        return batch(self, k1, k2)
+
+    monkeypatch.setattr(BlochFiberFamily, "batch", counted)
+    # 33 (or 13) representatives per axis of 7 x 7 fibers: one representative
+    # row holds 1,617 (or 637) entries, so a chunk of 2,000 entries holds
+    # one row (or three)
+    monkeypatch.setattr(spectra, "_CHUNK_ENTRIES", 2000)
+    b = fiber_eigenvalues(fam, n1, n2)
+    assert len(calls) > 1
+    assert max(calls) <= 2000
+    assert np.array_equal(a, b)
+
+
+def test_butterfly_fluxes_solve_one_fiber_per_chambers_class(monkeypatch):
+    fluxes = [RationalFlux(0, 1), RationalFlux(1, 1)] + [
+        RationalFlux(p, q) for q in range(2, 21) for p in range(1, q) if gcd(p, q) == 1
+    ]
+    assert len(fluxes) == 129
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        solved.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for flux in fluxes:
+        fiber_eigenvalues(hofstadter_family(flux), 64)
+    # the full 64 x 64 grids hold 528,384 fibers
+    assert sum(solved) == 50_769
 
 
 def test_fiber_eigenvalues_grid_layout():
