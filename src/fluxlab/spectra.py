@@ -78,7 +78,8 @@ def fiber_eigenvalues(
     r = min(qj mod n, n - qj mod n), so one fiber per distinct r on each
     axis is solved, at the first grid point with that r, and the result is
     scattered back to the grid. On a square grid the pair (r1, r2) is
-    unordered as well and only one triangle is solved.
+    unordered as well and only one triangle is solved. Other families solve
+    every grid fiber.
     """
     if n2 is None:
         n2 = n1
@@ -201,7 +202,7 @@ def _interval_arrays(obj):
         los, his = arr[order, 0], np.maximum(arr[order, 0], arr[order, 1])
     else:
         los = his = arr.ravel()
-        if not np.all(los[1:] >= los[:-1]):  # a NaN sorts too
+        if not np.all(los[1:] >= los[:-1]):  # NaN compares false: sorted
             los = his = np.sort(los)
     if los.size == 0:
         raise ValueError("empty interval set")

@@ -432,8 +432,6 @@ def test_config_file_value_lands_in_artifact(tmp_path):
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (["butterfly", "--qmax", "3", "--kgrid", "8"], 0),
-        (["fiber-spectrum", "--flux", "2/5", "--kgrid", "16"], 0),
         (["harper-spectrum", "--flux", "1/3", "--thetagrid", "8", "--kgrid", "8"], 0),
         (["peierls-check", "--flux", "1/3,2/5,3/7", "--kgrid", "8"], 0),
         (["gauge-check", "--B", "1/8", "--L", "8", "--kgrid", "16"], 0),
@@ -448,6 +446,8 @@ def test_config_file_value_lands_in_artifact(tmp_path):
              "--times", "0,0.5,1"],
             0,
         ),
+        (["butterfly", "--qmax", "3", "--kgrid", "8"], 0),
+        (["fiber-spectrum", "--flux", "2/5", "--kgrid", "16"], 0),
     ],
 )
 def test_sidecar_records_gates(argv, code, tmp_path, capsys):
