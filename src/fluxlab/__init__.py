@@ -10,9 +10,8 @@ from .errors import (
     NumericalCheckError,
 )
 from .lattice import (
+    NEAREST_NEIGHBOR,
     BlochFiberFamily,
-    BoxOperator,
-    FourierDispersion,
     RationalFlux,
     add_onsite_disorder,
     conjugate_paired,
@@ -22,7 +21,6 @@ from .lattice import (
     weyl_translation,
 )
 from .spectra import (
-    Histogram,
     band_intervals,
     check_hermitian,
     chern_numbers,
@@ -36,6 +34,7 @@ from .spectra import (
     hausdorff,
     sample_values,
     spectrum_union,
+    tknn_cherns,
 )
 from .continuum import (
     ContinuumHamiltonian,
@@ -62,7 +61,6 @@ from .dynamics import (
     random_packet,
 )
 from .disorder import (
-    EnsembleStats,
     anderson_realization,
     ensemble_dos,
     gap_fill_fraction,

@@ -36,7 +36,7 @@ from .disorder import anderson_realization, ensemble_dos, gap_fill_fraction
 from .dynamics import DefectRow, defect_scaling
 from .errors import ConfigError, InfeasibleModelError, NumericalCheckError
 from .lattice import (
-    FourierDispersion,
+    NEAREST_NEIGHBOR,
     RationalFlux,
     add_onsite_disorder,
     hofstadter_family,
@@ -53,6 +53,7 @@ from .spectra import (
     fiber_eigenvalues,
     hausdorff,
     spectrum_union,
+    tknn_cherns,
 )
 
 
@@ -440,28 +441,26 @@ def _cmd_harper_spectrum(p: dict) -> RunArtifact:
 
 
 def _cmd_peierls_check(p: dict) -> RunArtifact:
-    disp = FourierDispersion.nearest_neighbor()
     rows = []
-    worst_overall = 0.0
     for flux_text in p["flux"]:
         flux = RationalFlux.from_string(flux_text)
-        wq = fiber_eigenvalues(peierls_quantize(disp, flux), p["kgrid"])
+        wq = fiber_eigenvalues(peierls_quantize(NEAREST_NEIGHBOR, flux), p["kgrid"])
         wr = fiber_eigenvalues(hofstadter_family(flux), p["kgrid"])
-        worst = float(np.max(np.abs(wq - wr)))
-        rows.append((flux.p, flux.q, worst))
-        worst_overall = max(worst_overall, worst)
+        rows.append((flux.p, flux.q, float(np.max(np.abs(wq - wr)))))
     return RunArtifact(
         columns=["p", "q", "max_eigenvalue_deviation"],
         rows=rows,
         meta={"tol": p["tol"], "kgrid": p["kgrid"]},
         summary=f"{len(rows)} flux value(s) on a {p['kgrid']}^2 k grid",
-        gates=[Gate("max_eigenvalue_deviation", worst_overall, p["tol"])],
+        gates=[
+            Gate("max_eigenvalue_deviation", _worst(row[2] for row in rows), p["tol"])
+        ],
     )
 
 
 def _cmd_gauge_check(p: dict) -> RunArtifact:
     box = symmetric_gauge_box(p["B"], p["L"], boundary="magnetic-periodic")
-    box_vals = eigenvalues_hermitian(box.matrix)
+    box_vals = eigenvalues_hermitian(box)
     box_bands = band_intervals(box_vals, p["gap_tol"])
     target = (2.0 * p["B"]) % 1.0
     flux = RationalFlux.from_float(target, q_max=p["qmax"])
@@ -500,12 +499,16 @@ def _cmd_gauge_check(p: dict) -> RunArtifact:
         rows=rows,
         meta={"tol": p["tol"], "gap_tol": p["gap_tol"], "kgrid": p["kgrid"]},
         summary=f"fiber flux {flux.p}/{flux.q}, containment = {containment:.3e}",
-        gates=[Gate("hausdorff", dist, p["tol"])],
+        gates=[
+            finite_gate("eigenvalue", np.concatenate([box_vals, fiber_sample])),
+            Gate("hausdorff", dist, p["tol"]),
+        ],
     )
 
 
 def _cmd_chern(p: dict) -> RunArtifact:
     flux = RationalFlux.from_string(p["flux"])
+    tknn = tknn_cherns(flux)  # even q: the central bands touch, exit 4
     cherns = chern_numbers(hofstadter_family(flux), grid=p["kgrid"])
     total = sum(cherns)
     rows = [(band, c) for band, c in enumerate(cherns)]
@@ -514,7 +517,10 @@ def _cmd_chern(p: dict) -> RunArtifact:
         rows=rows,
         meta={"kgrid": p["kgrid"], "sum": total},
         summary=f"{tuple(cherns)} sum {total}",
-        gates=[Gate("abs_chern_sum", abs(total), 0)],
+        gates=[
+            Gate("abs_chern_sum", abs(total), 0),
+            Gate("bands_off_tknn", sum(c != t for c, t in zip(cherns, tknn)), 0),
+        ],
     )
 
 
@@ -611,15 +617,15 @@ def _cmd_disorder_dos(p: dict) -> RunArtifact:
         )
     b_box = flux.value / 2.0
     clean = symmetric_gauge_box(b_box, p["L"], boundary="magnetic-periodic")
-    clean_vals = eigenvalues_hermitian(clean.matrix)
+    clean_vals = eigenvalues_hermitian(clean)
     pad = 8.0 * p["width"]
     bounds = (float(clean_vals[0]) - pad - p["W"], float(clean_vals[-1]) + pad + p["W"])
 
     def builder(seed):
         noise = anderson_realization(p["L"], p["dist"], p["W"], seed)
-        return eigenvalues_hermitian(add_onsite_disorder(clean, noise).matrix)
+        return eigenvalues_hermitian(add_onsite_disorder(clean, noise))
 
-    stats = ensemble_dos(
+    edges, density, stderr = ensemble_dos(
         builder,
         p["nseeds"],
         p["seed"],
@@ -627,13 +633,9 @@ def _cmd_disorder_dos(p: dict) -> RunArtifact:
         bins=p["bins"],
         bounds=bounds,
     )
-    hist = stats.histogram
-    fill = gap_fill_fraction(clean_bands, hist)
-    centers = hist.centers
-    rows = [
-        (float(centers[i]), float(hist.density[i]), float(stats.stderr[i]))
-        for i in range(len(centers))
-    ]
+    fill = gap_fill_fraction(clean_bands, edges, density)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    rows = list(zip(centers.tolist(), density.tolist(), stderr.tolist()))
     return RunArtifact(
         columns=["energy", "density", "stderr"],
         rows=rows,
@@ -647,7 +649,7 @@ def _cmd_disorder_dos(p: dict) -> RunArtifact:
         summary=f"W = {p['W']:g}, {p['nseeds']} seeds, "
         f"gap fill fraction = {fill:.4f}",
         gates=[
-            finite_gate("dos", np.concatenate([hist.density, stats.stderr, [fill]]))
+            finite_gate("dos", np.concatenate([density, stderr, [fill]]))
         ],
     )
 

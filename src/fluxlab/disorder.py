@@ -9,12 +9,10 @@ routines, which seed realization j as base_seed + j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
-from .spectra import Histogram, dos, sample_values
+from .spectra import dos, sample_values
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -81,14 +79,6 @@ def anderson_realization(
     )
 
 
-@dataclass(frozen=True)
-class EnsembleStats:
-    """Disorder-averaged histogram with per-bin standard errors."""
-
-    histogram: Histogram
-    stderr: np.ndarray
-
-
 def ensemble_dos(
     builder,
     n: int,
@@ -96,9 +86,12 @@ def ensemble_dos(
     width: float = 0.05,
     bins: int = 200,
     bounds: tuple | None = None,
-) -> EnsembleStats:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Average the smoothed DOS of the eigenvalues builder(seed) returns
     over seeds base..base+n-1.
+
+    Returns (edges, density, stderr): the shared bin edges, the mean density
+    and its per-bin standard error.
 
     All realizations share one binning; when no bounds are given they are
     fixed from the pooled eigenvalue range so the average is well defined.
@@ -113,31 +106,29 @@ def ensemble_dos(
             max(float(v.max()) for v in values) + pad,
         )
     hists = [dos(v, width=width, bins=bins, bounds=bounds) for v in values]
-    stack = np.stack([h.density for h in hists])
+    stack = np.stack([density for _, density in hists])
     mean = stack.mean(axis=0)
     if n > 1:
         stderr = stack.std(axis=0, ddof=1) / np.sqrt(n)
     else:
         stderr = np.zeros_like(mean)
-    return EnsembleStats(
-        histogram=Histogram(edges=hists[0].edges, density=mean), stderr=stderr
-    )
+    return hists[0][0], mean, stderr
 
 
-def gap_fill_fraction(clean: np.ndarray, hist: Histogram) -> float:
-    """Fraction of the DOS mass of hist inside the gaps of the clean band set.
+def gap_fill_fraction(clean: np.ndarray, edges, density) -> float:
+    """Fraction of the DOS mass (density on the bins of edges) inside the
+    gaps of the clean band set.
 
     Bins straddling a gap edge contribute pro rata.
     """
     if len(clean) < 2:
         raise ConfigError("clean spectrum has no gap to fill")
-    edges = hist.edges
     widths = np.diff(edges)
-    total = float(np.sum(hist.density * widths))
+    total = float(np.sum(density * widths))
     if total <= 0:
         raise ConfigError("histogram carries no mass")
     inside = 0.0
     for lo, hi in zip(clean[:-1, 1], clean[1:, 0]):
         overlap = np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo)
-        inside += float(np.sum(hist.density * np.clip(overlap, 0.0, None)))
+        inside += float(np.sum(density * np.clip(overlap, 0.0, None)))
     return inside / total

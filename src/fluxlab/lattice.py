@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, pi
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -90,27 +90,9 @@ def conjugate_paired(harmonics) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FourierDispersion:
-    """Finite Fourier series on the 2-torus: sum_h c_h e^{i (n k1 + m k2)}.
-
-    harmonics is a sequence of (n, m, coefficient). A real-valued dispersion
-    must contain the conjugate partner (-n, -m, conj(c)) for every harmonic.
-    """
-
-    harmonics: tuple
-
-    def __init__(self, harmonics: Iterable[tuple]):
-        entries = []
-        for n, m, c in harmonics:
-            entries.append((int(n), int(m), complex(c)))
-        object.__setattr__(self, "harmonics", tuple(entries))
-
-    @classmethod
-    def nearest_neighbor(cls, amplitude: float = 1.0) -> "FourierDispersion":
-        """2 a cos k1 + 2 a cos k2, the square-lattice hopping dispersion."""
-        a = float(amplitude)
-        return cls([(1, 0, a), (-1, 0, a), (0, 1, a), (0, -1, a)])
+# 2 cos k1 + 2 cos k2 as (n, m, c) harmonics, the square-lattice hopping
+# dispersion.
+NEAREST_NEIGHBOR = ((1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0))
 
 
 @dataclass(frozen=True)
@@ -126,7 +108,6 @@ class BlochFiberFamily:
     sets it; it is never inferred from the terms.
     """
 
-    flux: RationalFlux
     dim: int
     terms: tuple  # ((n, m, matrix), ...)
     chambers: bool = False
@@ -192,43 +173,32 @@ def hofstadter_family(flux: RationalFlux) -> BlochFiberFamily:
         (0, 1, c),
         (0, -1, c.conj().T),
     )
-    return BlochFiberFamily(flux=flux, dim=flux.q, terms=terms, chambers=True)
+    return BlochFiberFamily(dim=flux.q, terms=terms, chambers=True)
 
 
-def peierls_quantize(disp: FourierDispersion, flux: RationalFlux) -> BlochFiberFamily:
+def peierls_quantize(harmonics, flux: RationalFlux) -> BlochFiberFamily:
     """Quantize a Bloch dispersion into a magnetic fiber family.
 
-    Each harmonic (n, m, c) maps to c e^{i (n k1 + m k2)} W(n, m) with W the
-    Weyl-ordered weyl_translation at this flux. W(n, m)^dag = W(-n, -m)
+    harmonics is the dispersion sum_h c_h e^{i (n k1 + m k2)} as a sequence
+    of (n, m, c). Each harmonic maps to c e^{i (n k1 + m k2)} W(n, m) with W
+    the Weyl-ordered weyl_translation at this flux. W(n, m)^dag = W(-n, -m)
     makes the result Hermitian for every real dispersion, mixed harmonics
     included.
     """
-    if not conjugate_paired(disp.harmonics):
+    harmonics = [(int(n), int(m), complex(c)) for n, m, c in harmonics]
+    if not conjugate_paired(harmonics):
         raise ValueError(
             "dispersion is not real: every harmonic (n, m, c) needs the "
             "partner (-n, -m, conj(c))"
         )
     terms = tuple(
-        (n, m, c * weyl_translation(flux, n, m)) for n, m, c in disp.harmonics
+        (n, m, c * weyl_translation(flux, n, m)) for n, m, c in harmonics
     )
-    return BlochFiberFamily(flux=flux, dim=flux.q, terms=terms)
+    return BlochFiberFamily(dim=flux.q, terms=terms)
 
 
-@dataclass(frozen=True)
-class BoxOperator:
-    """Finite L x L magnetic hopping operator.
-
-    boundary is either "open" or "magnetic-periodic". The matrix acts on
-    site indices n * L + m.
-    """
-
-    side: int
-    boundary: str
-    matrix: np.ndarray
-
-
-def symmetric_gauge_box(B: float, L: int, boundary: str = "open") -> BoxOperator:
-    """Symmetric-gauge magnetic hopping operator on an L x L box.
+def symmetric_gauge_box(B: float, L: int, boundary: str = "open") -> np.ndarray:
+    """Symmetric-gauge magnetic hopping matrix on an L x L box.
 
     Row (n, m) couples to the four neighbors with phases e^{i 2 pi m B}
     (toward n+1), its conjugate (toward n-1), e^{-i 2 pi n B} (toward m+1)
@@ -273,20 +243,12 @@ def symmetric_gauge_box(B: float, L: int, boundary: str = "open") -> BoxOperator
                 h[idx(n, m), idx(n, m + 1)] += np.exp(-1j * 2.0 * pi * n * B) * np.exp(
                     -1j * 2.0 * pi * B * L * n
                 )
-    h = h + h.conj().T
-    return BoxOperator(side=L, boundary=boundary, matrix=h)
+    return h + h.conj().T
 
 
-def add_onsite_disorder(op: BoxOperator, values: Sequence[float]) -> BoxOperator:
-    """Return a new box operator with real on-site energies added."""
+def add_onsite_disorder(matrix: np.ndarray, values: Sequence[float]) -> np.ndarray:
+    """A new box matrix with real on-site energies added."""
     vals = np.asarray(values, dtype=float).ravel()
-    if vals.size != op.side * op.side:
-        raise ValueError(
-            f"need {op.side * op.side} on-site values for side {op.side}, "
-            f"got {vals.size}"
-        )
-    return BoxOperator(
-        side=op.side,
-        boundary=op.boundary,
-        matrix=op.matrix + np.diag(vals),
-    )
+    if vals.size != len(matrix):
+        raise ValueError(f"need {len(matrix)} on-site values, got {vals.size}")
+    return matrix + np.diag(vals)

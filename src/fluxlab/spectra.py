@@ -10,8 +10,6 @@ for "do these two spectra agree locally" comparisons across the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import erf
 
@@ -20,18 +18,6 @@ from .lattice import BlochFiberFamily, RationalFlux, hofstadter_family
 
 _DEDUP_ATOL = 1e-13
 _CHUNK_ENTRIES = 4_000_000  # complex fiber entries built at once
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Uniform-bin density histogram; sum(density) * bin width is 1."""
-
-    edges: np.ndarray
-    density: np.ndarray
-
-    @property
-    def centers(self):
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
 def check_hermitian(matrix: np.ndarray) -> None:
@@ -247,7 +233,8 @@ def hausdorff(a, b) -> float:
     The directed distance sup_{x in A} dist(x, B) is attained either at an
     endpoint of A or at the midpoint of a gap of B covered by A, so checking
     those finitely many candidates is exact. Everything runs on sorted
-    arrays, so million-point eigenvalue samples are fine as inputs.
+    arrays, so million-point eigenvalue samples are fine as inputs. The
+    result is NaN when either directed distance is.
     """
     alos, ahis = _interval_arrays(a)
     blos, bhis = _interval_arrays(b)
@@ -258,7 +245,10 @@ def hausdorff(a, b) -> float:
         cand = np.concatenate((flos, fhis[fhis > flos], mids))
         return float(_union_distance(cand, tlos, this).max())
 
-    return max(directed(alos, ahis, blos, bhis), directed(blos, bhis, alos, ahis))
+    forward = directed(alos, ahis, blos, bhis)
+    backward = directed(blos, bhis, alos, ahis)
+    # np.max, unlike the builtin max, is NaN when either direction is NaN
+    return float(np.max([forward, backward]))
 
 
 def dos(
@@ -266,12 +256,13 @@ def dos(
     width: float = 0.05,
     bins: int = 200,
     bounds: tuple | None = None,
-) -> Histogram:
+) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian-kernel smoothed density of states on a uniform binning.
 
-    The per-bin mass is the exact integral of the Gaussian mixture over the
-    bin (difference of error functions), not a midpoint evaluation. The
-    masses are normalized over the range, so the densities integrate to 1.
+    Returns (edges, density): the bins + 1 bin edges and the density of each
+    bin. The per-bin mass is the exact integral of the Gaussian mixture over
+    the bin (difference of error functions), not a midpoint evaluation. The
+    masses are normalized over the range, so sum(density) * bin width is 1.
     """
     vals = sample_values(sample)
     if width <= 0:
@@ -291,8 +282,27 @@ def dos(
     total = float(mass.sum())
     if total <= 0:
         raise ValueError("all spectral weight fell outside the range")
-    density = mass / total / (edges[1] - edges[0])
-    return Histogram(edges=edges, density=density)
+    return edges, mass / total / (edges[1] - edges[0])
+
+
+def tknn_cherns(flux: RationalFlux) -> list[int]:
+    """Band Chern numbers of the nearest-neighbour model at flux p/q.
+
+    From the Diophantine equation r = q s_r + p t_r with |t_r| < q/2 of
+    Thouless, Kohmoto, Nightingale and den Nijs (PRL 49, 405 (1982)): band r
+    (counted from 1) has Chern number t_r - t_{r-1}. For odd q, t_r is
+    r p^{-1} mod q taken in (-q/2, q/2). For even q the two central bands
+    touch at energy 0 and DegenerateBandsError is raised.
+    """
+    p, q = flux.p, flux.q
+    if q % 2 == 0:
+        raise DegenerateBandsError(
+            f"bands {q // 2 - 1} and {q // 2} touch at energy 0 for even q = {q}; "
+            "Chern numbers are undefined there"
+        )
+    inverse, half = pow(p, -1, q), q // 2
+    t = [(r * inverse + half) % q - half for r in range(q + 1)]
+    return [b - a for a, b in zip(t, t[1:])]
 
 
 def chern_numbers(family: BlochFiberFamily, grid: int = 30) -> list[int]:

@@ -25,29 +25,29 @@ def harper_fiber(flux, theta, k):
     return h
 
 
-def plaquette_flux(op, n=0, m=0):
-    """Flux through one plaquette of a box operator, in flux quanta, in [0, 1).
+def plaquette_flux(matrix, L, boundary, n=0, m=0):
+    """Flux through one plaquette of an L x L box matrix, in flux quanta, in
+    [0, 1).
 
     Measured from the assembled matrix: the phases of the four hopping
     amplitudes are summed counterclockwise around the plaquette whose lower
     left corner is site (n, m), so the gauge normalization is never assumed.
-    Wrap plaquettes are meaningful only for magnetic-periodic operators.
+    Wrap plaquettes are meaningful only for a "magnetic-periodic" boundary.
     """
-    L = op.side
     if L < 2:
         raise ValueError("need at least one plaquette, box side < 2")
     wraps = n + 1 >= L or m + 1 >= L
-    if wraps and op.boundary != "magnetic-periodic":
+    if wraps and boundary != "magnetic-periodic":
         raise ValueError(f"plaquette ({n}, {m}) wraps an open boundary")
 
     def idx(a, b):  # row of site (a, b), coordinates taken mod the side
         return (a % L) * L + (b % L)
 
     hops = (
-        op.matrix[idx(n + 1, m), idx(n, m)],
-        op.matrix[idx(n + 1, m + 1), idx(n + 1, m)],
-        op.matrix[idx(n, m + 1), idx(n + 1, m + 1)],
-        op.matrix[idx(n, m), idx(n, m + 1)],
+        matrix[idx(n + 1, m), idx(n, m)],
+        matrix[idx(n + 1, m + 1), idx(n + 1, m)],
+        matrix[idx(n, m + 1), idx(n + 1, m + 1)],
+        matrix[idx(n, m), idx(n, m + 1)],
     )
     prod = 1.0 + 0.0j
     for amp in hops:

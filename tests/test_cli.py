@@ -105,6 +105,53 @@ def test_chern_degenerate_bands_exit_4(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kgrid", ["8", "30"])
+@pytest.mark.parametrize("flux", ["1/2", "1/6"])
+def test_chern_even_q_exits_4_at_every_grid(flux, kgrid, capsys):
+    # the two central bands touch at energy 0 whether or not the grid hits
+    # the touching points
+    assert main(["chern", "--flux", flux, "--kgrid", kgrid]) == 4
+    assert "touch at energy 0" in capsys.readouterr().err
+
+
+def test_chern_off_the_tknn_integers_exits_3(monkeypatch, capsys):
+    assert main(["chern", "--flux", "1/3"]) == 0
+    # a wrong vector that still sums to zero passes the sum gate alone
+    monkeypatch.setattr(cli, "chern_numbers", lambda *args, **kwargs: [2, -4, 2])
+    capsys.readouterr()
+    assert main(["chern", "--flux", "1/3"]) == 3
+    err = capsys.readouterr().err
+    assert "  abs_chern_sum = 0 (limit 0) -> pass" in err
+    assert "  bands_off_tknn = 3 (limit 0) -> FAIL" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["butterfly", "--qmax", "4", "--kgrid", "8"],
+        ["fiber-spectrum", "--flux", "2/5", "--kgrid", "16"],
+        ["harper-spectrum", "--flux", "1/3", "--thetagrid", "8", "--kgrid", "8"],
+        ["peierls-check", "--flux", "1/3", "--kgrid", "8"],
+        ["gauge-check", "--B", "1/8", "--L", "8", "--kgrid", "16"],
+    ],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nan_eigenvalue_fails_every_lattice_command(argv, monkeypatch, capsys):
+    assert main(argv) == 0
+    eigvalsh = np.linalg.eigvalsh
+
+    def one_nan(a, *args, **kwargs):
+        w = eigvalsh(a, *args, **kwargs)
+        w.flat[0] = np.nan
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", one_nan)
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "-> FAIL" in err and "Traceback" not in err
+
+
 def test_gauge_check_impossible_tolerance_exits_3(capsys):
     code = main(
         ["gauge-check", "--B", "1/8", "--L", "8", "--kgrid", "16", "--tol", "1e-20"]

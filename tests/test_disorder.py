@@ -5,8 +5,6 @@ import pytest
 
 from fluxlab import (
     ConfigError,
-    EnsembleStats,
-    Histogram,
     anderson_realization,
     dos,
     ensemble_dos,
@@ -88,32 +86,34 @@ def gue_values(seed, dim=24):
 
 
 def test_ensemble_of_one_matches_plain_dos():
-    stats = ensemble_dos(gue_values, 1, base_seed=42, width=0.05, bins=120)
-    assert np.all(stats.stderr == 0.0)
+    edges, density, stderr = ensemble_dos(gue_values, 1, 42, width=0.05, bins=120)
+    assert np.all(stderr == 0.0)
     vals = gue_values(42)
     bounds = (float(vals.min()) - 0.4, float(vals.max()) + 0.4)
-    single = dos(vals, width=0.05, bins=120, bounds=bounds)
-    assert np.allclose(stats.histogram.density, single.density, atol=1e-15)
-    assert np.array_equal(stats.histogram.edges, single.edges)
+    single_edges, single = dos(vals, width=0.05, bins=120, bounds=bounds)
+    assert np.allclose(density, single, atol=1e-15)
+    assert np.array_equal(edges, single_edges)
 
 
 def test_ensemble_mean_matches_manual_average():
     bounds = (-12.0, 12.0)
-    stats = ensemble_dos(gue_values, 8, base_seed=0, width=0.1, bins=64, bounds=bounds)
+    _, density, _ = ensemble_dos(gue_values, 8, 0, width=0.1, bins=64, bounds=bounds)
     manual = np.mean(
-        [dos(gue_values(s), width=0.1, bins=64, bounds=bounds).density for s in range(8)],
+        [dos(gue_values(s), width=0.1, bins=64, bounds=bounds)[1] for s in range(8)],
         axis=0,
     )
-    assert np.allclose(stats.histogram.density, manual, atol=1e-15)
-    again = ensemble_dos(gue_values, 8, base_seed=0, width=0.1, bins=64, bounds=bounds)
-    assert np.array_equal(stats.histogram.density, again.histogram.density)
+    assert np.allclose(density, manual, atol=1e-15)
+    _, again, _ = ensemble_dos(gue_values, 8, 0, width=0.1, bins=64, bounds=bounds)
+    assert np.array_equal(density, again)
 
 
 def test_ensemble_stderr_vanishes_for_identical_realizations():
     stats = ensemble_dos(lambda seed: np.array([0.0, 1.0, 2.0]), 5, base_seed=0)
+    assert len(stats) == 3
+    edges, density, stderr = stats
+    assert edges.shape == (201,) and density.shape == stderr.shape == (200,)
     # the rows are bit identical; the residual is mean-subtraction roundoff
-    assert np.all(stats.stderr < 1e-12)
-    assert isinstance(stats, EnsembleStats)
+    assert np.all(stderr < 1e-12)
 
 
 def test_ensemble_rejects_empty():
@@ -125,8 +125,7 @@ def test_gap_fill_fraction_uniform_mass():
     clean = np.array([[0.0, 1.0], [2.0, 3.0]])
     for bins in (300, 5):
         edges = np.linspace(0.0, 3.0, bins + 1)
-        hist = Histogram(edges=edges, density=np.full(bins, 1.0 / 3.0))
-        fill = gap_fill_fraction(clean, hist)
+        fill = gap_fill_fraction(clean, edges, np.full(bins, 1.0 / 3.0))
         # a third of uniform mass sits in the single gap (1, 2); the bin
         # overlap is pro rated so misaligned edges still come out exact
         assert abs(fill - 1.0 / 3.0) < 1e-12
@@ -135,17 +134,15 @@ def test_gap_fill_fraction_uniform_mass():
 def test_gap_fill_fraction_guards():
     solid = np.array([[0.0, 3.0]])
     edges = np.linspace(0.0, 3.0, 11)
-    hist = Histogram(edges=edges, density=np.full(10, 0.1))
     with pytest.raises(ConfigError):
-        gap_fill_fraction(solid, hist)
+        gap_fill_fraction(solid, edges, np.full(10, 0.1))
     gapped = np.array([[0.0, 1.0], [2.0, 3.0]])
-    empty = Histogram(edges=edges, density=np.zeros(10))
     with pytest.raises(ConfigError):
-        gap_fill_fraction(gapped, empty)
+        gap_fill_fraction(gapped, edges, np.zeros(10))
 
 
 def test_gap_fill_fraction_of_ensemble_histogram():
     clean = np.array([[-30.0, -0.5], [0.5, 30.0]])
-    stats = ensemble_dos(gue_values, 4, base_seed=3, bounds=(-31.0, 31.0))
-    fill = gap_fill_fraction(clean, stats.histogram)
+    edges, density, _ = ensemble_dos(gue_values, 4, base_seed=3, bounds=(-31.0, 31.0))
+    fill = gap_fill_fraction(clean, edges, density)
     assert 0.0 <= fill <= 1.0

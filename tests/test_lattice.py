@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from fluxlab import (
+    NEAREST_NEIGHBOR,
     BlochFiberFamily,
-    BoxOperator,
-    FourierDispersion,
     InfeasibleModelError,
     RationalFlux,
     add_onsite_disorder,
@@ -88,10 +87,9 @@ def test_builders_hermitian_everywhere():
             assert hermiticity(harper_fiber(flux, k2 / 7.0, k1)) < HERM_TOL
     for _ in range(4):
         b = rng.uniform(0, 1)
-        assert hermiticity(symmetric_gauge_box(b, 5, "open").matrix) < HERM_TOL
-    assert hermiticity(
-        symmetric_gauge_box(1.0 / 8.0, 4, "magnetic-periodic").matrix
-    ) < HERM_TOL
+        assert hermiticity(symmetric_gauge_box(b, 5, "open")) < HERM_TOL
+    periodic = symmetric_gauge_box(1.0 / 8.0, 4, "magnetic-periodic")
+    assert hermiticity(periodic) < HERM_TOL
 
 
 def test_fiber_two_pi_periodic():
@@ -147,7 +145,7 @@ def test_zero_field_box_is_grid_adjacency():
     path[np.arange(2), np.arange(1, 3)] = 1.0
     path = path + path.T
     expect = np.kron(path, np.eye(3)) + np.kron(np.eye(3), path)
-    assert np.allclose(op.matrix, expect, atol=1e-14)
+    assert np.allclose(op, expect, atol=1e-14)
 
 
 def test_plaquette_flux_is_twice_field():
@@ -157,11 +155,11 @@ def test_plaquette_flux_is_twice_field():
         op = symmetric_gauge_box(b, 4, "open")
         for n in range(3):
             for m in range(3):
-                got = plaquette_flux(op, n, m)
+                got = plaquette_flux(op, 4, "open", n, m)
                 expect = (2.0 * b) % 1.0
                 dev = min(abs(got - expect), 1.0 - abs(got - expect))
                 assert dev < 1e-12
-    assert plaquette_flux(symmetric_gauge_box(0.0, 3, "open")) == 0.0
+    assert plaquette_flux(symmetric_gauge_box(0.0, 3, "open"), 3, "open") == 0.0
 
 
 def test_plaquette_flux_on_single_plaquette_box():
@@ -169,8 +167,8 @@ def test_plaquette_flux_on_single_plaquette_box():
     for _ in range(5):
         b = rng.uniform(0, 2)
         op = symmetric_gauge_box(b, 2, "open")
-        assert op.matrix.shape == (4, 4)
-        got = plaquette_flux(op, 0, 0)
+        assert op.shape == (4, 4)
+        got = plaquette_flux(op, 2, "open", 0, 0)
         expect = (2.0 * b) % 1.0
         dev = min(abs(got - expect), 1.0 - abs(got - expect))
         assert dev < 1e-12
@@ -193,34 +191,34 @@ def test_plaquette_flux_reads_the_matrix_not_the_label():
             if m + 1 < L:
                 h[idx(n, m), idx(n, m + 1)] += np.exp(-2j * np.pi * alpha * n)
     h = h + h.conj().T
-    op = BoxOperator(side=L, boundary="open", matrix=h)
     for n in range(L - 1):
         for m in range(L - 1):
-            assert abs(plaquette_flux(op, n, m) - alpha) < 1e-12
+            assert abs(plaquette_flux(h, L, "open", n, m) - alpha) < 1e-12
 
 
 def test_box_flux_quantization():
     op = symmetric_gauge_box(1.0 / 8.0, 4, "magnetic-periodic")  # 2BL^2 = 4
     for n in range(4):
         for m in range(4):
-            assert abs(plaquette_flux(op, n, m) - 0.25) < 1e-12
+            got = plaquette_flux(op, 4, "magnetic-periodic", n, m)
+            assert abs(got - 0.25) < 1e-12
     with pytest.raises(InfeasibleModelError):
         symmetric_gauge_box(0.1, 3, "magnetic-periodic")  # 2BL^2 = 1.8
     with pytest.raises(ValueError):
-        plaquette_flux(symmetric_gauge_box(0.0, 3, "open"), 2, 0)  # wraps
+        plaquette_flux(symmetric_gauge_box(0.0, 3, "open"), 3, "open", 2, 0)  # wraps
     with pytest.raises(ValueError):
         symmetric_gauge_box(0.1, 3, "weird-boundary")
 
 
 def test_peierls_constant_dispersion():
-    disp = FourierDispersion([(0, 0, 2.5)])
+    disp = [(0, 0, 2.5)]
     fam = peierls_quantize(disp, RationalFlux(1, 3))
     for k1, k2 in ((0.0, 0.0), (1.0, 2.0), (4.0, 5.0)):
         assert np.allclose(fam.matrix(k1, k2), 2.5 * np.eye(3), atol=1e-12)
 
 
 def test_peierls_matches_direct_fiber():
-    disp = FourierDispersion.nearest_neighbor()
+    disp = NEAREST_NEIGHBOR
     ks = 2.0 * np.pi * np.arange(8) / 8
     for flux in (RationalFlux(1, 3), RationalFlux(2, 5)):
         fam = peierls_quantize(disp, flux)
@@ -231,11 +229,8 @@ def test_peierls_matches_direct_fiber():
 
 
 def test_peierls_mixed_harmonic_hermitian():
-    disp = FourierDispersion(
-        [(1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0),
-         (1, 1, 0.05), (-1, -1, 0.05)]
-    )
-    assert conjugate_paired(disp.harmonics)
+    disp = NEAREST_NEIGHBOR + ((1, 1, 0.05), (-1, -1, 0.05))
+    assert conjugate_paired(disp)
     fam = peierls_quantize(disp, RationalFlux(1, 3))
     rng = np.random.default_rng(17)
     for _ in range(10):
@@ -249,13 +244,8 @@ def test_batch_is_bit_identical_to_dense_term_sum():
     rng = np.random.default_rng(3)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     m[rng.random((4, 4)) < 0.5] = 0.0
-    dense_pair = BlochFiberFamily(
-        flux=RationalFlux(1, 4), dim=4, terms=((2, -1, m), (-2, 1, m.conj().T))
-    )
-    mixed = FourierDispersion(
-        [(1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0),
-         (1, 1, 0.3 + 0.2j), (-1, -1, 0.3 - 0.2j)]
-    )
+    dense_pair = BlochFiberFamily(dim=4, terms=((2, -1, m), (-2, 1, m.conj().T)))
+    mixed = NEAREST_NEIGHBOR + ((1, 1, 0.3 + 0.2j), (-1, -1, 0.3 - 0.2j))
     families = [dense_pair, peierls_quantize(mixed, RationalFlux(2, 5))]
     families += [hofstadter_family(RationalFlux(p, q)) for p, q in ((0, 1), (1, 2), (-3, 7))]
     # the negated grids put -0.0 among the momenta
@@ -273,8 +263,8 @@ def test_batch_is_bit_identical_to_dense_term_sum():
 
 
 def test_peierls_rejects_non_real_dispersion():
-    disp = FourierDispersion([(1, 0, 1.0)])
-    assert not conjugate_paired(disp.harmonics)
+    disp = [(1, 0, 1.0)]
+    assert not conjugate_paired(disp)
     with pytest.raises(ValueError):
         peierls_quantize(disp, RationalFlux(1, 3))
 
@@ -340,11 +330,11 @@ def test_harper_fiber_matches_lattice_fiber():
 def test_add_onsite_disorder_shift_and_validation():
     op = symmetric_gauge_box(1.0 / 8.0, 4, "magnetic-periodic")
     same = add_onsite_disorder(op, np.zeros(16))
-    assert np.array_equal(same.matrix, op.matrix)
+    assert np.array_equal(same, op)
 
     shifted = add_onsite_disorder(op, np.full(16, 0.7))
-    w0 = np.linalg.eigvalsh(op.matrix)
-    w1 = np.linalg.eigvalsh(shifted.matrix)
+    w0 = np.linalg.eigvalsh(op)
+    w1 = np.linalg.eigvalsh(shifted)
     assert np.max(np.abs(w1 - (w0 + 0.7))) < 1e-10
 
     with pytest.raises(ValueError):
@@ -354,15 +344,15 @@ def test_add_onsite_disorder_shift_and_validation():
     field = rng.uniform(-1, 1, size=16)
     a = add_onsite_disorder(op, field)
     b = add_onsite_disorder(op, field)
-    assert np.array_equal(a.matrix, b.matrix)
+    assert np.array_equal(a, b)
     # stacking twice adds the on-site field twice
     c = add_onsite_disorder(a, field)
-    assert np.allclose(c.matrix - op.matrix, np.diag(2.0 * field), atol=1e-14)
+    assert np.allclose(c - op, np.diag(2.0 * field), atol=1e-14)
 
 
 def test_dispersion_evaluate_and_reality():
-    disp = FourierDispersion.nearest_neighbor(1.0)
-    assert conjugate_paired(disp.harmonics)
+    disp = NEAREST_NEIGHBOR
+    assert conjugate_paired(disp)
     k1 = np.linspace(0, 2 * np.pi, 9)
     # the 1 x 1 fiber at zero flux is the dispersion value
     zero = peierls_quantize(disp, RationalFlux(0, 1))
