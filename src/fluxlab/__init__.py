@@ -43,6 +43,8 @@ from .continuum import (
     StrongFieldRow,
     cluster_gap,
     continuum_hamiltonian,
+    coset_count,
+    coset_eigh,
     field_operator,
     level_form_factor,
     lll_effective,

@@ -5,8 +5,9 @@ JSON document) is a pure function of the resolved config, so reruns are byte
 identical; volatile facts (wall time) go to a `.meta.json` sidecar instead.
 All files are written atomically and nothing partial survives a failure.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical check failed,
-4 infeasible model (flux quantization, cluster separation, degenerate bands).
+Exit codes: 0 success, 2 configuration error (an operator too large for
+memory included), 3 numerical check failed, 4 infeasible model (flux
+quantization, cluster separation, degenerate bands).
 Each command declares its pass conditions as Gates; main reports them on
 stderr and in the sidecar, and the first failing one sets the exit code.
 """
@@ -29,6 +30,7 @@ from . import __version__
 from .continuum import (
     FourierPotential,
     StrongFieldRow,
+    coset_eigh,
     field_operator,
     strong_field_report,
 )
@@ -310,6 +312,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dash_values(argv: list) -> list:
+    """Write `--flag -1/3` as `--flag=-1/3`.
+
+    argparse reads a token that starts with '-' as an option unless it is a
+    plain decimal like -1 or -0.5, so negative fractions, exponents and -inf
+    would lose their flag. Every flag but --help and --version takes one
+    value, so a token after one of them that starts with a single '-' is
+    that value (a lone -h still asks for help).
+    """
+    out = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if (
+            flag.startswith("--")
+            and "=" not in flag
+            and flag not in ("--help", "--version")
+            and token.startswith("-")
+            and not token.startswith("--")
+            and token != "-h"
+        ):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def parse_config(args: argparse.Namespace) -> RunConfig:
     """Resolve defaults, config file, and flags (flags win) into a RunConfig."""
     command = args.command
@@ -529,7 +557,7 @@ def _cmd_continuum_spectrum(p: dict) -> RunArtifact:
     ham = field_operator(p["B"], potential, p["nlevels"], p["ncells"])
     basis = ham.basis
     b_used, n_flux = basis.field, basis.n_flux
-    w = np.linalg.eigvalsh(ham.matrix)
+    w = coset_eigh(ham.matrix, basis, potential)
     rows = [(i, float(e)) for i, e in enumerate(w)]
     return RunArtifact(
         columns=["index", "energy"],
@@ -786,12 +814,15 @@ _EXIT_CODES = {
     OSError: 2,
     NumericalCheckError: 3,
     InfeasibleModelError: 4,
+    MemoryError: 2,
 }
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_attach_dash_values(argv))
     started = time.monotonic()
     try:
         # overflow and NaN reach the gates and checks, not numpy warnings
@@ -800,7 +831,7 @@ def main(argv=None) -> int:
             artifact = run_command(cfg)
             emit(artifact, cfg, wall_time=time.monotonic() - started)
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     print(f"{cfg.command}: {artifact.summary}", file=sys.stderr)
     for g in artifact.gates:

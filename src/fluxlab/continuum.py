@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_genlaguerre
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalCheckError
 from .lattice import RationalFlux, conjugate_paired, weyl_translation
 from .spectra import check_hermitian, hausdorff
 
@@ -141,6 +141,20 @@ def level_form_factor(kx: float, ky: float, b: float, n_levels: int) -> np.ndarr
     return g
 
 
+def _harmonic_shift(basis: LandauBasisSpec, n: float, m: float) -> tuple[int, int]:
+    """(j1, j2) = n_cells * (n, m) of a cell-reciprocal harmonic, checked to
+    be integers."""
+    j1f = n * basis.n_cells
+    j2f = m * basis.n_cells
+    j1, j2 = round(j1f), round(j2f)
+    if abs(j1f - j1) > 1e-9 or abs(j2f - j2) > 1e-9:
+        raise ConfigError(
+            f"harmonic ({n}, {m}) is incompatible with the torus: "
+            f"K * side / (2 pi) = ({j1f:.6g}, {j2f:.6g}) must be integers"
+        )
+    return j1, j2
+
+
 def _harmonic_translation(basis: LandauBasisSpec, n: float, m: float) -> np.ndarray:
     """Projective torus translation tau(j1, j2) carried by a cell-reciprocal
     harmonic, with (j1, j2) = n_cells * (n, m).
@@ -150,14 +164,7 @@ def _harmonic_translation(basis: LandauBasisSpec, n: float, m: float) -> np.ndar
     symmetrization phase pairs with the form-factor phase so that full
     plane-wave elements compose exactly: E(K) E(K') = E(K + K').
     """
-    j1f = n * basis.n_cells
-    j2f = m * basis.n_cells
-    j1, j2 = round(j1f), round(j2f)
-    if abs(j1f - j1) > 1e-9 or abs(j2f - j2) > 1e-9:
-        raise ConfigError(
-            f"harmonic ({n}, {m}) is incompatible with the torus: "
-            f"K * side / (2 pi) = ({j1f:.6g}, {j2f:.6g}) must be integers"
-        )
+    j1, j2 = _harmonic_shift(basis, n, m)
     return weyl_translation(RationalFlux(1, basis.n_flux), -j1, j2)
 
 
@@ -229,6 +236,63 @@ def next_level_coupling(basis: LandauBasisSpec, potential: FourierPotential) -> 
     return worst
 
 
+def coset_count(basis: LandauBasisSpec, potential: FourierPotential) -> int:
+    """Number g of guiding-centre cosets the operator splits into.
+
+    Each harmonic's guiding translation shifts the guiding index j by its
+    j1 = n_cells * n, and the clocks and the kinetic ladder are diagonal, so
+    H couples j only within the residue classes mod
+    g = gcd(n_flux, every harmonic's j1). A fractional harmonic with j1 = 1
+    gives g = 1; a potential with no harmonics gives g = n_flux.
+    """
+    g = basis.n_flux
+    for n, m, _ in potential.harmonics:
+        g = math.gcd(g, _harmonic_shift(basis, n, m)[0])
+    return g
+
+
+def coset_eigh(
+    matrix: np.ndarray,
+    basis: LandauBasisSpec,
+    potential: FourierPotential,
+    rank: int | None = None,
+):
+    """Sorted eigenvalues of the continuum operator `matrix`, solved block by
+    block over its coset_count(basis, potential) guiding-centre cosets
+    (the magnetic translation group: J. Zak, Phys. Rev. 134, A1602 (1964)).
+
+    Coset c holds the indices level * n_flux + j with j = c mod g, and every
+    entry between two cosets is zero by construction, not to a tolerance: a
+    nonzero (or NaN) one raises NumericalCheckError before any solve. With
+    rank r given, also returns the d x r frame of the eigenvectors of the r
+    lowest eigenvalues, scattered back to full rows.
+    """
+    g = coset_count(basis, potential)
+    guiding = np.arange(basis.dim) % basis.n_flux
+    cosets = [np.flatnonzero(guiding % g == c) for c in range(g)]
+    blocks = [matrix[np.ix_(idx, idx)] for idx in cosets]
+    leak = np.count_nonzero(matrix) - sum(np.count_nonzero(b) for b in blocks)
+    if leak:
+        raise NumericalCheckError(
+            f"operator at B = {basis.field:.12g} has {leak} nonzero entries "
+            f"between its {g} guiding-centre cosets"
+        )
+    if rank is None:
+        return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+    pairs = [np.linalg.eigh(b) for b in blocks]
+    w = np.concatenate([values for values, _ in pairs])
+    order = np.argsort(w, kind="stable")
+    # a coset's eigenvalues come sorted, so the r lowest overall are among
+    # the r lowest of each coset
+    lowest = order[:rank]
+    size = len(cosets[0])
+    frame = np.zeros((basis.dim, rank), dtype=complex)
+    for c, (idx, (_, vectors)) in enumerate(zip(cosets, pairs)):
+        mine = np.flatnonzero(lowest // size == c)
+        frame[np.ix_(idx, mine)] = vectors[:, lowest[mine] % size]
+    return w[order], frame
+
+
 # A lowest cluster whose gap to the rest is at most this is not separated.
 SEPARATION_TOL = 1e-6
 
@@ -279,7 +343,7 @@ def strong_field_report(
     for b_req in field_values:
         ham = field_operator(b_req, potential, n_levels, n_cells)
         basis = ham.basis
-        w = np.linalg.eigvalsh(ham.matrix)
+        w = coset_eigh(ham.matrix, basis, potential)
         gap = cluster_gap(w, basis.n_flux)
         separated = gap > SEPARATION_TOL
         distance = float("nan")

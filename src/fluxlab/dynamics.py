@@ -10,8 +10,9 @@ plumbing.
 
 Everything is factored through the rank r = rank P: projectors are held as
 orthonormal d x r frames, W restricted to ran P is the r x r polar factor of
-the frame overlap, and both evolutions run in r coordinates, so one d x d
-eigendecomposition of H_full is the only dense solve.
+the frame overlap, and both evolutions run in r coordinates, so the
+eigendecomposition of H_full, one block per guiding-centre coset
+(continuum.coset_eigh), is the only large solve.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuum import (
-    SEPARATION_TOL, FourierPotential, cluster_gap, field_operator, lll_effective
+    SEPARATION_TOL, FourierPotential, cluster_gap, coset_eigh, field_operator,
+    lll_effective,
 )
 from .disorder import hashed_normal
 from .errors import ConfigError, InfeasibleModelError, NumericalCheckError
@@ -162,10 +164,11 @@ def defect_scaling(
     """Defect experiment across a list of field values, one row per field.
 
     For each requested B (snapped to the nearest feasible torus value): build
-    the full operator and take its one eigendecomposition, project onto its
-    lowest n_flux eigenvalues, intertwine with the lowest-level block, and
-    evolve a seeded random packet under both the full operator and the
-    lowest-level compression 2B + lll_effective, in rank-n_flux coordinates.
+    the full operator and take its coset-blocked eigendecomposition, project
+    onto its lowest n_flux eigenvalues, intertwine with the lowest-level
+    block, and evolve a seeded random packet under both the full operator and
+    the lowest-level compression 2B + lll_effective, in rank-n_flux
+    coordinates.
     d(0) is always measured, whether or not 0 is on the time grid. Rows whose
     lowest cluster is not separated are flagged, not failed.
     """
@@ -176,7 +179,7 @@ def defect_scaling(
         basis = ham.basis
         b_used, n_flux = basis.field, basis.n_flux
         # continuum_hamiltonian checked H Hermitian at 1e-12
-        w, v = np.linalg.eigh(ham.matrix)
+        w, p = coset_eigh(ham.matrix, basis, potential, rank=n_flux)
         if not np.all(np.isfinite(w)):
             raise NumericalCheckError(
                 f"operator at B = {b_used:.12g} has non-finite eigenvalues"
@@ -195,7 +198,7 @@ def defect_scaling(
                 )
             )
             continue
-        p, energies = v[:, :n_flux], w[:n_flux]
+        energies = w[:n_flux]
         # ||V^dag V - I||_F bounds the 2-norms of P^2 - P and P - P^dag
         dev = float(np.linalg.norm(p.conj().T @ p - np.eye(n_flux)))
         if dev > 1e-10:

@@ -85,3 +85,16 @@ def grid_fiber_eigenvalues(family, n1, n2):
     k1 = 2.0 * np.pi * np.arange(n1) / n1
     k2 = 2.0 * np.pi * np.arange(n2) / n2
     return np.linalg.eigvalsh(family.batch(k1, k2))
+
+
+def dense_eigh(matrix, rank=None):
+    """The unsplit solve of a continuum operator, ignoring its coset blocks.
+
+    Sorted eigenvalues of the whole d x d matrix and, with rank r given, the
+    d x r eigenvectors of the r lowest; the call shape of
+    `continuum.coset_eigh` minus the basis and the potential.
+    """
+    if rank is None:
+        return np.linalg.eigvalsh(matrix)
+    w, v = np.linalg.eigh(matrix)
+    return w, v[:, :rank]

@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from fluxlab import ConfigError, DefectRow, StrongFieldRow, cli
+from fluxlab import (
+    ConfigError,
+    DefectRow,
+    StrongFieldRow,
+    cli,
+    continuum,
+    dynamics,
+)
 from fluxlab.cli import _field_value, build_parser, main, parse_config
 
 
@@ -439,6 +446,68 @@ def test_linalg_error_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_command", no_convergence)
     assert main(["chern"]) == 3
     assert "did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["continuum-spectrum", "--B", "5"], ["lll-compare", "--B", "5"],
+     ["dynamics-defect", "--B", "5"]],
+)
+def test_memory_error_exits_2(argv, monkeypatch, capsys):
+    # an operator too large for memory is a configuration problem: the
+    # message reaches stderr, with no traceback
+    def oversize(*args, **kwargs):
+        raise MemoryError("Unable to allocate 755. GiB for an array")
+
+    for module in (cli, continuum, dynamics):
+        monkeypatch.setattr(module, "field_operator", oversize)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: Unable to allocate 755. GiB" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command", ["continuum-spectrum", "lll-compare", "dynamics-defect"]
+)
+def test_cross_coset_entry_exits_3(command, monkeypatch, capsys):
+    # B = 5 on 2 cells: n_flux 6 in g = 2 cosets; guiding 0 and 1 lie in
+    # different ones. The zeros between cosets are structural, so even a
+    # 1e-300 entry is a leak
+    real = continuum.continuum_hamiltonian
+
+    def leaky(basis, potential):
+        ham = real(basis, potential)
+        ham.matrix[0, 1] = ham.matrix[1, 0] = 1e-300
+        return ham
+
+    argv = [command, "--B", "5", "--ncells", "2", "--nlevels", "3"]
+    assert main(argv) == 0
+    monkeypatch.setattr(continuum, "continuum_hamiltonian", leaky)
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert "nonzero entries between its 2 guiding-centre cosets" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["chern", "--flux", "-1/3"], ["gauge-check", "--B", "-1/8", "--L", "8"],
+     ["continuum-spectrum", "--B", "5", "--amplitude", "-1e-1"]],
+)
+def test_negative_value_as_separate_argument(argv, tmp_path):
+    # `--flux -1/3` means `--flux=-1/3`, not a flag named -1/3
+    pairs = zip(argv[1::2], argv[2::2])
+    joined = argv[:1] + [f"{flag}={value}" for flag, value in pairs]
+    tables = []
+    for i, spelling in enumerate((argv, joined)):
+        out = tmp_path / f"{i}.csv"
+        assert main(spelling + ["--out", str(out)]) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+    if argv[0] == "chern":
+        assert tables[0].decode().splitlines()[-3:] == ["0,-1", "1,2", "2,-1"]
 
 
 def test_json_artifact_parses(tmp_path):

@@ -12,6 +12,9 @@ from fluxlab import (
     FourierPotential,
     RationalFlux,
     continuum_hamiltonian,
+    coset_count,
+    coset_eigh,
+    field_operator,
     hofstadter_family,
     level_form_factor,
     lll_effective,
@@ -22,6 +25,7 @@ from fluxlab import (
     weyl_translation,
 )
 from fluxlab.cli import decreasing_gate
+from oracles import dense_eigh
 
 
 def standard_basis(n_levels=6, field=10.0, n_cells=4):
@@ -268,3 +272,35 @@ def test_distances_decreasing_helper():
                                n_levels=2, n_cells=2)
     # 0.0 is not strictly below 0.0
     assert not decreasing_gate(rows, "distance").passed
+
+
+@pytest.mark.parametrize(("field", "cosets"), [(10.0, 1), (20.0, 2), (40.0, 4)])
+def test_coset_split_matches_the_unsplit_solve(field, cosets):
+    # n_flux 51, 102, 204 on 4 cells: g = gcd(n_flux, 4)
+    potential = FourierPotential.cosine_xy(1.0)
+    ham = field_operator(field, potential, 2, 4)
+    assert coset_count(ham.basis, potential) == cosets
+    w = coset_eigh(ham.matrix, ham.basis, potential)
+    assert np.max(np.abs(w - dense_eigh(ham.matrix))) < 1e-12
+    r = ham.basis.n_flux
+    w_r, frame = coset_eigh(ham.matrix, ham.basis, potential, rank=r)
+    assert np.max(np.abs(w_r - w)) < 1e-12
+    assert frame.shape == (ham.basis.dim, r)
+    residual = ham.matrix @ frame - frame * w[:r]
+    assert np.max(np.abs(residual)) < 1e-10
+    assert np.max(np.abs(frame.conj().T @ frame - np.eye(r))) < 1e-12
+
+
+def test_fractional_harmonic_gives_one_coset():
+    # n = 1/4 on 4 cells shifts the guiding index by 1, so nothing splits
+    # at a field where the integer harmonics give g = 4
+    basis = torus_basis(40.0, 2, 4)
+    assert coset_count(basis, FourierPotential.cosine_xy(1.0)) == 4
+    quarter = FourierPotential([(0.25, 0, 0.5), (-0.25, 0, 0.5), (0, 1, 1.0),
+                                (0, -1, 1.0)])
+    assert coset_count(basis, quarter) == 1
+    h = continuum_hamiltonian(basis, quarter).matrix
+    assert np.array_equal(coset_eigh(h, basis, quarter), dense_eigh(h))
+    # no harmonics: every guiding index is its own coset
+    assert coset_count(basis, FourierPotential.cosine_xy(0.0)) == basis.n_flux
+

@@ -1,5 +1,7 @@
 """Tests for time evolution, projector frames, intertwiners, defects."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from fluxlab import (
 )
 from fluxlab import continuum, dynamics, spectra
 from fluxlab.cli import decreasing_gate, main
+from oracles import dense_eigh
 
 
 def random_hermitian(dim, seed):
@@ -424,9 +427,10 @@ def test_non_orthonormal_frame_fails_the_frame_check(monkeypatch, capsys):
 
 
 def test_eigensolve_budget(monkeypatch):
-    # defect_scaling: one d x d eigh per field plus one r x r eigh of the
-    # effective operator, no d x d eigvalsh and no d x d 2-norm (an SVD);
-    # strong_field_report: eigenvalues only
+    # defect_scaling: per field, one (d/g) x (d/g) eigh for each of the g
+    # guiding-centre cosets plus one r x r eigh of the effective operator,
+    # no eigvalsh and no d x d 2-norm (an SVD); strong_field_report:
+    # eigenvalues only
     calls = []
 
     def counted(name, fn):
@@ -444,10 +448,12 @@ def test_eigensolve_budget(monkeypatch):
         [5.0, 10.0], potential, times=(0.5, 1.0), n_levels=3, n_cells=2
     )
     assert all(row.separated for row in report)
+    assert [row.n_flux for row in report] == [6, 13]  # g = 2, then g = 1
     expected = []
     for row in report:
         dim = 3 * row.n_flux
-        expected += [(dim, dim), (row.n_flux, row.n_flux)]
+        g = math.gcd(row.n_flux, 2)
+        expected += [(dim // g, dim // g)] * g + [(row.n_flux, row.n_flux)]
         assert not any(
             name == "norm" and shape == (dim, dim) and order == 2
             for name, shape, order in calls
@@ -458,6 +464,26 @@ def test_eigensolve_budget(monkeypatch):
     calls.clear()
     strong_field_report([5.0, 10.0], potential, n_levels=3, n_cells=2)
     assert not any(name == "eigh" for name, _, _ in calls)
+
+
+def test_defect_rows_match_the_unsplit_solve(monkeypatch):
+    # B = 10, 20, 40 on 4 cells split into g = 1, 2 and 4 cosets; the rows
+    # must not depend on the split beyond roundoff (defect_zero is roundoff
+    # itself and is held only to its gate)
+    potential = FourierPotential.cosine_xy(1.0)
+    args = ([10.0, 20.0, 40.0], potential, (0.5, 1.0, 2.0))
+    split = defect_scaling(*args, n_levels=2, n_cells=4)
+    monkeypatch.setattr(
+        dynamics, "coset_eigh", lambda h, basis, pot, rank=None: dense_eigh(h, rank)
+    )
+    unsplit = defect_scaling(*args, n_levels=2, n_cells=4)
+    assert [row.n_flux for row in split] == [51, 102, 204]
+    for got, want in zip(split, unsplit):
+        assert got.separated and want.separated
+        for name in ("projector_distance", "max_defect", "slope"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert abs(a - b) <= 1e-10 + 1e-10 * abs(b), name
+        assert max(got.defect_zero, want.defect_zero) < 1e-10
 
 
 def test_one_hermiticity_check_per_field(monkeypatch):

@@ -13,11 +13,18 @@ tests/golden/. To regenerate them after an intended change of output:
 
 This rewrites only the tables that fail the test's own comparison (and then
 environment.json), so tables the change does not move keep their bytes.
+
+The golden runs are too small to reach LAPACK's blocked, threaded paths, so
+they cannot see the BLAS thread count. A second test reruns three larger
+commands under OPENBLAS_NUM_THREADS=1 and =2 and holds the two tables to the
+same 1e-10 absolute + 1e-10 relative rule, the thread-count contract of the
+README.
 """
 
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 
@@ -99,19 +106,25 @@ def _run(name, directory):
         return fh.read()
 
 
-def _mismatch(name, got, expected):
-    """Why the table `got` fails the comparison with the stored `expected`
-    (both bytes), or None when it passes."""
-    if CASES[name][1]:
-        return None if got == expected else "bytes differ"
-    got_text, got_numbers = _split_numbers(got.decode())
-    want_text, want_numbers = _split_numbers(expected.decode())
+def _numeric_mismatch(got, expected):
+    """Why the text `got` differs from `expected` beyond ATOL + RTOL in some
+    number or anywhere between the numbers, or None when it does not."""
+    got_text, got_numbers = _split_numbers(got)
+    want_text, want_numbers = _split_numbers(expected)
     if got_text != want_text or len(got_numbers) != len(want_numbers):
         return "text between the numbers differs"
     for a, b in zip(got_numbers, want_numbers):
         if not abs(a - b) <= ATOL + RTOL * abs(b):
             return f"{a!r} differs from {b!r}"
     return None
+
+
+def _mismatch(name, got, expected):
+    """Why the table `got` fails the comparison with the stored `expected`
+    (both bytes), or None when it passes."""
+    if CASES[name][1]:
+        return None if got == expected else "bytes differ"
+    return _numeric_mismatch(got.decode(), expected.decode())
 
 
 def _stored(name):
@@ -122,6 +135,38 @@ def _stored(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_table(name, tmp_path):
     assert _mismatch(name, _run(name, str(tmp_path)), _stored(name)) is None
+
+
+THREAD_CASES = [
+    ["lll-compare", "--B", "20,40"],
+    ["dynamics-defect", "--B", "20,40"],
+    ["disorder-dos", "--L", "30", "--nseeds", "2"],
+]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _table_under_threads(argv, threads):
+    """CSV table of a fresh `python -m fluxlab.cli` run with `threads`
+    OpenBLAS threads; the run must pass its gates."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-m", "fluxlab.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("argv", THREAD_CASES, ids=lambda argv: argv[0])
+def test_tables_agree_across_blas_thread_counts(argv):
+    # defect_zero is roundoff itself; both runs hold it below its 1e-10 gate,
+    # so ATOL covers it
+    one, two = (_table_under_threads(argv, n) for n in (1, 2))
+    assert _numeric_mismatch(one, two) is None
 
 
 def _environment():

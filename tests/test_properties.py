@@ -1,6 +1,7 @@
 """Property tests: Hausdorff metric axioms, Chambers invariance, Chern numbers
-against the TKNN Diophantine rule, and the exit-code contract of the continuum,
-lattice and disorder commands.
+against the TKNN Diophantine rule, the guiding-centre coset split of the
+continuum operator, and the exit-code contract of the continuum, lattice and
+disorder commands.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same cases. Hypothesis also caches the literals it scans from the
@@ -21,14 +22,20 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from fluxlab import (
+    FourierPotential,
     RationalFlux,
     chern_numbers,
+    continuum_hamiltonian,
+    coset_count,
+    coset_eigh,
     exact_bands,
     hausdorff,
     hofstadter_family,
+    plane_wave_element,
+    torus_basis,
 )
 from fluxlab.cli import main
-from oracles import tknn_cherns
+from oracles import dense_eigh, tknn_cherns
 
 set_hypothesis_home_dir(os.devnull)
 fixed = settings(derandomize=True, database=None, deadline=None)
@@ -112,6 +119,37 @@ def test_chern_numbers_match_the_tknn_rule(flux):
     assert sum(cherns) == 0
 
 
+@st.composite
+def torus_potentials(draw):
+    """(n_cells, real potential) whose harmonics (n, m) are multiples of
+    1 / n_cells, each with its conjugate partner."""
+    n_cells = draw(st.integers(1, 4))
+    steps = st.integers(-2 * n_cells, 2 * n_cells)
+    coefficients = st.complex_numbers(
+        max_magnitude=2.0, allow_nan=False, allow_infinity=False
+    )
+    harmonics = []
+    for a, b, c in draw(st.lists(st.tuples(steps, steps, coefficients), max_size=3)):
+        n, m = a / n_cells, b / n_cells
+        harmonics += [(n, m, c), (-n, -m, c.conjugate())]
+    return n_cells, FourierPotential(harmonics)
+
+
+@fixed
+@given(torus_potentials(), st.integers(1, 24), st.integers(1, 3))
+def test_plane_wave_elements_never_cross_cosets(drawn, n_flux, n_levels):
+    n_cells, potential = drawn
+    basis = torus_basis(math.pi * n_flux / n_cells**2, n_levels, n_cells)
+    assert basis.n_flux == n_flux
+    g = coset_count(basis, potential)
+    coset = np.arange(basis.dim) % n_flux % g
+    across = coset[:, None] != coset[None, :]
+    for n, m, _ in potential.harmonics:
+        assert not np.any(plane_wave_element(basis, (n, m))[across]), (n, m, g)
+    h = continuum_hamiltonian(basis, potential).matrix
+    assert np.max(np.abs(coset_eigh(h, basis, potential) - dense_eigh(h))) < 1e-12
+
+
 def table_rows(csv_text):
     """Rows of a CSV table as {column: text}, metadata lines skipped."""
     header, *rows = [line for line in csv_text.splitlines() if not line.startswith("#")]
@@ -121,6 +159,14 @@ def table_rows(csv_text):
 def usually(valid, invalid, one_in=4):
     """Draws from `invalid` one time in `one_in`."""
     return st.integers(1, one_in).flatmap(lambda i: invalid if i == 1 else valid)
+
+
+def spelled(flags, separate):
+    """Flag tokens, either `--key value` pairs or `--key=value`; a negative
+    value such as -1/3 or -1e-12 must mean the same in both spellings."""
+    if separate:
+        return [tok for key, value in flags.items() for tok in (f"--{key}", str(value))]
+    return [f"--{key}={value}" for key, value in flags.items()]
 
 
 counts = usually(st.sampled_from(["1", "2", "3"]), st.sampled_from(["-1", "0", "2.7"]))
@@ -139,16 +185,18 @@ counts = usually(st.sampled_from(["1", "2", "3"]), st.sampled_from(["-1", "0", "
         st.floats(allow_nan=False, allow_infinity=False),
         st.sampled_from([1e308, -1e308]),
     ),
+    st.booleans(),
 )
 def test_continuum_commands_keep_the_exit_code_contract(
-    command, field, ncells, nlevels, amplitude
+    command, field, ncells, nlevels, amplitude, separate
 ):
     if field > 0 and math.isfinite(field) and ncells in ("1", "2", "3"):
         assume(field * int(ncells) ** 2 / math.pi <= 30)  # at most 30 flux quanta
-    argv = [command, f"--B={field!r}", f"--ncells={ncells}", f"--nlevels={nlevels}",
-            f"--amplitude={amplitude!r}"]
+    flags = {"B": repr(field), "ncells": ncells, "nlevels": nlevels,
+             "amplitude": repr(amplitude)}
     if command == "dynamics-defect":
-        argv.append("--times=0.5,1")
+        flags["times"] = "0.5,1"
+    argv = [command] + spelled(flags, separate)
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
         warnings.simplefilter("error")
@@ -169,7 +217,9 @@ tolerances = usually(
 )
 grids = usually(st.integers(1, 8).map(str), st.sampled_from(["0", "2.7"]), one_in=10)
 flux_texts = usually(
-    fluxes(qmax=5).map(lambda f: f"{f.p}/{f.q}"),
+    st.tuples(st.sampled_from(["", "-"]), fluxes(qmax=5)).map(
+        lambda drawn: f"{drawn[0]}{drawn[1].p}/{drawn[1].q}"
+    ),
     st.sampled_from(["2/4", "x"]),
     one_in=10,
 )
@@ -184,9 +234,10 @@ flux_texts = usually(
     grids,
     tolerances,
     tolerances,
+    st.booleans(),
 )
 def test_lattice_commands_keep_the_exit_code_contract(
-    command, flux, grid, grid2, tol, gap_tol
+    command, flux, grid, grid2, tol, gap_tol, separate
 ):
     flags = {
         "fiber-spectrum": {"flux": flux, "kgrid": grid, "kgrid2": grid2,
@@ -197,7 +248,7 @@ def test_lattice_commands_keep_the_exit_code_contract(
         "gauge-check": {"B": flux, "L": grid, "kgrid": grid2, "gap-tol": gap_tol,
                         "tol": tol},
     }[command]
-    argv = [command] + [f"--{key}={value}" for key, value in flags.items()]
+    argv = [command] + spelled(flags, separate)
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
         warnings.simplefilter("error")
@@ -217,16 +268,17 @@ def test_lattice_commands_keep_the_exit_code_contract(
     st.integers(1, 40),
     tolerances,
     usually(st.sampled_from([3, 6]), st.integers(1, 5)),
-    usually(st.sampled_from(["1/3", "0/1"]), st.just("2/4"), one_in=10),
+    usually(st.sampled_from(["1/3", "-1/3", "0/1"]), st.just("2/4"), one_in=10),
     st.integers(1, 2),
     st.integers(1, 8),
+    st.booleans(),
 )
 def test_disorder_command_keeps_the_exit_code_contract(
-    strength, width, bins, gap_tol, side, flux, nseeds, kgrid
+    strength, width, bins, gap_tol, side, flux, nseeds, kgrid, separate
 ):
     flags = {"W": strength, "width": width, "bins": bins, "gap-tol": gap_tol,
              "L": side, "flux": flux, "nseeds": nseeds, "kgrid": kgrid}
-    argv = ["disorder-dos"] + [f"--{key}={value}" for key, value in flags.items()]
+    argv = ["disorder-dos"] + spelled(flags, separate)
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
         warnings.simplefilter("error")
