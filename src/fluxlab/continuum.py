@@ -268,10 +268,14 @@ def coset_eigh(
     lowest eigenvalues, scattered back to full rows.
     """
     g = coset_count(basis, potential)
-    guiding = np.arange(basis.dim) % basis.n_flux
-    cosets = [np.flatnonzero(guiding % g == c) for c in range(g)]
-    blocks = [matrix[np.ix_(idx, idx)] for idx in cosets]
-    leak = np.count_nonzero(matrix) - sum(np.count_nonzero(b) for b in blocks)
+    # index level * n_flux + q * g + c -> axes (level, q, c), twice; block c
+    # is a strided view, and at g = 1 the whole matrix without a copy
+    six = matrix.reshape(basis.n_levels, basis.n_flux // g, g,
+                         basis.n_levels, basis.n_flux // g, g)
+    size = basis.dim // g
+    blocks = [six[:, :, c, :, :, c].reshape(size, size) for c in range(g)]
+    leak = sum(np.count_nonzero(six[:, :, a, :, :, b])
+               for a in range(g) for b in range(g) if a != b)
     if leak:
         raise NumericalCheckError(
             f"operator at B = {basis.field:.12g} has {leak} nonzero entries "
@@ -282,14 +286,13 @@ def coset_eigh(
     pairs = [np.linalg.eigh(b) for b in blocks]
     w = np.concatenate([values for values, _ in pairs])
     order = np.argsort(w, kind="stable")
-    # a coset's eigenvalues come sorted, so the r lowest overall are among
-    # the r lowest of each coset
     lowest = order[:rank]
-    size = len(cosets[0])
+    guiding = np.arange(basis.dim) % basis.n_flux
     frame = np.zeros((basis.dim, rank), dtype=complex)
-    for c, (idx, (_, vectors)) in enumerate(zip(cosets, pairs)):
+    for c, (_, vectors) in enumerate(pairs):
         mine = np.flatnonzero(lowest // size == c)
-        frame[np.ix_(idx, mine)] = vectors[:, lowest[mine] % size]
+        frame[np.ix_(np.flatnonzero(guiding % g == c), mine)] = (
+            vectors[:, lowest[mine] % size])
     return w[order], frame
 
 
