@@ -380,6 +380,11 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
             )
     if resolved["format"] not in ("csv", "json"):
         raise ConfigError(f"unknown format {resolved['format']!r}; use csv or json")
+    # the atomic rename in emit would replace a device, FIFO or directory
+    out = resolved["out"]
+    for path in [out, _sidecar_path(out)] if out else []:
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise ConfigError(f"--out: {path!r} exists and is not a regular file")
     return RunConfig(command=command, params=resolved)
 
 
@@ -765,6 +770,10 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _sidecar_path(out: str) -> str:
+    return os.path.splitext(out)[0] + ".meta.json"
+
+
 def emit(artifact: RunArtifact, cfg: RunConfig, wall_time: float) -> None:
     text = (
         render_csv(artifact, cfg)
@@ -792,7 +801,7 @@ def emit(artifact: RunArtifact, cfg: RunConfig, wall_time: float) -> None:
         "rows": len(artifact.rows),
         "wall_time_s": wall_time,
     }
-    sidecar_path = os.path.splitext(out)[0] + ".meta.json"
+    sidecar_path = _sidecar_path(out)
     written = []
     try:
         _atomic_write(out, text)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 from .errors import ConfigError, NumericalCheckError
 from .lattice import RationalFlux, conjugate_paired, weyl_translation
@@ -112,6 +111,16 @@ def torus_basis(B: float, n_levels: int, n_cells: int) -> LandauBasisSpec:
     )
 
 
+def _genlaguerre(n: int, alpha: int, x: float) -> float:
+    """Generalized Laguerre polynomial L_n^(alpha)(x) for integer n >= 0, by
+    the three-term recurrence
+    L_{k+1} = ((2k + 1 + alpha - x) L_k - (k + alpha) L_{k-1}) / (k + 1)."""
+    prev, cur = 0.0, 1.0
+    for k in range(n):
+        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
+    return cur
+
+
 def level_form_factor(kx: float, ky: float, b: float, n_levels: int) -> np.ndarray:
     """Matrix of e^{i K . (cyclotron coordinate)} between Landau levels.
 
@@ -131,12 +140,12 @@ def level_form_factor(kx: float, ky: float, b: float, n_levels: int) -> np.ndarr
             if d >= 0:
                 amp = math.exp(
                     0.5 * (math.lgamma(n_lo + 1) - math.lgamma(n_hi + 1))
-                ) * eval_genlaguerre(n_lo, d, x)
+                ) * _genlaguerre(n_lo, d, x)
                 g[n_hi, n_lo] = pref * amp * np.conj(kappa) ** d
             else:
                 amp = math.exp(
                     0.5 * (math.lgamma(n_hi + 1) - math.lgamma(n_lo + 1))
-                ) * eval_genlaguerre(n_hi, -d, x)
+                ) * _genlaguerre(n_hi, -d, x)
                 g[n_hi, n_lo] = pref * amp * (-kappa) ** (-d)
     return g
 

@@ -10,14 +10,18 @@ for "do these two spectra agree locally" comparisons across the package.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import erf
 
 from .errors import DegenerateBandsError, NumericalCheckError
 from .lattice import BlochFiberFamily, RationalFlux, hofstadter_family
 
 _DEDUP_ATOL = 1e-13
 _CHUNK_ENTRIES = 4_000_000  # complex fiber entries built at once
+_ERF = np.frompyfunc(math.erf, 1, 1)
+# erf(z) rounds to exactly +-1.0 in double precision for |z| >= this
+_ERF_SATURATION = 6.0
 
 
 def check_hermitian(matrix: np.ndarray) -> None:
@@ -167,7 +171,8 @@ def band_quantiles(flux: RationalFlux, n: int, quantiles):
     last = n * n - 1
     h = last * np.asarray(quantiles, dtype=float)
     ranks = np.concatenate(([0, last], np.floor(h), np.ceil(h))).astype(int)
-    ranks = np.union1d(ranks, last - ranks)
+    # a set union: np.union1d would import numpy.ma
+    ranks = np.array(sorted({*ranks.tolist(), *(last - ranks).tolist()}))
     j1, j2 = np.divmod(order[ranks], n)
     r1, r2 = np.sort([cls[j1], cls[j2]], axis=0)
     family = hofstadter_family(flux)
@@ -205,7 +210,11 @@ def default_gap_tol(values: np.ndarray) -> float:
     spacings = spacings[spacings > _DEDUP_ATOL * max(1.0, np.abs(vals).max())]
     if spacings.size == 0:
         return _DEDUP_ATOL
-    return 10.0 * float(np.median(spacings))
+    # np.median's value without its NaN check, which imports numpy.ma
+    n = spacings.size
+    part = np.partition(spacings, [(n - 1) // 2, n // 2])
+    median = part[n // 2] if n % 2 else (part[n // 2 - 1] + part[n // 2]) / 2
+    return 10.0 * float(median)
 
 
 def band_intervals(sample, gap_tol: float) -> np.ndarray:
@@ -323,7 +332,10 @@ def dos(
         raise ValueError("empty energy range")
     edges = np.linspace(lo, hi, bins + 1)
     z = (edges[None, :] - vals[:, None]) / (width * np.sqrt(2.0))
-    cdf = 0.5 * (1.0 + erf(z))
+    erf = np.sign(z)
+    live = ~(np.abs(z) >= _ERF_SATURATION)  # NaN is live and stays NaN
+    erf[live] = _ERF(z[live])
+    cdf = 0.5 * (1.0 + erf)
     mass = np.sum(cdf[:, 1:] - cdf[:, :-1], axis=0) / vals.size
     total = float(mass.sum())
     if total <= 0:

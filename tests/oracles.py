@@ -4,9 +4,12 @@ None of these is used by the library itself: each one builds or measures a
 quantity a second way, written out from its definition.
 """
 
+import math
 from math import cos, pi
 
 import numpy as np
+from scipy.special import erf as scipy_erf
+from scipy.special import eval_genlaguerre
 
 from fluxlab import hofstadter_family
 
@@ -115,3 +118,47 @@ def dense_eigh(matrix, rank=None):
         return np.linalg.eigvalsh(matrix)
     w, v = np.linalg.eigh(matrix)
     return w, v[:, :rank]
+
+
+def scipy_level_form_factor(kx, ky, b, n_levels):
+    """`continuum.level_form_factor` with its Laguerre values taken from
+    scipy's eval_genlaguerre: entry (n', n) for n' >= n is
+    e^{-|kappa|^2 / 2} sqrt(n!/n'!) conj(kappa)^{n'-n} L_n^{(n'-n)}(|kappa|^2),
+    kappa = (Kx + i Ky) / sqrt(2b), and G(K)^dag = G(-K) gives the rest.
+    """
+    kappa = math.sqrt(0.5 / b) * (kx + 1j * ky)
+    x = abs(kappa) ** 2
+    g = np.zeros((n_levels, n_levels), dtype=complex)
+    for hi in range(n_levels):
+        for lo in range(hi + 1):
+            d = hi - lo
+            amp = math.exp(
+                -x / 2.0 + 0.5 * (math.lgamma(lo + 1) - math.lgamma(hi + 1))
+            ) * eval_genlaguerre(lo, d, x)
+            g[hi, lo] = amp * np.conj(kappa) ** d
+            g[lo, hi] = amp * (-kappa) ** d
+    return g
+
+
+def erf_dos(values, erf, width, bins, bounds):
+    """`spectra.dos` with the error function `erf` applied to every entry
+    of the grid z = (edge - value) / (width sqrt 2), with no saturation cut.
+
+    Returns (edges, density, inside): inside is the sample's weight within
+    the bounds, which density is normalized by, and density is None when it
+    is not positive.
+    """
+    vals = np.sort(np.asarray(values, dtype=float).ravel())
+    edges = np.linspace(bounds[0], bounds[1], bins + 1)
+    z = (edges[None, :] - vals[:, None]) / (width * np.sqrt(2.0))
+    cdf = 0.5 * (1.0 + erf(z))
+    mass = np.sum(cdf[:, 1:] - cdf[:, :-1], axis=0) / vals.size
+    total = float(mass.sum())
+    if total <= 0:
+        return edges, None, total
+    return edges, mass / total / (edges[1] - edges[0]), total
+
+
+def math_erf(z):
+    """math.erf at every entry of the array z."""
+    return np.vectorize(math.erf, otypes=[float])(z)

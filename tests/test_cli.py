@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -140,6 +141,9 @@ def test_chern_off_the_tknn_integers_exits_3(monkeypatch, capsys):
         ["harper-spectrum", "--flux", "1/3", "--thetagrid", "8", "--kgrid", "8"],
         ["peierls-check", "--flux", "1/3", "--kgrid", "8"],
         ["gauge-check", "--B", "1/8", "--L", "8", "--kgrid", "16"],
+        # a NaN that reached dos as a saturated erf would empty the histogram
+        # and exit 2, a configuration error
+        ["disorder-dos", "--L", "6", "--nseeds", "2", "--kgrid", "16", "--bins", "40"],
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -174,6 +178,25 @@ def test_out_into_missing_directory_exits_2(tmp_path):
     assert code == 2
     assert not target.exists()
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("make", [os.mkfifo, os.mkdir], ids=["fifo", "directory"])
+@pytest.mark.parametrize("target", ["x.csv", "x.meta.json"], ids=["table", "sidecar"])
+def test_out_onto_a_special_file_exits_2_before_any_solve(
+    make, target, tmp_path, monkeypatch, capsys
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve before --out was checked")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+    special = tmp_path / target
+    make(special)
+    kind = os.stat(special).st_mode
+    out = tmp_path / "x.csv"
+    assert main(["chern", "--flux", "1/3", "--kgrid", "12", "--out", str(out)]) == 2
+    assert "error: --out:" in capsys.readouterr().err
+    assert os.stat(special).st_mode == kind
+    assert sorted(os.listdir(tmp_path)) == [target]
 
 
 def test_butterfly_small_run_stdout(capsys):

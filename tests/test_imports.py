@@ -1,9 +1,15 @@
-"""Module boundaries: no fluxlab module imports another one's private names."""
+"""Module boundaries: no fluxlab module imports another one's private names,
+and no command loads scipy or numpy.ma, whose imports would cost every
+invocation more than numpy itself."""
 
 import ast
+import json
 import os
+import subprocess
+import sys
 
 import fluxlab
+from test_golden import CASES
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(fluxlab.__file__))
 
@@ -32,3 +38,35 @@ def test_no_private_cross_module_imports():
         if entry.endswith(".py"):
             found += _private_imports(os.path.join(PACKAGE_DIR, entry))
     assert found == []
+
+
+_LOADED_AFTER_EVERY_COMMAND = """
+import json, os, sys, tempfile
+from fluxlab.cli import main
+
+with tempfile.TemporaryDirectory() as scratch:
+    for i, argv in enumerate(json.load(sys.stdin)):
+        assert main(argv + ["--out", os.path.join(scratch, f"{i}.csv")]) == 0, argv
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_no_command_imports_scipy_or_numpy_ma():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR))
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER_EVERY_COMMAND],
+        input=json.dumps([argv for argv, _ in CASES.values()]),
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    heavy = [
+        name
+        for name in loaded
+        if name.split(".")[0] == "scipy" or name.split(".")[:2] == ["numpy", "ma"]
+    ]
+    assert heavy == []

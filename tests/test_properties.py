@@ -1,6 +1,7 @@
 """Property tests: Hausdorff metric axioms, Chambers invariance and
 monotonicity, Chern numbers against the TKNN Diophantine rule, the
-guiding-centre coset split of the continuum operator, and the exit-code
+guiding-centre coset split of the continuum operator, the Laguerre
+recurrence and the windowed erf of the DOS against scipy, and the exit-code
 contract of the continuum, lattice and disorder commands.
 
 Examples are derandomized and no example database is kept, so every run
@@ -17,6 +18,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from math import gcd
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -28,14 +30,25 @@ from fluxlab import (
     continuum_hamiltonian,
     coset_count,
     coset_eigh,
+    dos,
     exact_bands,
     hausdorff,
     hofstadter_family,
+    level_form_factor,
     plane_wave_element,
     torus_basis,
 )
 from fluxlab.cli import main
-from oracles import dense_eigh, tknn_cherns
+from fluxlab.continuum import _genlaguerre
+from oracles import (
+    dense_eigh,
+    erf_dos,
+    eval_genlaguerre,
+    math_erf,
+    scipy_erf,
+    scipy_level_form_factor,
+    tknn_cherns,
+)
 
 set_hypothesis_home_dir(os.devnull)
 fixed = settings(derandomize=True, database=None, deadline=None)
@@ -305,3 +318,52 @@ def test_disorder_command_keeps_the_exit_code_contract(
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     if not strength >= 0 or math.isinf(strength):
         assert code == 2, argv
+
+
+@fixed
+@given(st.integers(0, 12), st.integers(0, 12), st.floats(0.0, 60.0))
+def test_laguerre_recurrence_matches_scipy(n, alpha, x):
+    # relative to the bound |L_n^(alpha)(x)| <= C(n + alpha, n) e^{x/2}: near a
+    # root neither value has a small relative error of its own
+    scale = math.comb(n + alpha, n) * math.exp(x / 2.0)
+    assert abs(_genlaguerre(n, alpha, x) - eval_genlaguerre(n, alpha, x)) <= 1e-13 * scale
+
+
+@fixed
+@given(
+    st.floats(-20.0, 20.0),
+    st.floats(-20.0, 20.0),
+    st.floats(0.5, 50.0),
+    st.integers(1, 8),
+)
+def test_level_form_factor_matches_scipy_laguerre(kx, ky, b, n_levels):
+    # entries of a unitary's matrix block: every one has modulus <= 1
+    got = level_form_factor(kx, ky, b, n_levels)
+    want = scipy_level_form_factor(kx, ky, b, n_levels)
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@fixed
+@given(
+    st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=30),
+    st.floats(1e-3, 2.0),
+    st.integers(1, 60),
+    st.floats(-8.0, 8.0),
+    st.floats(1e-3, 16.0),
+)
+def test_windowed_erf_dos_matches_full_grid_erf(values, width, bins, lo, span):
+    bounds = (lo, lo + span)
+    edges, want, inside = erf_dos(values, math_erf, width, bins, bounds)
+    if want is None:
+        with pytest.raises(ValueError, match="fell outside the range"):
+            dos(values, width=width, bins=bins, bounds=bounds)
+        return
+    got_edges, got = dos(values, width=width, bins=bins, bounds=bounds)
+    assert np.array_equal(got_edges, edges)
+    # bit for bit: math.erf is exactly +-1 past the saturation cut
+    assert np.array_equal(got, want)
+    _, ref, _ = erf_dos(values, scipy_erf, width, bins, bounds)
+    # compared as bin masses before the normalization by the in-range weight:
+    # each is a difference of erf values averaged over the sample
+    mass_error = np.max(np.abs(got - ref)) * (edges[1] - edges[0]) * inside
+    assert mass_error <= 1e-15

@@ -1,5 +1,7 @@
 """Tests for eigenvalue collection, band intervals, distances, DOS, Chern numbers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -405,6 +407,19 @@ def test_dos_bounds_and_validation():
         dos(np.array([0.0]), width=0.1, bins=0)
     with pytest.raises(ValueError, match="all spectral weight fell outside"):
         dos(np.array([0.0]), width=0.01, bins=50, bounds=(5.0, 6.0))
+
+
+def test_erf_is_exactly_one_at_the_saturation_cut():
+    # dos takes erf(z) = sign(z) for |z| >= the cut without calling math.erf,
+    # which is exact only if erf has rounded to +-1.0 there (monotone beyond)
+    cut = spectra._ERF_SATURATION
+    assert math.erf(cut) == 1.0 and math.erf(-cut) == -1.0
+
+
+def test_dos_of_a_nan_value_is_nan():
+    # a NaN eigenvalue must not saturate to erf = -1 and drop out of the mass
+    _, density = dos(np.array([0.0, np.nan]), width=0.1, bins=20, bounds=(-1.0, 1.0))
+    assert np.all(np.isnan(density))
 
 
 def test_chern_numbers_known_values():
