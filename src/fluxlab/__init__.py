@@ -38,15 +38,13 @@ from .spectra import (
     tknn_cherns,
 )
 from .continuum import (
-    ContinuumHamiltonian,
     FourierPotential,
     LandauBasisSpec,
     StrongFieldRow,
     cluster_gap,
-    continuum_hamiltonian,
+    coset_blocks,
     coset_count,
     coset_eigh,
-    field_operator,
     level_form_factor,
     lll_effective,
     next_level_coupling,

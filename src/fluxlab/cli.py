@@ -31,8 +31,8 @@ from .continuum import (
     FourierPotential,
     StrongFieldRow,
     coset_eigh,
-    field_operator,
     strong_field_report,
+    torus_basis,
 )
 from .disorder import anderson_realization, ensemble_dos, gap_fill_fraction
 from .dynamics import DefectRow, defect_scaling
@@ -556,10 +556,9 @@ def _cmd_chern(p: dict) -> RunArtifact:
 
 def _cmd_continuum_spectrum(p: dict) -> RunArtifact:
     potential = FourierPotential.cosine_xy(p["amplitude"])
-    ham = field_operator(p["B"], potential, p["nlevels"], p["ncells"])
-    basis = ham.basis
+    basis = torus_basis(float(p["B"]), p["nlevels"], p["ncells"])
     b_used, n_flux = basis.field, basis.n_flux
-    w = coset_eigh(ham.matrix, basis, potential)
+    w = coset_eigh(basis, potential)
     rows = [(i, float(e)) for i, e in enumerate(w)]
     return RunArtifact(
         columns=["index", "energy"],

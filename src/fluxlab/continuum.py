@@ -193,34 +193,13 @@ def plane_wave_element(basis: LandauBasisSpec, K) -> np.ndarray:
     return np.kron(g, tau)
 
 
-@dataclass(frozen=True)
-class ContinuumHamiltonian:
-    """Truncated magnetic Schroedinger operator and its basis metadata."""
-
-    basis: LandauBasisSpec
-    matrix: np.ndarray
-
-
-def continuum_hamiltonian(
-    basis: LandauBasisSpec, potential: FourierPotential
-) -> ContinuumHamiltonian:
-    """Kinetic Landau ladder plus the potential in plane-wave elements."""
-    h = np.kron(
-        np.diag(basis.level_energies().astype(complex)), np.eye(basis.n_flux)
-    )
-    for n, m, c in potential.harmonics:
-        h += c * plane_wave_element(basis, (n, m))
-    check_hermitian(h)
-    return ContinuumHamiltonian(basis=basis, matrix=h)
-
-
 def lll_effective(basis: LandauBasisSpec, potential: FourierPotential) -> np.ndarray:
     """Compression of the potential to the lowest level: sum of
     c_K e^{-|K|^2/(4b)} tau(K) on the guiding space.
 
-    By construction this equals the lowest-level diagonal block of
-    continuum_hamiltonian(basis, V) minus the kinetic ladder, exactly; the
-    tests pin that identity down to roundoff.
+    By construction its rows and columns in coset c equal the lowest-level
+    rows and columns of coset_blocks(basis, V)[c] minus the kinetic ladder;
+    the tests pin that identity down to roundoff.
     """
     b = basis.effective_field
     out = np.zeros((basis.n_flux, basis.n_flux), dtype=complex)
@@ -260,61 +239,74 @@ def coset_count(basis: LandauBasisSpec, potential: FourierPotential) -> int:
     return g
 
 
-def coset_eigh(
-    matrix: np.ndarray,
-    basis: LandauBasisSpec,
-    potential: FourierPotential,
-    rank: int | None = None,
-):
-    """Sorted eigenvalues of the continuum operator `matrix`, solved block by
-    block over its coset_count(basis, potential) guiding-centre cosets
-    (the magnetic translation group: J. Zak, Phys. Rev. 134, A1602 (1964)).
+def coset_blocks(basis: LandauBasisSpec, potential: FourierPotential) -> np.ndarray:
+    """The continuum operator as its g = coset_count(basis, potential)
+    guiding-centre coset blocks, shape (g, d/g, d/g); the d x d operator is
+    never built (the magnetic translation group: J. Zak, Phys. Rev. 134,
+    A1602 (1964)).
 
-    Coset c holds the indices level * n_flux + j with j = c mod g, and every
-    entry between two cosets is zero by construction, not to a tolerance: a
-    nonzero (or NaN) one raises NumericalCheckError before any solve. With
-    rank r given, also returns the d x r frame of the eigenvectors of the r
-    lowest eigenvalues, scattered back to full rows.
+    Coset c holds the indices level * n_flux + j with j = c mod g, at block
+    row level * (n_flux/g) + j // g. The kinetic ladder is the diagonal, and
+    each harmonic c e^{iK.r} = c G(K) (x) tau(K) adds c G[a, b] tau[j, k] at
+    the nonzero entries of tau only, in one scatter. Those must join indices
+    of one coset (j = k mod g): the zeros between cosets are structural, not
+    roundoff, so a nonzero (or NaN) entry across raises NumericalCheckError,
+    with no tolerance. Each block is checked Hermitian.
     """
     g = coset_count(basis, potential)
-    # index level * n_flux + q * g + c -> axes (level, q, c), twice; block c
-    # is a strided view, and at g = 1 the whole matrix without a copy
-    six = matrix.reshape(basis.n_levels, basis.n_flux // g, g,
-                         basis.n_levels, basis.n_flux // g, g)
-    size = basis.dim // g
-    blocks = [six[:, :, c, :, :, c].reshape(size, size) for c in range(g)]
-    leak = sum(np.count_nonzero(six[:, :, a, :, :, b])
-               for a in range(g) for b in range(g) if a != b)
-    if leak:
-        raise NumericalCheckError(
-            f"operator at B = {basis.field:.12g} has {leak} nonzero entries "
-            f"between its {g} guiding-centre cosets"
+    per_level = basis.n_flux // g
+    diag = np.arange(basis.dim // g)
+    blocks = np.zeros((g, diag.size, diag.size), dtype=complex)
+    blocks[:, diag, diag] = np.repeat(basis.level_energies(), per_level)
+    first = np.arange(basis.n_levels) * per_level  # each level's first block row
+    for n, m, c in potential.harmonics:
+        tau = _harmonic_translation(basis, n, m)
+        j, k = np.nonzero(tau)
+        leak = np.count_nonzero(j % g != k % g)
+        if leak:
+            raise NumericalCheckError(
+                f"operator at B = {basis.field:.12g} has nonzero entries "
+                f"between its {g} guiding-centre cosets: harmonic ({n:g}, {m:g}) "
+                f"joins {leak} guiding pairs across them"
+            )
+        form = level_form_factor(
+            2.0 * np.pi * n, 2.0 * np.pi * m, basis.effective_field, basis.n_levels
         )
+        blocks[j % g, first[:, None, None] + j // g, first[None, :, None] + k // g] += (
+            c * (form[:, :, None] * tau[j, k]))
+    for block in blocks:
+        check_hermitian(block)
+    return blocks
+
+
+def coset_eigh(
+    basis: LandauBasisSpec, potential: FourierPotential, rank: int | None = None
+):
+    """Sorted eigenvalues of the continuum operator, from one batched solve
+    of its coset_blocks(basis, potential), which all have the same size.
+
+    With rank r given, also returns the d x r frame of the eigenvectors of
+    the r lowest eigenvalues, scattered back to full rows.
+    """
+    blocks = coset_blocks(basis, potential)
     if rank is None:
-        return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
-    pairs = [np.linalg.eigh(b) for b in blocks]
-    w = np.concatenate([values for values, _ in pairs])
+        return np.sort(np.linalg.eigvalsh(blocks), axis=None)
+    values, vectors = np.linalg.eigh(blocks)
+    g, size = values.shape
+    w = values.ravel()
     order = np.argsort(w, kind="stable")
     lowest = order[:rank]
     guiding = np.arange(basis.dim) % basis.n_flux
     frame = np.zeros((basis.dim, rank), dtype=complex)
-    for c, (_, vectors) in enumerate(pairs):
+    for c in range(g):
         mine = np.flatnonzero(lowest // size == c)
         frame[np.ix_(np.flatnonzero(guiding % g == c), mine)] = (
-            vectors[:, lowest[mine] % size])
+            vectors[c][:, lowest[mine] % size])
     return w[order], frame
 
 
 # A lowest cluster whose gap to the rest is at most this is not separated.
 SEPARATION_TOL = 1e-6
-
-
-def field_operator(
-    B: float, potential: FourierPotential, n_levels: int, n_cells: int
-) -> ContinuumHamiltonian:
-    """Snap B to the nearest feasible value on the n_cells x n_cells torus
-    and build the full operator there (no eigensolve)."""
-    return continuum_hamiltonian(torus_basis(float(B), n_levels, n_cells), potential)
 
 
 def cluster_gap(w: np.ndarray, n_flux: int) -> float:
@@ -353,9 +345,8 @@ def strong_field_report(
     """
     rows = []
     for b_req in field_values:
-        ham = field_operator(b_req, potential, n_levels, n_cells)
-        basis = ham.basis
-        w = coset_eigh(ham.matrix, basis, potential)
+        basis = torus_basis(float(b_req), n_levels, n_cells)
+        w = coset_eigh(basis, potential)
         gap = cluster_gap(w, basis.n_flux)
         separated = gap > SEPARATION_TOL
         distance = float("nan")

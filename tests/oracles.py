@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import erf as scipy_erf
 from scipy.special import eval_genlaguerre
 
-from fluxlab import hofstadter_family
+from fluxlab import hofstadter_family, plane_wave_element
 
 
 def harper_fiber(flux, theta, k):
@@ -107,12 +107,25 @@ def grid_band_quantiles(flux, n, quantiles):
     )
 
 
+def dense_hamiltonian(basis, potential):
+    """The continuum operator built whole as a d x d matrix, ignoring its
+    coset blocks: the kinetic ladder kron(diag(level energies), I) plus
+    c * plane_wave_element(basis, (n, m)) for every harmonic (n, m, c).
+    """
+    h = np.kron(
+        np.diag(basis.level_energies().astype(complex)), np.eye(basis.n_flux)
+    )
+    for n, m, c in potential.harmonics:
+        h += c * plane_wave_element(basis, (n, m))
+    return h
+
+
 def dense_eigh(matrix, rank=None):
     """The unsplit solve of a continuum operator, ignoring its coset blocks.
 
     Sorted eigenvalues of the whole d x d matrix and, with rank r given, the
-    d x r eigenvectors of the r lowest; the call shape of
-    `continuum.coset_eigh` minus the basis and the potential.
+    d x r eigenvectors of the r lowest; `continuum.coset_eigh` with the
+    operator in place of the basis and the potential.
     """
     if rank is None:
         return np.linalg.eigvalsh(matrix)

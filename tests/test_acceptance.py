@@ -17,7 +17,7 @@ from fluxlab import (
     anderson_realization,
     band_intervals,
     chern_numbers,
-    continuum_hamiltonian,
+    coset_eigh,
     eigenvalues_hermitian,
     ensemble_dos,
     gap_fill_fraction,
@@ -194,8 +194,7 @@ def test_acceptance_06_chern_integers(capsys):
 def test_acceptance_07_free_continuum_levels(capsys):
     basis = torus_basis(10.0, 6, 4)
     n_flux = basis.n_flux
-    ham = continuum_hamiltonian(basis, FourierPotential.cosine_xy(0.0))
-    w = np.linalg.eigvalsh(ham.matrix)
+    w = coset_eigh(basis, FourierPotential.cosine_xy(0.0))
     expected = np.repeat(basis.level_energies(), n_flux)
     rel = float(np.max(np.abs(w - expected)) / np.max(np.abs(expected)))
     ok = rel <= 1e-10

@@ -486,7 +486,7 @@ def test_memory_error_exits_2(argv, monkeypatch, capsys):
         raise MemoryError("Unable to allocate 755. GiB for an array")
 
     for module in (cli, continuum, dynamics):
-        monkeypatch.setattr(module, "field_operator", oversize)
+        monkeypatch.setattr(module, "coset_eigh", oversize)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error: Unable to allocate 755. GiB" in err
@@ -499,17 +499,17 @@ def test_memory_error_exits_2(argv, monkeypatch, capsys):
 def test_cross_coset_entry_exits_3(command, monkeypatch, capsys):
     # B = 5 on 2 cells: n_flux 6 in g = 2 cosets; guiding 0 and 1 lie in
     # different ones. The zeros between cosets are structural, so even a
-    # 1e-300 entry is a leak
-    real = continuum.continuum_hamiltonian
+    # 1e-300 entry of a guiding translation is a leak
+    real = continuum._harmonic_translation
 
-    def leaky(basis, potential):
-        ham = real(basis, potential)
-        ham.matrix[0, 1] = ham.matrix[1, 0] = 1e-300
-        return ham
+    def leaky(basis, n, m):
+        tau = real(basis, n, m)
+        tau[0, 1] = 1e-300
+        return tau
 
     argv = [command, "--B", "5", "--ncells", "2", "--nlevels", "3"]
     assert main(argv) == 0
-    monkeypatch.setattr(continuum, "continuum_hamiltonian", leaky)
+    monkeypatch.setattr(continuum, "_harmonic_translation", leaky)
     capsys.readouterr()
     assert main(argv) == 3
     assert "nonzero entries between its 2 guiding-centre cosets" in (

@@ -11,10 +11,9 @@ from fluxlab import (
     ConfigError,
     FourierPotential,
     RationalFlux,
-    continuum_hamiltonian,
+    coset_blocks,
     coset_count,
     coset_eigh,
-    field_operator,
     hofstadter_family,
     level_form_factor,
     lll_effective,
@@ -24,8 +23,8 @@ from fluxlab import (
     torus_basis,
     weyl_translation,
 )
-from fluxlab.cli import decreasing_gate
-from oracles import dense_eigh
+from fluxlab.cli import decreasing_gate, main
+from oracles import dense_eigh, dense_hamiltonian
 
 
 def standard_basis(n_levels=6, field=10.0, n_cells=4):
@@ -76,16 +75,14 @@ def test_feasible_field_roundtrip():
 
 def test_flat_potential_gives_landau_levels():
     basis = standard_basis()
-    ham = continuum_hamiltonian(basis, FourierPotential.cosine_xy(0.0))
-    w = np.linalg.eigvalsh(ham.matrix)
+    w = coset_eigh(basis, FourierPotential.cosine_xy(0.0))
     expect = np.repeat(basis.level_energies(), basis.n_flux)
     assert np.max(np.abs(w - expect) / np.abs(expect)) < 1e-10
 
 
 def test_constant_potential_shifts_levels():
     basis = standard_basis(n_levels=3)
-    ham = continuum_hamiltonian(basis, FourierPotential([(0, 0, 0.7)]))
-    w = np.linalg.eigvalsh(ham.matrix)
+    w = coset_eigh(basis, FourierPotential([(0, 0, 0.7)]))
     expect = np.repeat(basis.level_energies(), basis.n_flux) + 0.7
     assert np.max(np.abs(w - expect)) < 1e-10
 
@@ -183,21 +180,28 @@ def test_plane_wave_composition_on_converged_block():
 
 def test_flat_hamiltonian_commutes_with_torus_translations():
     basis = standard_basis(n_levels=4)
-    h0 = continuum_hamiltonian(basis, FourierPotential.cosine_xy(0.0)).matrix
+    h0 = dense_hamiltonian(basis, FourierPotential.cosine_xy(0.0))
     for j in ((1, 0), (0, 1), (2, 3)):
         t = np.kron(np.eye(basis.n_levels), tau(*j, basis.n_flux))
         assert np.linalg.norm(h0 @ t - t @ h0, 2) < 1e-10
 
 
 def test_lll_effective_is_lowest_block():
-    basis = standard_basis(n_levels=5)
+    # B = 10 and 40 on 4 cells: g = 1 and 4 cosets; coset c of the guiding
+    # space holds j = c mod g, the lowest-level rows of block c
     v = FourierPotential.cosine_xy(1.0)
-    full = continuum_hamiltonian(basis, v).matrix
-    kinetic = np.kron(
-        np.diag(basis.level_energies().astype(complex)), np.eye(basis.n_flux)
-    )
-    block = (full - kinetic)[: basis.n_flux, : basis.n_flux]
-    assert np.max(np.abs(lll_effective(basis, v) - block)) < 1e-12
+    for field in (10.0, 40.0):
+        basis = standard_basis(n_levels=5, field=field)
+        g = coset_count(basis, v)
+        size = basis.n_flux // g
+        lll = lll_effective(basis, v)
+        blocks = coset_blocks(basis, v)
+        kinetic = basis.level_energies()[0] * np.eye(size)
+        for c in range(g):
+            block = blocks[c, :size, :size] - kinetic
+            assert np.max(np.abs(lll[c::g, c::g] - block)) < 1e-12
+            others = np.arange(basis.n_flux) % g != c
+            assert not np.any(lll[c::g][:, others])
 
 
 def test_lll_spectrum_energy_reflection():
@@ -256,8 +260,7 @@ def test_strong_field_report_flat_potential():
 
 def test_lowest_cluster_structure():
     basis = standard_basis()
-    ham = continuum_hamiltonian(basis, FourierPotential.cosine_xy(1.0))
-    w = np.linalg.eigvalsh(ham.matrix)
+    w = coset_eigh(basis, FourierPotential.cosine_xy(1.0))
     n_flux = basis.n_flux
     b = basis.field
     assert np.max(np.abs(w[:n_flux] - 2.0 * b)) < 2.5  # lowest cluster near 2B
@@ -278,15 +281,16 @@ def test_distances_decreasing_helper():
 def test_coset_split_matches_the_unsplit_solve(field, cosets):
     # n_flux 51, 102, 204 on 4 cells: g = gcd(n_flux, 4)
     potential = FourierPotential.cosine_xy(1.0)
-    ham = field_operator(field, potential, 2, 4)
-    assert coset_count(ham.basis, potential) == cosets
-    w = coset_eigh(ham.matrix, ham.basis, potential)
-    assert np.max(np.abs(w - dense_eigh(ham.matrix))) < 1e-12
-    r = ham.basis.n_flux
-    w_r, frame = coset_eigh(ham.matrix, ham.basis, potential, rank=r)
+    basis = torus_basis(field, 2, 4)
+    h = dense_hamiltonian(basis, potential)
+    assert coset_count(basis, potential) == cosets
+    w = coset_eigh(basis, potential)
+    assert np.max(np.abs(w - dense_eigh(h))) < 1e-12
+    r = basis.n_flux
+    w_r, frame = coset_eigh(basis, potential, rank=r)
     assert np.max(np.abs(w_r - w)) < 1e-12
-    assert frame.shape == (ham.basis.dim, r)
-    residual = ham.matrix @ frame - frame * w[:r]
+    assert frame.shape == (basis.dim, r)
+    residual = h @ frame - frame * w[:r]
     assert np.max(np.abs(residual)) < 1e-10
     assert np.max(np.abs(frame.conj().T @ frame - np.eye(r))) < 1e-12
 
@@ -299,8 +303,23 @@ def test_fractional_harmonic_gives_one_coset():
     quarter = FourierPotential([(0.25, 0, 0.5), (-0.25, 0, 0.5), (0, 1, 1.0),
                                 (0, -1, 1.0)])
     assert coset_count(basis, quarter) == 1
-    h = continuum_hamiltonian(basis, quarter).matrix
-    assert np.array_equal(coset_eigh(h, basis, quarter), dense_eigh(h))
+    h = dense_hamiltonian(basis, quarter)
+    assert np.array_equal(coset_eigh(basis, quarter), dense_eigh(h))
     # no harmonics: every guiding index is its own coset
     assert coset_count(basis, FourierPotential.cosine_xy(0.0)) == basis.n_flux
 
+
+def test_flat_operator_is_one_batched_solve(monkeypatch, tmp_path):
+    # no harmonics: B = 80 on 4 cells has n_flux = 407 cosets of 6 levels
+    # each, all solved in one eigvalsh call on the (407, 6, 6) stack
+    shapes = []
+    real = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    argv = ["continuum-spectrum", "--B", "80", "--amplitude", "0"]
+    assert main(argv + ["--out", str(tmp_path / "flat.csv")]) == 0
+    assert shapes == [(407, 6, 6)]

@@ -1,6 +1,7 @@
 """Tests for time evolution, projector frames, intertwiners, defects."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from fluxlab import (
     defect_curve,
     defect_scaling,
     eigh_hermitian,
-    field_operator,
     fit_slope_through_origin,
     hashed_normal,
     lll_effective,
@@ -22,10 +22,11 @@ from fluxlab import (
     projector_distance,
     random_packet,
     strong_field_report,
+    torus_basis,
 )
 from fluxlab import continuum, dynamics, spectra
 from fluxlab.cli import decreasing_gate, main
-from oracles import dense_eigh
+from oracles import dense_eigh, dense_hamiltonian
 
 
 def random_hermitian(dim, seed):
@@ -374,8 +375,8 @@ def test_defect_scaling_matches_dense_oracle():
             (row,) = defect_scaling(
                 [b_req], potential, times, n_levels=3, n_cells=1, seed=seed
             )
-            ham = field_operator(b_req, potential, 3, 1)
-            basis, h = ham.basis, ham.matrix
+            basis = torus_basis(b_req, 3, 1)
+            h = dense_hamiltonian(basis, potential)
             r, dim = basis.n_flux, basis.dim
             assert dim <= 12
             v = np.linalg.eigh(h)[1][:, :r]
@@ -427,10 +428,11 @@ def test_non_orthonormal_frame_fails_the_frame_check(monkeypatch, capsys):
 
 
 def test_eigensolve_budget(monkeypatch):
-    # defect_scaling: per field, one (d/g) x (d/g) eigh for each of the g
-    # guiding-centre cosets plus one r x r eigh of the effective operator,
-    # no eigvalsh and no d x d 2-norm (an SVD); strong_field_report:
-    # eigenvalues only
+    # defect_scaling: per field, one batched eigh of the g guiding-centre
+    # coset blocks, shape (g, d/g, d/g), plus one r x r eigh of the
+    # effective operator, no eigvalsh and no d x d 2-norm (an SVD);
+    # strong_field_report: the same batch and the r x r lowest-level
+    # operator, eigenvalues only
     calls = []
 
     def counted(name, fn):
@@ -453,7 +455,7 @@ def test_eigensolve_budget(monkeypatch):
     for row in report:
         dim = 3 * row.n_flux
         g = math.gcd(row.n_flux, 2)
-        expected += [(dim // g, dim // g)] * g + [(row.n_flux, row.n_flux)]
+        expected += [(g, dim // g, dim // g), (row.n_flux, row.n_flux)]
         assert not any(
             name == "norm" and shape == (dim, dim) and order == 2
             for name, shape, order in calls
@@ -464,6 +466,7 @@ def test_eigensolve_budget(monkeypatch):
     calls.clear()
     strong_field_report([5.0, 10.0], potential, n_levels=3, n_cells=2)
     assert not any(name == "eigh" for name, _, _ in calls)
+    assert [shape for name, shape, _ in calls if name == "eigvalsh"] == expected
 
 
 def test_defect_rows_match_the_unsplit_solve(monkeypatch):
@@ -474,7 +477,9 @@ def test_defect_rows_match_the_unsplit_solve(monkeypatch):
     args = ([10.0, 20.0, 40.0], potential, (0.5, 1.0, 2.0))
     split = defect_scaling(*args, n_levels=2, n_cells=4)
     monkeypatch.setattr(
-        dynamics, "coset_eigh", lambda h, basis, pot, rank=None: dense_eigh(h, rank)
+        dynamics,
+        "coset_eigh",
+        lambda basis, pot, rank=None: dense_eigh(dense_hamiltonian(basis, pot), rank),
     )
     unsplit = defect_scaling(*args, n_levels=2, n_cells=4)
     assert [row.n_flux for row in split] == [51, 102, 204]
@@ -487,8 +492,8 @@ def test_defect_rows_match_the_unsplit_solve(monkeypatch):
 
 
 def test_one_hermiticity_check_per_field(monkeypatch):
-    # continuum_hamiltonian checks each d x d H once; the eigensolve in
-    # defect_scaling does not check it again
+    # coset_blocks checks each (d/g) x (d/g) coset block once and never a
+    # d x d matrix; the eigensolve in defect_scaling does not check again
     shapes = []
     real = spectra.check_hermitian
 
@@ -502,6 +507,29 @@ def test_one_hermiticity_check_per_field(monkeypatch):
         [5.0, 10.0], FourierPotential.cosine_xy(1.0), times=(0.5, 1.0), n_levels=3,
         n_cells=2,
     )
+    assert [row.n_flux for row in report] == [6, 13]  # g = 2, then g = 1
     for row in report:
         dim = 3 * row.n_flux
-        assert shapes.count((dim, dim)) == 1
+        g = math.gcd(row.n_flux, 2)
+        assert shapes.count((dim // g, dim // g)) == g
+        if g > 1:
+            assert (dim, dim) not in shapes
+
+
+@pytest.mark.parametrize("experiment", ["defect_scaling", "strong_field_report"])
+def test_operator_is_never_built_whole(experiment):
+    # B = 40 on 4 cells with 6 levels: d = 1224 in g = 4 cosets. One whole
+    # d x d complex operator takes 22.9 MB; its coset blocks take a quarter
+    potential = FourierPotential.cosine_xy(1.0)
+    whole = 1224 * 1224 * 16
+    assert torus_basis(40.0, 6, 4).dim == 1224
+    tracemalloc.start()
+    try:
+        if experiment == "defect_scaling":
+            defect_scaling([40.0], potential, (0.5, 1.0), n_levels=6, n_cells=4)
+        else:
+            strong_field_report([40.0], potential, n_levels=6, n_cells=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole, f"peak {peak / 1e6:.1f} MB"

@@ -27,7 +27,7 @@ from fluxlab import (
     FourierPotential,
     RationalFlux,
     chern_numbers,
-    continuum_hamiltonian,
+    coset_blocks,
     coset_count,
     coset_eigh,
     dos,
@@ -42,6 +42,7 @@ from fluxlab.cli import main
 from fluxlab.continuum import _genlaguerre
 from oracles import (
     dense_eigh,
+    dense_hamiltonian,
     erf_dos,
     eval_genlaguerre,
     math_erf,
@@ -178,8 +179,14 @@ def test_plane_wave_elements_never_cross_cosets(drawn, n_flux, n_levels):
     across = coset[:, None] != coset[None, :]
     for n, m, _ in potential.harmonics:
         assert not np.any(plane_wave_element(basis, (n, m))[across]), (n, m, g)
-    h = continuum_hamiltonian(basis, potential).matrix
-    assert np.max(np.abs(coset_eigh(h, basis, potential) - dense_eigh(h))) < 1e-12
+    h = dense_hamiltonian(basis, potential)
+    assert not np.any(h[across])
+    blocks = coset_blocks(basis, potential)
+    assert blocks.shape == (g, basis.dim // g, basis.dim // g)
+    for c in range(g):
+        mine = np.flatnonzero(coset == c)
+        assert np.array_equal(blocks[c], h[np.ix_(mine, mine)]), c
+    assert np.max(np.abs(coset_eigh(basis, potential) - dense_eigh(h))) < 1e-12
 
 
 def table_rows(csv_text):
