@@ -29,7 +29,6 @@ from .spectra import (
     distance_to_intervals,
     dos,
     eigenvalues_hermitian,
-    eigh_hermitian,
     exact_bands,
     fiber_eigenvalues,
     hausdorff,
@@ -46,7 +45,6 @@ from .continuum import (
     coset_count,
     coset_eigh,
     level_form_factor,
-    lll_effective,
     next_level_coupling,
     plane_wave_element,
     strong_field_report,

@@ -16,7 +16,7 @@ magnetic translations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -193,23 +193,6 @@ def plane_wave_element(basis: LandauBasisSpec, K) -> np.ndarray:
     return np.kron(g, tau)
 
 
-def lll_effective(basis: LandauBasisSpec, potential: FourierPotential) -> np.ndarray:
-    """Compression of the potential to the lowest level: sum of
-    c_K e^{-|K|^2/(4b)} tau(K) on the guiding space.
-
-    By construction its rows and columns in coset c equal the lowest-level
-    rows and columns of coset_blocks(basis, V)[c] minus the kinetic ladder;
-    the tests pin that identity down to roundoff.
-    """
-    b = basis.effective_field
-    out = np.zeros((basis.n_flux, basis.n_flux), dtype=complex)
-    for n, m, c in potential.harmonics:
-        k_sq = (2.0 * np.pi) ** 2 * (n * n + m * m)
-        out += c * math.exp(-k_sq / (4.0 * b)) * _harmonic_translation(basis, n, m)
-    check_hermitian(out)
-    return out
-
-
 def next_level_coupling(basis: LandauBasisSpec, potential: FourierPotential) -> float:
     """Largest potential matrix element from the top retained level into the
     first dropped one; the standard truncation-error proxy."""
@@ -338,10 +321,12 @@ def strong_field_report(
     lowest-level compression, one row per requested field value.
 
     Each requested B is snapped to the nearest feasible value on the fixed
-    n_cells x n_cells torus (the row records both). The distance column is
-    the Hausdorff distance between (lowest n_flux eigenvalues - 2B) and the
-    spectrum of lll_effective; rows whose lowest cluster is not separated
-    from the rest are flagged rather than failed.
+    n_cells x n_cells torus (the row records both). In the level-major basis
+    the lowest-level compression P H P is the same operator on one level, so
+    the distance column is the Hausdorff distance between the lowest n_flux
+    eigenvalues and the spectrum of that one-level operator; rows whose
+    lowest cluster is not separated from the rest are flagged rather than
+    failed.
     """
     rows = []
     for b_req in field_values:
@@ -351,9 +336,8 @@ def strong_field_report(
         separated = gap > SEPARATION_TOL
         distance = float("nan")
         if separated:
-            lowest = w[: basis.n_flux] - 2.0 * basis.field
-            eff = np.linalg.eigvalsh(lll_effective(basis, potential))
-            distance = hausdorff(lowest, eff)
+            compressed = coset_eigh(replace(basis, n_levels=1), potential)
+            distance = hausdorff(w[: basis.n_flux], compressed)
         rows.append(
             StrongFieldRow(
                 field_requested=float(b_req),

@@ -10,25 +10,24 @@ plumbing.
 
 Everything is factored through the rank r = rank P: projectors are held as
 orthonormal d x r frames, W restricted to ran P is the r x r polar factor of
-the frame overlap, and both evolutions run in r coordinates, so the
-eigendecomposition of H_full, one batched solve of its guiding-centre coset
-blocks (continuum.coset_eigh), is the only large solve.
+the frame overlap, and both evolutions run in r coordinates. Both operators
+are solved as their guiding-centre coset blocks (continuum.coset_eigh): H_full
+on all levels, and H_eff, the lowest-level compression P H P, as the same
+operator on one level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .continuum import (
-    SEPARATION_TOL, FourierPotential, cluster_gap, coset_eigh, lll_effective,
-    torus_basis,
+    SEPARATION_TOL, FourierPotential, cluster_gap, coset_eigh, torus_basis,
 )
 from .disorder import hashed_normal
 from .errors import ConfigError, InfeasibleModelError, NumericalCheckError
-from .spectra import eigh_hermitian
 
 
 def random_packet(dim: int, seed: int) -> np.ndarray:
@@ -93,7 +92,8 @@ def defect_curve(
     energies: np.ndarray,
     frame: np.ndarray,
     u: np.ndarray,
-    h_eff: np.ndarray,
+    w_eff: np.ndarray,
+    v_eff: np.ndarray,
     psi: np.ndarray,
     times,
 ) -> np.ndarray:
@@ -102,16 +102,18 @@ def defect_curve(
     The full operator H enters through its spectral projection: the d x r
     frame V of eigenvectors and their r energies Lambda, so on ran P,
     e^{-itH} = V e^{-it Lambda} V^dag. u is the intertwiner's polar factor,
-    W V = V_q u, and h_eff the effective operator on ran Q in the target
-    frame's coordinates (r x r). With c = V^dag psi / ||V^dag psi||,
-    d(t) = ||e^{-it Lambda} c - u^dag e^{-it h_eff} u c||.
+    W V = V_q u, and w_eff, v_eff the eigenpairs of the effective operator
+    H_eff on ran Q in the target frame's coordinates (r energies, r x r
+    vectors). With c = V^dag psi / ||V^dag psi||,
+    d(t) = ||e^{-it Lambda} c - u^dag e^{-it H_eff} u c||.
     """
     r = frame.shape[1]
     if (
         psi.shape != (frame.shape[0],)
         or energies.shape != (r,)
         or u.shape != (r, r)
-        or h_eff.shape != (r, r)
+        or w_eff.shape != (r,)
+        or v_eff.shape != (r, r)
     ):
         raise ConfigError("dimension mismatch between operators, projector, state")
     start = frame.conj().T @ psi
@@ -120,7 +122,6 @@ def defect_curve(
         raise ConfigError("projected initial state vanishes")
     start = start / norm
 
-    w_eff, v_eff = eigh_hermitian(h_eff)
     moved = v_eff.conj().T @ (u @ start)
     back = u.conj().T @ v_eff
     t = np.asarray(times, dtype=float)[:, None]
@@ -167,8 +168,9 @@ def defect_scaling(
     the eigendecomposition of the full operator's coset blocks, project
     onto its lowest n_flux eigenvalues, intertwine with the lowest-level
     block, and evolve a seeded random packet under both the full operator and
-    the lowest-level compression 2B + lll_effective, in rank-n_flux
-    coordinates.
+    the lowest-level compression, in rank-n_flux coordinates. In the
+    level-major basis that compression is the same operator on one level, so
+    its eigenpairs come from coset_eigh on the one-level basis.
     d(0) is always measured, whether or not 0 is on the time grid. Rows whose
     lowest cluster is not separated are flagged, not failed.
     """
@@ -207,9 +209,9 @@ def defect_scaling(
             )
         q = np.eye(basis.dim, n_flux, dtype=complex)
         u = nagy_intertwiner(p, q)
-        h_eff = 2.0 * b_used * np.eye(n_flux) + lll_effective(basis, potential)
+        w_eff, v_eff = coset_eigh(replace(basis, n_levels=1), potential, rank=n_flux)
         psi = random_packet(basis.dim, seed)
-        defects = defect_curve(energies, p, u, h_eff, psi, (0.0,) + times)
+        defects = defect_curve(energies, p, u, w_eff, v_eff, psi, (0.0,) + times)
         rows.append(
             DefectRow(
                 field_requested=float(b_req),

@@ -42,12 +42,6 @@ def eigenvalues_hermitian(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(np.asarray(matrix))
 
 
-def eigh_hermitian(matrix: np.ndarray):
-    """(eigenvalues, eigenvectors) with the same validation as above."""
-    check_hermitian(matrix)
-    return np.linalg.eigh(np.asarray(matrix))
-
-
 def _zone_grid(n: int) -> np.ndarray:
     """The n momenta 2 pi j / n, j = 0..n-1, uniform on [0, 2pi).
 

@@ -76,6 +76,9 @@ def test_field_value_caster():
     assert _field_value(0.5) == 0.5
     with pytest.raises(ValueError):
         _field_value("one eighth")
+    # a config file's "1/0" takes the same caster as the flag
+    with pytest.raises(ValueError, match="denominator must be nonzero"):
+        _field_value("1/0")
 
 
 def test_version_flag_exits_zero():
@@ -319,6 +322,8 @@ def test_nonpositive_grid_exits_2(argv, flag, capsys):
         (["dynamics-defect", "--times", "0"], "--times", "must hold a nonzero time"),
         (["chern", "--kgrid", "1"], "--kgrid", "must be >= 2"),
         (["disorder-dos", "--W", "-1"], "--W", "must be >= 0"),
+        (["continuum-spectrum", "--B", "1/0"], "--B", "denominator must be nonzero"),
+        (["gauge-check", "--B", "1/0"], "--B", "denominator must be nonzero"),
     ],
 )
 def test_bad_value_exits_2_before_any_eigensolve(
@@ -356,6 +361,21 @@ def test_gapless_clean_bands_exit_2_before_any_box_solve(argv, monkeypatch, caps
     monkeypatch.setattr(np.linalg, "eigvalsh", fibers_only)
     assert main(argv) == 2
     assert "has no gap to fill" in capsys.readouterr().err
+
+
+def test_non_hermitian_clean_box_exits_3(monkeypatch, capsys):
+    # the clean box is checked once; the disorder adds a real diagonal, which
+    # leaves M - M^dag as it is, so no realization is checked again
+    real = cli.symmetric_gauge_box
+
+    def skewed(*args, **kwargs):
+        box = real(*args, **kwargs)
+        box[0, 1] += 1e-6
+        return box
+
+    monkeypatch.setattr(cli, "symmetric_gauge_box", skewed)
+    assert main(["disorder-dos", "--L", "6", "--nseeds", "2", "--kgrid", "16"]) == 3
+    assert "not Hermitian" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

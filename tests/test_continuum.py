@@ -11,12 +11,10 @@ from fluxlab import (
     ConfigError,
     FourierPotential,
     RationalFlux,
-    coset_blocks,
     coset_count,
     coset_eigh,
     hofstadter_family,
     level_form_factor,
-    lll_effective,
     next_level_coupling,
     plane_wave_element,
     strong_field_report,
@@ -186,30 +184,12 @@ def test_flat_hamiltonian_commutes_with_torus_translations():
         assert np.linalg.norm(h0 @ t - t @ h0, 2) < 1e-10
 
 
-def test_lll_effective_is_lowest_block():
-    # B = 10 and 40 on 4 cells: g = 1 and 4 cosets; coset c of the guiding
-    # space holds j = c mod g, the lowest-level rows of block c
-    v = FourierPotential.cosine_xy(1.0)
-    for field in (10.0, 40.0):
-        basis = standard_basis(n_levels=5, field=field)
-        g = coset_count(basis, v)
-        size = basis.n_flux // g
-        lll = lll_effective(basis, v)
-        blocks = coset_blocks(basis, v)
-        kinetic = basis.level_energies()[0] * np.eye(size)
-        for c in range(g):
-            block = blocks[c, :size, :size] - kinetic
-            assert np.max(np.abs(lll[c::g, c::g] - block)) < 1e-12
-            others = np.arange(basis.n_flux) % g != c
-            assert not np.any(lll[c::g][:, others])
-
-
 def test_lll_spectrum_energy_reflection():
     # the reflection E -> -E is implemented by a clock/shift parity unitary,
     # which exists when the flux count is divisible by twice the cell count;
     # at 48 quanta on 4 cells the eigenvalue multiset is exactly symmetric
     basis = torus_basis(3.0 * np.pi, 1, 4)
-    w = np.linalg.eigvalsh(lll_effective(basis, FourierPotential.cosine_xy(1.0)))
+    w = coset_eigh(basis, FourierPotential.cosine_xy(1.0)) - 2.0 * basis.field
     assert np.max(np.abs(w + w[::-1])) < 1e-10
 
 
@@ -218,7 +198,7 @@ def test_lll_spectrum_dual_to_lattice_model():
     # eigenvalues of the discrete magnetic fiber at flux 16/51 (= 4^2 mod 51 over 51)
     basis = torus_basis(np.pi * 51 / 16.0, 1, 4)
     v = FourierPotential.cosine_xy(1.0)
-    w = np.linalg.eigvalsh(lll_effective(basis, v))
+    w = coset_eigh(basis, v) - 2.0 * basis.field
     b = basis.effective_field
     rescaled = np.exp(np.pi ** 2 / b) * w
     ref = np.linalg.eigvalsh(hofstadter_family(RationalFlux(16, 51)).matrix(0.0, 0.0))

@@ -14,10 +14,8 @@ from fluxlab import (
     NumericalCheckError,
     defect_curve,
     defect_scaling,
-    eigh_hermitian,
     fit_slope_through_origin,
     hashed_normal,
-    lll_effective,
     nagy_intertwiner,
     projector_distance,
     random_packet,
@@ -217,7 +215,7 @@ def block_dominant_hamiltonian(dim, seed, strength=0.05):
 
 def lowest_cluster(h, rank):
     """(eigenpairs, frame and energies of the lowest `rank` levels)."""
-    w, v = eigh_hermitian(h)
+    w, v = np.linalg.eigh(h)
     return (w, v), v[:, :rank], w[:rank]
 
 
@@ -232,16 +230,17 @@ def test_defect_vanishes_for_exact_compression():
 
         # route 1: the eigenbasis itself intertwines P with the coordinate block
         u_eig = (v.conj().T @ p)[:rank]
-        d1 = defect_curve(energies, p, u_eig, np.diag(w[:rank]), psi, times)
+        d1 = defect_curve(
+            energies, p, u_eig, *np.linalg.eigh(np.diag(w[:rank])), psi, times
+        )
         assert d1.max() < 1e-8
         oracle1 = dense_defect(h, np.diag(w), matrix(p), v.conj().T, psi, times)
         assert np.max(np.abs(d1 - oracle1)) < 1e-12
 
         # route 2: canonical intertwiner, effective operator = W H W^dag
         u = nagy_intertwiner(p, q)
-        d2 = defect_curve(
-            energies, p, u, u @ np.diag(energies) @ u.conj().T, psi, times
-        )
+        h_eff = u @ np.diag(energies) @ u.conj().T
+        d2 = defect_curve(energies, p, u, *np.linalg.eigh(h_eff), psi, times)
         assert d2.max() < 1e-8
         wd = dense_nagy(matrix(p), matrix(q))
         oracle2 = dense_defect(h, wd @ h @ wd.conj().T, matrix(p), wd, psi, times)
@@ -252,16 +251,16 @@ def test_defect_zero_time_and_bound():
     dim, rank = 10, 3
     times = np.linspace(0.0, 3.0, 13)
     q = block(dim, rank)
-    zero = np.zeros((rank, rank))
+    zero = np.linalg.eigh(np.zeros((rank, rank)))
     for seed in range(20):
         h = block_dominant_hamiltonian(dim, seed=4 + seed)
         _, p, energies = lowest_cluster(h, rank)
         u = nagy_intertwiner(p, q)
         psi = random_packet(dim, seed=5 + seed)
-        d = defect_curve(energies, p, u, zero, psi, times)
+        d = defect_curve(energies, p, u, *zero, psi, times)
         assert d[0] < 1e-12
         assert d.max() <= 2.0 + 1e-12
-        single = defect_curve(energies, p, u, zero, psi, [1.5])[0]
+        single = defect_curve(energies, p, u, *zero, psi, [1.5])[0]
         assert abs(single - d[np.where(times == 1.5)[0][0]]) < 1e-12
         wd = dense_nagy(matrix(p), matrix(q))
         oracle = dense_defect(h, np.zeros((dim, dim)), matrix(p), wd, psi, times)
@@ -279,7 +278,7 @@ def test_defect_is_continuous_in_time():
         _, p, energies = lowest_cluster(h, rank)
         u = nagy_intertwiner(p, q)
         psi = random_packet(dim, seed=7 + seed)
-        d = defect_curve(energies, p, u, h_eff, psi, times)
+        d = defect_curve(energies, p, u, *np.linalg.eigh(h_eff), psi, times)
         lipschitz = np.linalg.norm(h, 2) + np.linalg.norm(h_eff, 2)
         assert abs(d[1] - d[0]) <= 1.01 * delta * lipschitz
         assert abs(d[3] - d[2]) <= 1.01 * delta * lipschitz
@@ -292,15 +291,17 @@ def test_defect_rejects_orthogonal_start():
     _, p, energies = lowest_cluster(np.diag([0.0, 1.0, 2.0, 3.0]), 2)
     u = nagy_intertwiner(p, p)
     psi = normalized([0.0, 0.0, 1.0, 0.0])
+    w_eff, v_eff = np.linalg.eigh(np.eye(2))
     with pytest.raises(ConfigError, match="vanishes"):
-        defect_curve(energies, p, u, np.eye(2), psi, [0.0, 1.0])
+        defect_curve(energies, p, u, w_eff, v_eff, psi, [0.0, 1.0])
     # every operand has to match the frame's d x r shape
     start = normalized([1.0, 0.0, 0.0, 0.0])
     for args in (
-        (energies, p, u, np.eye(3), start),
-        (energies[:1], p, u, np.eye(2), start),
-        (energies, p, np.eye(3), np.eye(2), start),
-        (energies, p, u, np.eye(2), start[:3]),
+        (energies, p, u, np.ones(3), v_eff, start),
+        (energies, p, u, w_eff, np.eye(3), start),
+        (energies[:1], p, u, w_eff, v_eff, start),
+        (energies, p, np.eye(3), w_eff, v_eff, start),
+        (energies, p, u, w_eff, v_eff, start[:3]),
     ):
         with pytest.raises(ConfigError, match="dimension mismatch"):
             defect_curve(*args, [0.0, 1.0])
@@ -382,9 +383,7 @@ def test_defect_scaling_matches_dense_oracle():
             v = np.linalg.eigh(h)[1][:, :r]
             pm = v @ v.conj().T
             qm = padded(np.eye(r), dim)
-            h_eff = padded(
-                2.0 * basis.field * np.eye(r) + lll_effective(basis, potential), dim
-            )
+            h_eff = padded(h[:r, :r], dim)
             psi = random_packet(dim, seed)
             curve = dense_defect(
                 h, h_eff, pm, dense_nagy(pm, qm), psi, times
@@ -429,10 +428,9 @@ def test_non_orthonormal_frame_fails_the_frame_check(monkeypatch, capsys):
 
 def test_eigensolve_budget(monkeypatch):
     # defect_scaling: per field, one batched eigh of the g guiding-centre
-    # coset blocks, shape (g, d/g, d/g), plus one r x r eigh of the
-    # effective operator, no eigvalsh and no d x d 2-norm (an SVD);
-    # strong_field_report: the same batch and the r x r lowest-level
-    # operator, eigenvalues only
+    # coset blocks, shape (g, d/g, d/g), plus one of the one-level operator's
+    # g blocks, shape (g, r/g, r/g), no eigvalsh and no d x d 2-norm (an
+    # SVD); strong_field_report: the same two batches, eigenvalues only
     calls = []
 
     def counted(name, fn):
@@ -455,7 +453,8 @@ def test_eigensolve_budget(monkeypatch):
     for row in report:
         dim = 3 * row.n_flux
         g = math.gcd(row.n_flux, 2)
-        expected += [(g, dim // g, dim // g), (row.n_flux, row.n_flux)]
+        r = row.n_flux
+        expected += [(g, dim // g, dim // g), (g, r // g, r // g)]
         assert not any(
             name == "norm" and shape == (dim, dim) and order == 2
             for name, shape, order in calls
@@ -492,8 +491,9 @@ def test_defect_rows_match_the_unsplit_solve(monkeypatch):
 
 
 def test_one_hermiticity_check_per_field(monkeypatch):
-    # coset_blocks checks each (d/g) x (d/g) coset block once and never a
-    # d x d matrix; the eigensolve in defect_scaling does not check again
+    # coset_blocks checks each (d/g) x (d/g) coset block once and each of
+    # the one-level operator's (r/g) x (r/g) blocks once, never a d x d or
+    # r x r matrix when g > 1; the eigensolves do not check again
     shapes = []
     real = spectra.check_hermitian
 
@@ -508,12 +508,12 @@ def test_one_hermiticity_check_per_field(monkeypatch):
         n_cells=2,
     )
     assert [row.n_flux for row in report] == [6, 13]  # g = 2, then g = 1
+    expected = []
     for row in report:
-        dim = 3 * row.n_flux
-        g = math.gcd(row.n_flux, 2)
-        assert shapes.count((dim // g, dim // g)) == g
-        if g > 1:
-            assert (dim, dim) not in shapes
+        r = row.n_flux
+        g = math.gcd(r, 2)
+        expected += [(3 * r // g, 3 * r // g)] * g + [(r // g, r // g)] * g
+    assert shapes == expected
 
 
 @pytest.mark.parametrize("experiment", ["defect_scaling", "strong_field_report"])

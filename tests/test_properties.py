@@ -15,6 +15,7 @@ import math
 import os
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from math import gcd
 
 import numpy as np
@@ -187,6 +188,18 @@ def test_plane_wave_elements_never_cross_cosets(drawn, n_flux, n_levels):
         mine = np.flatnonzero(coset == c)
         assert np.array_equal(blocks[c], h[np.ix_(mine, mine)]), c
     assert np.max(np.abs(coset_eigh(basis, potential) - dense_eigh(h))) < 1e-12
+
+
+@fixed
+@given(torus_potentials(), st.integers(1, 24), st.integers(1, 3))
+def test_one_level_blocks_are_the_level_zero_blocks(drawn, n_flux, n_levels):
+    # the lowest-level compression P H P is the operator on one level: in the
+    # level-major layout its coset blocks are the level-0 corners, exactly
+    n_cells, potential = drawn
+    basis = torus_basis(math.pi * n_flux / n_cells**2, n_levels, n_cells)
+    s = n_flux // coset_count(basis, potential)
+    one_level = coset_blocks(replace(basis, n_levels=1), potential)
+    assert np.array_equal(one_level, coset_blocks(basis, potential)[:, :s, :s])
 
 
 def table_rows(csv_text):
