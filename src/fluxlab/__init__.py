@@ -46,7 +46,6 @@ from .continuum import (
     coset_eigh,
     level_form_factor,
     next_level_coupling,
-    plane_wave_element,
     strong_field_report,
     torus_basis,
 )

@@ -175,11 +175,16 @@ def _positive(value):
     return x
 
 
-def _distribution(value):
-    name = str(value)
-    if name not in ("uniform", "gaussian"):
-        raise ValueError("must be uniform or gaussian")
-    return name
+def _choice(*names):
+    """Caster for one of the given names."""
+
+    def checked(value):
+        name = str(value)
+        if name not in names:
+            raise ValueError(f"must be {' or '.join(names)}")
+        return name
+
+    return checked
 
 
 def _nonempty(values):
@@ -277,7 +282,8 @@ _SPECS = {
         "flux": (str, "1/3", "rational flux p/q"),
         "L": (_count, 30, "box side in sites"),
         "W": (_at_least(_float, 0), 2.0, "disorder strength"),
-        "dist": (_distribution, "uniform", "coupling distribution (uniform|gaussian)"),
+        "dist": (_choice("uniform", "gaussian"), "uniform",
+                 "coupling distribution: uniform or gaussian"),
         "nseeds": (_count, 20, "ensemble size"),
         "seed": (_int, 0, "base seed"),
         "width": (_positive, 0.02, "DOS smoothing width"),
@@ -289,7 +295,7 @@ _SPECS = {
 
 _COMMON = {
     "out": (str, "", "output table path ('' = print to stdout)"),
-    "format": (str, "csv", "table format: csv or json"),
+    "format": (_choice("csv", "json"), "csv", "table format: csv or json"),
 }
 
 
@@ -381,8 +387,6 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(
                 f"bad value for --{key.replace('_', '-')}: {value!r} ({exc})"
             )
-    if resolved["format"] not in ("csv", "json"):
-        raise ConfigError(f"unknown format {resolved['format']!r}; use csv or json")
     # the atomic rename in emit would replace a device, FIFO or directory
     out = resolved["out"]
     for path in [out, _sidecar_path(out)] if out else []:

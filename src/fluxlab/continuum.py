@@ -177,22 +177,6 @@ def _harmonic_translation(basis: LandauBasisSpec, n: float, m: float) -> np.ndar
     return weyl_translation(RationalFlux(1, basis.n_flux), -j1, j2)
 
 
-def plane_wave_element(basis: LandauBasisSpec, K) -> np.ndarray:
-    """Matrix of e^{i K . r} in the truncated Landau basis.
-
-    K is an (n, m) pair in reciprocal units 2 pi (fractions allowed as long
-    as they are multiples of 1 / n_cells, the torus reciprocal step).
-    The result factorizes as kron(inter-level form factor, guiding
-    translation); it is unitary up to the level truncation.
-    """
-    n, m = float(K[0]), float(K[1])
-    tau = _harmonic_translation(basis, n, m)
-    kx = 2.0 * np.pi * n
-    ky = 2.0 * np.pi * m
-    g = level_form_factor(kx, ky, basis.effective_field, basis.n_levels)
-    return np.kron(g, tau)
-
-
 def next_level_coupling(basis: LandauBasisSpec, potential: FourierPotential) -> float:
     """Largest potential matrix element from the top retained level into the
     first dropped one; the standard truncation-error proxy."""

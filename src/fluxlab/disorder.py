@@ -63,7 +63,9 @@ def anderson_realization(
     flat in site order.
 
     distribution is "uniform" (couplings in [-strength/2, strength/2]) or
-    "gaussian" (mean zero, standard deviation = strength).
+    "gaussian" (mean zero, standard deviation = strength). A draw that is
+    not finite (a gaussian strength near the float limit) raises
+    ConfigError rather than reaching an eigensolve.
     """
     if side < 1:
         raise ConfigError(f"box side must be >= 1, got {side}")
@@ -71,12 +73,19 @@ def anderson_realization(
         raise ConfigError(f"disorder strength must be >= 0, got {strength}")
     sites = np.arange(side * side)
     if distribution == "uniform":
-        return (hashed_uniform(seed, sites) - 0.5) * strength
-    if distribution == "gaussian":
-        return hashed_normal(seed, sites) * strength
-    raise ConfigError(
-        f"unknown distribution {distribution!r}; use 'uniform' or 'gaussian'"
-    )
+        draws = (hashed_uniform(seed, sites) - 0.5) * strength
+    elif distribution == "gaussian":
+        draws = hashed_normal(seed, sites) * strength
+    else:
+        raise ConfigError(
+            f"unknown distribution {distribution!r}; use 'uniform' or 'gaussian'"
+        )
+    if not np.all(np.isfinite(draws)):
+        raise ConfigError(
+            f"disorder strength {strength:g} gives non-finite {distribution} "
+            "on-site energies"
+        )
+    return draws
 
 
 def ensemble_dos(

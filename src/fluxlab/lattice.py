@@ -100,8 +100,8 @@ class BlochFiberFamily:
     """k-dependent Hermitian fiber H(k) = sum_t e^{i (n_t k1 + m_t k2)} M_t.
 
     The terms must come in conjugate pairs so H(k) is Hermitian at every k.
-    Storing the harmonic decomposition keeps evaluation over large k grids a
-    single einsum instead of a Python loop per point.
+    Storing the harmonic decomposition lets batch evaluate any array of
+    momenta with one array operation per term instead of a loop per point.
 
     chambers declares that the fiber spectrum depends on k only through
     cos(q k1) + cos(q k2) (the Chambers relation). Only hofstadter_family
@@ -112,36 +112,31 @@ class BlochFiberFamily:
     terms: tuple  # ((n, m, matrix), ...)
     chambers: bool = False
 
-    def matrix(self, k1: float, k2: float) -> np.ndarray:
-        h = np.zeros((self.dim, self.dim), dtype=complex)
-        for n, m, mat in self.terms:
-            h += np.exp(1j * (n * k1 + m * k2)) * mat
-        return h
+    def batch(self, k1, k2) -> np.ndarray:
+        """Fibers H(k1, k2) at momenta broadcast against each other, shape
+        np.broadcast(k1, k2).shape + (q, q): scalars give one fiber,
+        (k1[:, None], k2) the product grid.
 
-    def batch(self, k1_vals: np.ndarray, k2_vals: np.ndarray) -> np.ndarray:
-        """Stack of fibers on the outer product grid, shape (N1, N2, q, q).
-
-        Each term adds its phase grid only at the nonzero entries of its
-        matrix (q of them for a Weyl translation), so a term costs q grid
-        passes instead of q^2. A term with n == 0 (m == 0) takes its phase
-        on the k2 (k1) axis alone and broadcasts it. Skipping a zero entry
+        Each term adds its phase only at its matrix's nonzero entries (q for
+        a Weyl translation), in one fancy-index add; a term with n == 0
+        (m == 0) takes its phase from k2 (k1) alone. Skipping a zero entry
         only skips adding a signed zero, and dropping a zero multiple of a
         finite momentum changes at most the sign of a zero argument, where
-        exp gives 1 + 0j either way, so for finite momenta the stack is
-        bit-identical to the dense sum. The entries are accumulated as
-        contiguous (q, q, N1, N2) planes and returned as a view with the
-        matrix axes last.
+        exp gives 1 + 0j either way, so for finite momenta each fiber is
+        bit-identical to the dense sum of e^{i (n k1 + m k2)} * M. The
+        product is phase * entry as there: numpy's SIMD complex multiply
+        rounds the two orders differently. The result is a view of
+        contiguous (q, q) + shape planes with the matrix axes last.
         """
-        k1_vals = np.asarray(k1_vals, dtype=float)
-        k2_vals = np.asarray(k2_vals, dtype=float)
-        kk1 = k1_vals[:, None]
-        kk2 = k2_vals[None, :]
-        out = np.zeros((self.dim, self.dim, len(k1_vals), len(k2_vals)), dtype=complex)
+        k1 = np.asarray(k1, dtype=float)
+        k2 = np.asarray(k2, dtype=float)
+        shape = np.broadcast(k1, k2).shape
+        out = np.zeros((self.dim, self.dim) + shape, dtype=complex)
         for n, m, mat in self.terms:
-            phase = np.exp(1j * ((n * kk1 if n else 0.0) + (m * kk2 if m else 0.0)))
-            for i, j in zip(*np.nonzero(mat)):
-                out[i, j] += phase * mat[i, j]
-        return np.moveaxis(out, (0, 1), (2, 3))
+            phase = np.exp(1j * ((n * k1 if n else 0.0) + (m * k2 if m else 0.0)))
+            i, j = np.nonzero(mat)
+            out[i, j] += phase * mat[i, j].reshape((-1,) + (1,) * len(shape))
+        return out.transpose(*range(2, out.ndim), 0, 1)
 
 
 def weyl_translation(flux: RationalFlux, n: int, m: int) -> np.ndarray:

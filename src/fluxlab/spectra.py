@@ -100,7 +100,7 @@ def _product_eigenvalues(family, k1, k2, triangle: bool) -> np.ndarray:
     rows = max(1, _CHUNK_ENTRIES // (n2 * q * q))
     out = np.empty((n1, n2, q))
     for start in range(0, n1, rows):
-        h = family.batch(k1[start : start + rows], k2)
+        h = family.batch(k1[start : start + rows, None], k2)
         if triangle:
             upper = np.arange(n2) >= np.arange(start, start + len(h))[:, None]
             out[start : start + rows][upper] = np.linalg.eigvalsh(h[upper])
@@ -131,7 +131,7 @@ def exact_bands(flux: RationalFlux) -> np.ndarray:
     """
     family = hofstadter_family(flux)
     edge = np.pi / flux.q
-    corners = np.stack([family.matrix(0.0, 0.0), family.matrix(edge, edge)])
+    corners = family.batch([0.0, edge], [0.0, edge])
     return np.sort(np.linalg.eigvalsh(corners).T, axis=1)
 
 
@@ -170,9 +170,7 @@ def band_quantiles(flux: RationalFlux, n: int, quantiles):
     j1, j2 = np.divmod(order[ranks], n)
     r1, r2 = np.sort([cls[j1], cls[j2]], axis=0)
     family = hofstadter_family(flux)
-    solved = np.linalg.eigvalsh(
-        np.stack([family.matrix(k[i], k[j]) for i, j in zip(r1, r2)])
-    )
+    solved = np.linalg.eigvalsh(family.batch(k[r1], k[r2]))
     vals = np.sort(solved, axis=0)  # row i: the order statistic of rank ranks[i]
     a = vals[np.searchsorted(ranks, np.floor(h))]
     b = vals[np.searchsorted(ranks, np.ceil(h))]
@@ -371,7 +369,7 @@ def chern_numbers(family: BlochFiberFamily, grid: int = 30) -> list[int]:
         raise ValueError("grid must be >= 2")
     q = family.dim
     ks = _zone_grid(grid)
-    h = family.batch(ks, ks)
+    h = family.batch(ks[:, None], ks)
     w, v = np.linalg.eigh(h)
 
     # a single band (q = 1) has no neighbour to touch

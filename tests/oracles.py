@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import erf as scipy_erf
 from scipy.special import eval_genlaguerre
 
-from fluxlab import hofstadter_family, plane_wave_element
+from fluxlab import RationalFlux, hofstadter_family, level_form_factor, weyl_translation
 
 
 def harper_fiber(flux, theta, k):
@@ -89,7 +89,7 @@ def grid_fiber_eigenvalues(family, n1, n2):
     """
     k1 = 2.0 * np.pi * np.arange(n1) / n1
     k2 = 2.0 * np.pi * np.arange(n2) / n2
-    return np.linalg.eigvalsh(family.batch(k1, k2))
+    return np.linalg.eigvalsh(family.batch(k1[:, None], k2))
 
 
 def grid_band_quantiles(flux, n, quantiles):
@@ -105,6 +105,28 @@ def grid_band_quantiles(flux, n, quantiles):
         per_band.max(axis=0),
         np.quantile(per_band, quantiles, axis=0),
     )
+
+
+def plane_wave_element(basis, K):
+    """Matrix of e^{i K . r} in the truncated Landau basis, built whole as
+    kron(G(K), tau(K)); `continuum.coset_blocks` builds the same entries
+    coset by coset.
+
+    K = (n, m) is in reciprocal units 2 pi and must be a multiple of
+    1 / n_cells. G(K) is the inter-level `level_form_factor` at 2 pi (n, m)
+    and tau(K) the guiding translation weyl_translation(1/n_flux, -j1, j2)
+    with (j1, j2) = n_cells (n, m). The product is unitary up to the level
+    truncation.
+    """
+    n, m = float(K[0]), float(K[1])
+    j1, j2 = round(n * basis.n_cells), round(m * basis.n_cells)
+    if abs(n * basis.n_cells - j1) > 1e-9 or abs(m * basis.n_cells - j2) > 1e-9:
+        raise ValueError(f"harmonic {K} is not a multiple of 1 / n_cells")
+    tau = weyl_translation(RationalFlux(1, basis.n_flux), -j1, j2)
+    g = level_form_factor(
+        2.0 * np.pi * n, 2.0 * np.pi * m, basis.effective_field, basis.n_levels
+    )
+    return np.kron(g, tau)
 
 
 def dense_hamiltonian(basis, potential):

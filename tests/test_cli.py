@@ -314,6 +314,25 @@ def test_nonpositive_grid_exits_2(argv, flag, capsys):
     assert f"must be >= {least}" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_disorder_draw_exits_2_before_its_solve(monkeypatch, capsys):
+    # a gaussian draw near the float limit overflows to inf: a configuration
+    # error named like a non-finite flux count, not LAPACK's "did not converge"
+    eigvalsh = np.linalg.eigvalsh
+
+    def finite_only(a, *args, **kwargs):
+        assert np.all(np.isfinite(a)), "a non-finite operator reached eigvalsh"
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", finite_only)
+    argv = ["disorder-dos", "--L", "6", "--nseeds", "2", "--W", "1e308",
+            "--dist", "gaussian"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: disorder strength 1e+308 gives non-finite gaussian")
+    assert "Traceback" not in err and "did not converge" not in err
+
+
 @pytest.mark.parametrize(
     "argv, flag, reason",
     [

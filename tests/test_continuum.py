@@ -11,18 +11,18 @@ from fluxlab import (
     ConfigError,
     FourierPotential,
     RationalFlux,
+    coset_blocks,
     coset_count,
     coset_eigh,
     hofstadter_family,
     level_form_factor,
     next_level_coupling,
-    plane_wave_element,
     strong_field_report,
     torus_basis,
     weyl_translation,
 )
 from fluxlab.cli import decreasing_gate, main
-from oracles import dense_eigh, dense_hamiltonian
+from oracles import dense_eigh, dense_hamiltonian, plane_wave_element
 
 
 def standard_basis(n_levels=6, field=10.0, n_cells=4):
@@ -201,17 +201,19 @@ def test_lll_spectrum_dual_to_lattice_model():
     w = coset_eigh(basis, v) - 2.0 * basis.field
     b = basis.effective_field
     rescaled = np.exp(np.pi ** 2 / b) * w
-    ref = np.linalg.eigvalsh(hofstadter_family(RationalFlux(16, 51)).matrix(0.0, 0.0))
+    ref = np.linalg.eigvalsh(hofstadter_family(RationalFlux(16, 51)).batch(0.0, 0.0))
     assert np.max(np.abs(rescaled - ref)) < 1e-10
 
 
 def test_incompatible_harmonic_rejected():
     basis = standard_basis(n_levels=2)
-    with pytest.raises(ConfigError):
-        plane_wave_element(basis, (0.3, 0.0))
+    off_grid = FourierPotential([(0.3, 0.0, 1.0), (-0.3, 0.0, 1.0)])
+    for build in (coset_count, coset_blocks):
+        with pytest.raises(ConfigError):
+            build(basis, off_grid)
     # fractional harmonics that do land on the torus grid are fine
-    frac = plane_wave_element(basis, (0.25, 0.0))
-    assert frac.shape == (basis.dim, basis.dim)
+    frac = coset_blocks(basis, FourierPotential([(0.25, 0.0, 1.0), (-0.25, 0.0, 1.0)]))
+    assert frac.shape == (1, basis.dim, basis.dim)
 
 
 def test_next_level_coupling_matches_form_factor():

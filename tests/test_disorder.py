@@ -58,6 +58,14 @@ def test_invalid_inputs_rejected():
         anderson_realization(8, "lognormal", 1.0, seed=0)
     with pytest.raises(ConfigError):
         anderson_realization(0, "uniform", 1.0, seed=0)
+    # a gaussian draw at a strength near the float limit overflows to inf;
+    # the uniform law stays within [-strength/2, strength/2]
+    with pytest.raises(ConfigError, match=r"1e\+308 gives non-finite gaussian"):
+        with np.errstate(over="ignore"):
+            anderson_realization(6, "gaussian", 1e308, seed=0)
+    with pytest.raises(ConfigError, match="non-finite uniform"):
+        anderson_realization(6, "uniform", float("nan"), seed=0)
+    assert np.all(np.isfinite(anderson_realization(6, "uniform", 1e308, seed=0)))
 
 
 def test_hashed_streams_vectorize_and_stay_in_range():

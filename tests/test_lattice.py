@@ -48,19 +48,19 @@ def test_rational_flux_parsing():
 
 
 def test_zero_flux_fiber_is_dispersion_value():
-    h = hofstadter_family(RationalFlux(0, 1)).matrix(0.0, 0.0)
+    h = hofstadter_family(RationalFlux(0, 1)).batch(0.0, 0.0)
     assert h.shape == (1, 1)
     assert abs(h[0, 0] - 4.0) < 1e-14
     rng = np.random.default_rng(11)
     for _ in range(20):
         k1, k2 = rng.uniform(-7, 7, size=2)
-        h = hofstadter_family(RationalFlux(0, 1)).matrix(k1, k2)
+        h = hofstadter_family(RationalFlux(0, 1)).batch(k1, k2)
         expect = 2.0 * np.cos(k1) + 2.0 * np.cos(k2)
         assert abs(h[0, 0] - expect) < 1e-12
 
 
 def test_half_flux_fiber_matrix_and_eigenvalues():
-    h = hofstadter_family(RationalFlux(1, 2)).matrix(0.0, 0.0)
+    h = hofstadter_family(RationalFlux(1, 2)).batch(0.0, 0.0)
     assert np.allclose(h, [[2, 2], [2, -2]], atol=1e-14)
     w = np.linalg.eigvalsh(h)
     target = 2.0 * np.sqrt(2.0)
@@ -71,7 +71,7 @@ def test_fiber_dimension_equals_denominator():
     rng = np.random.default_rng(5)
     for _ in range(5):
         k1, k2 = rng.uniform(0, 2 * np.pi, size=2)
-        h = hofstadter_family(RationalFlux(1, 3)).matrix(k1, k2)
+        h = hofstadter_family(RationalFlux(1, 3)).batch(k1, k2)
         assert h.shape == (3, 3)
         assert len(np.linalg.eigvalsh(h)) == 3
 
@@ -83,7 +83,7 @@ def test_builders_hermitian_everywhere():
     for flux in fluxes:
         for _ in range(8):
             k1, k2 = rng.uniform(-10, 10, size=2)
-            assert hermiticity(hofstadter_family(flux).matrix(k1, k2)) < HERM_TOL
+            assert hermiticity(hofstadter_family(flux).batch(k1, k2)) < HERM_TOL
             assert hermiticity(harper_fiber(flux, k2 / 7.0, k1)) < HERM_TOL
     for _ in range(4):
         b = rng.uniform(0, 1)
@@ -97,9 +97,9 @@ def test_fiber_two_pi_periodic():
     rng = np.random.default_rng(2)
     for _ in range(5):
         k1, k2 = rng.uniform(0, 2 * np.pi, size=2)
-        h = fam.matrix(k1, k2)
-        assert np.allclose(h, fam.matrix(k1 + 2 * np.pi, k2), atol=1e-12)
-        assert np.allclose(h, fam.matrix(k1, k2 - 2 * np.pi), atol=1e-12)
+        h = fam.batch(k1, k2)
+        assert np.allclose(h, fam.batch(k1 + 2 * np.pi, k2), atol=1e-12)
+        assert np.allclose(h, fam.batch(k1, k2 - 2 * np.pi), atol=1e-12)
 
 
 def test_spectrum_invariant_under_k1_subcell_shift():
@@ -110,24 +110,24 @@ def test_spectrum_invariant_under_k1_subcell_shift():
         for _ in range(6):
             k1, k2 = rng.uniform(0, 2 * np.pi, size=2)
             fam = hofstadter_family(flux)
-            w0 = np.linalg.eigvalsh(fam.matrix(k1, k2))
-            w1 = np.linalg.eigvalsh(fam.matrix(k1 + step, k2))
+            w0 = np.linalg.eigvalsh(fam.batch(k1, k2))
+            w1 = np.linalg.eigvalsh(fam.batch(k1 + step, k2))
             assert np.max(np.abs(w0 - w1)) < 1e-10
 
 
 def test_flux_shift_by_one_gives_identical_fibers():
     k1, k2 = 0.7, 1.9
-    h0 = hofstadter_family(RationalFlux(1, 3)).matrix(k1, k2)
-    h1 = hofstadter_family(RationalFlux(4, 3)).matrix(k1, k2)
+    h0 = hofstadter_family(RationalFlux(1, 3)).batch(k1, k2)
+    h1 = hofstadter_family(RationalFlux(4, 3)).batch(k1, k2)
     assert np.allclose(h0, h1, atol=1e-12)
 
 
 def test_flux_negation_preserves_spectrum_union():
     ks = 2.0 * np.pi * np.arange(16) / 16
     wp = np.sort(np.linalg.eigvalsh(
-        hofstadter_family(RationalFlux(1, 3)).batch(ks, ks)).ravel())
+        hofstadter_family(RationalFlux(1, 3)).batch(ks[:, None], ks)).ravel())
     wm = np.sort(np.linalg.eigvalsh(
-        hofstadter_family(RationalFlux(-1, 3)).batch(ks, ks)).ravel())
+        hofstadter_family(RationalFlux(-1, 3)).batch(ks[:, None], ks)).ravel())
     assert np.max(np.abs(wp - wm)) < 1e-10
 
 
@@ -135,7 +135,7 @@ def test_spectrum_union_energy_reflection():
     # bipartite symmetry: the eigenvalue multiset is exactly -itself on even grids
     ks = 2.0 * np.pi * np.arange(32) / 32
     vals = np.sort(np.linalg.eigvalsh(
-        hofstadter_family(RationalFlux(2, 5)).batch(ks, ks)).ravel())
+        hofstadter_family(RationalFlux(2, 5)).batch(ks[:, None], ks)).ravel())
     assert np.max(np.abs(vals + vals[::-1])) < 1e-10
 
 
@@ -214,7 +214,7 @@ def test_peierls_constant_dispersion():
     disp = [(0, 0, 2.5)]
     fam = peierls_quantize(disp, RationalFlux(1, 3))
     for k1, k2 in ((0.0, 0.0), (1.0, 2.0), (4.0, 5.0)):
-        assert np.allclose(fam.matrix(k1, k2), 2.5 * np.eye(3), atol=1e-12)
+        assert np.allclose(fam.batch(k1, k2), 2.5 * np.eye(3), atol=1e-12)
 
 
 def test_peierls_matches_direct_fiber():
@@ -223,8 +223,8 @@ def test_peierls_matches_direct_fiber():
     for flux in (RationalFlux(1, 3), RationalFlux(2, 5)):
         fam = peierls_quantize(disp, flux)
         ref = hofstadter_family(flux)
-        wq = np.linalg.eigvalsh(fam.batch(ks, ks))
-        wr = np.linalg.eigvalsh(ref.batch(ks, ks))
+        wq = np.linalg.eigvalsh(fam.batch(ks[:, None], ks))
+        wr = np.linalg.eigvalsh(ref.batch(ks[:, None], ks))
         assert np.max(np.abs(wq - wr)) < 1e-10
 
 
@@ -235,9 +235,19 @@ def test_peierls_mixed_harmonic_hermitian():
     rng = np.random.default_rng(17)
     for _ in range(10):
         k1, k2 = rng.uniform(0, 2 * np.pi, size=2)
-        h = fam.matrix(k1, k2)
+        h = fam.batch(k1, k2)
         assert h.shape == (3, 3)
         assert hermiticity(h) < HERM_TOL
+
+
+def dense_term_sum(fam, k1, k2):
+    """sum_t e^{i (n_t k1 + m_t k2)} * M_t over every entry of every term,
+    at the broadcast momenta."""
+    k1, k2 = np.asarray(k1, dtype=float), np.asarray(k2, dtype=float)
+    out = np.zeros(np.broadcast_shapes(k1.shape, k2.shape) + (fam.dim, fam.dim), dtype=complex)
+    for n, m, mat in fam.terms:
+        out += np.exp(1j * (n * k1 + m * k2))[..., None, None] * mat
+    return out
 
 
 def test_batch_is_bit_identical_to_dense_term_sum():
@@ -253,13 +263,15 @@ def test_batch_is_bit_identical_to_dense_term_sum():
     g2 = 2.0 * np.pi * np.arange(6) / 6
     k1 = np.concatenate((g1, -g1, rng.uniform(-10, 10, 4)))
     k2 = np.concatenate((g2, -g2, rng.uniform(-10, 10, 3)))
+    paired = rng.permutation(np.concatenate((k2, rng.uniform(-10, 10, k1.size - k2.size))))
+    momenta = [(k1[:, None], k2), (k1, paired), (paired, k1)]
+    momenta += [(a, b) for a in (0.0, -0.0, k1[3], k1[-1]) for b in (0.0, -0.0, k2[4], k2[-1])]
     for fam in families:
-        dense = np.zeros((k1.size, k2.size, fam.dim, fam.dim), dtype=complex)
-        for n, mm, mat in fam.terms:
-            dense += np.exp(1j * (n * k1[:, None] + mm * k2[None, :]))[..., None, None] * mat
-        got = np.ascontiguousarray(fam.batch(k1, k2))
-        assert got.shape == dense.shape
-        assert np.array_equal(got.view(np.uint64), dense.view(np.uint64))
+        for a, b in momenta:
+            dense = dense_term_sum(fam, a, b)
+            got = np.ascontiguousarray(fam.batch(a, b))
+            assert got.shape == np.broadcast_shapes(np.shape(a), np.shape(b)) + (fam.dim, fam.dim)
+            assert np.array_equal(got.view(np.uint64), dense.view(np.uint64))
 
 
 def test_peierls_rejects_non_real_dispersion():
@@ -323,7 +335,7 @@ def test_harper_fiber_matches_lattice_fiber():
             theta = rng.uniform(0, 1)
             k = rng.uniform(0, 2 * np.pi)
             a = harper_fiber(flux, theta, k)
-            b = hofstadter_family(flux).matrix(k, 2.0 * np.pi * theta)
+            b = hofstadter_family(flux).batch(k, 2.0 * np.pi * theta)
             assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -356,6 +368,6 @@ def test_dispersion_evaluate_and_reality():
     k1 = np.linspace(0, 2 * np.pi, 9)
     # the 1 x 1 fiber at zero flux is the dispersion value
     zero = peierls_quantize(disp, RationalFlux(0, 1))
-    vals = np.array([zero.matrix(k, 0.0)[0, 0] for k in k1])
+    vals = zero.batch(k1, 0.0)[:, 0, 0]
     assert np.allclose(vals.imag, 0.0, atol=1e-12)
     assert np.allclose(vals.real, 2.0 * np.cos(k1) + 2.0, atol=1e-12)

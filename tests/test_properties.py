@@ -36,7 +36,6 @@ from fluxlab import (
     hausdorff,
     hofstadter_family,
     level_form_factor,
-    plane_wave_element,
     torus_basis,
 )
 from fluxlab.cli import main
@@ -47,6 +46,7 @@ from oracles import (
     erf_dos,
     eval_genlaguerre,
     math_erf,
+    plane_wave_element,
     scipy_erf,
     scipy_level_form_factor,
     tknn_cherns,
@@ -113,8 +113,8 @@ CHAMBERS_MOVES = {
 )
 def test_chambers_invariance(flux, k1, k2, move):
     family = hofstadter_family(flux)
-    w = np.linalg.eigvalsh(family.matrix(k1, k2))
-    moved = np.linalg.eigvalsh(family.matrix(*CHAMBERS_MOVES[move](k1, k2, flux.q)))
+    w = np.linalg.eigvalsh(family.batch(k1, k2))
+    moved = np.linalg.eigvalsh(family.batch(*CHAMBERS_MOVES[move](k1, k2, flux.q)))
     assert np.max(np.abs(w - moved)) < 1e-12
     bands = exact_bands(flux)
     assert np.all(w >= bands[:, 0] - 1e-12)
@@ -129,13 +129,13 @@ def test_sorted_fiber_eigenvalues_are_monotone_in_s(flux, a1, a2, b1, b2):
     # and s = -2 (k = (pi/q, pi/q))
     family, q = hofstadter_family(flux), flux.q
     up = np.sign(
-        np.linalg.eigvalsh(family.matrix(0.0, 0.0))
-        - np.linalg.eigvalsh(family.matrix(np.pi / q, np.pi / q))
+        np.linalg.eigvalsh(family.batch(0.0, 0.0))
+        - np.linalg.eigvalsh(family.batch(np.pi / q, np.pi / q))
     )
     assert np.all(up != 0)
     ds = np.cos(q * b1) + np.cos(q * b2) - np.cos(q * a1) - np.cos(q * a2)
-    de = np.linalg.eigvalsh(family.matrix(b1, b2)) - np.linalg.eigvalsh(
-        family.matrix(a1, a2)
+    de = np.linalg.eigvalsh(family.batch(b1, b2)) - np.linalg.eigvalsh(
+        family.batch(a1, a2)
     )
     assert np.all(up * np.sign(ds) * de >= -1e-12)
 

@@ -207,7 +207,7 @@ def test_spectrum_union_single_point_grid():
     fam = hofstadter_family(RationalFlux(2, 5))
     s = spectrum_union(fam, 1)
     assert s.size == 5
-    assert np.allclose(s, np.linalg.eigvalsh(fam.matrix(0.0, 0.0)), atol=1e-12)
+    assert np.allclose(s, np.linalg.eigvalsh(fam.batch(0.0, 0.0)), atol=1e-12)
 
 
 def mixed_family(flux):
@@ -296,8 +296,9 @@ def test_chambers_dedup_respects_the_chunk_bound(n1, n2, monkeypatch):
     batch = BlochFiberFamily.batch
 
     def counted(self, k1, k2):
-        calls.append(len(k1) * len(k2) * self.dim**2)
-        return batch(self, k1, k2)
+        h = batch(self, k1, k2)
+        calls.append(h.size)
+        return h
 
     monkeypatch.setattr(BlochFiberFamily, "batch", counted)
     # 33 (or 13) representatives per axis of 7 x 7 fibers: one representative
@@ -346,13 +347,19 @@ def test_band_quantiles_match_the_full_grid(n, quantiles):
 
 
 def test_butterfly_solves_a_few_fibers_per_flux(monkeypatch):
-    solved = []
-    eigvalsh = np.linalg.eigvalsh
+    built, solved = [], []
+    batch, eigvalsh = BlochFiberFamily.batch, np.linalg.eigvalsh
+
+    def counted_batch(self, k1, k2):
+        h = batch(self, k1, k2)
+        built.append(math.prod(h.shape[:-2]))
+        return h
 
     def counted(a, *args, **kwargs):
         solved.append(int(np.prod(np.shape(a)[:-2])))
         return eigvalsh(a, *args, **kwargs)
 
+    monkeypatch.setattr(BlochFiberFamily, "batch", counted_batch)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     assert main(["butterfly", "--qmax", "20", "--kgrid", "64"]) == 0
     # per flux: at most 2 x 3 + 2 = 8 fibers for the three quartiles, whose
@@ -360,6 +367,35 @@ def test_butterfly_solves_a_few_fibers_per_flux(monkeypatch):
     # grid holds 4,096 fibers per flux
     assert len(solved) == 2 * 129
     assert max(solved[0::2]) <= 8 and set(solved[1::2]) == {2}
+    # every solved fiber was built by one batch call
+    assert len(built) == 258 and sum(built) == 1_290
+    assert built == solved
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 64])
+def test_band_quantiles_solves_fiber_eigenvalues_at_its_grid_points(n, monkeypatch):
+    # band_quantiles builds a paired stack of fibers, fiber_eigenvalues a
+    # product grid; each solved row must still be fiber_eigenvalues' row at
+    # the grid point its fiber was built at, bit for bit
+    built = []
+    batch = BlochFiberFamily.batch
+
+    def recorded(self, k1, k2):
+        built.append((k1, k2))
+        return batch(self, k1, k2)
+
+    for flux in [RationalFlux(0, 1), RationalFlux(1, 1)] + [
+        RationalFlux(p, q) for q in range(2, 13) for p in range(1, q) if gcd(p, q) == 1
+    ]:
+        table = fiber_eigenvalues(hofstadter_family(flux), n)
+        built.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(BlochFiberFamily, "batch", recorded)
+            solved = band_quantiles(flux, n, [0.25, 0.5, 0.75])[3]
+        [(k1, k2)] = built
+        # the momenta are grid points 2 pi j / n
+        j1, j2 = (np.rint(np.asarray(k) * n / (2.0 * np.pi)).astype(int) for k in (k1, k2))
+        assert np.array_equal(solved, table[j1, j2]), (flux, n)
 
 
 def test_fiber_eigenvalues_grid_layout():
@@ -367,7 +403,7 @@ def test_fiber_eigenvalues_grid_layout():
     w = fiber_eigenvalues(fam, 4, 6)
     assert w.shape == (4, 6, 5)
     k1, k2 = 2.0 * np.pi * 3 / 4, 2.0 * np.pi * 5 / 6
-    assert np.allclose(w[3, 5], np.linalg.eigvalsh(fam.matrix(k1, k2)), atol=1e-12)
+    assert np.allclose(w[3, 5], np.linalg.eigvalsh(fam.batch(k1, k2)), atol=1e-12)
 
 
 def test_exact_bands_are_the_grid_band_extrema():
