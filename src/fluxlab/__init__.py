@@ -55,7 +55,6 @@ from .dynamics import (
     defect_scaling,
     fit_slope_through_origin,
     nagy_intertwiner,
-    projector_distance,
     random_packet,
 )
 from .disorder import (

@@ -429,20 +429,24 @@ def _cmd_butterfly(p: dict) -> RunArtifact:
     )
 
 
-def _band_rows(sample, gap_tol):
-    """Band table rows (band, e_lo, e_hi) of a sample and the merge tolerance
-    used: a gap_tol of 0 means default_gap_tol of the sample."""
+def _fiber_band_rows(flux, n1: int, n2: int, gap_tol: float):
+    """The spectrum_union of hofstadter_family(flux) on the n1 x n2 zone grid,
+    its largest distance outside exact_bands, its band table rows (band,
+    e_lo, e_hi) and the merge tolerance used: a gap_tol of 0 means
+    default_gap_tol of the sample."""
+    sample = spectrum_union(hofstadter_family(flux), n1, n2)
+    outside = _outside_exact_bands(sample, flux)
     gap_tol = gap_tol or default_gap_tol(sample)
     bands = band_intervals(sample, gap_tol)
-    return [(i, a, b) for i, (a, b) in enumerate(bands.tolist())], gap_tol
+    rows = [(i, a, b) for i, (a, b) in enumerate(bands.tolist())]
+    return sample, outside, rows, gap_tol
 
 
 def _cmd_fiber_spectrum(p: dict) -> RunArtifact:
     flux = RationalFlux.from_string(p["flux"])
-    n2 = p["kgrid2"] or p["kgrid"]
-    sample = spectrum_union(hofstadter_family(flux), p["kgrid"], n2)
-    outside = _outside_exact_bands(sample, flux)
-    rows, gap_tol = _band_rows(sample, p["gap_tol"])
+    sample, outside, rows, gap_tol = _fiber_band_rows(
+        flux, p["kgrid"], p["kgrid2"] or p["kgrid"], p["gap_tol"]
+    )
     return RunArtifact(
         columns=["band", "e_lo", "e_hi"],
         rows=rows,
@@ -461,9 +465,9 @@ def _cmd_harper_spectrum(p: dict) -> RunArtifact:
     # The fiber at (k1, k2) = (k, 2 pi theta) is the Bloch-reduced 1D
     # cosine model at phase theta and momentum k.
     flux = RationalFlux.from_string(p["flux"])
-    sample = spectrum_union(hofstadter_family(flux), p["kgrid"], p["thetagrid"])
-    outside = _outside_exact_bands(sample, flux)
-    rows, gap_tol = _band_rows(sample, p["gap_tol"])
+    sample, outside, rows, gap_tol = _fiber_band_rows(
+        flux, p["kgrid"], p["thetagrid"], p["gap_tol"]
+    )
     return RunArtifact(
         columns=["band", "e_lo", "e_hi"],
         rows=rows,
@@ -496,7 +500,7 @@ def _cmd_peierls_check(p: dict) -> RunArtifact:
 
 
 def _cmd_gauge_check(p: dict) -> RunArtifact:
-    box = symmetric_gauge_box(p["B"], p["L"], boundary="magnetic-periodic")
+    box = symmetric_gauge_box(p["B"], p["L"])
     box_vals = eigenvalues_hermitian(box)
     box_bands = band_intervals(box_vals, p["gap_tol"])
     target = (2.0 * p["B"]) % 1.0
@@ -655,10 +659,16 @@ def _cmd_disorder_dos(p: dict) -> RunArtifact:
     reference = spectrum_union(hofstadter_family(flux), p["kgrid"])
     clean_bands = band_intervals(reference, p["gap_tol"])
     b_box = flux.value / 2.0
-    clean = symmetric_gauge_box(b_box, p["L"], boundary="magnetic-periodic")
+    clean = symmetric_gauge_box(b_box, p["L"])
     clean_vals = eigenvalues_hermitian(clean)
     pad = 8.0 * p["width"]
     bounds = (float(clean_vals[0]) - pad - p["W"], float(clean_vals[-1]) + pad + p["W"])
+    # a NaN range comes from a NaN clean eigenvalue and is left to the gates
+    if math.isinf(bounds[1] - bounds[0]):
+        raise ConfigError(
+            f"--W {p['W']:g} and --width {p['width']:g} put the DOS range "
+            f"[{bounds[0]:g}, {bounds[1]:g}] beyond the float limit"
+        )
 
     # a real diagonal leaves M - M^dag as it is, so the clean check covers
     # every realization

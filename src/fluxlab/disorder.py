@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .spectra import dos, sample_values
+from .spectra import dos
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -89,39 +89,28 @@ def anderson_realization(
 
 
 def ensemble_dos(
-    builder,
-    n: int,
-    base_seed: int,
-    width: float = 0.05,
-    bins: int = 200,
-    bounds: tuple | None = None,
+    builder, n: int, base_seed: int, width: float, bins: int, bounds
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Average the smoothed DOS of the eigenvalues builder(seed) returns
-    over seeds base..base+n-1.
+    over seeds base..base+n-1, every realization binned on the one energy
+    range bounds as it is built.
 
     Returns (edges, density, stderr): the shared bin edges, the mean density
     and its per-bin standard error.
-
-    All realizations share one binning; when no bounds are given they are
-    fixed from the pooled eigenvalue range so the average is well defined.
     """
     if n < 1:
         raise ConfigError(f"need at least one realization, got {n}")
-    values = [sample_values(builder(int(base_seed) + i)) for i in range(n)]
-    if bounds is None:
-        pad = 8.0 * width
-        bounds = (
-            min(float(v.min()) for v in values) - pad,
-            max(float(v.max()) for v in values) + pad,
-        )
-    hists = [dos(v, width=width, bins=bins, bounds=bounds) for v in values]
-    stack = np.stack([density for _, density in hists])
+    densities = []
+    for i in range(n):
+        edges, density = dos(builder(int(base_seed) + i), width, bins, bounds)
+        densities.append(density)
+    stack = np.stack(densities)
     mean = stack.mean(axis=0)
     if n > 1:
         stderr = stack.std(axis=0, ddof=1) / np.sqrt(n)
     else:
         stderr = np.zeros_like(mean)
-    return hists[0][0], mean, stderr
+    return edges, mean, stderr
 
 
 def gap_fill_fraction(clean: np.ndarray, edges, density) -> float:

@@ -2,18 +2,19 @@
 
 The central quantity is the propagation defect
 d(t) = || (e^{-i t H_full} - W^dag e^{-i t H_eff} W) P psi ||
-for a spectral projector P of the full operator, a reference block projector
-Q on the effective space, and the canonical unitary W mapping ran P to ran Q.
+for a spectral projector P of the full operator, the projector Q onto the
+lowest Landau level (the first n_flux coordinates of the level-major basis),
+and the canonical unitary W mapping ran P to ran Q.
 When H_eff is the exact compression of H_full the defect vanishes to
 roundoff, so any nonzero reading measures the effective model, not the
 plumbing.
 
 Everything is factored through the rank r = rank P: projectors are held as
 orthonormal d x r frames, W restricted to ran P is the r x r polar factor of
-the frame overlap, and both evolutions run in r coordinates. Both operators
-are solved as their guiding-centre coset blocks (continuum.coset_eigh): H_full
-on all levels, and H_eff, the lowest-level compression P H P, as the same
-operator on one level.
+the frame overlap, which for this Q is the top r rows of P's frame, and both
+evolutions run in r coordinates. Both operators are solved as their
+guiding-centre coset blocks (continuum.coset_eigh): H_full on all levels, and
+H_eff, the lowest-level compression P H P, as the same operator on one level.
 """
 
 from __future__ import annotations
@@ -39,40 +40,22 @@ def random_packet(dim: int, seed: int) -> np.ndarray:
     return vec / float(np.linalg.norm(vec))
 
 
-def projector_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """||P - Q|| for equal-rank projectors closer than 1, given their
-    orthonormal d x r frames, as the 2-norm of (I - Q) V_p.
-
-    Unlike sqrt(1 - sigma_min^2) of the overlap V_q^dag V_p, the residual
-    keeps its relative accuracy when P and Q nearly coincide.
-    """
-    resid = p - q @ (q.conj().T @ p)
-    return float(np.linalg.norm(resid, 2))
-
-
-def nagy_intertwiner(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Canonical unitary intertwining two nearby projectors, restricted to
-    ran P, from their orthonormal d x r frames V_p and V_q.
+def nagy_intertwiner(overlap: np.ndarray) -> np.ndarray:
+    """Canonical unitary intertwining two nearby rank-r projectors P and Q,
+    restricted to ran P, from the r x r overlap X = V_q^dag V_p of their
+    orthonormal frames.
 
     Sz.-Nagy/Kato: W = (I - (Q - P)^2)^{-1/2} (Q P + (I - Q)(I - P)) is
     defined whenever ||P - Q|| < 1, is unitary with W P W^dag = Q, and is I
     when P = Q. On ran P it reduces to W P = Q P (P Q P)^{-1/2}; in frames,
-    with the overlap X = V_q^dag V_p, W V_p = V_q U where U = X (X^dag X)^{-1/2}
-    is the polar factor of X, taken from its SVD A S B^dag as U = A B^dag.
-    ||P - Q|| = sqrt(1 - s_min^2), so ||P - Q|| < 1 exactly when X is
-    invertible. Returns U (r x r). Every unitary U gives W P W^dag = Q, so
-    unitarity of U is the whole check; ||W P W^dag - Q|| <= ||U U^dag - I||.
+    W V_p = V_q U where U = X (X^dag X)^{-1/2} is the polar factor of X,
+    taken from its SVD A S B^dag as U = A B^dag. ||P - Q|| =
+    sqrt(1 - s_min^2), so ||P - Q|| < 1 exactly when X is invertible.
+    Returns U (r x r). Every unitary U gives W P W^dag = Q, so unitarity of U
+    is the whole check; ||W P W^dag - Q|| <= ||U U^dag - I||.
     """
-    if p.shape[0] != q.shape[0]:
-        raise ConfigError("projectors live on different spaces")
-    r = p.shape[1]
-    if q.shape[1] != r:
-        raise InfeasibleModelError(
-            f"projector ranks {r} and {q.shape[1]} differ, so ||P - Q|| = 1: "
-            "no canonical intertwiner exists"
-        )
-    a, s, bh = np.linalg.svd(q.conj().T @ p)
-    s_min = float(s[-1]) if s.size else 1.0
+    a, s, bh = np.linalg.svd(overlap)
+    s_min = float(s[-1])
     dist = math.sqrt(max(0.0, 1.0 - s_min * s_min))
     if dist >= 1.0 - 1e-12:
         raise InfeasibleModelError(
@@ -80,7 +63,7 @@ def nagy_intertwiner(p: np.ndarray, q: np.ndarray) -> np.ndarray:
             "(the ranges are too far apart)"
         )
     u = a @ bh
-    dev = float(np.linalg.norm(u @ u.conj().T - np.eye(r)))
+    dev = float(np.linalg.norm(u @ u.conj().T - np.eye(len(s))))
     if dev > 1e-10:
         raise NumericalCheckError(
             f"intertwiner is not unitary: ||U U^dag - I||_F = {dev:.3e} > 1e-10"
@@ -207,8 +190,9 @@ def defect_scaling(
                 f"projector frame at B = {b_used:.12g} is not orthonormal: "
                 f"||V^dag V - I||_F = {dev:.3e} > 1e-10"
             )
-        q = np.eye(basis.dim, n_flux, dtype=complex)
-        u = nagy_intertwiner(p, q)
+        # Q is the lowest level, the first n_flux coordinates of the
+        # level-major basis, so V_q^dag V_p is the top n_flux rows of p
+        u = nagy_intertwiner(p[:n_flux])
         w_eff, v_eff = coset_eigh(replace(basis, n_levels=1), potential, rank=n_flux)
         psi = random_packet(basis.dim, seed)
         defects = defect_curve(energies, p, u, w_eff, v_eff, psi, (0.0,) + times)
@@ -217,7 +201,11 @@ def defect_scaling(
                 field_requested=float(b_req),
                 field=b_used,
                 n_flux=n_flux,
-                projector_distance=projector_distance(p, q),
+                # ||P - Q|| as the 2-norm of (I - Q) V_p, the rows of p below
+                # the lowest level: unlike sqrt(1 - s_min^2) of the overlap,
+                # the residual keeps its relative accuracy when P and Q
+                # nearly coincide
+                projector_distance=float(np.linalg.norm(p[n_flux:], 2)),
                 defect_zero=float(defects[0]),
                 max_defect=float(defects[1:].max()),
                 slope=fit_slope_through_origin(times, defects[1:]),

@@ -15,14 +15,14 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, pi
+from math import gcd, isfinite, pi
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InfeasibleModelError
+from .errors import ConfigError, InfeasibleModelError
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,15 @@ class BlochFiberFamily:
     dim: int
     terms: tuple  # ((n, m, matrix), ...)
     chambers: bool = False
+    # each term as (n, m, rows, cols, values) of its matrix's nonzero entries
+    _entries: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        entries = []
+        for n, m, mat in self.terms:
+            i, j = np.nonzero(mat)
+            entries.append((n, m, i, j, mat[i, j]))
+        object.__setattr__(self, "_entries", tuple(entries))
 
     def batch(self, k1, k2) -> np.ndarray:
         """Fibers H(k1, k2) at momenta broadcast against each other, shape
@@ -118,7 +127,8 @@ class BlochFiberFamily:
         (k1[:, None], k2) the product grid.
 
         Each term adds its phase only at its matrix's nonzero entries (q for
-        a Weyl translation), in one fancy-index add; a term with n == 0
+        a Weyl translation, found once when the family is built), in one
+        fancy-index add; a term with n == 0
         (m == 0) takes its phase from k2 (k1) alone. Skipping a zero entry
         only skips adding a signed zero, and dropping a zero multiple of a
         finite momentum changes at most the sign of a zero argument, where
@@ -132,10 +142,9 @@ class BlochFiberFamily:
         k2 = np.asarray(k2, dtype=float)
         shape = np.broadcast(k1, k2).shape
         out = np.zeros((self.dim, self.dim) + shape, dtype=complex)
-        for n, m, mat in self.terms:
+        for n, m, i, j, values in self._entries:
             phase = np.exp(1j * ((n * k1 if n else 0.0) + (m * k2 if m else 0.0)))
-            i, j = np.nonzero(mat)
-            out[i, j] += phase * mat[i, j].reshape((-1,) + (1,) * len(shape))
+            out[i, j] += phase * values.reshape((-1,) + (1,) * len(shape))
         return out.transpose(*range(2, out.ndim), 0, 1)
 
 
@@ -192,29 +201,28 @@ def peierls_quantize(harmonics, flux: RationalFlux) -> BlochFiberFamily:
     return BlochFiberFamily(dim=flux.q, terms=terms)
 
 
-def symmetric_gauge_box(B: float, L: int, boundary: str = "open") -> np.ndarray:
-    """Symmetric-gauge magnetic hopping matrix on an L x L box.
+def symmetric_gauge_box(B: float, L: int) -> np.ndarray:
+    """Symmetric-gauge magnetic hopping matrix on an L x L magnetic-periodic
+    box.
 
     Row (n, m) couples to the four neighbors with phases e^{i 2 pi m B}
     (toward n+1), its conjugate (toward n-1), e^{-i 2 pi n B} (toward m+1)
     and its conjugate (toward m-1). Each plaquette then carries flux 2B.
-
-    With boundary = "magnetic-periodic" the wrap bonds pick up the twists
-    e^{+i 2 pi B L m} along x and e^{-i 2 pi B L n} along y, which keep every
-    plaquette, wrap plaquettes included, at flux 2B. Consistency of the twist
-    around the corner requires the total flux 2 B L^2 to be an integer.
+    The wrap bonds pick up the twists e^{+i 2 pi B L m} along x and
+    e^{-i 2 pi B L n} along y, which keep every plaquette, wrap plaquettes
+    included, at flux 2B. Consistency of the twist around the corner
+    requires the total flux 2 B L^2 to be an integer.
     """
     if L < 1:
         raise ValueError(f"box side must be >= 1, got {L}")
-    if boundary not in ("open", "magnetic-periodic"):
-        raise ValueError(f"unknown boundary {boundary!r}")
-    if boundary == "magnetic-periodic":
-        total = 2.0 * B * L * L
-        if abs(total - round(total)) > 1e-9:
-            raise InfeasibleModelError(
-                "magnetic-periodic closure needs integer total flux: "
-                f"2*B*L^2 = {total:.6g} is not an integer"
-            )
+    total = 2.0 * B * L * L
+    if not isfinite(total):
+        raise ConfigError(f"total flux 2*B*L^2 = {total:g} is not finite")
+    if abs(total - round(total)) > 1e-9:
+        raise InfeasibleModelError(
+            "magnetic-periodic closure needs integer total flux: "
+            f"2*B*L^2 = {total:.6g} is not an integer"
+        )
 
     n_sites = L * L
     h = np.zeros((n_sites, n_sites), dtype=complex)
@@ -227,14 +235,14 @@ def symmetric_gauge_box(B: float, L: int, boundary: str = "open") -> np.ndarray:
             # bond (n, m) -> (n+1, m)
             if n + 1 < L:
                 h[idx(n, m), idx(n + 1, m)] += np.exp(1j * 2.0 * pi * m * B)
-            elif boundary == "magnetic-periodic":
+            else:
                 h[idx(n, m), idx(n + 1, m)] += np.exp(1j * 2.0 * pi * m * B) * np.exp(
                     1j * 2.0 * pi * B * L * m
                 )
             # bond (n, m) -> (n, m+1)
             if m + 1 < L:
                 h[idx(n, m), idx(n, m + 1)] += np.exp(-1j * 2.0 * pi * n * B)
-            elif boundary == "magnetic-periodic":
+            else:
                 h[idx(n, m), idx(n, m + 1)] += np.exp(-1j * 2.0 * pi * n * B) * np.exp(
                     -1j * 2.0 * pi * B * L * n
                 )

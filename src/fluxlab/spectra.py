@@ -298,13 +298,9 @@ def hausdorff(a, b) -> float:
     return float(np.max([forward, backward]))
 
 
-def dos(
-    sample,
-    width: float = 0.05,
-    bins: int = 200,
-    bounds: tuple | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian-kernel smoothed density of states on a uniform binning.
+def dos(sample, width: float, bins: int, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian-kernel smoothed density of states on bins uniform bins of
+    the energy range bounds = (lo, hi).
 
     Returns (edges, density): the bins + 1 bin edges and the density of each
     bin. The per-bin mass is the exact integral of the Gaussian mixture over
@@ -316,9 +312,6 @@ def dos(
         raise ValueError("width must be > 0")
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    if bounds is None:
-        pad = 8.0 * width
-        bounds = (float(vals.min() - pad), float(vals.max() + pad))
     lo, hi = map(float, bounds)
     if hi <= lo:
         raise ValueError("empty energy range")

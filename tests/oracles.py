@@ -30,20 +30,19 @@ def harper_fiber(flux, theta, k):
     return h
 
 
-def plaquette_flux(matrix, L, boundary, n=0, m=0):
+def plaquette_flux(matrix, L, n=0, m=0):
     """Flux through one plaquette of an L x L box matrix, in flux quanta, in
     [0, 1).
 
     Measured from the assembled matrix: the phases of the four hopping
     amplitudes are summed counterclockwise around the plaquette whose lower
     left corner is site (n, m), so the gauge normalization is never assumed.
-    Wrap plaquettes are meaningful only for a "magnetic-periodic" boundary.
+    Site coordinates are taken mod L, so the wrap plaquettes of a
+    magnetic-periodic box are read through its wrap bonds, and a plaquette
+    with a bond the matrix lacks raises ValueError.
     """
     if L < 2:
         raise ValueError("need at least one plaquette, box side < 2")
-    wraps = n + 1 >= L or m + 1 >= L
-    if wraps and boundary != "magnetic-periodic":
-        raise ValueError(f"plaquette ({n}, {m}) wraps an open boundary")
 
     def idx(a, b):  # row of site (a, b), coordinates taken mod the side
         return (a % L) * L + (b % L)
@@ -197,3 +196,18 @@ def erf_dos(values, erf, width, bins, bounds):
 def math_erf(z):
     """math.erf at every entry of the array z."""
     return np.vectorize(math.erf, otypes=[float])(z)
+
+
+def projector_distance(p, q):
+    """||P - Q|| for equal-rank projectors closer than 1, given their
+    orthonormal d x r frames, as the 2-norm of (I - Q) V_p."""
+    resid = p - q @ (q.conj().T @ p)
+    return float(np.linalg.norm(resid, 2))
+
+
+def two_frame_nagy(p, q):
+    """Polar factor U of the Sz.-Nagy intertwiner from the d x r frames V_p
+    and V_q of two projectors closer than 1: W V_p = V_q U with U = A B^dag
+    from the SVD A S B^dag of V_q^dag V_p."""
+    a, _, bh = np.linalg.svd(q.conj().T @ p)
+    return a @ bh

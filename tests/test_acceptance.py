@@ -264,7 +264,7 @@ def test_acceptance_09_effective_dynamics_defect(tmp_path, capsys):
 def test_acceptance_10_disorder_gap_fill(capsys):
     t0 = time.monotonic()
     flux = RationalFlux(1, 3)
-    clean = symmetric_gauge_box(flux.value / 2.0, 30, boundary="magnetic-periodic")
+    clean = symmetric_gauge_box(flux.value / 2.0, 30)
     clean_vals = eigenvalues_hermitian(clean)
     reference = spectrum_union(hofstadter_family(flux), 200)
     clean_bands = band_intervals(reference, 0.05)

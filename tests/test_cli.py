@@ -325,11 +325,12 @@ def test_overflowing_disorder_draw_exits_2_before_its_solve(monkeypatch, capsys)
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", finite_only)
-    argv = ["disorder-dos", "--L", "6", "--nseeds", "2", "--W", "1e308",
+    # 8.9e307 keeps the DOS range finite; seed 0 draws a |normal| of 2.15
+    argv = ["disorder-dos", "--L", "6", "--nseeds", "2", "--W", "8.9e307",
             "--dist", "gaussian"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: disorder strength 1e+308 gives non-finite gaussian")
+    assert err.startswith("error: disorder strength 8.9e+307 gives non-finite gaussian")
     assert "Traceback" not in err and "did not converge" not in err
 
 
@@ -402,7 +403,6 @@ def test_non_hermitian_clean_box_exits_3(monkeypatch, capsys):
     [
         (["continuum-spectrum", "--B", "10", "--amplitude", "1e308"], "energy"),
         (["lll-compare", "--B", "10", "--amplitude", "1e308"], "distance_or_coupling"),
-        (["disorder-dos", "--L", "6", "--nseeds", "2", "--W", "1e308"], "dos"),
         # the overflowing operator fails its eigenvalue check before any gate
         (
             ["dynamics-defect", "--B", "10", "--ncells", "2", "--nlevels", "3",
@@ -421,6 +421,32 @@ def test_non_finite_result_exits_3(argv, gate, capsys):
     else:
         assert f"  {gate}_not_finite = " in err
         assert err.rstrip().endswith("-> FAIL")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--W", "1e308"], ["--width", "1e308"], ["--W", "1e308", "--dist", "gaussian"]],
+)
+def test_overflowing_dos_range_exits_2_before_any_realization(
+    extra, monkeypatch, capsys
+):
+    # the DOS range clean +- (8 width + W) is wider than the float limit
+    def no_realization(*args, **kwargs):
+        raise AssertionError("a realization was drawn for an overflowing range")
+
+    monkeypatch.setattr(cli, "anderson_realization", no_realization)
+    argv = ["disorder-dos", "--flux", "1/3", "--L", "6", "--nseeds", "2", *extra]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --W ") and "--width" in err
+    assert "Traceback" not in err
+
+
+def test_overflowing_box_flux_exits_2(capsys):
+    assert main(["gauge-check", "--B", "1e308", "--L", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: total flux 2*B*L^2 = inf is not finite")
     assert "Traceback" not in err
 
 

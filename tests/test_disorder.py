@@ -94,10 +94,10 @@ def gue_values(seed, dim=24):
 
 
 def test_ensemble_of_one_matches_plain_dos():
-    edges, density, stderr = ensemble_dos(gue_values, 1, 42, width=0.05, bins=120)
-    assert np.all(stderr == 0.0)
     vals = gue_values(42)
     bounds = (float(vals.min()) - 0.4, float(vals.max()) + 0.4)
+    edges, density, stderr = ensemble_dos(gue_values, 1, 42, 0.05, 120, bounds)
+    assert np.all(stderr == 0.0)
     single_edges, single = dos(vals, width=0.05, bins=120, bounds=bounds)
     assert np.allclose(density, single, atol=1e-15)
     assert np.array_equal(edges, single_edges)
@@ -116,7 +116,9 @@ def test_ensemble_mean_matches_manual_average():
 
 
 def test_ensemble_stderr_vanishes_for_identical_realizations():
-    stats = ensemble_dos(lambda seed: np.array([0.0, 1.0, 2.0]), 5, base_seed=0)
+    stats = ensemble_dos(
+        lambda seed: np.array([0.0, 1.0, 2.0]), 5, 0, 0.05, 200, (-1.0, 3.0)
+    )
     assert len(stats) == 3
     edges, density, stderr = stats
     assert edges.shape == (201,) and density.shape == stderr.shape == (200,)
@@ -126,7 +128,7 @@ def test_ensemble_stderr_vanishes_for_identical_realizations():
 
 def test_ensemble_rejects_empty():
     with pytest.raises(ConfigError):
-        ensemble_dos(gue_values, 0, base_seed=0)
+        ensemble_dos(gue_values, 0, 0, 0.05, 200, (-1.0, 1.0))
 
 
 def test_gap_fill_fraction_uniform_mass():
@@ -151,6 +153,6 @@ def test_gap_fill_fraction_guards():
 
 def test_gap_fill_fraction_of_ensemble_histogram():
     clean = np.array([[-30.0, -0.5], [0.5, 30.0]])
-    edges, density, _ = ensemble_dos(gue_values, 4, base_seed=3, bounds=(-31.0, 31.0))
+    edges, density, _ = ensemble_dos(gue_values, 4, 3, 0.05, 200, (-31.0, 31.0))
     fill = gap_fill_fraction(clean, edges, density)
     assert 0.0 <= fill <= 1.0

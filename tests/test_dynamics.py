@@ -12,19 +12,19 @@ from fluxlab import (
     FourierPotential,
     InfeasibleModelError,
     NumericalCheckError,
+    coset_eigh,
     defect_curve,
     defect_scaling,
     fit_slope_through_origin,
     hashed_normal,
     nagy_intertwiner,
-    projector_distance,
     random_packet,
     strong_field_report,
     torus_basis,
 )
 from fluxlab import continuum, dynamics, spectra
 from fluxlab.cli import decreasing_gate, main
-from oracles import dense_eigh, dense_hamiltonian
+from oracles import dense_eigh, dense_hamiltonian, projector_distance, two_frame_nagy
 
 
 def random_hermitian(dim, seed):
@@ -75,7 +75,10 @@ def test_wave_packet_stream_is_counter_based():
 
 def test_intertwiner_validation(monkeypatch):
     p = block(4, 2)
-    assert np.linalg.norm(nagy_intertwiner(p, p) - np.eye(2)) < 1e-12
+    assert np.linalg.norm(nagy_intertwiner(p[:2]) - np.eye(2)) < 1e-12
+    # orthogonal ranges: a zero overlap, ||P - Q|| = 1
+    with pytest.raises(InfeasibleModelError, match=">= 1"):
+        nagy_intertwiner(np.zeros((2, 2)))
     # a non-unitary polar factor fails the unitarity check, not a config check
     real = np.linalg.svd
 
@@ -85,7 +88,7 @@ def test_intertwiner_validation(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", shrunk)
     with pytest.raises(NumericalCheckError, match="not unitary"):
-        nagy_intertwiner(p, p)
+        nagy_intertwiner(p[:2])
 
 
 def evolve(h, psi, t):
@@ -169,7 +172,7 @@ def random_frame(dim, rank, seed):
 def test_nagy_identity_for_equal_projectors():
     for seed in range(20):
         p = random_frame(6, 2, seed)
-        u = nagy_intertwiner(p, p)
+        u = two_frame_nagy(p, p)
         assert np.linalg.norm(u - np.eye(2), 2) < 1e-12
         dense = dense_nagy(matrix(p), matrix(p))
         assert np.linalg.norm(dense - np.eye(6), 2) < 1e-12
@@ -184,7 +187,7 @@ def test_nagy_intertwines_rotated_projectors():
         wa, va = np.linalg.eigh(a)
         rot = (va * np.exp(1j * eps * wa)[None, :]) @ va.conj().T
         q = rot @ p
-        u = nagy_intertwiner(p, q)
+        u = two_frame_nagy(p, q)
         wv = q @ u
         assert np.linalg.norm(matrix(wv) - matrix(q), 2) < 1e-10
         assert np.linalg.norm(u @ u.conj().T - np.eye(3), 2) < 1e-10
@@ -195,14 +198,33 @@ def test_nagy_intertwines_rotated_projectors():
         assert abs(projector_distance(p, q) - exact) < 1e-12
 
 
-def test_nagy_rank_mismatch_rejected():
-    with pytest.raises(InfeasibleModelError):
-        nagy_intertwiner(block(6, 2), block(6, 3))
-    with pytest.raises(ConfigError):
-        nagy_intertwiner(block(6, 2), block(7, 2))
-    # orthogonal ranges: ||P - Q|| = 1
-    with pytest.raises(InfeasibleModelError, match=">= 1"):
-        nagy_intertwiner(block(4, 2), np.eye(4)[:, 2:])
+@pytest.mark.parametrize(
+    "fields, n_cells, n_levels", [((5.0, 10.0, 20.0), 2, 3), ((40.0,), 4, 6)]
+)
+def test_level_zero_intertwiner_matches_the_two_frame_oracle(
+    fields, n_cells, n_levels, monkeypatch
+):
+    # Q is the lowest level, the first n_flux coordinates of the level-major
+    # basis, so the overlap is p[:r] and (I - Q) V_p is p[r:]: defect_scaling
+    # has to give the two-frame U bit for bit and its distance to roundoff
+    potential = FourierPotential.cosine_xy(1.0)
+    solved = []
+    real = dynamics.nagy_intertwiner
+
+    def recorded(overlap):
+        solved.append(real(overlap))
+        return solved[-1]
+
+    monkeypatch.setattr(dynamics, "nagy_intertwiner", recorded)
+    rows = defect_scaling(fields, potential, (0.5,), n_levels=n_levels, n_cells=n_cells)
+    assert len(solved) == len(rows) == len(fields)
+    for b, row, u in zip(fields, rows, solved):
+        basis = torus_basis(b, n_levels, n_cells)
+        r = basis.n_flux
+        _, p = coset_eigh(basis, potential, rank=r)
+        q = np.eye(basis.dim, r, dtype=complex)
+        assert np.array_equal(u, two_frame_nagy(p, q))
+        assert abs(row.projector_distance - projector_distance(p, q)) <= 1e-15
 
 
 def block_dominant_hamiltonian(dim, seed, strength=0.05):
@@ -238,7 +260,7 @@ def test_defect_vanishes_for_exact_compression():
         assert np.max(np.abs(d1 - oracle1)) < 1e-12
 
         # route 2: canonical intertwiner, effective operator = W H W^dag
-        u = nagy_intertwiner(p, q)
+        u = nagy_intertwiner(p[:rank])
         h_eff = u @ np.diag(energies) @ u.conj().T
         d2 = defect_curve(energies, p, u, *np.linalg.eigh(h_eff), psi, times)
         assert d2.max() < 1e-8
@@ -255,7 +277,7 @@ def test_defect_zero_time_and_bound():
     for seed in range(20):
         h = block_dominant_hamiltonian(dim, seed=4 + seed)
         _, p, energies = lowest_cluster(h, rank)
-        u = nagy_intertwiner(p, q)
+        u = nagy_intertwiner(p[:rank])
         psi = random_packet(dim, seed=5 + seed)
         d = defect_curve(energies, p, u, *zero, psi, times)
         assert d[0] < 1e-12
@@ -276,7 +298,7 @@ def test_defect_is_continuous_in_time():
         h = block_dominant_hamiltonian(dim, seed=6 + seed)
         h_eff = h[:rank, :rank]
         _, p, energies = lowest_cluster(h, rank)
-        u = nagy_intertwiner(p, q)
+        u = nagy_intertwiner(p[:rank])
         psi = random_packet(dim, seed=7 + seed)
         d = defect_curve(energies, p, u, *np.linalg.eigh(h_eff), psi, times)
         lipschitz = np.linalg.norm(h, 2) + np.linalg.norm(h_eff, 2)
@@ -289,7 +311,7 @@ def test_defect_is_continuous_in_time():
 
 def test_defect_rejects_orthogonal_start():
     _, p, energies = lowest_cluster(np.diag([0.0, 1.0, 2.0, 3.0]), 2)
-    u = nagy_intertwiner(p, p)
+    u = nagy_intertwiner(p[:2])
     psi = normalized([0.0, 0.0, 1.0, 0.0])
     w_eff, v_eff = np.linalg.eigh(np.eye(2))
     with pytest.raises(ConfigError, match="vanishes"):

@@ -85,11 +85,8 @@ def test_builders_hermitian_everywhere():
             k1, k2 = rng.uniform(-10, 10, size=2)
             assert hermiticity(hofstadter_family(flux).batch(k1, k2)) < HERM_TOL
             assert hermiticity(harper_fiber(flux, k2 / 7.0, k1)) < HERM_TOL
-    for _ in range(4):
-        b = rng.uniform(0, 1)
-        assert hermiticity(symmetric_gauge_box(b, 5, "open")) < HERM_TOL
-    periodic = symmetric_gauge_box(1.0 / 8.0, 4, "magnetic-periodic")
-    assert hermiticity(periodic) < HERM_TOL
+    for k in rng.integers(0, 50, size=4):
+        assert hermiticity(symmetric_gauge_box(k / 50.0, 5)) < HERM_TOL
 
 
 def test_fiber_two_pi_periodic():
@@ -140,38 +137,26 @@ def test_spectrum_union_energy_reflection():
 
 
 def test_zero_field_box_is_grid_adjacency():
-    op = symmetric_gauge_box(0.0, 3, "open")
-    path = np.zeros((3, 3))
-    path[np.arange(2), np.arange(1, 3)] = 1.0
-    path = path + path.T
-    expect = np.kron(path, np.eye(3)) + np.kron(np.eye(3), path)
+    op = symmetric_gauge_box(0.0, 3)
+    cycle = np.roll(np.eye(3), 1, axis=1)
+    cycle = cycle + cycle.T
+    expect = np.kron(cycle, np.eye(3)) + np.kron(np.eye(3), cycle)
     assert np.allclose(op, expect, atol=1e-14)
 
 
 def test_plaquette_flux_is_twice_field():
+    # B = k / (2 L^2) closes the box; the wrap plaquettes carry 2B as well
     rng = np.random.default_rng(31)
-    for _ in range(10):
-        b = rng.uniform(0, 1)
-        op = symmetric_gauge_box(b, 4, "open")
-        for n in range(3):
-            for m in range(3):
-                got = plaquette_flux(op, 4, "open", n, m)
+    for k in rng.integers(0, 32, size=10):
+        b = k / 32.0
+        op = symmetric_gauge_box(b, 4)
+        for n in range(4):
+            for m in range(4):
+                got = plaquette_flux(op, 4, n, m)
                 expect = (2.0 * b) % 1.0
                 dev = min(abs(got - expect), 1.0 - abs(got - expect))
                 assert dev < 1e-12
-    assert plaquette_flux(symmetric_gauge_box(0.0, 3, "open"), 3, "open") == 0.0
-
-
-def test_plaquette_flux_on_single_plaquette_box():
-    rng = np.random.default_rng(13)
-    for _ in range(5):
-        b = rng.uniform(0, 2)
-        op = symmetric_gauge_box(b, 2, "open")
-        assert op.shape == (4, 4)
-        got = plaquette_flux(op, 2, "open", 0, 0)
-        expect = (2.0 * b) % 1.0
-        dev = min(abs(got - expect), 1.0 - abs(got - expect))
-        assert dev < 1e-12
+    assert plaquette_flux(symmetric_gauge_box(0.0, 3), 3) == 0.0
 
 
 def test_plaquette_flux_reads_the_matrix_not_the_label():
@@ -193,21 +178,22 @@ def test_plaquette_flux_reads_the_matrix_not_the_label():
     h = h + h.conj().T
     for n in range(L - 1):
         for m in range(L - 1):
-            assert abs(plaquette_flux(h, L, "open", n, m) - alpha) < 1e-12
+            assert abs(plaquette_flux(h, L, n, m) - alpha) < 1e-12
+    # the hand-built box is open: its wrap plaquettes miss a bond
+    with pytest.raises(ValueError, match="missing bond"):
+        plaquette_flux(h, L, L - 1, 0)
 
 
 def test_box_flux_quantization():
-    op = symmetric_gauge_box(1.0 / 8.0, 4, "magnetic-periodic")  # 2BL^2 = 4
+    op = symmetric_gauge_box(1.0 / 8.0, 4)  # 2BL^2 = 4
     for n in range(4):
         for m in range(4):
-            got = plaquette_flux(op, 4, "magnetic-periodic", n, m)
+            got = plaquette_flux(op, 4, n, m)
             assert abs(got - 0.25) < 1e-12
     with pytest.raises(InfeasibleModelError):
-        symmetric_gauge_box(0.1, 3, "magnetic-periodic")  # 2BL^2 = 1.8
+        symmetric_gauge_box(0.1, 3)  # 2BL^2 = 1.8
     with pytest.raises(ValueError):
-        plaquette_flux(symmetric_gauge_box(0.0, 3, "open"), 3, "open", 2, 0)  # wraps
-    with pytest.raises(ValueError):
-        symmetric_gauge_box(0.1, 3, "weird-boundary")
+        symmetric_gauge_box(0.125, 0)
 
 
 def test_peierls_constant_dispersion():
@@ -340,7 +326,7 @@ def test_harper_fiber_matches_lattice_fiber():
 
 
 def test_add_onsite_disorder_shift_and_validation():
-    op = symmetric_gauge_box(1.0 / 8.0, 4, "magnetic-periodic")
+    op = symmetric_gauge_box(1.0 / 8.0, 4)
     same = add_onsite_disorder(op, np.zeros(16))
     assert np.array_equal(same, op)
 

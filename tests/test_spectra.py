@@ -423,14 +423,14 @@ def test_exact_bands_are_the_grid_band_extrema():
 
 
 def test_dos_integral_and_symmetry():
-    edges, density = dos(np.array([0.0]), width=0.1, bins=400)
+    edges, density = dos(np.array([0.0]), width=0.1, bins=400, bounds=(-0.8, 0.8))
     bin_width = float(edges[1] - edges[0])
     assert abs(float(np.sum(density) * bin_width) - 1.0) < 1e-9
     peak = 0.5 * (edges[:-1] + edges[1:])[np.argmax(density)]
     assert abs(peak) < bin_width
 
     sample = spectrum_union(hofstadter_family(RationalFlux(0, 1)), 64)
-    _, dd = dos(sample, width=0.05, bins=200)
+    _, dd = dos(sample, width=0.05, bins=200, bounds=(-4.4, 4.4))
     assert np.max(np.abs(dd - dd[::-1])) < 1e-6 * np.max(dd)
 
 
@@ -438,9 +438,11 @@ def test_dos_bounds_and_validation():
     edges, _ = dos(np.array([0.0, 1.0]), width=0.05, bins=10, bounds=(-1.0, 2.0))
     assert edges[0] == -1.0 and edges[-1] == 2.0
     with pytest.raises(ValueError):
-        dos(np.array([0.0]), width=0.0)
+        dos(np.array([0.0]), width=0.0, bins=10, bounds=(-1.0, 1.0))
     with pytest.raises(ValueError):
-        dos(np.array([0.0]), width=0.1, bins=0)
+        dos(np.array([0.0]), width=0.1, bins=0, bounds=(-1.0, 1.0))
+    with pytest.raises(ValueError, match="empty energy range"):
+        dos(np.array([0.0]), width=0.1, bins=10, bounds=(1.0, 1.0))
     with pytest.raises(ValueError, match="all spectral weight fell outside"):
         dos(np.array([0.0]), width=0.01, bins=50, bounds=(5.0, 6.0))
 
