@@ -52,8 +52,15 @@ def nagy_intertwiner(overlap: np.ndarray) -> np.ndarray:
     taken from its SVD A S B^dag as U = A B^dag. ||P - Q|| =
     sqrt(1 - s_min^2), so ||P - Q|| < 1 exactly when X is invertible.
     Returns U (r x r). Every unitary U gives W P W^dag = Q, so unitarity of U
-    is the whole check; ||W P W^dag - Q|| <= ||U U^dag - I||.
+    is the whole check; ||W P W^dag - Q|| <= ||U U^dag - I||. Projectors
+    of different ranks are at distance 1, so a non-square X is rejected.
     """
+    rows, cols = np.shape(overlap)
+    if rows != cols:
+        raise InfeasibleModelError(
+            f"projector ranks {cols} and {rows} differ, so ||P - Q|| = 1: "
+            "no canonical intertwiner exists"
+        )
     a, s, bh = np.linalg.svd(overlap)
     s_min = float(s[-1])
     dist = math.sqrt(max(0.0, 1.0 - s_min * s_min))

@@ -91,6 +91,17 @@ def test_intertwiner_validation(monkeypatch):
         nagy_intertwiner(p[:2])
 
 
+def test_nagy_rank_mismatch_rejected():
+    # rank 2 against rank 3: the overlap V_q^dag V_p is 3 x 2, ||P - Q|| = 1
+    with pytest.raises(InfeasibleModelError, match="ranks 2 and 3 differ"):
+        nagy_intertwiner(block(6, 3).conj().T @ block(6, 2))
+    with pytest.raises(InfeasibleModelError, match="ranks 3 and 2 differ"):
+        nagy_intertwiner(block(6, 2).conj().T @ block(6, 3))
+    # orthogonal ranges: ||P - Q|| = 1
+    with pytest.raises(InfeasibleModelError, match=">= 1"):
+        nagy_intertwiner(np.eye(4)[:, 2:].conj().T @ block(4, 2))
+
+
 def evolve(h, psi, t):
     """Dense oracle: e^{-i t H} psi via a full eigendecomposition."""
     h = np.asarray(h)
