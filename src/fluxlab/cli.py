@@ -187,16 +187,26 @@ def _choice(*names):
     return checked
 
 
-def _nonempty(values):
-    if not values:
-        raise ValueError("must list at least one value")
-    return values
+def _list_of(cast):
+    """Caster for a nonempty list of `cast` values: a list or comma-separated text."""
+
+    def checked(value):
+        if not isinstance(value, (list, tuple)):
+            value = [tok.strip() for tok in str(value).split(",") if tok.strip()]
+        if not value:
+            raise ValueError("must list at least one value")
+        return [cast(x) for x in value]
+
+    return checked
 
 
-def _float_list(value):
-    if isinstance(value, (list, tuple)):
-        return _nonempty([_float(x) for x in value])
-    return _nonempty([_float(tok) for tok in str(value).split(",") if tok.strip()])
+def _flux(value):
+    """A flux string p/q, kept as given so the config header keeps its bytes."""
+    RationalFlux.from_string(str(value))
+    return str(value)
+
+
+_float_list = _list_of(_float)
 
 
 def _time_grid(value):
@@ -204,12 +214,6 @@ def _time_grid(value):
     if not any(times):
         raise ValueError("must hold a nonzero time")
     return times
-
-
-def _str_list(value):
-    if isinstance(value, (list, tuple)):
-        return _nonempty([str(x) for x in value])
-    return _nonempty([tok.strip() for tok in str(value).split(",") if tok.strip()])
 
 
 def _field_value(value):
@@ -229,20 +233,20 @@ _SPECS = {
         "kgrid": (_count, 64, "k points per axis"),
     },
     "fiber-spectrum": {
-        "flux": (str, None, "rational flux p/q"),
+        "flux": (_flux, None, "rational flux p/q"),
         "kgrid": (_count, 200, "k points along k1"),
         "kgrid2": (_count_or_zero, 0, "k points along k2 (0 = same as kgrid)"),
         "gap_tol": (_tolerance, 0.0, "band merge tolerance (0 = automatic)"),
     },
     "harper-spectrum": {
-        "flux": (str, None, "rational frequency p/q"),
+        "flux": (_flux, None, "rational frequency p/q"),
         "thetagrid": (_count, 64, "phase offsets sampled in [0, 1)"),
         "kgrid": (_count, 64, "Bloch momenta sampled in [0, 2 pi)"),
         "gap_tol": (_tolerance, 0.0, "band merge tolerance (0 = automatic)"),
         "tol": (_tolerance, 1e-2, "largest allowed distance outside the exact bands"),
     },
     "peierls-check": {
-        "flux": (_str_list, ["1/3", "2/5"], "flux values to test"),
+        "flux": (_list_of(_flux), ["1/3", "2/5"], "flux values to test"),
         "kgrid": (_count, 16, "k points per axis"),
         "tol": (_tolerance, 1e-10, "eigenvalue agreement threshold"),
     },
@@ -255,7 +259,7 @@ _SPECS = {
         "qmax": (_count, 64, "denominator bound when snapping 2B to p/q"),
     },
     "chern": {
-        "flux": (str, "1/3", "rational flux p/q"),
+        "flux": (_flux, "1/3", "rational flux p/q"),
         "kgrid": (_at_least(_int, 2), 30, "k points per axis"),
     },
     "continuum-spectrum": {
@@ -279,7 +283,7 @@ _SPECS = {
         "seed": (_int, 7, "wave packet seed"),
     },
     "disorder-dos": {
-        "flux": (str, "1/3", "rational flux p/q"),
+        "flux": (_flux, "1/3", "rational flux p/q"),
         "L": (_count, 30, "box side in sites"),
         "W": (_at_least(_float, 0), 2.0, "disorder strength"),
         "dist": (_choice("uniform", "gaussian"), "uniform",
@@ -501,8 +505,6 @@ def _cmd_peierls_check(p: dict) -> RunArtifact:
 
 def _cmd_gauge_check(p: dict) -> RunArtifact:
     box = symmetric_gauge_box(p["B"], p["L"])
-    box_vals = eigenvalues_hermitian(box)
-    box_bands = band_intervals(box_vals, p["gap_tol"])
     target = (2.0 * p["B"]) % 1.0
     flux = RationalFlux.from_float(target, q_max=p["qmax"])
     if abs(flux.value - target) > 1e-9:
@@ -510,6 +512,8 @@ def _cmd_gauge_check(p: dict) -> RunArtifact:
             f"2B = {target:.12g} is not rational with denominator <= "
             f"{p['qmax']}; nearest is {flux.p}/{flux.q}"
         )
+    box_vals = eigenvalues_hermitian(box)
+    box_bands = band_intervals(box_vals, p["gap_tol"])
     fiber_sample = spectrum_union(hofstadter_family(flux), p["kgrid"])
     fiber_bands = band_intervals(fiber_sample, p["gap_tol"])
     dist = hausdorff(box_bands, fiber_bands)
@@ -653,13 +657,12 @@ def _cmd_disorder_dos(p: dict) -> RunArtifact:
             f"clean spectrum at flux {flux.p}/{flux.q} has no gap to fill "
             f"(--gap-tol {p['gap_tol']:g})"
         )
+    clean = symmetric_gauge_box(flux.value / 2.0, p["L"])
     # Clean gaps come from the dense fiber spectrum (the crystal's actual
     # band set): the finite box samples each band at only L^2 momenta, and
     # those within-band sampling holes would masquerade as gaps.
     reference = spectrum_union(hofstadter_family(flux), p["kgrid"])
     clean_bands = band_intervals(reference, p["gap_tol"])
-    b_box = flux.value / 2.0
-    clean = symmetric_gauge_box(b_box, p["L"])
     clean_vals = eigenvalues_hermitian(clean)
     pad = 8.0 * p["width"]
     bounds = (float(clean_vals[0]) - pad - p["W"], float(clean_vals[-1]) + pad + p["W"])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isfinite, pi
+from math import fmod, gcd, isfinite, pi
 from typing import Sequence
 
 import numpy as np
@@ -211,47 +211,43 @@ def symmetric_gauge_box(B: float, L: int) -> np.ndarray:
     The wrap bonds pick up the twists e^{+i 2 pi B L m} along x and
     e^{-i 2 pi B L n} along y, which keep every plaquette, wrap plaquettes
     included, at flux 2B. Consistency of the twist around the corner
-    requires the total flux 2 B L^2 to be an integer.
+    requires the total flux 2 B L^2 to be an integer. Phases and closure use
+    the exact b = fmod(B, 1), which keeps the fractional digits of a large B
+    and is B bit for bit when |B| < 1.
     """
     if L < 1:
         raise ValueError(f"box side must be >= 1, got {L}")
     total = 2.0 * B * L * L
     if not isfinite(total):
         raise ConfigError(f"total flux 2*B*L^2 = {total:g} is not finite")
+    b = fmod(B, 1.0)
+    total = 2.0 * b * L * L
     if abs(total - round(total)) > 1e-9:
         raise InfeasibleModelError(
             "magnetic-periodic closure needs integer total flux: "
-            f"2*B*L^2 = {total:.6g} is not an integer"
+            f"2*fmod(B, 1)*L^2 = {total:.6g} is not an integer"
         )
 
-    n_sites = L * L
-    h = np.zeros((n_sites, n_sites), dtype=complex)
-
-    def idx(n, m):
-        return (n % L) * L + (m % L)
-
-    for n in range(L):
-        for m in range(L):
-            # bond (n, m) -> (n+1, m)
-            if n + 1 < L:
-                h[idx(n, m), idx(n + 1, m)] += np.exp(1j * 2.0 * pi * m * B)
-            else:
-                h[idx(n, m), idx(n + 1, m)] += np.exp(1j * 2.0 * pi * m * B) * np.exp(
-                    1j * 2.0 * pi * B * L * m
-                )
-            # bond (n, m) -> (n, m+1)
-            if m + 1 < L:
-                h[idx(n, m), idx(n, m + 1)] += np.exp(-1j * 2.0 * pi * n * B)
-            else:
-                h[idx(n, m), idx(n, m + 1)] += np.exp(-1j * 2.0 * pi * n * B) * np.exp(
-                    -1j * 2.0 * pi * B * L * n
-                )
+    n, m = np.divmod(np.arange(L * L), L)
+    x_hop = np.exp(1j * (2.0 * pi * m * b))
+    y_hop = np.exp(-1j * (2.0 * pi * n * b))
+    # twists as numpy scalar products: the array multiply rounds some differently
+    for k in range(L):
+        x_hop[(L - 1) * L + k] *= np.exp(1j * 2.0 * pi * b * L * k)
+        y_hop[k * L + L - 1] *= np.exp(-1j * 2.0 * pi * b * L * k)
+    sources = np.tile(np.arange(L * L), 2)
+    targets = np.concatenate((((n + 1) % L) * L + m, n * L + (m + 1) % L))
+    h = np.zeros((L * L, L * L), dtype=complex)
+    # at L = 1 all four bonds land on one entry, so they are added, not set
+    np.add.at(h, (sources, targets), np.concatenate((x_hop, y_hop)))
     return h + h.conj().T
 
 
 def add_onsite_disorder(matrix: np.ndarray, values: Sequence[float]) -> np.ndarray:
-    """A new box matrix with real on-site energies added."""
+    """A new box matrix with real on-site energies added to its diagonal."""
     vals = np.asarray(values, dtype=float).ravel()
     if vals.size != len(matrix):
         raise ValueError(f"need {len(matrix)} on-site values, got {vals.size}")
-    return matrix + np.diag(vals)
+    out = matrix.copy()
+    out[np.diag_indices_from(out)] += vals
+    return out

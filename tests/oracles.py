@@ -61,6 +61,35 @@ def plaquette_flux(matrix, L, n=0, m=0):
     return float((np.angle(prod) / (2.0 * pi)) % 1.0)
 
 
+def site_loop_box(B, L):
+    """`lattice.symmetric_gauge_box` filled one site at a time, with its
+    phases taken at B as given: the double loop it replaces, kept as its
+    oracle. Each bond is added onto the zero matrix, and each wrap bond is
+    the product of two numpy complex scalars."""
+    h = np.zeros((L * L, L * L), dtype=complex)
+
+    def idx(n, m):
+        return (n % L) * L + (m % L)
+
+    for n in range(L):
+        for m in range(L):
+            # bond (n, m) -> (n+1, m)
+            if n + 1 < L:
+                h[idx(n, m), idx(n + 1, m)] += np.exp(1j * 2.0 * pi * m * B)
+            else:
+                h[idx(n, m), idx(n + 1, m)] += np.exp(1j * 2.0 * pi * m * B) * np.exp(
+                    1j * 2.0 * pi * B * L * m
+                )
+            # bond (n, m) -> (n, m+1)
+            if m + 1 < L:
+                h[idx(n, m), idx(n, m + 1)] += np.exp(-1j * 2.0 * pi * n * B)
+            else:
+                h[idx(n, m), idx(n, m + 1)] += np.exp(-1j * 2.0 * pi * n * B) * np.exp(
+                    -1j * 2.0 * pi * B * L * n
+                )
+    return h + h.conj().T
+
+
 def tknn_cherns(p, q):
     """Band Chern numbers of the nearest-neighbour model at flux p/q, odd q.
 

@@ -186,12 +186,9 @@ def test_out_into_missing_directory_exits_2(tmp_path):
 @pytest.mark.parametrize("make", [os.mkfifo, os.mkdir], ids=["fifo", "directory"])
 @pytest.mark.parametrize("target", ["x.csv", "x.meta.json"], ids=["table", "sidecar"])
 def test_out_onto_a_special_file_exits_2_before_any_solve(
-    make, target, tmp_path, monkeypatch, capsys
+    make, target, tmp_path, forbid_solves, capsys
 ):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("eigensolve before --out was checked")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+    forbid_solves()
     special = tmp_path / target
     make(special)
     kind = os.stat(special).st_mode
@@ -344,16 +341,18 @@ def test_overflowing_disorder_draw_exits_2_before_its_solve(monkeypatch, capsys)
         (["disorder-dos", "--W", "-1"], "--W", "must be >= 0"),
         (["continuum-spectrum", "--B", "1/0"], "--B", "denominator must be nonzero"),
         (["gauge-check", "--B", "1/0"], "--B", "denominator must be nonzero"),
+        # every flux string is read at parse time, the second of a list too
+        (["peierls-check", "--flux", "1/3,2/6"], "--flux", "2/6 is not reduced"),
+        (["fiber-spectrum", "--flux", "0.4"], "--flux", "must look like 'p/q'"),
+        (["harper-spectrum", "--flux", "1/0"], "--flux", "denominator must be >= 1"),
+        (["chern", "--flux", "a/b"], "--flux", "must be a pair of integers"),
+        (["disorder-dos", "--flux", "3/6"], "--flux", "3/6 is not reduced"),
     ],
 )
 def test_bad_value_exits_2_before_any_eigensolve(
-    argv, flag, reason, monkeypatch, capsys
+    argv, flag, reason, forbid_solves, capsys
 ):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("eigensolve before the config was checked")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
-    monkeypatch.setattr(np.linalg, "eigh", no_solve)
+    forbid_solves()
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"error: bad value for {flag}:" in err and reason in err
@@ -367,18 +366,12 @@ def test_bad_value_exits_2_before_any_eigensolve(
         # a coarse grid leaves holes in the one band; they are not gaps
         ["disorder-dos", "--flux", "0/1", "--kgrid", "4"],
         ["disorder-dos", "--flux", "1/2", "--kgrid", "4"],
+        # 2 (1/4) 7^2 is not an integer, but the missing gap is named first
+        ["disorder-dos", "--flux", "1/2", "--L", "7"],
     ],
 )
-def test_gapless_clean_bands_exit_2_before_any_box_solve(argv, monkeypatch, capsys):
-    # the clean bands come from stacks of fibers; a single 2-D solve is a box
-    real = np.linalg.eigvalsh
-
-    def fibers_only(a, *args, **kwargs):
-        if np.ndim(a) == 2:
-            raise AssertionError("box eigensolve before the clean gaps were checked")
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", fibers_only)
+def test_gapless_clean_bands_exit_2_before_any_box_solve(argv, forbid_solves, capsys):
+    forbid_solves(2)  # the exact_bands corners
     assert main(argv) == 2
     assert "has no gap to fill" in capsys.readouterr().err
 
@@ -449,6 +442,42 @@ def test_overflowing_box_flux_exits_2(capsys):
     assert err.startswith("error: total flux 2*B*L^2 = inf is not finite")
     assert "Traceback" not in err
 
+
+def test_unquantized_disorder_box_exits_4_before_the_sweep(forbid_solves, capsys):
+    # 2 (1/6) 7^2 is not an integer: the box is built before the fiber sweep
+    forbid_solves(2)  # the exact_bands corners
+    assert main(["disorder-dos", "--flux", "1/3", "--L", "7"]) == 4
+    assert "needs integer total flux" in capsys.readouterr().err
+
+
+def test_gauge_check_snaps_2b_before_the_box_solve(forbid_solves, capsys):
+    forbid_solves()
+    assert main(["gauge-check", "--B", "0.1", "--L", "5", "--qmax", "2"]) == 2
+    assert "2B = 0.2 is not rational with denominator <= 2" in capsys.readouterr().err
+    # the flux quantization of the box (2 (0.1) 3^2 = 1.8) takes precedence
+    assert main(["gauge-check", "--B", "0.1", "--L", "3", "--qmax", "2"]) == 4
+    assert "needs integer total flux" in capsys.readouterr().err
+
+
+def _gauge_check_row(B, capsys):
+    assert main(["gauge-check", "--B", B, "--L", "8", "--kgrid", "16"]) == 0
+    header, row = capsys.readouterr().out.splitlines()[-2:]
+    return dict(zip(header.split(","), row.split(",")))
+
+
+@pytest.mark.parametrize("B", ["1e300", "1e17"])
+def test_huge_field_box_is_the_zero_field_box(B, capsys):
+    # a float this large is an integer, so B mod 1 is 0 and 2B snaps to 0/1
+    row = _gauge_check_row(B, capsys)
+    assert (row["fiber_p"], row["fiber_q"]) == ("0", "1")
+    assert float(row["hausdorff"]) < 1e-12
+
+
+def test_large_field_keeps_its_fractional_part(capsys):
+    big = _gauge_check_row("10000000000.125", capsys)
+    small = _gauge_check_row("0.125", capsys)
+    for column in ("fiber_p", "fiber_q", "hausdorff", "containment", "box_bands"):
+        assert big[column] == small[column]
 
 def test_overflowing_flux_count_exits_2(capsys):
     assert main(["continuum-spectrum", "--B", "1e308", "--ncells", "2"]) == 2

@@ -1,5 +1,7 @@
 """Tests for the magnetic lattice builders."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from fluxlab import (
     symmetric_gauge_box,
     weyl_translation,
 )
-from oracles import harper_fiber, plaquette_flux
+from oracles import harper_fiber, plaquette_flux, site_loop_box
 
 HERM_TOL = 1e-12
 
@@ -192,8 +194,35 @@ def test_box_flux_quantization():
             assert abs(got - 0.25) < 1e-12
     with pytest.raises(InfeasibleModelError):
         symmetric_gauge_box(0.1, 3)  # 2BL^2 = 1.8
+    # 18 B rounds to an integer here, but 2 fmod(B, 1) L^2 = 4.5 does not close
+    with pytest.raises(InfeasibleModelError):
+        symmetric_gauge_box(2.0**50 + 0.25, 3)
     with pytest.raises(ValueError):
         symmetric_gauge_box(0.125, 0)
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6, 8, 16, 30])
+def test_box_is_bit_identical_to_site_loop_oracle(L):
+    # every B = k / (2 L^2) with |B| < 1 closes the box, and B + 3 and the
+    # huge fields give the same phases, taken at fmod(B, 1); at L = 30 every
+    # 53rd k keeps the oracle's loop to a few seconds
+    K = 2 * L * L
+    fields = [k / K for k in range(1 - K, K, 53 if L == 30 else 1)]
+    for B in fields + [B + 3 for B in fields] + [1e17, -1e300]:
+        want = site_loop_box(math.fmod(B, 1.0), L)
+        got = symmetric_gauge_box(B, L)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), B
+
+
+@pytest.mark.parametrize("L", [1, 6, 8, 30])
+def test_add_onsite_disorder_is_bit_identical_to_dense_sum(L):
+    rng = np.random.default_rng(L)
+    for k in (0, 1, -3, L * L):
+        box = symmetric_gauge_box(k / (2 * L * L), L)
+        values = rng.uniform(-1, 1, L * L)
+        got = add_onsite_disorder(box, values)
+        want = box + np.diag(values)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_peierls_constant_dispersion():
