@@ -25,7 +25,6 @@ from .spectra import (
     band_quantiles,
     check_hermitian,
     chern_numbers,
-    default_gap_tol,
     distance_to_intervals,
     dos,
     eigenvalues_hermitian,

@@ -49,7 +49,6 @@ from .spectra import (
     band_intervals,
     band_quantiles,
     chern_numbers,
-    default_gap_tol,
     distance_to_intervals,
     eigenvalues_hermitian,
     exact_bands,
@@ -102,8 +101,9 @@ def _worst(values) -> float:
     return float(np.max(values)) if values else 0.0
 
 
-# Limit of the exact-band gates of butterfly and fiber-spectrum; the grid
-# eigenvalues of the nearest-neighbour model sit within ~1e-14 of the bands.
+# Limit of the exact-band gates of butterfly, fiber-spectrum and
+# harper-spectrum; the grid eigenvalues of the nearest-neighbour model sit
+# within ~1e-14 of the bands.
 _EXACT_BAND_TOL = 1e-10
 
 
@@ -236,14 +236,11 @@ _SPECS = {
         "flux": (_flux, None, "rational flux p/q"),
         "kgrid": (_count, 200, "k points along k1"),
         "kgrid2": (_count_or_zero, 0, "k points along k2 (0 = same as kgrid)"),
-        "gap_tol": (_tolerance, 0.0, "band merge tolerance (0 = automatic)"),
     },
     "harper-spectrum": {
         "flux": (_flux, None, "rational frequency p/q"),
         "thetagrid": (_count, 64, "phase offsets sampled in [0, 1)"),
         "kgrid": (_count, 64, "Bloch momenta sampled in [0, 2 pi)"),
-        "gap_tol": (_tolerance, 0.0, "band merge tolerance (0 = automatic)"),
-        "tol": (_tolerance, 1e-2, "largest allowed distance outside the exact bands"),
     },
     "peierls-check": {
         "flux": (_list_of(_flux), ["1/3", "2/5"], "flux values to test"),
@@ -391,11 +388,15 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(
                 f"bad value for --{key.replace('_', '-')}: {value!r} ({exc})"
             )
-    # the atomic rename in emit would replace a device, FIFO or directory
+    # the atomic rename in emit would replace a device, FIFO or directory,
+    # and its temporary file needs the parent directory
     out = resolved["out"]
     for path in [out, _sidecar_path(out)] if out else []:
         if os.path.exists(path) and not os.path.isfile(path):
             raise ConfigError(f"--out: {path!r} exists and is not a regular file")
+    parent = os.path.dirname(os.path.abspath(out))
+    if out and not os.path.isdir(parent):
+        raise ConfigError(f"--out: {parent!r} is not a directory")
     return RunConfig(command=command, params=resolved)
 
 
@@ -433,56 +434,44 @@ def _cmd_butterfly(p: dict) -> RunArtifact:
     )
 
 
-def _fiber_band_rows(flux, n1: int, n2: int, gap_tol: float):
-    """The spectrum_union of hofstadter_family(flux) on the n1 x n2 zone grid,
-    its largest distance outside exact_bands, its band table rows (band,
-    e_lo, e_hi) and the merge tolerance used: a gap_tol of 0 means
-    default_gap_tol of the sample."""
+def _exact_band_table(flux, n1: int, n2: int) -> RunArtifact:
+    """The exact_bands(flux) rows (band, e_lo, e_hi), checked against the
+    spectrum_union of hofstadter_family(flux) on the n1 x n2 zone grid.
+
+    The gate holds every sample eigenvalue to the bands. sample_hausdorff,
+    which also counts the band points farthest from the sample (half the
+    widest hole it leaves inside a band, or an edge it misses), records how
+    well the grid covers the bands.
+    """
+    bands = exact_bands(flux)
     sample = spectrum_union(hofstadter_family(flux), n1, n2)
-    outside = _outside_exact_bands(sample, flux)
-    gap_tol = gap_tol or default_gap_tol(sample)
-    bands = band_intervals(sample, gap_tol)
+    outside = float(distance_to_intervals(sample, bands).max())
     rows = [(i, a, b) for i, (a, b) in enumerate(bands.tolist())]
-    return sample, outside, rows, gap_tol
-
-
-def _cmd_fiber_spectrum(p: dict) -> RunArtifact:
-    flux = RationalFlux.from_string(p["flux"])
-    sample, outside, rows, gap_tol = _fiber_band_rows(
-        flux, p["kgrid"], p["kgrid2"] or p["kgrid"], p["gap_tol"]
-    )
     return RunArtifact(
         columns=["band", "e_lo", "e_hi"],
         rows=rows,
         meta={
-            "gap_tol_used": gap_tol,
             "n_eigenvalues": int(sample.size),
             "e_min": float(sample[0]),
             "e_max": float(sample[-1]),
+            "sample_hausdorff": hausdorff(sample, bands),
         },
-        summary=f"{len(rows)} band(s) in [{sample[0]:.6g}, {sample[-1]:.6g}]",
+        summary=f"{len(rows)} band(s), checked by {sample.size} eigenvalues "
+        f"in [{sample[0]:.6g}, {sample[-1]:.6g}]",
         gates=[Gate("outside_exact_bands", outside, _EXACT_BAND_TOL)],
     )
+
+
+def _cmd_fiber_spectrum(p: dict) -> RunArtifact:
+    flux = RationalFlux.from_string(p["flux"])
+    return _exact_band_table(flux, p["kgrid"], p["kgrid2"] or p["kgrid"])
 
 
 def _cmd_harper_spectrum(p: dict) -> RunArtifact:
     # The fiber at (k1, k2) = (k, 2 pi theta) is the Bloch-reduced 1D
     # cosine model at phase theta and momentum k.
     flux = RationalFlux.from_string(p["flux"])
-    sample, outside, rows, gap_tol = _fiber_band_rows(
-        flux, p["kgrid"], p["thetagrid"], p["gap_tol"]
-    )
-    return RunArtifact(
-        columns=["band", "e_lo", "e_hi"],
-        rows=rows,
-        meta={
-            "gap_tol_used": gap_tol,
-            "outside_exact_bands": outside,
-            "tol": p["tol"],
-        },
-        summary=f"{len(rows)} band(s) from {sample.size} eigenvalues",
-        gates=[Gate("outside_exact_bands", outside, p["tol"])],
-    )
+    return _exact_band_table(flux, p["kgrid"], p["thetagrid"])
 
 
 def _cmd_peierls_check(p: dict) -> RunArtifact:

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DegenerateBandsError, NumericalCheckError
 from .lattice import BlochFiberFamily, RationalFlux, hofstadter_family
 
-_DEDUP_ATOL = 1e-13
 _CHUNK_ENTRIES = 4_000_000  # complex fiber entries built at once
 _ERF = np.frompyfunc(math.erf, 1, 1)
 # erf(z) rounds to exactly +-1.0 in double precision for |z| >= this
@@ -186,27 +185,6 @@ def sample_values(values) -> np.ndarray:
     if vals.size == 0:
         raise ValueError("empty spectrum sample")
     return vals
-
-
-def default_gap_tol(values: np.ndarray) -> float:
-    """10x the median nearest-neighbor spacing of the distinct values.
-
-    Exact duplicates (degenerate levels resolved at roundoff scale) are
-    dropped first; otherwise a heavily degenerate spectrum drives the median
-    spacing to the 1e-15 scale and every distinct value becomes an interval.
-    """
-    vals = np.sort(np.asarray(values, dtype=float).ravel())
-    if vals.size < 2:
-        return _DEDUP_ATOL
-    spacings = np.diff(vals)
-    spacings = spacings[spacings > _DEDUP_ATOL * max(1.0, np.abs(vals).max())]
-    if spacings.size == 0:
-        return _DEDUP_ATOL
-    # np.median's value without its NaN check, which imports numpy.ma
-    n = spacings.size
-    part = np.partition(spacings, [(n - 1) // 2, n // 2])
-    median = part[n // 2] if n % 2 else (part[n // 2 - 1] + part[n // 2]) / 2
-    return 10.0 * float(median)
 
 
 def band_intervals(sample, gap_tol: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -9,10 +10,12 @@ import pytest
 from fluxlab import (
     ConfigError,
     DefectRow,
+    RationalFlux,
     StrongFieldRow,
     cli,
     continuum,
     dynamics,
+    exact_bands,
 )
 from fluxlab.cli import _field_value, build_parser, main, parse_config
 
@@ -175,12 +178,26 @@ def test_gauge_check_impossible_tolerance_exits_3(capsys):
     assert "FAIL" in err
 
 
-def test_out_into_missing_directory_exits_2(tmp_path):
+def test_out_into_missing_directory_exits_2(tmp_path, forbid_solves, capsys):
+    forbid_solves()
     target = tmp_path / "missing" / "x.csv"
     code = main(["chern", "--flux", "1/3", "--kgrid", "12", "--out", str(target)])
     assert code == 2
+    assert "error: --out:" in capsys.readouterr().err
     assert not target.exists()
     assert not target.parent.exists()
+
+
+def test_out_under_a_regular_file_exits_2(tmp_path, forbid_solves, capsys):
+    forbid_solves()
+    parent = tmp_path / "file"
+    parent.write_text("kept\n")
+    argv = ["fiber-spectrum", "--flux", "1/3", "--out", str(parent / "x.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: --out: {str(parent)!r} is not a directory" in err
+    assert parent.read_text() == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["file"]
 
 
 @pytest.mark.parametrize("make", [os.mkfifo, os.mkdir], ids=["fifo", "directory"])
@@ -293,12 +310,8 @@ def test_empty_list_exits_2(argv, flag, capsys):
         (["dynamics-defect", "--ncells", "-3"], "--ncells"),
         (["dynamics-defect", "--nlevels", "0"], "--nlevels"),
         (["fiber-spectrum", "--flux", "1/3", "--kgrid2", "-1"], "--kgrid2"),
-        (["harper-spectrum", "--flux", "1/3", "--tol", "-1"], "--tol"),
         (["peierls-check", "--kgrid", "4", "--tol", "-1"], "--tol"),
         (["gauge-check", "--tol", "-1"], "--tol"),
-        (["fiber-spectrum", "--flux", "1/3", "--kgrid", "8", "--gap-tol", "-1"],
-         "--gap-tol"),
-        (["harper-spectrum", "--flux", "1/3", "--gap-tol", "-1"], "--gap-tol"),
         (["gauge-check", "--gap-tol", "-1"], "--gap-tol"),
         (["disorder-dos", "--L", "6", "--gap-tol", "-1"], "--gap-tol"),
     ],
@@ -511,9 +524,84 @@ def test_single_level_infinite_cluster_gap_exits_0(capsys):
     assert "distance_or_coupling_not_finite = 0 (limit 0) -> pass" in err
 
 
+def _csv_table(capsys):
+    """The `# key: value` meta and the header and data lines of the CSV
+    table on stdout."""
+    lines = capsys.readouterr().out.splitlines()
+    pairs = [line[2:].split(": ", 1) for line in lines if line.startswith("# ")]
+    meta = dict(pair for pair in pairs if len(pair) == 2)
+    return meta, [line for line in lines if not line.startswith("#")]
+
+
+_REDUCED_FLUXES = [
+    RationalFlux(p, q)
+    for q in range(1, 9)
+    for p in range(-q, q + 1)
+    if math.gcd(p, q) == 1
+]
+
+
+@pytest.mark.parametrize("kgrid", [1, 2, 3, 8, 16])
+@pytest.mark.parametrize("command", ["fiber-spectrum", "harper-spectrum"])
+def test_band_table_is_exact_bands(command, kgrid, capsys):
+    grids = ["--kgrid", str(kgrid)]
+    if command == "harper-spectrum":
+        grids += ["--thetagrid", str(kgrid)]
+    for flux in _REDUCED_FLUXES:
+        assert main([command, f"--flux={flux.p}/{flux.q}", *grids]) == 0
+        _, lines = _csv_table(capsys)
+        rows = [
+            f"{band},{lo:.12g},{hi:.12g}"
+            for band, (lo, hi) in enumerate(exact_bands(flux).tolist())
+        ]
+        assert lines == ["band,e_lo,e_hi", *rows], (command, flux, kgrid)
+
+
+@pytest.mark.parametrize(
+    "argv, n_rows",
+    [
+        # a merged k-grid sample printed 99 bands at the default --kgrid 200
+        # (and 1 at --kgrid 1, which test_band_table_is_exact_bands runs)
+        (["fiber-spectrum", "--flux", "1/3"], 3),
+        # and a third, point-sized band at the touching point 0
+        (["harper-spectrum", "--flux", "1/2"], 2),
+    ],
+)
+def test_band_table_has_one_row_per_exact_band(argv, n_rows, capsys):
+    assert main(argv) == 0
+    _, lines = _csv_table(capsys)
+    assert len(lines) == 1 + n_rows
+
+
+def test_sample_hausdorff_falls_with_the_grid(capsys):
+    measured = []
+    for kgrid in ("8", "64", "200"):
+        assert main(["fiber-spectrum", "--flux", "1/3", "--kgrid", kgrid]) == 0
+        meta, _ = _csv_table(capsys)
+        measured.append(float(meta["sample_hausdorff"]))
+    assert measured[0] > measured[1] > measured[2]
+    np.testing.assert_allclose(measured, [0.0756, 0.00625, 0.000996], rtol=1e-2)
+
+
+def test_deleted_band_flags_exit_2(tmp_path, forbid_solves, capsys):
+    forbid_solves()
+    for command, key in [
+        ("fiber-spectrum", "gap_tol"),
+        ("harper-spectrum", "gap_tol"),
+        ("harper-spectrum", "tol"),
+    ]:
+        with pytest.raises(SystemExit) as info:
+            main([command, "--flux", "1/3", f"--{key.replace('_', '-')}", "0.1"])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: 0.1}))
+        assert main([command, "--flux", "1/3", "--config", str(path)]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
 def test_harper_spectrum_fails_outside_narrowed_bands(monkeypatch, capsys):
-    argv = ["harper-spectrum", "--flux", "2/5", "--thetagrid", "8", "--kgrid", "8",
-            "--tol", "1e-4"]
+    argv = ["harper-spectrum", "--flux", "2/5", "--thetagrid", "8", "--kgrid", "8"]
     assert main(argv) == 0
     exact = cli.exact_bands
     monkeypatch.setattr(

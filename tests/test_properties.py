@@ -292,10 +292,8 @@ def test_lattice_commands_keep_the_exit_code_contract(
     command, flux, grid, grid2, tol, gap_tol, separate
 ):
     flags = {
-        "fiber-spectrum": {"flux": flux, "kgrid": grid, "kgrid2": grid2,
-                           "gap-tol": gap_tol},
-        "harper-spectrum": {"flux": flux, "kgrid": grid, "thetagrid": grid2,
-                            "gap-tol": gap_tol, "tol": tol},
+        "fiber-spectrum": {"flux": flux, "kgrid": grid, "kgrid2": grid2},
+        "harper-spectrum": {"flux": flux, "kgrid": grid, "thetagrid": grid2},
         "peierls-check": {"flux": flux, "kgrid": grid, "tol": tol},
         "gauge-check": {"B": flux, "L": grid, "kgrid": grid2, "gap-tol": gap_tol,
                         "tol": tol},

@@ -17,7 +17,6 @@ from fluxlab import (
     band_quantiles,
     check_hermitian,
     chern_numbers,
-    default_gap_tol,
     dos,
     eigenvalues_hermitian,
     exact_bands,
@@ -86,12 +85,6 @@ def test_band_counts_for_standard_fluxes():
     # sample needs a dense grid there before the merge sees one interval
     half = spectrum_union(hofstadter_family(RationalFlux(1, 2)), 256)
     assert len(band_intervals(half, 0.05)) == 1
-
-
-def test_default_gap_tol_ignores_duplicates():
-    vals = np.array([0.0, 0.0, 0.0, 1.0, 2.0, 3.0])
-    tol = default_gap_tol(vals)
-    assert abs(tol - 10.0) < 1e-9  # median spacing of distinct values is 1
 
 
 def test_hausdorff_examples():
