@@ -310,8 +310,11 @@ def test_empty_list_exits_2(argv, flag, capsys):
         (["dynamics-defect", "--ncells", "-3"], "--ncells"),
         (["dynamics-defect", "--nlevels", "0"], "--nlevels"),
         (["fiber-spectrum", "--flux", "1/3", "--kgrid2", "-1"], "--kgrid2"),
+        (["peierls-check", "--kgrid", "4", "--tol", "-1e-300"], "--tol"),
         (["peierls-check", "--kgrid", "4", "--tol", "-1"], "--tol"),
         (["gauge-check", "--tol", "-1"], "--tol"),
+        (["gauge-check", "--gap-tol", "-1e-300"], "--gap-tol"),
+        (["disorder-dos", "--L", "6", "--gap-tol", "-1e-300"], "--gap-tol"),
         (["gauge-check", "--gap-tol", "-1"], "--gap-tol"),
         (["disorder-dos", "--L", "6", "--gap-tol", "-1"], "--gap-tol"),
     ],
