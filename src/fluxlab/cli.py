@@ -250,7 +250,6 @@ _SPECS = {
     "gauge-check": {
         "B": (_field_value, 0.125, "field parameter (float or p/q)"),
         "L": (_count, 16, "torus side in sites"),
-        "kgrid": (_count, 64, "fiber k points per axis"),
         "gap_tol": (_tolerance, 1.0, "band merge tolerance"),
         "tol": (_tolerance, 0.05, "pass threshold on the Hausdorff distance"),
         "qmax": (_count, 64, "denominator bound when snapping 2B to p/q"),
@@ -503,8 +502,8 @@ def _cmd_gauge_check(p: dict) -> RunArtifact:
         )
     box_vals = eigenvalues_hermitian(box)
     box_bands = band_intervals(box_vals, p["gap_tol"])
-    fiber_sample = spectrum_union(hofstadter_family(flux), p["kgrid"])
-    fiber_bands = band_intervals(fiber_sample, p["gap_tol"])
+    exact = exact_bands(flux)
+    fiber_bands = band_intervals(exact, p["gap_tol"])
     dist = hausdorff(box_bands, fiber_bands)
     containment = float(distance_to_intervals(box_vals, fiber_bands).max())
     rows = [
@@ -531,10 +530,10 @@ def _cmd_gauge_check(p: dict) -> RunArtifact:
             "fiber_bands",
         ],
         rows=rows,
-        meta={"tol": p["tol"], "gap_tol": p["gap_tol"], "kgrid": p["kgrid"]},
+        meta={"tol": p["tol"], "gap_tol": p["gap_tol"]},
         summary=f"fiber flux {flux.p}/{flux.q}, containment = {containment:.3e}",
         gates=[
-            finite_gate("eigenvalue", np.concatenate([box_vals, fiber_sample])),
+            finite_gate("eigenvalue", np.concatenate([box_vals, exact.ravel()])),
             Gate("hausdorff", dist, p["tol"]),
         ],
     )
@@ -640,8 +639,7 @@ def _cmd_disorder_dos(p: dict) -> RunArtifact:
     flux = RationalFlux.from_string(p["flux"])
     # Whether there is a gap at all is read off the exact bands merged at
     # --gap-tol, so the holes of a coarse k grid cannot open one.
-    exact = exact_bands(flux)
-    if not np.any(exact[1:, 0] - exact[:-1, 1] > p["gap_tol"]):
+    if len(band_intervals(exact_bands(flux), p["gap_tol"])) < 2:
         raise ConfigError(
             f"clean spectrum at flux {flux.p}/{flux.q} has no gap to fill "
             f"(--gap-tol {p['gap_tol']:g})"
@@ -749,7 +747,7 @@ def render_json(artifact: RunArtifact, cfg: RunConfig) -> str:
         "version": __version__,
         "command": cfg.command,
         "config": json.loads(_table_config(cfg)),
-        "meta": artifact.meta,
+        "meta": {key: _json_value(v) for key, v in artifact.meta.items()},
         "columns": artifact.columns,
         "rows": [[_json_value(v) for v in row] for row in artifact.rows],
     }
@@ -757,6 +755,8 @@ def render_json(artifact: RunArtifact, cfg: RunConfig) -> str:
 
 
 def _json_value(value):
+    if isinstance(value, list):
+        return [_json_value(v) for v in value]
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):

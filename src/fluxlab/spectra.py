@@ -187,15 +187,21 @@ def sample_values(values) -> np.ndarray:
     return vals
 
 
-def band_intervals(sample, gap_tol: float) -> np.ndarray:
-    """Merge consecutive eigenvalues at most gap_tol apart into a band set."""
-    vals = sample_values(sample)
+def band_intervals(bands, gap_tol: float) -> np.ndarray:
+    """Merge the adjacent rows of an ascending (n, 2) band set, or of a
+    sample's sorted values as zero-width rows, whose gap lo[i+1] - hi[i] is
+    at most gap_tol. Only a gap above gap_tol splits: a NaN gap merges."""
+    arr = np.asarray(bands, dtype=float)
+    if arr.ndim == 2 and arr.shape[1] == 2 and arr.size:
+        los, his = arr[:, 0], arr[:, 1]
+    else:
+        los = his = sample_values(arr)
     if gap_tol < 0:
         raise ValueError("gap_tol must be >= 0")
-    breaks = np.flatnonzero(np.diff(vals) > gap_tol)
+    breaks = np.flatnonzero(los[1:] - his[:-1] > gap_tol)
     starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [vals.size - 1]))
-    return np.column_stack((vals[starts], vals[ends]))
+    ends = np.concatenate((breaks, [los.size - 1]))
+    return np.column_stack((los[starts], his[ends]))
 
 
 def _interval_arrays(obj):
@@ -222,12 +228,6 @@ def _interval_arrays(obj):
     starts = np.concatenate(([0], keep + 1))
     ends = np.concatenate((keep, [los.size - 1]))
     return los[starts], run[ends]
-
-
-def _in_union(points, los, his):
-    idx = np.searchsorted(los, points, side="right") - 1
-    safe = np.clip(idx, 0, los.size - 1)
-    return (idx >= 0) & (points <= his[safe])
 
 
 def _union_distance(points, los, his):
@@ -266,7 +266,7 @@ def hausdorff(a, b) -> float:
 
     def directed(flos, fhis, tlos, this):
         mids = 0.5 * (this[:-1] + tlos[1:])
-        mids = mids[_in_union(mids, flos, fhis)]
+        mids = mids[_union_distance(mids, flos, fhis) == 0]
         cand = np.concatenate((flos, fhis[fhis > flos], mids))
         return float(_union_distance(cand, tlos, this).max())
 

@@ -12,10 +12,13 @@ from fluxlab import (
     DefectRow,
     RationalFlux,
     StrongFieldRow,
+    band_intervals,
     cli,
     continuum,
     dynamics,
     exact_bands,
+    hausdorff,
+    symmetric_gauge_box,
 )
 from fluxlab.cli import _field_value, build_parser, main, parse_config
 
@@ -139,22 +142,8 @@ def test_chern_off_the_tknn_integers_exits_3(monkeypatch, capsys):
     assert "  bands_off_tknn = 3 (limit 0) -> FAIL" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["butterfly", "--qmax", "4", "--kgrid", "8"],
-        ["fiber-spectrum", "--flux", "2/5", "--kgrid", "16"],
-        ["harper-spectrum", "--flux", "1/3", "--thetagrid", "8", "--kgrid", "8"],
-        ["peierls-check", "--flux", "1/3", "--kgrid", "8"],
-        ["gauge-check", "--B", "1/8", "--L", "8", "--kgrid", "16"],
-        # a NaN that reached dos as a saturated erf would empty the histogram
-        # and exit 2, a configuration error
-        ["disorder-dos", "--L", "6", "--nseeds", "2", "--kgrid", "16", "--bins", "40"],
-    ],
-)
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_nan_eigenvalue_fails_every_lattice_command(argv, monkeypatch, capsys):
-    assert main(argv) == 0
+def _first_eigenvalue_nan(monkeypatch):
+    """Make the first eigenvalue of every np.linalg.eigvalsh call NaN."""
     eigvalsh = np.linalg.eigvalsh
 
     def one_nan(a, *args, **kwargs):
@@ -163,17 +152,67 @@ def test_nan_eigenvalue_fails_every_lattice_command(argv, monkeypatch, capsys):
         return w
 
     monkeypatch.setattr(np.linalg, "eigvalsh", one_nan)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["butterfly", "--qmax", "4", "--kgrid", "8"],
+        ["fiber-spectrum", "--flux", "2/5", "--kgrid", "16"],
+        ["harper-spectrum", "--flux", "1/3", "--thetagrid", "8", "--kgrid", "8"],
+        ["peierls-check", "--flux", "1/3", "--kgrid", "8"],
+        ["gauge-check", "--B", "1/8", "--L", "8"],
+        # a NaN that reached dos as a saturated erf would empty the histogram
+        # and exit 2, a configuration error
+        ["disorder-dos", "--L", "6", "--nseeds", "2", "--kgrid", "16", "--bins", "40"],
+    ],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nan_eigenvalue_fails_every_lattice_command(argv, monkeypatch, capsys):
+    assert main(argv) == 0
+    _first_eigenvalue_nan(monkeypatch)
     capsys.readouterr()
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert "-> FAIL" in err and "Traceback" not in err
 
 
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_meta_writes_a_nan_as_a_string(monkeypatch, capsys):
+    _first_eigenvalue_nan(monkeypatch)
+    argv = ["fiber-spectrum", "--flux", "2/5", "--kgrid", "16", "--format", "json"]
+    assert main(argv) == 3
+    meta = _strict_json(capsys.readouterr().out)["meta"]
+    assert meta["e_max"] == "nan"
+
+
+def test_json_meta_keeps_finite_values_and_list_shapes():
+    meta = {"bands": [[0.0, 1.5], [2.0, math.nan]], "times": [0.5, -math.inf], "n": 3}
+    cfg = cli.RunConfig("gauge-check", {"format": "json"})
+    artifact = cli.RunArtifact(columns=["x"], rows=[(1.0,)], meta=meta, summary="")
+    doc = _strict_json(cli.render_json(artifact, cfg))
+    assert doc["meta"] == {
+        "bands": [[0.0, 1.5], [2.0, "nan"]],
+        "times": [0.5, "-inf"],
+        "n": 3,
+    }
+    # a finite document keeps its bytes
+    artifact.meta = {"bands": [[0.0, 1.5], [2.0, 3.0]], "times": [0.5, 1.0], "n": 3}
+    doc = {"version": cli.__version__, "command": "gauge-check",
+           "config": {"format": "json"}, "meta": artifact.meta,
+           "columns": ["x"], "rows": [[1.0]]}
+    expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert cli.render_json(artifact, cfg) == expected
+
+
 def test_gauge_check_impossible_tolerance_exits_3(capsys):
-    code = main(
-        ["gauge-check", "--B", "1/8", "--L", "8", "--kgrid", "16", "--tol", "1e-20"]
-    )
-    assert code == 3
+    assert main(["gauge-check", "--B", "1/8", "--L", "8", "--tol", "1e-20"]) == 3
     err = capsys.readouterr().err
     assert "FAIL" in err
 
@@ -476,7 +515,7 @@ def test_gauge_check_snaps_2b_before_the_box_solve(forbid_solves, capsys):
 
 
 def _gauge_check_row(B, capsys):
-    assert main(["gauge-check", "--B", B, "--L", "8", "--kgrid", "16"]) == 0
+    assert main(["gauge-check", "--B", B, "--L", "8"]) == 0
     header, row = capsys.readouterr().out.splitlines()[-2:]
     return dict(zip(header.split(","), row.split(",")))
 
@@ -588,19 +627,36 @@ def test_sample_hausdorff_falls_with_the_grid(capsys):
 
 def test_deleted_band_flags_exit_2(tmp_path, forbid_solves, capsys):
     forbid_solves()
-    for command, key in [
-        ("fiber-spectrum", "gap_tol"),
-        ("harper-spectrum", "gap_tol"),
-        ("harper-spectrum", "tol"),
+    for argv, key in [
+        (["fiber-spectrum", "--flux", "1/3"], "gap_tol"),
+        (["harper-spectrum", "--flux", "1/3"], "gap_tol"),
+        (["harper-spectrum", "--flux", "1/3"], "tol"),
+        (["gauge-check", "--B", "1/8"], "kgrid"),
     ]:
         with pytest.raises(SystemExit) as info:
-            main([command, "--flux", "1/3", f"--{key.replace('_', '-')}", "0.1"])
+            main([*argv, f"--{key.replace('_', '-')}", "0.1"])
         assert info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({key: 0.1}))
-        assert main([command, "--flux", "1/3", "--config", str(path)]) == 2
+        assert main([*argv, "--config", str(path)]) == 2
         assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+def test_gauge_check_solves_the_box_and_two_corners(forbid_solves, capsys):
+    forbid_solves(3)
+    assert main(["gauge-check", "--B", "1/8"]) == 0
+
+
+def test_gauge_check_measures_the_box_against_the_exact_bands(capsys):
+    # at 2B = 19/64 every point of a 64-point grid has cos(64 k) = 1, so a
+    # --kgrid 64 sample held only the k = 0 fiber and gave 5.1e-15
+    row = _gauge_check_row("19/128", capsys)
+    box = np.linalg.eigvalsh(symmetric_gauge_box(19 / 128, 8))
+    fibers = band_intervals(exact_bands(RationalFlux(19, 64)), 1.0)
+    expected = hausdorff(band_intervals(box, 1.0), fibers)
+    assert abs(expected - 1.04e-3) < 1e-5
+    assert row["hausdorff"] == f"{expected:.12g}"
 
 
 def test_harper_spectrum_fails_outside_narrowed_bands(monkeypatch, capsys):
@@ -761,11 +817,8 @@ def test_config_file_value_lands_in_artifact(tmp_path):
     [
         (["harper-spectrum", "--flux", "1/3", "--thetagrid", "8", "--kgrid", "8"], 0),
         (["peierls-check", "--flux", "1/3,2/5,3/7", "--kgrid", "8"], 0),
-        (["gauge-check", "--B", "1/8", "--L", "8", "--kgrid", "16"], 0),
-        (
-            ["gauge-check", "--B", "1/8", "--L", "8", "--kgrid", "16", "--tol", "1e-20"],
-            3,
-        ),
+        (["gauge-check", "--B", "1/8", "--L", "8"], 0),
+        (["gauge-check", "--B", "1/8", "--L", "8", "--tol", "1e-20"], 3),
         (["chern", "--flux", "1/3", "--kgrid", "12"], 0),
         (["lll-compare", "--B", "5,10,20", "--ncells", "2", "--nlevels", "3"], 0),
         (

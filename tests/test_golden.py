@@ -48,7 +48,7 @@ CASES = {
         ["peierls-check", "--flux", "1/3,2/5,3/7", "--kgrid", "8"],
         False,
     ),
-    "gauge-check": (["gauge-check", "--B", "1/8", "--L", "8", "--kgrid", "16"], True),
+    "gauge-check": (["gauge-check", "--B", "1/8", "--L", "8"], True),
     "chern": (["chern", "--flux", "1/3", "--kgrid", "12"], True),
     "continuum-spectrum": (
         ["continuum-spectrum", "--B", "10", "--ncells", "2", "--nlevels", "3"],

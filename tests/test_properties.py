@@ -295,8 +295,7 @@ def test_lattice_commands_keep_the_exit_code_contract(
         "fiber-spectrum": {"flux": flux, "kgrid": grid, "kgrid2": grid2},
         "harper-spectrum": {"flux": flux, "kgrid": grid, "thetagrid": grid2},
         "peierls-check": {"flux": flux, "kgrid": grid, "tol": tol},
-        "gauge-check": {"B": flux, "L": grid, "kgrid": grid2, "gap-tol": gap_tol,
-                        "tol": tol},
+        "gauge-check": {"B": flux, "L": grid, "gap-tol": gap_tol, "tol": tol},
     }[command]
     argv = [command] + spelled(flags, separate)
     out, err = io.StringIO(), io.StringIO()

@@ -78,6 +78,25 @@ def test_band_intervals_validation():
         band_intervals(np.array([0.0, 1.0]), gap_tol=-0.5)
 
 
+def test_band_intervals_merges_a_band_set():
+    bands = np.array([[0.0, 1.0], [1.25, 2.0], [5.0, 6.0]])
+    assert np.array_equal(band_intervals(bands, 0.5), [[0.0, 2.0], [5.0, 6.0]])
+    assert np.array_equal(band_intervals(bands, 0.25), [[0.0, 2.0], [5.0, 6.0]])
+    assert np.array_equal(band_intervals(bands, 0.0), bands)
+    # a sample is the band set of its sorted values as zero-width rows
+    sample = np.array([5.0, 0.0, 1.0])
+    points = np.column_stack((np.sort(sample), np.sort(sample)))
+    assert np.array_equal(band_intervals(sample, 1.0), band_intervals(points, 1.0))
+
+
+def test_band_intervals_keeps_the_gaps_after_a_nan_edge():
+    # a running max of the upper edges would be NaN from the first row on
+    # and merge every later row
+    bands = band_intervals(np.array([[0.0, np.nan], [1.0, 2.0], [5.0, 6.0]]), 0.5)
+    assert len(bands) == 2
+    assert np.array_equal(bands[1], [5.0, 6.0])
+
+
 def test_band_counts_for_standard_fluxes():
     third = spectrum_union(hofstadter_family(RationalFlux(1, 3)), 100)
     assert len(band_intervals(third, 0.05)) == 3
