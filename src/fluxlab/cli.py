@@ -661,10 +661,12 @@ def _cmd_disorder_dos(p: dict) -> RunArtifact:
         )
 
     # a real diagonal leaves M - M^dag as it is, so the clean check covers
-    # every realization
+    # every realization; each one rewrites the diagonal of one working copy
+    work = clean.copy()
+
     def builder(seed):
         noise = anderson_realization(p["L"], p["dist"], p["W"], seed)
-        return np.linalg.eigvalsh(add_onsite_disorder(clean, noise))
+        return np.linalg.eigvalsh(add_onsite_disorder(clean, noise, out=work))
 
     edges, density, stderr = ensemble_dos(
         builder,

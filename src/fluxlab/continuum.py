@@ -31,6 +31,10 @@ class FourierPotential:
 
     Harmonics are (n, m, c) with n, m counted in reciprocal units 2 pi.
     Reality requires the partner (-n, -m, conj(c)) for every harmonic.
+    They are kept sorted by (n, |m|, m), so that (n, -m) and (n, m) are
+    neighbours: for a potential even in x their terms are complex conjugates,
+    and adding them one after the other onto a real entry leaves its
+    imaginary part exactly zero (see coset_eigh).
     """
 
     harmonics: tuple
@@ -39,7 +43,7 @@ class FourierPotential:
         entries = []
         for n, m, c in harmonics:
             entries.append((float(n), float(m), complex(c)))
-        entries.sort(key=lambda h: (h[0], h[1]))
+        entries.sort(key=lambda h: (h[0], abs(h[1]), h[1]))
         object.__setattr__(self, "harmonics", tuple(entries))
         if not conjugate_paired(self.harmonics):
             raise ValueError(
@@ -254,8 +258,19 @@ def coset_eigh(
 
     With rank r given, also returns the d x r frame of the eigenvectors of
     the r lowest eigenvalues, scattered back to full rows.
+
+    For a potential even in x, c(n, m) = c(-n, m), complex conjugation
+    combined with x -> -x is an antiunitary symmetry of the operator, and in
+    the level-major Landau basis it acts as plain conjugation (M. Robnik and
+    M. V. Berry, J. Phys. A 19, 669 (1986)): the blocks come out with an
+    imaginary part of exactly zero. Such blocks are solved as real symmetric
+    matrices, and the frame is then real. An exactly real matrix is its own
+    real part, so the switch needs no tolerance; any other potential keeps
+    the complex solve.
     """
     blocks = coset_blocks(basis, potential)
+    if not np.any(blocks.imag):
+        blocks = np.ascontiguousarray(blocks.real)
     if rank is None:
         return np.sort(np.linalg.eigvalsh(blocks), axis=None)
     values, vectors = np.linalg.eigh(blocks)
@@ -264,7 +279,7 @@ def coset_eigh(
     order = np.argsort(w, kind="stable")
     lowest = order[:rank]
     guiding = np.arange(basis.dim) % basis.n_flux
-    frame = np.zeros((basis.dim, rank), dtype=complex)
+    frame = np.zeros((basis.dim, rank), dtype=vectors.dtype)
     for c in range(g):
         mine = np.flatnonzero(lowest // size == c)
         frame[np.ix_(np.flatnonzero(guiding % g == c), mine)] = (

@@ -15,6 +15,9 @@ the frame overlap, which for this Q is the top r rows of P's frame, and both
 evolutions run in r coordinates. Both operators are solved as their
 guiding-centre coset blocks (continuum.coset_eigh): H_full on all levels, and
 H_eff, the lowest-level compression P H P, as the same operator on one level.
+For a potential even in x those blocks are exactly real, so the frames, the
+polar factor U and the projector distance are computed in real arithmetic;
+only the wave packet and its evolution are complex.
 """
 
 from __future__ import annotations

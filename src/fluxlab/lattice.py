@@ -243,11 +243,22 @@ def symmetric_gauge_box(B: float, L: int) -> np.ndarray:
     return h + h.conj().T
 
 
-def add_onsite_disorder(matrix: np.ndarray, values: Sequence[float]) -> np.ndarray:
-    """A new box matrix with real on-site energies added to its diagonal."""
+def add_onsite_disorder(
+    matrix: np.ndarray, values: Sequence[float], out: np.ndarray | None = None
+) -> np.ndarray:
+    """The box matrix with real on-site energies added to its diagonal.
+
+    By default a new matrix. With out given, only out's diagonal is written,
+    so out must already equal matrix off the diagonal (a copy of matrix, or
+    an earlier result): a run of realizations then reuses one buffer instead
+    of copying the whole box each time. Either way the diagonal is
+    matrix's diagonal plus values, the same floats.
+    """
     vals = np.asarray(values, dtype=float).ravel()
     if vals.size != len(matrix):
         raise ValueError(f"need {len(matrix)} on-site values, got {vals.size}")
-    out = matrix.copy()
-    out[np.diag_indices_from(out)] += vals
+    if out is None:
+        out = matrix.copy()
+    diag = np.diag_indices_from(out)
+    out[diag] = matrix[diag] + vals
     return out

@@ -30,3 +30,21 @@ def forbid_solves(monkeypatch):
             monkeypatch.setattr(np.linalg, name, guard(getattr(np.linalg, name)))
 
     return forbid
+
+
+@pytest.fixture
+def solve_dtypes(monkeypatch):
+    """The dtype of the matrix stack passed to each np.linalg.eigvalsh or eigh
+    call, in call order."""
+    seen = []
+
+    def record(solve):
+        def recorded(a, *args, **kwargs):
+            seen.append(np.asarray(a).dtype)
+            return solve(a, *args, **kwargs)
+
+        return recorded
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, record(getattr(np.linalg, name)))
+    return seen

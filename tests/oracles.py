@@ -175,8 +175,11 @@ def dense_eigh(matrix, rank=None):
 
     Sorted eigenvalues of the whole d x d matrix and, with rank r given, the
     d x r eigenvectors of the r lowest; `continuum.coset_eigh` with the
-    operator in place of the basis and the potential.
+    operator in place of the basis and the potential. Like `coset_eigh`, an
+    exactly real matrix is solved as its real part.
     """
+    if not np.any(matrix.imag):
+        matrix = np.ascontiguousarray(matrix.real)
     if rank is None:
         return np.linalg.eigvalsh(matrix)
     w, v = np.linalg.eigh(matrix)

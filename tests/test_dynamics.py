@@ -233,7 +233,7 @@ def test_level_zero_intertwiner_matches_the_two_frame_oracle(
         basis = torus_basis(b, n_levels, n_cells)
         r = basis.n_flux
         _, p = coset_eigh(basis, potential, rank=r)
-        q = np.eye(basis.dim, r, dtype=complex)
+        q = np.eye(basis.dim, r, dtype=p.dtype)
         assert np.array_equal(u, two_frame_nagy(p, q))
         assert abs(row.projector_distance - projector_distance(p, q)) <= 1e-15
 
@@ -499,6 +499,22 @@ def test_eigensolve_budget(monkeypatch):
     strong_field_report([5.0, 10.0], potential, n_levels=3, n_cells=2)
     assert not any(name == "eigh" for name, _, _ in calls)
     assert [shape for name, shape, _ in calls if name == "eigvalsh"] == expected
+
+
+def test_even_potentials_take_the_real_solve(solve_dtypes):
+    # cos(2 pi x) + cos(2 pi y) is even in x, so every coset block is exactly
+    # real and both experiments solve only real symmetric stacks; sin(2 pi x)
+    # is not, and keeps the complex Hermitian solve
+    fields, times = (10.0, 20.0, 40.0), (0.5, 1.0)
+    cosine = FourierPotential.cosine_xy(1.0)
+    defect_scaling(fields, cosine, times, n_levels=2, n_cells=4)
+    strong_field_report(fields, cosine, n_levels=2, n_cells=4)
+    assert solve_dtypes and set(solve_dtypes) == {np.dtype(np.float64)}
+    solve_dtypes.clear()
+    sine = FourierPotential([(1, 0, -0.5j), (-1, 0, 0.5j)])
+    defect_scaling(fields, sine, times, n_levels=2, n_cells=4)
+    strong_field_report(fields, sine, n_levels=2, n_cells=4)
+    assert solve_dtypes and set(solve_dtypes) == {np.dtype(np.complex128)}
 
 
 def test_defect_rows_match_the_unsplit_solve(monkeypatch):

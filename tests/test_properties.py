@@ -1,8 +1,9 @@
 """Property tests: Hausdorff metric axioms, Chambers invariance and
 monotonicity, Chern numbers against the TKNN Diophantine rule, the
-guiding-centre coset split of the continuum operator, the Laguerre
-recurrence and the windowed erf of the DOS against scipy, and the exit-code
-contract of the continuum, lattice and disorder commands.
+guiding-centre coset split of the continuum operator and its exactly real
+blocks for potentials even in x, the Laguerre recurrence and the windowed
+erf of the DOS against scipy, and the exit-code contract of the continuum,
+lattice and disorder commands.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same cases. Hypothesis also caches the literals it scans from the
@@ -200,6 +201,48 @@ def test_one_level_blocks_are_the_level_zero_blocks(drawn, n_flux, n_levels):
     s = n_flux // coset_count(basis, potential)
     one_level = coset_blocks(replace(basis, n_levels=1), potential)
     assert np.array_equal(one_level, coset_blocks(basis, potential)[:, :s, :s])
+
+
+@st.composite
+def even_potentials(draw):
+    """(n_cells, real potential even in x, c(n, m) = c(-n, m)): each drawn
+    (n, m, c) comes with (-n, m, c), (-n, -m, conj(c)) and (n, -m, conj(c)),
+    and the coefficients of equal (n, m) are added."""
+    n_cells = draw(st.integers(1, 4))
+    steps = st.integers(-2 * n_cells, 2 * n_cells)
+    coefficients = st.complex_numbers(
+        max_magnitude=2.0, allow_nan=False, allow_infinity=False
+    )
+    table = {}
+    for a, b, c in draw(st.lists(st.tuples(steps, steps, coefficients), max_size=4)):
+        for key, value in (
+            ((a, b), c), ((-a, b), c), ((-a, -b), c.conjugate()), ((a, -b), c.conjugate())
+        ):
+            table[key] = table.get(key, 0) + value
+    return n_cells, FourierPotential(
+        [(a / n_cells, b / n_cells, c) for (a, b), c in table.items()]
+    )
+
+
+@fixed
+@given(even_potentials(), st.booleans(), st.integers(1, 24), st.integers(1, 3))
+def test_potentials_even_in_x_give_exactly_real_blocks(drawn, odd, n_flux, n_levels):
+    # complex conjugation with x -> -x is a symmetry exactly when the
+    # potential is even in x, and it makes every coset block real to the
+    # last bit, so coset_eigh solves them real; adding sin(2 pi x) breaks it
+    n_cells, potential = drawn
+    # on one level, sin(2 pi x) projects to zero when its guiding shifts
+    # +-n_cells coincide mod n_flux
+    assume(not odd or n_levels > 1 or 2 * n_cells % n_flux)
+    if odd:
+        potential = FourierPotential(potential.harmonics + ((1, 0, -0.5j), (-1, 0, 0.5j)))
+    basis = torus_basis(math.pi * n_flux / n_cells**2, n_levels, n_cells)
+    assert basis.n_flux == n_flux
+    values, frame = coset_eigh(basis, potential, rank=n_flux)
+    assert bool(np.any(coset_blocks(basis, potential).imag)) == odd
+    assert frame.dtype == (np.complex128 if odd else np.float64)
+    want = dense_eigh(dense_hamiltonian(basis, potential))
+    assert np.all(np.abs(values - want) <= 1e-10 + 1e-10 * np.abs(want))
 
 
 def table_rows(csv_text):
