@@ -661,12 +661,12 @@ def _cmd_disorder_dos(p: dict) -> RunArtifact:
         )
 
     # a real diagonal leaves M - M^dag as it is, so the clean check covers
-    # every realization; each one rewrites the diagonal of one working copy
-    work = clean.copy()
+    # every realization; each one rewrites the diagonal of the one box
+    clean_diagonal = clean.diagonal().copy()
 
     def builder(seed):
         noise = anderson_realization(p["L"], p["dist"], p["W"], seed)
-        return np.linalg.eigvalsh(add_onsite_disorder(clean, noise, out=work))
+        return np.linalg.eigvalsh(add_onsite_disorder(clean, noise, clean_diagonal))
 
     edges, density, stderr = ensemble_dos(
         builder,

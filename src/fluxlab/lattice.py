@@ -24,6 +24,9 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleModelError
 
+# box indices whose rows and columns symmetric_gauge_box symmetrizes at once
+_ADJOINT_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class RationalFlux:
@@ -240,25 +243,37 @@ def symmetric_gauge_box(B: float, L: int) -> np.ndarray:
     h = np.zeros((L * L, L * L), dtype=complex)
     # at L = 1 all four bonds land on one entry, so they are added, not set
     np.add.at(h, (sources, targets), np.concatenate((x_hop, y_hop)))
-    return h + h.conj().T
+    # h + h^dag in place, so no second d x d array is held. Block [j0, j1)
+    # rewrites columns and rows j0:j1 from index j0 on, and later blocks
+    # read only indices from j1 on. Each entry is h[s, t] + conj(h[t, s]) of
+    # values read before it is written, bit for bit h + h.conj().T:
+    # mirroring the conjugate of a computed entry would flip zero signs.
+    for j0 in range(0, L * L, _ADJOINT_BLOCK):
+        cols = h[j0:, j0 : j0 + _ADJOINT_BLOCK]
+        rows = h[j0 : j0 + _ADJOINT_BLOCK, j0:]
+        new_cols = cols + rows.conj().T
+        rows += cols.conj().T
+        cols[...] = new_cols
+    return h
 
 
 def add_onsite_disorder(
-    matrix: np.ndarray, values: Sequence[float], out: np.ndarray | None = None
+    matrix: np.ndarray,
+    values: Sequence[float],
+    clean_diagonal: np.ndarray | None = None,
 ) -> np.ndarray:
     """The box matrix with real on-site energies added to its diagonal.
 
-    By default a new matrix. With out given, only out's diagonal is written,
-    so out must already equal matrix off the diagonal (a copy of matrix, or
-    an earlier result): a run of realizations then reuses one buffer instead
-    of copying the whole box each time. Either way the diagonal is
-    matrix's diagonal plus values, the same floats.
+    By default a new matrix with diagonal matrix's diagonal plus values.
+    With clean_diagonal given (the diagonal of the box without disorder),
+    matrix's own diagonal is overwritten with clean_diagonal + values and
+    matrix is returned: a run of realizations then rewrites one box instead
+    of copying it. Either way the diagonal holds the same floats.
     """
     vals = np.asarray(values, dtype=float).ravel()
     if vals.size != len(matrix):
         raise ValueError(f"need {len(matrix)} on-site values, got {vals.size}")
-    if out is None:
-        out = matrix.copy()
-    diag = np.diag_indices_from(out)
-    out[diag] = matrix[diag] + vals
-    return out
+    if clean_diagonal is None:
+        clean_diagonal, matrix = matrix.diagonal(), matrix.copy()
+    matrix[np.diag_indices_from(matrix)] = clean_diagonal + vals
+    return matrix

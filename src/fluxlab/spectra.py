@@ -18,21 +18,33 @@ from .errors import DegenerateBandsError, NumericalCheckError
 from .lattice import BlochFiberFamily, RationalFlux, hofstadter_family
 
 _CHUNK_ENTRIES = 4_000_000  # complex fiber entries built at once
+_HERMITIAN_ROWS = 32  # rows of a matrix whose skew check_hermitian holds at once
 _ERF = np.frompyfunc(math.erf, 1, 1)
 # erf(z) rounds to exactly +-1.0 in double precision for |z| >= this
 _ERF_SATURATION = 6.0
 
 
-def check_hermitian(matrix: np.ndarray) -> None:
-    """Raise unless max |M - M^dag| <= 1e-12."""
+def check_hermitian(matrix: np.ndarray) -> float:
+    """max |M - M^dag|, 0 for an empty matrix; raise unless it is <= 1e-12.
+
+    The maximum is taken over blocks of _HERMITIAN_ROWS rows, so the
+    temporaries are a few rows long instead of d x d; a NaN entry anywhere
+    makes the deviation NaN, as the whole-matrix maximum would.
+    """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    dev = 0.0
+    for start in range(0, len(m), _HERMITIAN_ROWS):
+        stop = start + _HERMITIAN_ROWS
+        skew = np.abs(m[start:stop] - m[:, start:stop].conj().T)
+        dev = np.maximum(dev, np.max(skew))  # np.maximum keeps a NaN
+    dev = float(dev)
     if not dev <= 1e-12:  # a NaN deviation fails too
         raise NumericalCheckError(
             f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e}"
         )
+    return dev
 
 
 def eigenvalues_hermitian(matrix: np.ndarray) -> np.ndarray:

@@ -1,7 +1,26 @@
 """Shared fixtures."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(fn) calls fn() and returns the peak of the memory
+    tracemalloc traced during the call, in bytes. numpy's array data is
+    traced; the buffers LAPACK wrappers allocate internally are not."""
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak
 
 
 @pytest.fixture

@@ -90,6 +90,12 @@ def site_loop_box(B, L):
     return h + h.conj().T
 
 
+def hermitian_deviation(m):
+    """max |M - M^dag| over the whole matrix at once, the quantity
+    `spectra.check_hermitian` takes block by block."""
+    return float(np.max(np.abs(m - m.conj().T)))
+
+
 def tknn_cherns(p, q):
     """Band Chern numbers of the nearest-neighbour model at flux p/q, odd q.
 

@@ -447,6 +447,24 @@ def test_non_hermitian_clean_box_exits_3(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["disorder-dos", "--flux", "1/3", "--L", "30", "--nseeds", "2"],
+        ["gauge-check", "--B", "1/8", "--L", "30"],
+    ],
+)
+def test_dense_box_is_held_once(argv, traced_peak, capsys):
+    # the 900 x 900 complex box takes 16 L^4 bytes. It is built, checked and
+    # given its disorder in place; eigvalsh's own copy is not traced. A
+    # second d x d array anywhere (an adjoint, a skew, a working copy)
+    # would break the bound
+    codes = []
+    peak = traced_peak(lambda: codes.append(main(argv)))
+    assert codes == [0]
+    assert peak < 2 * 16 * 30**4, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize(
     "argv, gate",
     [
         (["continuum-spectrum", "--B", "10", "--amplitude", "1e308"], "energy"),

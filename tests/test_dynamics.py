@@ -1,7 +1,6 @@
 """Tests for time evolution, projector frames, intertwiners, defects."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -566,19 +565,20 @@ def test_one_hermiticity_check_per_field(monkeypatch):
 
 
 @pytest.mark.parametrize("experiment", ["defect_scaling", "strong_field_report"])
-def test_operator_is_never_built_whole(experiment):
+def test_operator_is_never_built_whole(experiment, traced_peak):
     # B = 40 on 4 cells with 6 levels: d = 1224 in g = 4 cosets. One whole
     # d x d complex operator takes 22.9 MB; its coset blocks take a quarter
     potential = FourierPotential.cosine_xy(1.0)
     whole = 1224 * 1224 * 16
     assert torus_basis(40.0, 6, 4).dim == 1224
-    tracemalloc.start()
-    try:
-        if experiment == "defect_scaling":
-            defect_scaling([40.0], potential, (0.5, 1.0), n_levels=6, n_cells=4)
-        else:
-            strong_field_report([40.0], potential, n_levels=6, n_cells=4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    if experiment == "defect_scaling":
+        peak = traced_peak(
+            lambda: defect_scaling(
+                [40.0], potential, (0.5, 1.0), n_levels=6, n_cells=4
+            )
+        )
+    else:
+        peak = traced_peak(
+            lambda: strong_field_report([40.0], potential, n_levels=6, n_cells=4)
+        )
     assert peak < whole, f"peak {peak / 1e6:.1f} MB"

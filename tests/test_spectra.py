@@ -29,7 +29,7 @@ from fluxlab import (
 )
 
 from fluxlab.cli import main
-from oracles import grid_band_quantiles, grid_fiber_eigenvalues
+from oracles import grid_band_quantiles, grid_fiber_eigenvalues, hermitian_deviation
 
 
 def nearest_point_distance(a, b):
@@ -61,6 +61,29 @@ def test_nan_matrix_is_not_hermitian():
         check_hermitian(m)
     with pytest.raises(NumericalCheckError):
         eigenvalues_hermitian(m)
+
+
+def test_blocked_hermiticity_matches_whole_matrix_oracle():
+    rows = spectra._HERMITIAN_ROWS
+    rng = np.random.default_rng(5)
+    for n in (1, rows - 1, rows + 1, 2 * rows + 2):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        m = a + a.conj().T + 1e-14 * (1 + 1j) * rng.normal(size=(n, n))
+        assert check_hermitian(m) == hermitian_deviation(m) > 0
+        real = m.real.copy()
+        assert check_hermitian(real) == hermitian_deviation(real)
+    assert check_hermitian(np.zeros((0, 0))) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1e-6])
+def test_hermiticity_fails_in_the_last_partial_row_block(bad):
+    # rows 2 * _HERMITIAN_ROWS and the one after form the last block alone
+    n = 2 * spectra._HERMITIAN_ROWS + 2
+    m = np.eye(n, dtype=complex)
+    m[n - 2, n - 1] = bad
+    with pytest.raises(NumericalCheckError):
+        check_hermitian(m)
+    assert not hermitian_deviation(m) <= 1e-12
 
 
 def test_band_intervals_rejects_an_empty_sample():
