@@ -14,6 +14,7 @@ from .lattice import (
     BlochFiberFamily,
     RationalFlux,
     add_onsite_disorder,
+    box_flux,
     conjugate_paired,
     hofstadter_family,
     peierls_quantize,

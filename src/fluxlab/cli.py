@@ -41,6 +41,7 @@ from .lattice import (
     NEAREST_NEIGHBOR,
     RationalFlux,
     add_onsite_disorder,
+    box_flux,
     hofstadter_family,
     peierls_quantize,
     symmetric_gauge_box,
@@ -213,6 +214,10 @@ def _time_grid(value):
     times = _float_list(value)
     if not any(times):
         raise ValueError("must hold a nonzero time")
+    if min(times) < 0:
+        raise ValueError("must not hold a negative time")
+    if not math.isfinite(sum(t * t for t in times)):
+        raise ValueError("sum of squared times must be finite")
     return times
 
 
@@ -252,7 +257,6 @@ _SPECS = {
         "L": (_count, 16, "torus side in sites"),
         "gap_tol": (_tolerance, 1.0, "band merge tolerance"),
         "tol": (_tolerance, 0.05, "pass threshold on the Hausdorff distance"),
-        "qmax": (_count, 64, "denominator bound when snapping 2B to p/q"),
     },
     "chern": {
         "flux": (_flux, "1/3", "rational flux p/q"),
@@ -492,14 +496,8 @@ def _cmd_peierls_check(p: dict) -> RunArtifact:
 
 
 def _cmd_gauge_check(p: dict) -> RunArtifact:
+    flux = box_flux(p["B"], p["L"])
     box = symmetric_gauge_box(p["B"], p["L"])
-    target = (2.0 * p["B"]) % 1.0
-    flux = RationalFlux.from_float(target, q_max=p["qmax"])
-    if abs(flux.value - target) > 1e-9:
-        raise ConfigError(
-            f"2B = {target:.12g} is not rational with denominator <= "
-            f"{p['qmax']}; nearest is {flux.p}/{flux.q}"
-        )
     box_vals = eigenvalues_hermitian(box)
     box_bands = band_intervals(box_vals, p["gap_tol"])
     exact = exact_bands(flux)

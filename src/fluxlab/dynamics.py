@@ -130,6 +130,8 @@ def fit_slope_through_origin(times, defects) -> float:
     denom = float(np.sum(t * t))
     if denom == 0.0:
         raise ConfigError("time grid needs at least one nonzero time")
+    if not np.isfinite(denom):
+        raise ConfigError(f"time grid sum of squares {denom:g} is not finite")
     return float(np.sum(t * d) / denom)
 
 

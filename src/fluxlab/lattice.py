@@ -24,9 +24,6 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleModelError
 
-# box indices whose rows and columns symmetric_gauge_box symmetrizes at once
-_ADJOINT_BLOCK = 32
-
 
 @dataclass(frozen=True)
 class RationalFlux:
@@ -63,18 +60,6 @@ class RationalFlux:
         except ValueError as exc:
             raise ValueError(f"flux must be a pair of integers, got {text!r}") from exc
         return cls(p, q)
-
-    @classmethod
-    def from_float(cls, value: float, q_max: int = 64) -> "RationalFlux":
-        """Best rational approximation with denominator bounded by q_max.
-
-        Uses the continued-fraction convergent machinery of
-        Fraction.limit_denominator.
-        """
-        if q_max < 1:
-            raise ValueError("q_max must be >= 1")
-        f = Fraction(value).limit_denominator(q_max)
-        return cls(f.numerator, f.denominator)
 
 
 def conjugate_paired(harmonics) -> bool:
@@ -204,6 +189,29 @@ def peierls_quantize(harmonics, flux: RationalFlux) -> BlochFiberFamily:
     return BlochFiberFamily(dim=flux.q, terms=terms)
 
 
+def box_flux(B: float, L: int) -> RationalFlux:
+    """Exact plaquette flux 2B mod 1 of symmetric_gauge_box(B, L), reduced.
+
+    The magnetic translations of the L x L torus close only at integer total
+    flux 2 b L^2, with b = fmod(B, 1) the exact fractional part of B (B bit
+    for bit when |B| < 1). The closure fixes the flux as k / L^2 with
+    k = round(2 b L^2) mod L^2, so its denominator divides L^2.
+    """
+    if L < 1:
+        raise ValueError(f"box side must be >= 1, got {L}")
+    total = 2.0 * B * L * L
+    if not isfinite(total):
+        raise ConfigError(f"total flux 2*B*L^2 = {total:g} is not finite")
+    total = 2.0 * fmod(B, 1.0) * L * L
+    if abs(total - round(total)) > 1e-9:
+        raise InfeasibleModelError(
+            "magnetic-periodic closure needs integer total flux: "
+            f"2*fmod(B, 1)*L^2 = {total:.6g} is not an integer"
+        )
+    flux = Fraction(round(total) % (L * L), L * L)
+    return RationalFlux(flux.numerator, flux.denominator)
+
+
 def symmetric_gauge_box(B: float, L: int) -> np.ndarray:
     """Symmetric-gauge magnetic hopping matrix on an L x L magnetic-periodic
     box.
@@ -213,24 +221,11 @@ def symmetric_gauge_box(B: float, L: int) -> np.ndarray:
     and its conjugate (toward m-1). Each plaquette then carries flux 2B.
     The wrap bonds pick up the twists e^{+i 2 pi B L m} along x and
     e^{-i 2 pi B L n} along y, which keep every plaquette, wrap plaquettes
-    included, at flux 2B. Consistency of the twist around the corner
-    requires the total flux 2 B L^2 to be an integer. Phases and closure use
-    the exact b = fmod(B, 1), which keeps the fractional digits of a large B
-    and is B bit for bit when |B| < 1.
+    included, at flux 2B. The box exists only where box_flux(B, L) does.
+    Phases use the exact b = fmod(B, 1).
     """
-    if L < 1:
-        raise ValueError(f"box side must be >= 1, got {L}")
-    total = 2.0 * B * L * L
-    if not isfinite(total):
-        raise ConfigError(f"total flux 2*B*L^2 = {total:g} is not finite")
+    box_flux(B, L)
     b = fmod(B, 1.0)
-    total = 2.0 * b * L * L
-    if abs(total - round(total)) > 1e-9:
-        raise InfeasibleModelError(
-            "magnetic-periodic closure needs integer total flux: "
-            f"2*fmod(B, 1)*L^2 = {total:.6g} is not an integer"
-        )
-
     n, m = np.divmod(np.arange(L * L), L)
     x_hop = np.exp(1j * (2.0 * pi * m * b))
     y_hop = np.exp(-1j * (2.0 * pi * n * b))
@@ -240,40 +235,29 @@ def symmetric_gauge_box(B: float, L: int) -> np.ndarray:
         y_hop[k * L + L - 1] *= np.exp(-1j * 2.0 * pi * b * L * k)
     sources = np.tile(np.arange(L * L), 2)
     targets = np.concatenate((((n + 1) % L) * L + m, n * L + (m + 1) % L))
+    hops = np.concatenate((x_hop, y_hop))
     h = np.zeros((L * L, L * L), dtype=complex)
-    # at L = 1 all four bonds land on one entry, so they are added, not set
-    np.add.at(h, (sources, targets), np.concatenate((x_hop, y_hop)))
-    # h + h^dag in place, so no second d x d array is held. Block [j0, j1)
-    # rewrites columns and rows j0:j1 from index j0 on, and later blocks
-    # read only indices from j1 on. Each entry is h[s, t] + conj(h[t, s]) of
-    # values read before it is written, bit for bit h + h.conj().T:
-    # mirroring the conjugate of a computed entry would flip zero signs.
-    for j0 in range(0, L * L, _ADJOINT_BLOCK):
-        cols = h[j0:, j0 : j0 + _ADJOINT_BLOCK]
-        rows = h[j0 : j0 + _ADJOINT_BLOCK, j0:]
-        new_cols = cols + rows.conj().T
-        rows += cols.conj().T
-        cols[...] = new_cols
+    # every bond and its conjugate, added onto zeros: at L = 1 both bonds
+    # and their conjugates land on one entry, so they are added, not set
+    np.add.at(
+        h,
+        (np.concatenate((sources, targets)), np.concatenate((targets, sources))),
+        np.concatenate((hops, hops.conj())),
+    )
     return h
 
 
 def add_onsite_disorder(
-    matrix: np.ndarray,
-    values: Sequence[float],
-    clean_diagonal: np.ndarray | None = None,
+    matrix: np.ndarray, values: Sequence[float], clean_diagonal: np.ndarray
 ) -> np.ndarray:
-    """The box matrix with real on-site energies added to its diagonal.
+    """matrix with its diagonal overwritten by clean_diagonal + values.
 
-    By default a new matrix with diagonal matrix's diagonal plus values.
-    With clean_diagonal given (the diagonal of the box without disorder),
-    matrix's own diagonal is overwritten with clean_diagonal + values and
-    matrix is returned: a run of realizations then rewrites one box instead
-    of copying it. Either way the diagonal holds the same floats.
+    clean_diagonal is the diagonal of the box without disorder, so a run of
+    realizations rewrites one box in place instead of copying it. Returns
+    matrix.
     """
     vals = np.asarray(values, dtype=float).ravel()
     if vals.size != len(matrix):
         raise ValueError(f"need {len(matrix)} on-site values, got {vals.size}")
-    if clean_diagonal is None:
-        clean_diagonal, matrix = matrix.diagonal(), matrix.copy()
     matrix[np.diag_indices_from(matrix)] = clean_diagonal + vals
     return matrix

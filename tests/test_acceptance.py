@@ -266,6 +266,7 @@ def test_acceptance_10_disorder_gap_fill(capsys):
     flux = RationalFlux(1, 3)
     clean = symmetric_gauge_box(flux.value / 2.0, 30)
     clean_vals = eigenvalues_hermitian(clean)
+    clean_diagonal = clean.diagonal().copy()
     reference = spectrum_union(hofstadter_family(flux), 200)
     clean_bands = band_intervals(reference, 0.05)
     width, bins, nseeds = 0.02, 200, 20
@@ -279,7 +280,8 @@ def test_acceptance_10_disorder_gap_fill(capsys):
 
         def builder(seed):
             noise = anderson_realization(30, "uniform", strength, seed)
-            return eigenvalues_hermitian(add_onsite_disorder(clean, noise))
+            disordered = add_onsite_disorder(clean, noise, clean_diagonal)
+            return eigenvalues_hermitian(disordered)
 
         stats = ensemble_dos(
             builder, nseeds, 0, width=width, bins=bins, bounds=bounds

@@ -337,7 +337,7 @@ def test_empty_list_exits_2(argv, flag, capsys):
         (["harper-spectrum", "--flux", "1/3", "--thetagrid", "-2"], "--thetagrid"),
         (["butterfly", "--kgrid", "0"], "--kgrid"),
         (["butterfly", "--qmax", "0"], "--qmax"),
-        (["gauge-check", "--qmax", "0"], "--qmax"),
+        (["gauge-check", "--L", "-1"], "--L"),
         (["gauge-check", "--L", "0"], "--L"),
         (["disorder-dos", "--L", "0"], "--L"),
         (["disorder-dos", "--L", "6", "--nseeds", "0"], "--nseeds"),
@@ -402,6 +402,9 @@ def test_overflowing_disorder_draw_exits_2_before_its_solve(monkeypatch, capsys)
         (["harper-spectrum", "--flux", "1/0"], "--flux", "denominator must be >= 1"),
         (["chern", "--flux", "a/b"], "--flux", "must be a pair of integers"),
         (["disorder-dos", "--flux", "3/6"], "--flux", "3/6 is not reduced"),
+        (["dynamics-defect", "--times=-1"], "--times", "must not hold a negative time"),
+        (["dynamics-defect", "--times", "1e155"], "--times",
+         "sum of squared times must be finite"),
     ],
 )
 def test_bad_value_exits_2_before_any_eigensolve(
@@ -523,13 +526,22 @@ def test_unquantized_disorder_box_exits_4_before_the_sweep(forbid_solves, capsys
     assert "needs integer total flux" in capsys.readouterr().err
 
 
-def test_gauge_check_snaps_2b_before_the_box_solve(forbid_solves, capsys):
+def test_gauge_check_closes_the_box_before_its_solve(forbid_solves, capsys):
     forbid_solves()
-    assert main(["gauge-check", "--B", "0.1", "--L", "5", "--qmax", "2"]) == 2
-    assert "2B = 0.2 is not rational with denominator <= 2" in capsys.readouterr().err
-    # the flux quantization of the box (2 (0.1) 3^2 = 1.8) takes precedence
-    assert main(["gauge-check", "--B", "0.1", "--L", "3", "--qmax", "2"]) == 4
+    # 2 (0.1) 3^2 = 1.8 is not an integer
+    assert main(["gauge-check", "--B", "0.1", "--L", "3"]) == 4
     assert "needs integer total flux" in capsys.readouterr().err
+
+
+def test_gauge_check_reads_its_fiber_flux_from_the_box_closure(forbid_solves, capsys):
+    # the closure 2B L^2 = 1 fixes the fiber flux 2B = 1/256; its q divides
+    # L^2, so the corner fibers are no larger than the box
+    forbid_solves(3)  # the box and the 2 exact_bands corners
+    assert main(["gauge-check", "--B", "1/512", "--L", "16"]) == 0
+    header, row = capsys.readouterr().out.splitlines()[-2:]
+    row = dict(zip(header.split(","), row.split(",")))
+    assert (row["fiber_p"], row["fiber_q"]) == ("1", "256")
+    assert float(row["hausdorff"]) < 1e-12
 
 
 def _gauge_check_row(B, capsys):
@@ -540,7 +552,7 @@ def _gauge_check_row(B, capsys):
 
 @pytest.mark.parametrize("B", ["1e300", "1e17"])
 def test_huge_field_box_is_the_zero_field_box(B, capsys):
-    # a float this large is an integer, so B mod 1 is 0 and 2B snaps to 0/1
+    # a float this large is an integer, so B mod 1 is 0 and the box flux is 0/1
     row = _gauge_check_row(B, capsys)
     assert (row["fiber_p"], row["fiber_q"]) == ("0", "1")
     assert float(row["hausdorff"]) < 1e-12

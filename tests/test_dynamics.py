@@ -344,6 +344,9 @@ def test_fit_slope_through_origin():
     assert abs(fit_slope_through_origin(times, 0.25 * times) - 0.25) < 1e-14
     with pytest.raises(ConfigError):
         fit_slope_through_origin([0.0, 0.0], [0.0, 0.0])
+    # t^2 overflows: the slope would read 0 for any defect
+    with pytest.raises(ConfigError, match="not finite"):
+        fit_slope_through_origin([1e155], [1.0])
 
 
 def test_defect_scaling_single_level_basis():

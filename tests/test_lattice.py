@@ -11,7 +11,10 @@ from fluxlab import (
     InfeasibleModelError,
     RationalFlux,
     add_onsite_disorder,
+    box_flux,
     conjugate_paired,
+    distance_to_intervals,
+    exact_bands,
     hofstadter_family,
     peierls_quantize,
     symmetric_gauge_box,
@@ -43,10 +46,6 @@ def test_rational_flux_parsing():
         RationalFlux.from_string("0.4")
     with pytest.raises(ValueError):
         RationalFlux.from_string("a/b")
-    assert RationalFlux.from_float(0.25, q_max=64) == RationalFlux(1, 4)
-    assert RationalFlux.from_float(1.0 / 3.0, q_max=64) == RationalFlux(1, 3)
-    with pytest.raises(ValueError):
-        RationalFlux.from_float(0.5, q_max=0)
 
 
 def test_zero_flux_fiber_is_dispersion_value():
@@ -192,6 +191,8 @@ def test_box_flux_quantization():
         for m in range(4):
             got = plaquette_flux(op, 4, n, m)
             assert abs(got - 0.25) < 1e-12
+    assert box_flux(1.0 / 8.0, 4) == RationalFlux(1, 4)
+    assert box_flux(-1.0 / 8.0, 4) == RationalFlux(3, 4)
     with pytest.raises(InfeasibleModelError):
         symmetric_gauge_box(0.1, 3)  # 2BL^2 = 1.8
     # 18 B rounds to an integer here, but 2 fmod(B, 1) L^2 = 4.5 does not close
@@ -214,18 +215,32 @@ def test_box_is_bit_identical_to_site_loop_oracle(L):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), B
 
 
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6])
+def test_box_spectrum_lies_in_the_exact_bands_of_its_flux(L):
+    # every closing B, negative ones and B + 3 included: the box samples the
+    # bands of its plaquette flux 2B mod 1 at L^2 momenta
+    K = 2 * L * L
+    for B in [k / K for k in range(1 - K, K)] + [3 + k / K for k in range(K)]:
+        flux = box_flux(B, L)
+        assert L * L % flux.q == 0
+        vals = np.linalg.eigvalsh(symmetric_gauge_box(B, L))
+        far = distance_to_intervals(vals, exact_bands(flux)).max()
+        assert far < 1e-10, (B, flux, far)
+
+
 @pytest.mark.parametrize("L", [1, 6, 8, 30])
 def test_add_onsite_disorder_is_bit_identical_to_dense_sum(L):
     rng = np.random.default_rng(L)
     for k in (0, 1, -3, L * L):
         box = symmetric_gauge_box(k / (2 * L * L), L)
         values = rng.uniform(-1, 1, L * L)
-        got = add_onsite_disorder(box, values)
         want = box + np.diag(values)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        # rewriting in place the diagonal of a box that holds an earlier
-        # realization, from the clean diagonal, gives the same floats
         clean_diagonal = box.diagonal().copy()
+        got = add_onsite_disorder(box, values, clean_diagonal)
+        assert got is box
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # rewriting the diagonal of a box that holds an earlier realization,
+        # from the clean diagonal, gives the same floats
         add_onsite_disorder(box, rng.uniform(-1, 1, L * L), clean_diagonal)
         reused = add_onsite_disorder(box, values, clean_diagonal)
         assert reused is box
@@ -363,24 +378,26 @@ def test_harper_fiber_matches_lattice_fiber():
 
 def test_add_onsite_disorder_shift_and_validation():
     op = symmetric_gauge_box(1.0 / 8.0, 4)
-    same = add_onsite_disorder(op, np.zeros(16))
+    clean = op.diagonal().copy()
+    work = op.copy()
+    same = add_onsite_disorder(work, np.zeros(16), clean)
     assert np.array_equal(same, op)
 
-    shifted = add_onsite_disorder(op, np.full(16, 0.7))
+    shifted = add_onsite_disorder(work, np.full(16, 0.7), clean)
     w0 = np.linalg.eigvalsh(op)
     w1 = np.linalg.eigvalsh(shifted)
     assert np.max(np.abs(w1 - (w0 + 0.7))) < 1e-10
 
     with pytest.raises(ValueError):
-        add_onsite_disorder(op, np.zeros(15))
+        add_onsite_disorder(work, np.zeros(15), clean)
 
     rng = np.random.default_rng(3)
     field = rng.uniform(-1, 1, size=16)
-    a = add_onsite_disorder(op, field)
-    b = add_onsite_disorder(op, field)
+    a = add_onsite_disorder(work, field, clean).copy()
+    b = add_onsite_disorder(work, field, clean)
     assert np.array_equal(a, b)
-    # stacking twice adds the on-site field twice
-    c = add_onsite_disorder(a, field)
+    # taking the disordered diagonal as the clean one adds the field twice
+    c = add_onsite_disorder(work, field, a.diagonal())
     assert np.allclose(c - op, np.diag(2.0 * field), atol=1e-14)
 
 
