@@ -108,11 +108,6 @@ def _worst(values) -> float:
 _EXACT_BAND_TOL = 1e-10
 
 
-def _outside_exact_bands(values, flux) -> float:
-    """Largest distance from any of the values to exact_bands(flux)."""
-    return float(distance_to_intervals(values, exact_bands(flux)).max())
-
-
 def _separation_gate(rows) -> Gate:
     """Exit 4 unless every lowest cluster is separated; commands list it
     before their exit-3 gates so that it takes precedence."""
@@ -404,30 +399,20 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_butterfly(p: dict) -> RunArtifact:
-    fluxes = [RationalFlux(0, 1), RationalFlux(1, 1)]
-    for q in range(2, p["qmax"] + 1):
-        for num in range(1, q):
-            if np.gcd(num, q) == 1:
-                fluxes.append(RationalFlux(num, q))
-    fluxes.sort(key=lambda f: (f.value, f.q))
-    rows = []
-    outside = []
-    for flux in fluxes:
-        lo, hi, quarts, solved = band_quantiles(flux, p["kgrid"], [0.25, 0.5, 0.75])
-        outside.append(_outside_exact_bands(solved, flux))
-        for band in range(flux.q):
-            rows.append(
-                (
-                    flux.p,
-                    flux.q,
-                    band,
-                    float(lo[band]),
-                    float(hi[band]),
-                    float(quarts[0, band]),
-                    float(quarts[1, band]),
-                    float(quarts[2, band]),
-                )
-            )
+    # every reduced p/q, p = 0..q, grouped by q: the s order, quantile ranks
+    # and band corners of band_quantiles depend on q alone
+    rows_of, outside = {}, []
+    for q in range(1, p["qmax"] + 1):
+        nums = [num for num in range(q + 1) if math.gcd(num, q) == 1]
+        lo, hi, quarts, solved, bands = band_quantiles(
+            q, nums, p["kgrid"], [0.25, 0.5, 0.75]
+        )
+        for i, num in enumerate(nums):
+            outside.append(float(distance_to_intervals(solved[i], bands[i]).max()))
+            table = np.column_stack((lo[i], hi[i], quarts[i].T)).tolist()
+            rows_of[num, q] = [(num, q, band, *row) for band, row in enumerate(table)]
+    fluxes = sorted(rows_of, key=lambda f: (f[0] / f[1], f[1]))
+    rows = [row for flux in fluxes for row in rows_of[flux]]
     return RunArtifact(
         columns=["p", "q", "band", "e_min", "e_max", "q25", "q50", "q75"],
         rows=rows,

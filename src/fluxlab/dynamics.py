@@ -127,7 +127,8 @@ def fit_slope_through_origin(times, defects) -> float:
     """Least-squares slope of d(t) = C t with zero intercept."""
     t = np.asarray(times, dtype=float)
     d = np.asarray(defects, dtype=float)
-    denom = float(np.sum(t * t))
+    with np.errstate(over="ignore"):  # an overflow is the inf checked below
+        denom = float(np.sum(t * t))
     if denom == 0.0:
         raise ConfigError("time grid needs at least one nonzero time")
     if not np.isfinite(denom):

@@ -140,15 +140,33 @@ def exact_bands(flux: RationalFlux) -> np.ndarray:
     For even q the two central rows touch at 0; hausdorff and
     distance_to_intervals merge them.
     """
-    family = hofstadter_family(flux)
-    edge = np.pi / flux.q
-    corners = family.batch([0.0, edge], [0.0, edge])
-    return np.sort(np.linalg.eigvalsh(corners).T, axis=1)
+    return _solve_with_corners(flux.q, [flux.p])[1][0]
 
 
-def band_quantiles(flux: RationalFlux, n: int, quantiles):
+def _solve_with_corners(q: int, numerators, k1=(), k2=()):
+    """Eigenvalues of the hofstadter_family fibers of every flux p/q, p in
+    numerators, at the momenta (k1[i], k2[i]) and at the two band corners
+    of exact_bands, all in one eigensolve.
+
+    Each flux's fibers are built by one batch call into one preallocated
+    stack. Returns (solved, bands): the eigenvalues at the momenta, shape
+    (len(numerators), len(k1), q), and each flux's exact_bands rows, shape
+    (len(numerators), q, 2).
+    """
+    edge = np.pi / q
+    k1 = np.concatenate((k1, [0.0, edge]))
+    k2 = np.concatenate((k2, [0.0, edge]))
+    stack = np.empty((len(numerators), len(k1), q, q), dtype=complex)
+    for fibers, p in zip(stack, numerators):
+        fibers[...] = hofstadter_family(RationalFlux(p, q)).batch(k1, k2)
+    w = np.linalg.eigvalsh(stack)
+    return w[:, :-2], np.sort(w[:, -2:].swapaxes(1, 2), axis=2)
+
+
+def band_quantiles(q: int, numerators, n: int, quantiles):
     """Per-band min, max and quantiles of the hofstadter_family fiber
-    eigenvalues over the n x n zone grid, from a few fibers.
+    eigenvalues over the n x n zone grid, for every flux p/q with p in
+    numerators, from a few fibers and one eigensolve.
 
     By the Chambers relation (see exact_bands) the j-th sorted eigenvalue
     E_j is a monotone function of s = cos(q k1) + cos(q k2), so band j's
@@ -158,20 +176,23 @@ def band_quantiles(flux: RationalFlux, n: int, quantiles):
     N - 1 and the floor and ceil of each (N - 1) * quantile, N = n^2) and
     at their mirrors N - 1 - r are solved. Over that mirror-closed rank set
     each band's sorted values are its order statistics either way, and the
-    quantiles are numpy's own lerp between two of them. Each fiber is
-    solved at the representatives of its Chambers class pair, ordered as
-    fiber_eigenvalues orders them, so its eigenvalues are bit for bit the
-    ones fiber_eigenvalues gives at that grid point.
+    quantiles are numpy's own lerp between two of them. The s order and the
+    rank set depend on q alone, so they are found once for all numerators.
+    Each fiber is solved at the representatives of its Chambers class pair,
+    ordered as fiber_eigenvalues orders them, so its eigenvalues are bit
+    for bit the ones fiber_eigenvalues gives at that grid point.
 
-    Returns (lo, hi, quants, solved): the band minima and maxima, shape
-    (q,), the quantiles as np.quantile(..., axis=0) gives them, shape
-    (len(quantiles), q), and the solved eigenvalues, shape (m, q).
+    Returns (lo, hi, quants, solved, bands), each with a leading axis over
+    numerators: the band minima and maxima, shape (q,) per flux, the
+    quantiles as np.quantile(..., axis=0) gives them, shape
+    (len(quantiles), q), the solved eigenvalues, shape (m, q), and the
+    exact_bands rows, shape (q, 2).
     """
     if n < 1:
         raise ValueError("grid size must be >= 1")
-    rep, cls = _chambers_classes(n, flux.q)
+    rep, cls = _chambers_classes(n, q)
     k = _zone_grid(n)[rep]
-    c = np.cos(flux.q * k)[cls]  # cos(q k) on the grid, equal within a class
+    c = np.cos(q * k)[cls]  # cos(q k) on the grid, equal within a class
     order = np.argsort((c[:, None] + c).ravel(), kind="stable")
     last = n * n - 1
     h = last * np.asarray(quantiles, dtype=float)
@@ -180,15 +201,14 @@ def band_quantiles(flux: RationalFlux, n: int, quantiles):
     ranks = np.array(sorted({*ranks.tolist(), *(last - ranks).tolist()}))
     j1, j2 = np.divmod(order[ranks], n)
     r1, r2 = np.sort([cls[j1], cls[j2]], axis=0)
-    family = hofstadter_family(flux)
-    solved = np.linalg.eigvalsh(family.batch(k[r1], k[r2]))
-    vals = np.sort(solved, axis=0)  # row i: the order statistic of rank ranks[i]
-    a = vals[np.searchsorted(ranks, np.floor(h))]
-    b = vals[np.searchsorted(ranks, np.ceil(h))]
+    solved, bands = _solve_with_corners(q, numerators, k[r1], k[r2])
+    vals = np.sort(solved, axis=1)  # row i: the order statistic of rank ranks[i]
+    a = vals[:, np.searchsorted(ranks, np.floor(h))]
+    b = vals[:, np.searchsorted(ranks, np.ceil(h))]
     t = (h - np.floor(h))[:, None]
     # np.quantile's lerp, written out so the values match it bit for bit
     quants = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
-    return vals[0], vals[-1], quants, solved
+    return vals[:, 0], vals[:, -1], quants, solved, bands
 
 
 def sample_values(values) -> np.ndarray:

@@ -141,6 +141,44 @@ def grid_band_quantiles(flux, n, quantiles):
     )
 
 
+def per_flux_band_quantiles(flux, n, quantiles):
+    """(lo, hi, quants, solved) of one flux, as `band_quantiles` gave them
+    before it took every numerator of a denominator at once.
+
+    The Chambers classes, the s order and the mirror-closed rank set are
+    found again for this flux, its rank fibers are built by one
+    `hofstadter_family(flux).batch` call and solved by one `eigvalsh`, and
+    the quantiles are numpy's lerp written out.
+    """
+    r = flux.q * np.arange(n) % n
+    _, rep, cls = np.unique(np.minimum(r, n - r), return_index=True, return_inverse=True)
+    k = (2.0 * np.pi * np.arange(n) / n)[rep]
+    c = np.cos(flux.q * k)[cls]
+    order = np.argsort((c[:, None] + c).ravel(), kind="stable")
+    last = n * n - 1
+    h = last * np.asarray(quantiles, dtype=float)
+    ranks = np.concatenate(([0, last], np.floor(h), np.ceil(h))).astype(int)
+    ranks = np.array(sorted({*ranks.tolist(), *(last - ranks).tolist()}))
+    j1, j2 = np.divmod(order[ranks], n)
+    r1, r2 = np.sort([cls[j1], cls[j2]], axis=0)
+    solved = np.linalg.eigvalsh(hofstadter_family(flux).batch(k[r1], k[r2]))
+    vals = np.sort(solved, axis=0)
+    a = vals[np.searchsorted(ranks, np.floor(h))]
+    b = vals[np.searchsorted(ranks, np.ceil(h))]
+    t = (h - np.floor(h))[:, None]
+    quants = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+    return vals[0], vals[-1], quants, solved
+
+
+def corner_bands(flux):
+    """exact_bands(flux) from its own batch of the corners (0, 0) and
+    (pi/q, pi/q) and its own eigvalsh: band j runs between eigenvalue j at
+    the two corners."""
+    edge = np.pi / flux.q
+    corners = hofstadter_family(flux).batch([0.0, edge], [0.0, edge])
+    return np.sort(np.linalg.eigvalsh(corners).T, axis=1)
+
+
 def plane_wave_element(basis, K):
     """Matrix of e^{i K . r} in the truncated Landau basis, built whole as
     kron(G(K), tau(K)); `continuum.coset_blocks` builds the same entries

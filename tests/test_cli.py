@@ -18,6 +18,7 @@ from fluxlab import (
     dynamics,
     exact_bands,
     hausdorff,
+    spectra,
     symmetric_gauge_box,
 )
 from fluxlab.cli import _field_value, build_parser, main, parse_config
@@ -167,7 +168,6 @@ def _first_eigenvalue_nan(monkeypatch):
         ["disorder-dos", "--L", "6", "--nseeds", "2", "--kgrid", "16", "--bins", "40"],
     ],
 )
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nan_eigenvalue_fails_every_lattice_command(argv, monkeypatch, capsys):
     assert main(argv) == 0
     _first_eigenvalue_nan(monkeypatch)
@@ -366,7 +366,6 @@ def test_nonpositive_grid_exits_2(argv, flag, capsys):
     assert f"must be >= {least}" in err
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_disorder_draw_exits_2_before_its_solve(monkeypatch, capsys):
     # a gaussian draw near the float limit overflows to inf: a configuration
     # error named like a non-finite flux count, not LAPACK's "did not converge"
@@ -480,8 +479,7 @@ def test_dense_box_is_held_once(argv, traced_peak, capsys):
         ),
     ],
 )
-# a numpy RuntimeWarning raised as an error would escape main
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+# the suite raises a numpy RuntimeWarning as an error, which would escape main
 def test_non_finite_result_exits_3(argv, gate, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
@@ -712,18 +710,20 @@ def test_shifted_fiber_eigenvalues_fail_the_exact_band_gate(argv, monkeypatch, c
     assert main(argv) == 0
     assert "  outside_exact_bands = " in capsys.readouterr().err
     eigvalsh = np.linalg.eigvalsh
-    exact = cli.exact_bands
+    solve_with_corners = spectra._solve_with_corners
 
-    def unshifted_exact_bands(flux):
+    def unshifted_bands(*args):
+        # exact_bands and band_quantiles take their bands from this helper
+        solved = solve_with_corners(*args)[0]
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "eigvalsh", eigvalsh)
-            return exact(flux)
+            return solved, solve_with_corners(*args)[1]
 
     # every eigenvalue moves up by 1e-3, the reference bands stay put
     monkeypatch.setattr(
         np.linalg, "eigvalsh", lambda a, *args, **kw: eigvalsh(a, *args, **kw) + 1e-3
     )
-    monkeypatch.setattr(cli, "exact_bands", unshifted_exact_bands)
+    monkeypatch.setattr(spectra, "_solve_with_corners", unshifted_bands)
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert "  outside_exact_bands = 0.001" in err and err.rstrip().endswith("FAIL")

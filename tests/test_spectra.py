@@ -29,7 +29,13 @@ from fluxlab import (
 )
 
 from fluxlab.cli import main
-from oracles import grid_band_quantiles, grid_fiber_eigenvalues, hermitian_deviation
+from oracles import (
+    corner_bands,
+    grid_band_quantiles,
+    grid_fiber_eigenvalues,
+    hermitian_deviation,
+    per_flux_band_quantiles,
+)
 
 
 def nearest_point_distance(a, b):
@@ -365,46 +371,84 @@ def test_butterfly_fluxes_solve_one_fiber_per_chambers_class(monkeypatch):
     assert sum(solved) == 50_769
 
 
+def reduced_numerators(q):
+    """Every p = 0..q with p/q reduced: 0 and 1 for q = 1."""
+    return [p for p in range(q + 1) if gcd(p, q) == 1]
+
+
+QUANTILE_SETS = [[0.25, 0.5, 0.75], [0.0, 0.1, 0.37, 1.0]]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
-@pytest.mark.parametrize("quantiles", [[0.25, 0.5, 0.75], [0.0, 0.1, 0.37, 1.0]])
+@pytest.mark.parametrize("quantiles", QUANTILE_SETS)
 def test_band_quantiles_match_the_full_grid(n, quantiles):
     # odd and even grids, even q (the central bands touch) and gcd(q, n) > 1
-    for flux in [RationalFlux(0, 1), RationalFlux(1, 1)] + [
-        RationalFlux(p, q) for q in range(2, 9) for p in range(1, q) if gcd(p, q) == 1
-    ]:
-        lo, hi, quants, solved = band_quantiles(flux, n, quantiles)
-        for got, want in zip((lo, hi, quants), grid_band_quantiles(flux, n, quantiles)):
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) < 1e-12
+    for q in range(1, 9):
+        nums = reduced_numerators(q)
+        lo, hi, quants, solved, bands = band_quantiles(q, nums, n, quantiles)
+        for i, p in enumerate(nums):
+            want = grid_band_quantiles(RationalFlux(p, q), n, quantiles)
+            for got, w in zip((lo[i], hi[i], quants[i]), want):
+                assert got.shape == w.shape
+                assert np.max(np.abs(got - w)) < 1e-12
         # ranks 0 and N - 1, and two ranks per quantile, each with its mirror
-        assert solved.shape[1] == flux.q
-        assert len(solved) <= 2 + 4 * len(quantiles)
+        assert solved.shape[0] == len(nums) and solved.shape[2] == q
+        assert solved.shape[1] <= 2 + 4 * len(quantiles)
+        assert bands.shape == (len(nums), q, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 16, 64, 65])
+@pytest.mark.parametrize("quantiles", QUANTILE_SETS)
+def test_band_quantiles_is_bit_identical_to_the_per_flux_oracle(n, quantiles):
+    # one rank set and one eigensolve per denominator changes no bit of any
+    # flux's result, nor of its corner bands
+    for q in range(1, 21):
+        nums = reduced_numerators(q)
+        got = band_quantiles(q, nums, n, quantiles)
+        for i, p in enumerate(nums):
+            flux = RationalFlux(p, q)
+            bands = exact_bands(flux)
+            want = per_flux_band_quantiles(flux, n, quantiles) + (bands,)
+            for g, w in zip(got, want):
+                assert g[i].shape == w.shape
+                assert np.array_equal(g[i].view(np.uint64), w.view(np.uint64)), (flux, n)
+            assert np.array_equal(bands.view(np.uint64), corner_bands(flux).view(np.uint64))
 
 
 def test_butterfly_solves_a_few_fibers_per_flux(monkeypatch):
-    built, solved = [], []
+    calls = []  # (kind, fibers) in call order
     batch, eigvalsh = BlochFiberFamily.batch, np.linalg.eigvalsh
 
     def counted_batch(self, k1, k2):
         h = batch(self, k1, k2)
-        built.append(math.prod(h.shape[:-2]))
+        calls.append(("batch", math.prod(h.shape[:-2])))
         return h
 
     def counted(a, *args, **kwargs):
-        solved.append(int(np.prod(np.shape(a)[:-2])))
+        calls.append(("eigvalsh", int(np.prod(np.shape(a)[:-2]))))
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(BlochFiberFamily, "batch", counted_batch)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     assert main(["butterfly", "--qmax", "20", "--kgrid", "64"]) == 0
-    # per flux: at most 2 x 3 + 2 = 8 fibers for the three quartiles, whose
-    # ranks are their own mirrors, then the two exact_bands corners; the
-    # grid holds 4,096 fibers per flux
-    assert len(solved) == 2 * 129
-    assert max(solved[0::2]) <= 8 and set(solved[1::2]) == {2}
-    # every solved fiber was built by one batch call
-    assert len(built) == 258 and sum(built) == 1_290
-    assert built == solved
+    built = [count for kind, count in calls if kind == "batch"]
+    solved = [count for kind, count in calls if kind == "eigvalsh"]
+    # one eigensolve per denominator q = 1..20 and one batch per flux: at
+    # most 2 x 3 + 2 = 8 fibers for the three quartiles, whose ranks are
+    # their own mirrors, and the two exact_bands corners; the grid holds
+    # 4,096 fibers per flux
+    assert len(solved) == 20 and len(built) == 129
+    assert max(built) <= 10
+    assert sum(built) == sum(solved) == 1_290
+    # every built fiber is solved, by the next eigensolve
+    pending = 0
+    for kind, count in calls:
+        if kind == "batch":
+            pending += count
+        else:
+            assert count == pending
+            pending = 0
+    assert pending == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 64])
@@ -419,18 +463,21 @@ def test_band_quantiles_solves_fiber_eigenvalues_at_its_grid_points(n, monkeypat
         built.append((k1, k2))
         return batch(self, k1, k2)
 
-    for flux in [RationalFlux(0, 1), RationalFlux(1, 1)] + [
-        RationalFlux(p, q) for q in range(2, 13) for p in range(1, q) if gcd(p, q) == 1
-    ]:
-        table = fiber_eigenvalues(hofstadter_family(flux), n)
+    for q in range(1, 13):
+        nums = reduced_numerators(q)
         built.clear()
         with monkeypatch.context() as patch:
             patch.setattr(BlochFiberFamily, "batch", recorded)
-            solved = band_quantiles(flux, n, [0.25, 0.5, 0.75])[3]
-        [(k1, k2)] = built
-        # the momenta are grid points 2 pi j / n
-        j1, j2 = (np.rint(np.asarray(k) * n / (2.0 * np.pi)).astype(int) for k in (k1, k2))
-        assert np.array_equal(solved, table[j1, j2]), (flux, n)
+            solved = band_quantiles(q, nums, n, [0.25, 0.5, 0.75])[3]
+        assert len(built) == len(nums)
+        for p, fibers, (k1, k2) in zip(nums, solved, built):
+            table = fiber_eigenvalues(hofstadter_family(RationalFlux(p, q)), n)
+            # the momenta before the two band corners are grid points 2 pi j / n
+            j1, j2 = (
+                np.rint(np.asarray(k)[: len(fibers)] * n / (2.0 * np.pi)).astype(int)
+                for k in (k1, k2)
+            )
+            assert np.array_equal(fibers, table[j1, j2]), (p, q, n)
 
 
 def test_fiber_eigenvalues_grid_layout():
