@@ -151,7 +151,9 @@ def per_flux_band_quantiles(flux, n, quantiles):
     the quantiles are numpy's lerp written out.
     """
     r = flux.q * np.arange(n) % n
-    _, rep, cls = np.unique(np.minimum(r, n - r), return_index=True, return_inverse=True)
+    _, rep, cls = np.unique(
+        np.minimum(r, n - r), return_index=True, return_inverse=True
+    )
     k = (2.0 * np.pi * np.arange(n) / n)[rep]
     c = np.cos(flux.q * k)[cls]
     order = np.argsort((c[:, None] + c).ravel(), kind="stable")
