@@ -699,12 +699,14 @@ def run_command(cfg: RunConfig) -> RunArtifact:
 
 
 def _fmt(value) -> str:
+    # floats first: most table values are floats (np.float64 is one), and
+    # neither bool nor np.bool_ is
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".12g")
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".12g")
     return str(value)
 
 

@@ -16,7 +16,7 @@ magnetic translations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class FourierPotential:
     They are kept sorted by (n, |m|, m), so that (n, -m) and (n, m) are
     neighbours: for a potential even in x their terms are complex conjugates,
     and adding them one after the other onto a real entry leaves its
-    imaginary part exactly zero (see coset_eigh).
+    imaginary part exactly zero (see real_if_exact).
     """
 
     harmonics: tuple
@@ -250,41 +250,30 @@ def coset_blocks(basis: LandauBasisSpec, potential: FourierPotential) -> np.ndar
     return blocks
 
 
-def coset_eigh(
-    basis: LandauBasisSpec, potential: FourierPotential, rank: int | None = None
-):
-    """Sorted eigenvalues of the continuum operator, from one batched solve
-    of its coset_blocks(basis, potential), which all have the same size.
-
-    With rank r given, also returns the d x r frame of the eigenvectors of
-    the r lowest eigenvalues, scattered back to full rows.
+def real_if_exact(blocks: np.ndarray) -> np.ndarray:
+    """The coset blocks as the solver takes them: their real part when their
+    imaginary part is exactly zero, else the blocks themselves.
 
     For a potential even in x, c(n, m) = c(-n, m), complex conjugation
     combined with x -> -x is an antiunitary symmetry of the operator, and in
     the level-major Landau basis it acts as plain conjugation (M. Robnik and
     M. V. Berry, J. Phys. A 19, 669 (1986)): the blocks come out with an
-    imaginary part of exactly zero. Such blocks are solved as real symmetric
-    matrices, and the frame is then real. An exactly real matrix is its own
-    real part, so the switch needs no tolerance; any other potential keeps
-    the complex solve.
+    imaginary part of exactly zero, and are solved as real symmetric
+    matrices, with real eigenvectors. An exactly real matrix is its own real
+    part, so the switch needs no tolerance; any other potential keeps the
+    complex solve.
     """
-    blocks = coset_blocks(basis, potential)
-    if not np.any(blocks.imag):
-        blocks = np.ascontiguousarray(blocks.real)
-    if rank is None:
-        return np.sort(np.linalg.eigvalsh(blocks), axis=None)
-    values, vectors = np.linalg.eigh(blocks)
-    g, size = values.shape
-    w = values.ravel()
-    order = np.argsort(w, kind="stable")
-    lowest = order[:rank]
-    guiding = np.arange(basis.dim) % basis.n_flux
-    frame = np.zeros((basis.dim, rank), dtype=vectors.dtype)
-    for c in range(g):
-        mine = np.flatnonzero(lowest // size == c)
-        frame[np.ix_(np.flatnonzero(guiding % g == c), mine)] = (
-            vectors[c][:, lowest[mine] % size])
-    return w[order], frame
+    if np.iscomplexobj(blocks) and not np.any(blocks.imag):
+        return np.ascontiguousarray(blocks.real)
+    return blocks
+
+
+def coset_eigh(basis: LandauBasisSpec, potential: FourierPotential) -> np.ndarray:
+    """Sorted eigenvalues of the continuum operator, from one batched solve
+    of its coset_blocks(basis, potential), which all have the same size,
+    taken real when they are exactly real (real_if_exact)."""
+    blocks = real_if_exact(coset_blocks(basis, potential))
+    return np.sort(np.linalg.eigvalsh(blocks), axis=None)
 
 
 # A lowest cluster whose gap to the rest is at most this is not separated.
@@ -321,22 +310,26 @@ def strong_field_report(
 
     Each requested B is snapped to the nearest feasible value on the fixed
     n_cells x n_cells torus (the row records both). In the level-major basis
-    the lowest-level compression P H P is the same operator on one level, so
-    the distance column is the Hausdorff distance between the lowest n_flux
-    eigenvalues and the spectrum of that one-level operator; rows whose
-    lowest cluster is not separated from the rest are flagged rather than
-    failed.
+    the lowest-level compression P H P is the same operator on one level,
+    whose coset blocks are the leading n_flux/g rows and columns of the full
+    blocks, bit for bit, so one coset_blocks build per field serves both
+    solves. The distance column is the Hausdorff distance between the lowest
+    n_flux eigenvalues and the spectrum of that one-level operator; rows
+    whose lowest cluster is not separated from the rest are flagged rather
+    than failed.
     """
     rows = []
     for b_req in field_values:
         basis = torus_basis(float(b_req), n_levels, n_cells)
-        w = coset_eigh(basis, potential)
+        blocks = real_if_exact(coset_blocks(basis, potential))
+        w = np.sort(np.linalg.eigvalsh(blocks), axis=None)
         gap = cluster_gap(w, basis.n_flux)
         separated = gap > SEPARATION_TOL
         distance = float("nan")
         if separated:
-            compressed = coset_eigh(replace(basis, n_levels=1), potential)
-            distance = hausdorff(w[: basis.n_flux], compressed)
+            level = basis.n_flux // len(blocks)
+            compressed = np.linalg.eigvalsh(real_if_exact(blocks[:, :level, :level]))
+            distance = hausdorff(w[: basis.n_flux], np.sort(compressed, axis=None))
         rows.append(
             StrongFieldRow(
                 field_requested=float(b_req),

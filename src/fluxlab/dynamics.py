@@ -9,26 +9,31 @@ When H_eff is the exact compression of H_full the defect vanishes to
 roundoff, so any nonzero reading measures the effective model, not the
 plumbing.
 
-Everything is factored through the rank r = rank P: projectors are held as
-orthonormal d x r frames, W restricted to ran P is the r x r polar factor of
-the frame overlap, which for this Q is the top r rows of P's frame, and both
-evolutions run in r coordinates. Both operators are solved as their
-guiding-centre coset blocks (continuum.coset_eigh): H_full on all levels, and
-H_eff, the lowest-level compression P H P, as the same operator on one level.
-For a potential even in x those blocks are exactly real, so the frames, the
-polar factor U and the projector distance are computed in real arithmetic;
-only the wave packet and its evolution are complex.
+The magnetic translations split the operator into g guiding-centre sectors
+(continuum.coset_blocks), and P, Q and H_eff all commute with that split, so
+everything is computed sector by sector: P restricted to sector s is the
+orthonormal frame V_s of its block's lowest n_flux/g eigenvectors, Q
+restricted to it is the block's first n_flux/g rows (the lowest level), W
+restricted to ran P is the stack of the n_flux/g x n_flux/g polar factors of
+the overlaps V_s[:n_flux/g], and both evolutions run in those coordinates.
+No d x n_flux frame is formed. H_eff, the lowest-level compression P H P, is
+the same operator on one level, whose coset blocks are the leading
+n_flux/g rows and columns of the full blocks. For a potential even in x
+those blocks are exactly real, so the frames, the polar factors and the
+projector distance are computed in real arithmetic; only the wave packet and
+its evolution are complex.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .continuum import (
-    SEPARATION_TOL, FourierPotential, cluster_gap, coset_eigh, torus_basis,
+    SEPARATION_TOL, FourierPotential, cluster_gap, coset_blocks, real_if_exact,
+    torus_basis,
 )
 from .disorder import hashed_normal
 from .errors import ConfigError, InfeasibleModelError, NumericalCheckError
@@ -46,26 +51,29 @@ def random_packet(dim: int, seed: int) -> np.ndarray:
 def nagy_intertwiner(overlap: np.ndarray) -> np.ndarray:
     """Canonical unitary intertwining two nearby rank-r projectors P and Q,
     restricted to ran P, from the r x r overlap X = V_q^dag V_p of their
-    orthonormal frames.
+    orthonormal frames, or from a stack (..., r, r) of the diagonal blocks
+    of a block-diagonal X, one per sector that both projectors commute with.
 
     Sz.-Nagy/Kato: W = (I - (Q - P)^2)^{-1/2} (Q P + (I - Q)(I - P)) is
     defined whenever ||P - Q|| < 1, is unitary with W P W^dag = Q, and is I
     when P = Q. On ran P it reduces to W P = Q P (P Q P)^{-1/2}; in frames,
     W V_p = V_q U where U = X (X^dag X)^{-1/2} is the polar factor of X,
-    taken from its SVD A S B^dag as U = A B^dag. ||P - Q|| =
-    sqrt(1 - s_min^2), so ||P - Q|| < 1 exactly when X is invertible.
-    Returns U (r x r). Every unitary U gives W P W^dag = Q, so unitarity of U
-    is the whole check; ||W P W^dag - Q|| <= ||U U^dag - I||. Projectors
-    of different ranks are at distance 1, so a non-square X is rejected.
+    taken from its SVD A S B^dag as U = A B^dag, block by block.
+    ||P - Q|| = sqrt(1 - s_min^2) over all blocks, so ||P - Q|| < 1 exactly
+    when X is invertible. Returns U, shaped like the overlap. Every unitary U
+    gives W P W^dag = Q, so unitarity of U is the whole check, with
+    ||U U^dag - I||_F taken over all blocks; ||W P W^dag - Q|| <=
+    ||U U^dag - I||. Projectors of different ranks are at distance 1, so a
+    non-square X is rejected.
     """
-    rows, cols = np.shape(overlap)
+    rows, cols = np.shape(overlap)[-2:]
     if rows != cols:
         raise InfeasibleModelError(
             f"projector ranks {cols} and {rows} differ, so ||P - Q|| = 1: "
             "no canonical intertwiner exists"
         )
     a, s, bh = np.linalg.svd(overlap)
-    s_min = float(s[-1])
+    s_min = float(s.min())
     dist = math.sqrt(max(0.0, 1.0 - s_min * s_min))
     if dist >= 1.0 - 1e-12:
         raise InfeasibleModelError(
@@ -73,7 +81,7 @@ def nagy_intertwiner(overlap: np.ndarray) -> np.ndarray:
             "(the ranges are too far apart)"
         )
     u = a @ bh
-    dev = float(np.linalg.norm(u @ u.conj().T - np.eye(len(s))))
+    dev = float(np.linalg.norm(u @ u.conj().swapaxes(-1, -2) - np.eye(cols)))
     if dev > 1e-10:
         raise NumericalCheckError(
             f"intertwiner is not unitary: ||U U^dag - I||_F = {dev:.3e} > 1e-10"
@@ -99,28 +107,34 @@ def defect_curve(
     H_eff on ran Q in the target frame's coordinates (r energies, r x r
     vectors). With c = V^dag psi / ||V^dag psi||,
     d(t) = ||e^{-it Lambda} c - u^dag e^{-it H_eff} u c||.
+
+    Every operand may carry the same leading sector axes, one entry per
+    sector that H, H_eff, P and Q all commute with: frame (..., d_s, r_s),
+    psi (..., d_s) in the sectors' coordinates, and so on. c is then
+    normalized over all sectors together, and d(t) is the norm over all of
+    them, sqrt(sum_s d_s(t)^2).
     """
-    r = frame.shape[1]
+    lead, (dim, r) = frame.shape[:-2], frame.shape[-2:]
     if (
-        psi.shape != (frame.shape[0],)
-        or energies.shape != (r,)
-        or u.shape != (r, r)
-        or w_eff.shape != (r,)
-        or v_eff.shape != (r, r)
+        psi.shape != lead + (dim,)
+        or energies.shape != lead + (r,)
+        or u.shape != lead + (r, r)
+        or w_eff.shape != lead + (r,)
+        or v_eff.shape != lead + (r, r)
     ):
         raise ConfigError("dimension mismatch between operators, projector, state")
-    start = frame.conj().T @ psi
+    start = (frame.conj().swapaxes(-1, -2) @ psi[..., None])[..., 0]
     norm = float(np.linalg.norm(start))
     if norm < 1e-12:
         raise ConfigError("projected initial state vanishes")
     start = start / norm
 
-    moved = v_eff.conj().T @ (u @ start)
-    back = u.conj().T @ v_eff
-    t = np.asarray(times, dtype=float)[:, None]
-    full = np.exp(-1j * t * energies[None, :]) * start[None, :]
-    eff = (np.exp(-1j * t * w_eff[None, :]) * moved[None, :]) @ back.T
-    return np.linalg.norm(full - eff, axis=1)
+    moved = (v_eff.conj().swapaxes(-1, -2) @ (u @ start[..., None]))[..., 0]
+    back = u.conj().swapaxes(-1, -2) @ v_eff
+    t = np.asarray(times, dtype=float).reshape((-1,) + (1,) * (len(lead) + 1))
+    full = np.exp(-1j * t * energies) * start
+    eff = (np.exp(-1j * t * w_eff) * moved)[..., None, :] @ back.swapaxes(-1, -2)
+    return np.linalg.norm((full - eff[..., 0, :]).reshape(len(t), -1), axis=1)
 
 
 def fit_slope_through_origin(times, defects) -> float:
@@ -160,15 +174,16 @@ def defect_scaling(
 ) -> list[DefectRow]:
     """Defect experiment across a list of field values, one row per field.
 
-    For each requested B (snapped to the nearest feasible torus value): take
-    the eigendecomposition of the full operator's coset blocks, project
-    onto its lowest n_flux eigenvalues, intertwine with the lowest-level
-    block, and evolve a seeded random packet under both the full operator and
-    the lowest-level compression, in rank-n_flux coordinates. In the
-    level-major basis that compression is the same operator on one level, so
-    its eigenpairs come from coset_eigh on the one-level basis.
-    d(0) is always measured, whether or not 0 is on the time grid. Rows whose
-    lowest cluster is not separated are flagged, not failed.
+    For each requested B (snapped to the nearest feasible torus value): build
+    the full operator's g guiding-centre coset blocks once, take their
+    eigendecomposition in one batched solve, project onto the lowest n_flux
+    eigenvalues, intertwine with the lowest level, and evolve a seeded random
+    packet under both the full operator and the lowest-level compression,
+    sector by sector. In the level-major basis that compression is the same
+    operator on one level, whose blocks are the leading n_flux/g rows and
+    columns of the full blocks. d(0) is always measured, whether or not 0 is
+    on the time grid. Rows whose lowest cluster is not separated are
+    flagged, not failed.
     """
     times = tuple(float(t) for t in times)
     rows = []
@@ -176,7 +191,9 @@ def defect_scaling(
         basis = torus_basis(float(b_req), n_levels, n_cells)
         b_used, n_flux = basis.field, basis.n_flux
         # coset_blocks checked each block Hermitian at 1e-12
-        w, p = coset_eigh(basis, potential, rank=n_flux)
+        blocks = real_if_exact(coset_blocks(basis, potential))
+        values, vectors = np.linalg.eigh(blocks)
+        w = np.sort(values, axis=None)
         if not np.all(np.isfinite(w)):
             raise NumericalCheckError(
                 f"operator at B = {b_used:.12g} has non-finite eigenvalues"
@@ -195,30 +212,53 @@ def defect_scaling(
                 )
             )
             continue
-        energies = w[:n_flux]
-        # ||V^dag V - I||_F bounds the 2-norms of P^2 - P and P - P^dag
-        dev = float(np.linalg.norm(p.conj().T @ p - np.eye(n_flux)))
+        g = len(blocks)
+        per_level = n_flux // g  # rows of one Landau level in each sector
+        # Q has n_flux/g dimensions in each sector; where P has more or fewer,
+        # that sector's block of the overlap X is not square, so X is singular
+        held = np.count_nonzero(values <= w[n_flux - 1], axis=1)
+        uneven = np.flatnonzero(held != per_level)
+        if uneven.size:
+            sector = uneven[0]
+            raise InfeasibleModelError(
+                f"at B = {b_used:.12g}, guiding-centre sector {sector} of {g} "
+                f"holds {held[sector]} of the lowest {n_flux} eigenvalues, not "
+                f"{per_level}: its overlap block is not square, so ||P - Q|| = 1 "
+                "and no canonical intertwiner exists"
+            )
+        energies, frames = values[:, :per_level], vectors[:, :, :per_level]
+        # ||V_s^dag V_s - I||_F over all sectors bounds the 2-norms of
+        # P^2 - P and P - P^dag
+        dev = float(np.linalg.norm(
+            frames.conj().swapaxes(1, 2) @ frames - np.eye(per_level)))
         if dev > 1e-10:
             raise NumericalCheckError(
                 f"projector frame at B = {b_used:.12g} is not orthonormal: "
                 f"||V^dag V - I||_F = {dev:.3e} > 1e-10"
             )
-        # Q is the lowest level, the first n_flux coordinates of the
-        # level-major basis, so V_q^dag V_p is the top n_flux rows of p
-        u = nagy_intertwiner(p[:n_flux])
-        w_eff, v_eff = coset_eigh(replace(basis, n_levels=1), potential, rank=n_flux)
-        psi = random_packet(basis.dim, seed)
-        defects = defect_curve(energies, p, u, w_eff, v_eff, psi, (0.0,) + times)
+        # Q is the lowest level, the first n_flux/g rows of each sector, so the
+        # overlap V_q^dag V_p is block diagonal, with blocks frames[:, :per_level]
+        u = nagy_intertwiner(frames[:, :per_level])
+        w_eff, v_eff = np.linalg.eigh(
+            real_if_exact(blocks[:, :per_level, :per_level]))
+        # index level * n_flux + j sits in sector j mod g at row
+        # level * n_flux/g + j // g
+        psi = random_packet(basis.dim, seed).reshape(n_levels, per_level, g)
+        sectors = psi.transpose(2, 0, 1).reshape(g, -1)
+        defects = defect_curve(
+            energies, frames, u, w_eff, v_eff, sectors, (0.0,) + times)
         rows.append(
             DefectRow(
                 field_requested=float(b_req),
                 field=b_used,
                 n_flux=n_flux,
-                # ||P - Q|| as the 2-norm of (I - Q) V_p, the rows of p below
-                # the lowest level: unlike sqrt(1 - s_min^2) of the overlap,
-                # the residual keeps its relative accuracy when P and Q
-                # nearly coincide
-                projector_distance=float(np.linalg.norm(p[n_flux:], 2)),
+                # ||P - Q|| as the largest 2-norm of (I - Q) V_s, the rows of
+                # each sector frame below the lowest level: unlike
+                # sqrt(1 - s_min^2) of the overlap, the residual keeps its
+                # relative accuracy when P and Q nearly coincide
+                projector_distance=max(
+                    float(np.linalg.norm(frame[per_level:], 2))
+                    for frame in frames),
                 defect_zero=float(defects[0]),
                 max_defect=float(defects[1:].max()),
                 slope=fit_slope_through_origin(times, defects[1:]),

@@ -5,13 +5,29 @@ quantity a second way, written out from its definition.
 """
 
 import math
+from dataclasses import replace
 from math import cos, pi
 
 import numpy as np
 from scipy.special import erf as scipy_erf
 from scipy.special import eval_genlaguerre
 
-from fluxlab import RationalFlux, hofstadter_family, level_form_factor, weyl_translation
+from fluxlab import (
+    DefectRow,
+    NumericalCheckError,
+    RationalFlux,
+    cluster_gap,
+    coset_blocks,
+    defect_curve,
+    fit_slope_through_origin,
+    hofstadter_family,
+    level_form_factor,
+    nagy_intertwiner,
+    random_packet,
+    torus_basis,
+    weyl_translation,
+)
+from fluxlab.continuum import SEPARATION_TOL, real_if_exact
 
 
 def harper_fiber(flux, theta, k):
@@ -220,8 +236,8 @@ def dense_eigh(matrix, rank=None):
     """The unsplit solve of a continuum operator, ignoring its coset blocks.
 
     Sorted eigenvalues of the whole d x d matrix and, with rank r given, the
-    d x r eigenvectors of the r lowest; `continuum.coset_eigh` with the
-    operator in place of the basis and the potential. Like `coset_eigh`, an
+    d x r eigenvectors of the r lowest; `scattered_frame` with the operator
+    in place of the basis and the potential. Like `continuum.coset_eigh`, an
     exactly real matrix is solved as its real part.
     """
     if not np.any(matrix.imag):
@@ -289,3 +305,78 @@ def two_frame_nagy(p, q):
     from the SVD A S B^dag of V_q^dag V_p."""
     a, _, bh = np.linalg.svd(q.conj().T @ p)
     return a @ bh
+
+
+def scattered_frame(basis, potential, rank):
+    """Sorted eigenvalues of the continuum operator and the d x rank frame of
+    the eigenvectors of its rank lowest, from one batched eigh of its coset
+    blocks (real when exactly real), each eigenvector scattered back to the
+    full rows of its coset: level * n_flux + j with j = c mod g."""
+    blocks = real_if_exact(coset_blocks(basis, potential))
+    values, vectors = np.linalg.eigh(blocks)
+    g, size = values.shape
+    w = values.ravel()
+    order = np.argsort(w, kind="stable")
+    lowest = order[:rank]
+    guiding = np.arange(basis.dim) % basis.n_flux
+    frame = np.zeros((basis.dim, rank), dtype=vectors.dtype)
+    for c in range(g):
+        mine = np.flatnonzero(lowest // size == c)
+        frame[np.ix_(np.flatnonzero(guiding % g == c), mine)] = (
+            vectors[c][:, lowest[mine] % size])
+    return w[order], frame
+
+
+def unsplit_frame(basis, potential, rank):
+    """`scattered_frame` from the unsplit dense solve of the whole d x d
+    operator."""
+    return dense_eigh(dense_hamiltonian(basis, potential), rank)
+
+
+def scattered_defect_scaling(
+    field_values, potential, times, n_levels, n_cells, seed=7, solve=scattered_frame
+):
+    """`dynamics.defect_scaling` on whole frames, ignoring its sectors.
+
+    Per field: the sorted eigenvalues and the d x n_flux frame p of the
+    lowest eigenvectors from solve(basis, potential, n_flux), its
+    ||V^dag V - I||_F <= 1e-10 check, the n_flux x n_flux polar factor of the
+    overlap p[:n_flux] with Q, the one-level operator's n_flux x n_flux frame
+    from solve on the one-level basis, the packet projected in full
+    coordinates, and ||P - Q|| as the 2-norm of p[n_flux:]. Raises what
+    defect_scaling raises; a sector holding more or fewer than n_flux/g of
+    the lowest eigenvalues shows up as a singular overlap (exit 4).
+    """
+    times = tuple(float(t) for t in times)
+    rows = []
+    for b_req in field_values:
+        basis = torus_basis(float(b_req), n_levels, n_cells)
+        n_flux = basis.n_flux
+        w, p = solve(basis, potential, n_flux)
+        if not np.all(np.isfinite(w)):
+            raise NumericalCheckError("non-finite eigenvalues")
+        if cluster_gap(w, n_flux) <= SEPARATION_TOL:
+            nan = float("nan")
+            rows.append(DefectRow(float(b_req), basis.field, n_flux, nan, nan, nan,
+                                  nan, False))
+            continue
+        dev = float(np.linalg.norm(p.conj().T @ p - np.eye(n_flux)))
+        if dev > 1e-10:
+            raise NumericalCheckError(f"frame not orthonormal: {dev:.3e}")
+        u = nagy_intertwiner(p[:n_flux])
+        w_eff, v_eff = solve(replace(basis, n_levels=1), potential, n_flux)
+        psi = random_packet(basis.dim, seed)
+        defects = defect_curve(w[:n_flux], p, u, w_eff, v_eff, psi, (0.0,) + times)
+        rows.append(
+            DefectRow(
+                field_requested=float(b_req),
+                field=basis.field,
+                n_flux=n_flux,
+                projector_distance=float(np.linalg.norm(p[n_flux:], 2)),
+                defect_zero=float(defects[0]),
+                max_defect=float(defects[1:].max()),
+                slope=fit_slope_through_origin(times, defects[1:]),
+                separated=True,
+            )
+        )
+    return rows

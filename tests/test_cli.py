@@ -756,8 +756,8 @@ def test_memory_error_exits_2(argv, monkeypatch, capsys):
     def oversize(*args, **kwargs):
         raise MemoryError("Unable to allocate 755. GiB for an array")
 
-    for module in (cli, continuum, dynamics):
-        monkeypatch.setattr(module, "coset_eigh", oversize)
+    for module in (continuum, dynamics):
+        monkeypatch.setattr(module, "coset_blocks", oversize)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error: Unable to allocate 755. GiB" in err

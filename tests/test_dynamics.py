@@ -11,7 +11,7 @@ from fluxlab import (
     FourierPotential,
     InfeasibleModelError,
     NumericalCheckError,
-    coset_eigh,
+    coset_blocks,
     defect_curve,
     defect_scaling,
     fit_slope_through_origin,
@@ -23,7 +23,14 @@ from fluxlab import (
 )
 from fluxlab import continuum, dynamics, spectra
 from fluxlab.cli import decreasing_gate, main
-from oracles import dense_eigh, dense_hamiltonian, projector_distance, two_frame_nagy
+from fluxlab.continuum import real_if_exact
+from oracles import (
+    dense_hamiltonian,
+    projector_distance,
+    scattered_defect_scaling,
+    two_frame_nagy,
+    unsplit_frame,
+)
 
 
 def random_hermitian(dim, seed):
@@ -214,9 +221,10 @@ def test_nagy_intertwines_rotated_projectors():
 def test_level_zero_intertwiner_matches_the_two_frame_oracle(
     fields, n_cells, n_levels, monkeypatch
 ):
-    # Q is the lowest level, the first n_flux coordinates of the level-major
-    # basis, so the overlap is p[:r] and (I - Q) V_p is p[r:]: defect_scaling
-    # has to give the two-frame U bit for bit and its distance to roundoff
+    # Q is the lowest level, the first n_flux/g rows of each sector, so the
+    # overlap of sector s is V_s[:n_flux/g] and (I - Q) V_s is V_s[n_flux/g:]:
+    # defect_scaling has to give each sector's two-frame U bit for bit and
+    # the largest sector distance to roundoff
     potential = FourierPotential.cosine_xy(1.0)
     solved = []
     real = dynamics.nagy_intertwiner
@@ -230,11 +238,17 @@ def test_level_zero_intertwiner_matches_the_two_frame_oracle(
     assert len(solved) == len(rows) == len(fields)
     for b, row, u in zip(fields, rows, solved):
         basis = torus_basis(b, n_levels, n_cells)
-        r = basis.n_flux
-        _, p = coset_eigh(basis, potential, rank=r)
-        q = np.eye(basis.dim, r, dtype=p.dtype)
-        assert np.array_equal(u, two_frame_nagy(p, q))
-        assert abs(row.projector_distance - projector_distance(p, q)) <= 1e-15
+        _, vectors = np.linalg.eigh(real_if_exact(coset_blocks(basis, potential)))
+        g, size, _ = vectors.shape
+        level = basis.n_flux // g
+        assert u.shape == (g, level, level)
+        q = np.eye(size, level, dtype=vectors.dtype)
+        distances = []
+        for sector, v in zip(u, vectors):
+            p = v[:, :level]
+            assert np.array_equal(sector, two_frame_nagy(p, q))
+            distances.append(projector_distance(p, q))
+        assert abs(row.projector_distance - max(distances)) <= 1e-15
 
 
 def block_dominant_hamiltonian(dim, seed, strength=0.05):
@@ -519,19 +533,14 @@ def test_even_potentials_take_the_real_solve(solve_dtypes):
     assert solve_dtypes and set(solve_dtypes) == {np.dtype(np.complex128)}
 
 
-def test_defect_rows_match_the_unsplit_solve(monkeypatch):
+def test_defect_rows_match_the_unsplit_solve():
     # B = 10, 20, 40 on 4 cells split into g = 1, 2 and 4 cosets; the rows
     # must not depend on the split beyond roundoff (defect_zero is roundoff
     # itself and is held only to its gate)
     potential = FourierPotential.cosine_xy(1.0)
     args = ([10.0, 20.0, 40.0], potential, (0.5, 1.0, 2.0))
     split = defect_scaling(*args, n_levels=2, n_cells=4)
-    monkeypatch.setattr(
-        dynamics,
-        "coset_eigh",
-        lambda basis, pot, rank=None: dense_eigh(dense_hamiltonian(basis, pot), rank),
-    )
-    unsplit = defect_scaling(*args, n_levels=2, n_cells=4)
+    unsplit = scattered_defect_scaling(*args, 2, 4, solve=unsplit_frame)
     assert [row.n_flux for row in split] == [51, 102, 204]
     for got, want in zip(split, unsplit):
         assert got.separated and want.separated
@@ -541,10 +550,70 @@ def test_defect_rows_match_the_unsplit_solve(monkeypatch):
         assert max(got.defect_zero, want.defect_zero) < 1e-10
 
 
+@pytest.mark.parametrize("n_cells", [2, 3, 4])
+def test_sector_rows_match_the_scattered_frame_oracle(n_cells):
+    # the per-sector frames, polar factors, distances and evolution against
+    # the whole d x n_flux frame scattered from the same coset solve, over a
+    # field sweep that takes g through 1, 2, 3 and 4 cosets; both raise alike
+    potential = FourierPotential.cosine_xy(1.0)
+    times = (0.5, 1.0, 2.0)
+    for field in np.arange(1.0, 60.0, 1.5):
+        args = ([field], potential, times)
+        try:
+            want = scattered_defect_scaling(*args, 3, n_cells)
+        except (InfeasibleModelError, NumericalCheckError) as exc:
+            with pytest.raises(type(exc)):
+                defect_scaling(*args, n_levels=3, n_cells=n_cells)
+            continue
+        (got,) = defect_scaling(*args, n_levels=3, n_cells=n_cells)
+        (want,) = want
+        assert (got.field, got.n_flux, got.separated) == (
+            want.field, want.n_flux, want.separated), field
+        if not want.separated:
+            continue
+        for name in ("projector_distance", "max_defect", "slope"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert abs(a - b) <= 1e-10 + 1e-10 * abs(b), (field, name)
+        assert max(got.defect_zero, want.defect_zero) < 1e-10, field
+
+
+def test_uneven_sector_exits_4_before_any_svd(monkeypatch, capsys):
+    # B = 5 on 2 cells: n_flux 6 in g = 2 sectors of 3 levels x 3 guiding
+    # rows. Moving sector 0's lowest level-1 eigenvalue below the cluster and
+    # sector 1's highest cluster eigenvalue above it keeps the gap but gives
+    # sector 0 four of the lowest six: its overlap block is 3 x 4
+    real = np.linalg.eigh
+
+    def uneven(a, *args, **kwargs):
+        w, v = real(a, *args, **kwargs)
+        if np.shape(a) == (2, 9, 9):
+            w = w.copy()
+            w[0, 3] = w.min() - 1.0
+            w[1, 2] = w.max() + 1.0
+        return w, v
+
+    svd_calls = []
+    real_svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        svd_calls.append(np.shape(args[0]))
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", uneven)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    potential = FourierPotential.cosine_xy(1.0)
+    with pytest.raises(InfeasibleModelError, match="sector 0 of 2 holds 4 of the lowest"):
+        defect_scaling([5.0], potential, (0.5,), n_levels=3, n_cells=2)
+    argv = ["dynamics-defect", "--B", "5", "--nlevels", "3", "--ncells", "2"]
+    assert main(argv) == 4
+    assert "sector 0 of 2 holds 4" in capsys.readouterr().err
+    assert svd_calls == []
+
+
 def test_one_hermiticity_check_per_field(monkeypatch):
-    # coset_blocks checks each (d/g) x (d/g) coset block once and each of
-    # the one-level operator's (r/g) x (r/g) blocks once, never a d x d or
-    # r x r matrix when g > 1; the eigensolves do not check again
+    # coset_blocks checks each (d/g) x (d/g) coset block once, never a d x d
+    # matrix when g > 1; the one-level operator is sliced from those blocks
+    # and the eigensolves do not check again
     shapes = []
     real = spectra.check_hermitian
 
@@ -563,8 +632,31 @@ def test_one_hermiticity_check_per_field(monkeypatch):
     for row in report:
         r = row.n_flux
         g = math.gcd(r, 2)
-        expected += [(3 * r // g, 3 * r // g)] * g + [(r // g, r // g)] * g
+        expected += [(3 * r // g, 3 * r // g)] * g
     assert shapes == expected
+
+
+@pytest.mark.parametrize("experiment", ["defect_scaling", "strong_field_report"])
+def test_one_coset_build_per_field(experiment, monkeypatch):
+    # the one-level operator's blocks are sliced from the full ones, so each
+    # field builds its coset blocks once, unseparated fields included
+    built = []
+    real = continuum.coset_blocks
+
+    def counted(basis, potential):
+        built.append((basis.field, basis.n_levels))
+        return real(basis, potential)
+
+    monkeypatch.setattr(continuum, "coset_blocks", counted)
+    monkeypatch.setattr(dynamics, "coset_blocks", counted)
+    fields = [5.0, 10.0, 20.0]
+    potential = FourierPotential.cosine_xy(1.0)
+    if experiment == "defect_scaling":
+        rows = defect_scaling(fields, potential, (0.5,), n_levels=3, n_cells=2)
+    else:
+        rows = strong_field_report(fields, potential, n_levels=3, n_cells=2)
+    assert all(row.separated for row in rows)
+    assert built == [(row.field, 3) for row in rows]
 
 
 @pytest.mark.parametrize("experiment", ["defect_scaling", "strong_field_report"])
