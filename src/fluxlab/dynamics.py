@@ -186,83 +186,75 @@ def defect_scaling(
     flagged, not failed.
     """
     times = tuple(float(t) for t in times)
-    rows = []
-    for b_req in field_values:
-        basis = torus_basis(float(b_req), n_levels, n_cells)
-        b_used, n_flux = basis.field, basis.n_flux
-        # coset_blocks checked each block Hermitian at 1e-12
-        blocks = real_if_exact(coset_blocks(basis, potential))
-        values, vectors = np.linalg.eigh(blocks)
-        w = np.sort(values, axis=None)
-        if not np.all(np.isfinite(w)):
-            raise NumericalCheckError(
-                f"operator at B = {b_used:.12g} has non-finite eigenvalues"
-            )
-        if cluster_gap(w, n_flux) <= SEPARATION_TOL:
-            rows.append(
-                DefectRow(
-                    field_requested=float(b_req),
-                    field=b_used,
-                    n_flux=n_flux,
-                    projector_distance=float("nan"),
-                    defect_zero=float("nan"),
-                    max_defect=float("nan"),
-                    slope=float("nan"),
-                    separated=False,
-                )
-            )
-            continue
-        g = len(blocks)
-        per_level = n_flux // g  # rows of one Landau level in each sector
-        # Q has n_flux/g dimensions in each sector; where P has more or fewer,
-        # that sector's block of the overlap X is not square, so X is singular
-        held = np.count_nonzero(values <= w[n_flux - 1], axis=1)
-        uneven = np.flatnonzero(held != per_level)
-        if uneven.size:
-            sector = uneven[0]
-            raise InfeasibleModelError(
-                f"at B = {b_used:.12g}, guiding-centre sector {sector} of {g} "
-                f"holds {held[sector]} of the lowest {n_flux} eigenvalues, not "
-                f"{per_level}: its overlap block is not square, so ||P - Q|| = 1 "
-                "and no canonical intertwiner exists"
-            )
-        energies, frames = values[:, :per_level], vectors[:, :, :per_level]
-        # ||V_s^dag V_s - I||_F over all sectors bounds the 2-norms of
-        # P^2 - P and P - P^dag
-        dev = float(np.linalg.norm(
-            frames.conj().swapaxes(1, 2) @ frames - np.eye(per_level)))
-        if dev > 1e-10:
-            raise NumericalCheckError(
-                f"projector frame at B = {b_used:.12g} is not orthonormal: "
-                f"||V^dag V - I||_F = {dev:.3e} > 1e-10"
-            )
-        # Q is the lowest level, the first n_flux/g rows of each sector, so the
-        # overlap V_q^dag V_p is block diagonal, with blocks frames[:, :per_level]
-        u = nagy_intertwiner(frames[:, :per_level])
-        w_eff, v_eff = np.linalg.eigh(
-            real_if_exact(blocks[:, :per_level, :per_level]))
-        # index level * n_flux + j sits in sector j mod g at row
-        # level * n_flux/g + j // g
-        psi = random_packet(basis.dim, seed).reshape(n_levels, per_level, g)
-        sectors = psi.transpose(2, 0, 1).reshape(g, -1)
-        defects = defect_curve(
-            energies, frames, u, w_eff, v_eff, sectors, (0.0,) + times)
-        rows.append(
-            DefectRow(
-                field_requested=float(b_req),
-                field=b_used,
-                n_flux=n_flux,
-                # ||P - Q|| as the largest 2-norm of (I - Q) V_s, the rows of
-                # each sector frame below the lowest level: unlike
-                # sqrt(1 - s_min^2) of the overlap, the residual keeps its
-                # relative accuracy when P and Q nearly coincide
-                projector_distance=max(
-                    float(np.linalg.norm(frame[per_level:], 2))
-                    for frame in frames),
-                defect_zero=float(defects[0]),
-                max_defect=float(defects[1:].max()),
-                slope=fit_slope_through_origin(times, defects[1:]),
-                separated=True,
-            )
+    return [
+        _defect_row(
+            float(b_req), torus_basis(float(b_req), n_levels, n_cells), potential,
+            times, seed,
         )
-    return rows
+        for b_req in field_values
+    ]
+
+
+def _defect_row(b_req, basis, potential, times, seed) -> DefectRow:
+    """defect_scaling's row for one field; the field's blocks and
+    eigenvectors are released on return, before the next field is built."""
+    b_used, n_flux = basis.field, basis.n_flux
+    # coset_blocks checked each block Hermitian at 1e-12
+    blocks = real_if_exact(coset_blocks(basis, potential))
+    values, vectors = np.linalg.eigh(blocks)
+    w = np.sort(values, axis=None)
+    if not np.all(np.isfinite(w)):
+        raise NumericalCheckError(
+            f"operator at B = {b_used:.12g} has non-finite eigenvalues"
+        )
+    if cluster_gap(w, n_flux) <= SEPARATION_TOL:
+        nan = float("nan")
+        return DefectRow(b_req, b_used, n_flux, nan, nan, nan, nan, separated=False)
+    g = len(blocks)
+    per_level = n_flux // g  # rows of one Landau level in each sector
+    # Q has n_flux/g dimensions in each sector; where P has more or fewer,
+    # that sector's block of the overlap X is not square, so X is singular
+    held = np.count_nonzero(values <= w[n_flux - 1], axis=1)
+    uneven = np.flatnonzero(held != per_level)
+    if uneven.size:
+        sector = uneven[0]
+        raise InfeasibleModelError(
+            f"at B = {b_used:.12g}, guiding-centre sector {sector} of {g} "
+            f"holds {held[sector]} of the lowest {n_flux} eigenvalues, not "
+            f"{per_level}: its overlap block is not square, so ||P - Q|| = 1 "
+            "and no canonical intertwiner exists"
+        )
+    energies, frames = values[:, :per_level], vectors[:, :, :per_level]
+    # ||V_s^dag V_s - I||_F over all sectors bounds the 2-norms of
+    # P^2 - P and P - P^dag
+    dev = float(np.linalg.norm(
+        frames.conj().swapaxes(1, 2) @ frames - np.eye(per_level)))
+    if dev > 1e-10:
+        raise NumericalCheckError(
+            f"projector frame at B = {b_used:.12g} is not orthonormal: "
+            f"||V^dag V - I||_F = {dev:.3e} > 1e-10"
+        )
+    # Q is the lowest level, the first n_flux/g rows of each sector, so the
+    # overlap V_q^dag V_p is block diagonal, with blocks frames[:, :per_level]
+    u = nagy_intertwiner(frames[:, :per_level])
+    w_eff, v_eff = np.linalg.eigh(real_if_exact(blocks[:, :per_level, :per_level]))
+    # index level * n_flux + j sits in sector j mod g at row
+    # level * n_flux/g + j // g
+    psi = random_packet(basis.dim, seed).reshape(basis.n_levels, per_level, g)
+    sectors = psi.transpose(2, 0, 1).reshape(g, -1)
+    defects = defect_curve(energies, frames, u, w_eff, v_eff, sectors, (0.0,) + times)
+    return DefectRow(
+        field_requested=b_req,
+        field=b_used,
+        n_flux=n_flux,
+        # ||P - Q|| as the largest 2-norm of (I - Q) V_s, the rows of each
+        # sector frame below the lowest level: unlike sqrt(1 - s_min^2) of the
+        # overlap, the residual keeps its relative accuracy when P and Q
+        # nearly coincide
+        projector_distance=max(
+            float(np.linalg.norm(frame[per_level:], 2)) for frame in frames),
+        defect_zero=float(defects[0]),
+        max_defect=float(defects[1:].max()),
+        slope=fit_slope_through_origin(times, defects[1:]),
+        separated=True,
+    )
