@@ -318,27 +318,33 @@ def strong_field_report(
     whose lowest cluster is not separated from the rest are flagged rather
     than failed.
     """
-    rows = []
-    for b_req in field_values:
-        basis = torus_basis(float(b_req), n_levels, n_cells)
-        blocks = real_if_exact(coset_blocks(basis, potential))
-        w = np.sort(np.linalg.eigvalsh(blocks), axis=None)
-        gap = cluster_gap(w, basis.n_flux)
-        separated = gap > SEPARATION_TOL
-        distance = float("nan")
-        if separated:
-            level = basis.n_flux // len(blocks)
-            compressed = np.linalg.eigvalsh(real_if_exact(blocks[:, :level, :level]))
-            distance = hausdorff(w[: basis.n_flux], np.sort(compressed, axis=None))
-        rows.append(
-            StrongFieldRow(
-                field_requested=float(b_req),
-                field=basis.field,
-                n_flux=basis.n_flux,
-                cluster_gap=gap,
-                distance=distance,
-                coupling_next_level=next_level_coupling(basis, potential),
-                separated=separated,
-            )
+    return [
+        _strong_field_row(
+            float(b_req), torus_basis(float(b_req), n_levels, n_cells), potential
         )
-    return rows
+        for b_req in field_values
+    ]
+
+
+def _strong_field_row(b_req, basis, potential) -> StrongFieldRow:
+    """strong_field_report's row for one field; the field's blocks are
+    released on return, before the next field is built."""
+    blocks = real_if_exact(coset_blocks(basis, potential))
+    w = np.sort(np.linalg.eigvalsh(blocks), axis=None)
+    gap = cluster_gap(w, basis.n_flux)
+    separated = gap > SEPARATION_TOL
+    distance = float("nan")
+    if separated:
+        per_level = basis.n_flux // len(blocks)
+        one_level = real_if_exact(blocks[:, :per_level, :per_level])
+        compressed = np.sort(np.linalg.eigvalsh(one_level), axis=None)
+        distance = hausdorff(w[: basis.n_flux], compressed)
+    return StrongFieldRow(
+        field_requested=b_req,
+        field=basis.field,
+        n_flux=basis.n_flux,
+        cluster_gap=gap,
+        distance=distance,
+        coupling_next_level=next_level_coupling(basis, potential),
+        separated=separated,
+    )
