@@ -40,12 +40,12 @@ from .continuum import (
     FourierPotential,
     LandauBasisSpec,
     StrongFieldRow,
-    cluster_gap,
     coset_blocks,
     coset_count,
     coset_eigh,
     level_form_factor,
     next_level_coupling,
+    separated_cluster,
     strong_field_report,
     torus_basis,
 )
@@ -66,4 +66,6 @@ from .disorder import (
     hashed_uniform,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+import types as _types
+__all__ = [name for name, value in globals().items()  # the submodules left out
+           if name[0] != "_" and not isinstance(value, _types.ModuleType)]

@@ -562,10 +562,18 @@ def _cmd_continuum_spectrum(p: dict) -> RunArtifact:
     )
 
 
+def _increasing_fields(p: dict) -> list:
+    """--B of a field sweep, whose decreasing gates read its rows in order."""
+    used = [torus_basis(b, p["nlevels"], p["ncells"]).field for b in p["B"]]
+    if any(not a < b for a, b in zip(used, used[1:])):
+        raise ConfigError(f"bad value for --B: fields {used} not strictly increasing")
+    return p["B"]
+
+
 def _cmd_lll_compare(p: dict) -> RunArtifact:
     potential = FourierPotential.cosine_xy(p["amplitude"])
     report = strong_field_report(
-        p["B"], potential, n_levels=p["nlevels"], n_cells=p["ncells"]
+        _increasing_fields(p), potential, n_levels=p["nlevels"], n_cells=p["ncells"]
     )
     return RunArtifact(
         columns=[f.name for f in fields(StrongFieldRow)],
@@ -586,7 +594,7 @@ def _cmd_lll_compare(p: dict) -> RunArtifact:
 def _cmd_dynamics_defect(p: dict) -> RunArtifact:
     potential = FourierPotential.cosine_xy(p["amplitude"])
     report = defect_scaling(
-        p["B"],
+        _increasing_fields(p),
         potential,
         p["times"],
         n_levels=p["nlevels"],

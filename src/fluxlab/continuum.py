@@ -34,7 +34,7 @@ class FourierPotential:
     They are kept sorted by (n, |m|, m), so that (n, -m) and (n, m) are
     neighbours: for a potential even in x their terms are complex conjugates,
     and adding them one after the other onto a real entry leaves its
-    imaginary part exactly zero (see real_if_exact).
+    imaginary part exactly zero (see coset_blocks).
     """
 
     harmonics: tuple
@@ -212,17 +212,29 @@ def coset_count(basis: LandauBasisSpec, potential: FourierPotential) -> int:
 
 def coset_blocks(basis: LandauBasisSpec, potential: FourierPotential) -> np.ndarray:
     """The continuum operator as its g = coset_count(basis, potential)
-    guiding-centre coset blocks, shape (g, d/g, d/g); the d x d operator is
-    never built (the magnetic translation group: J. Zak, Phys. Rev. 134,
-    A1602 (1964)).
+    guiding-centre coset blocks, shape (g, d/g, d/g), real when their
+    imaginary part is exactly zero, else complex; the d x d operator is never
+    built (the magnetic translation group: J. Zak, Phys. Rev. 134, A1602
+    (1964)). For a potential even in x, c(n, m) = c(-n, m), complex
+    conjugation combined with x -> -x is an antiunitary symmetry that acts as
+    plain conjugation in the level-major Landau basis (M. Robnik and M. V.
+    Berry, J. Phys. A 19, 669 (1986)), so the blocks are exactly real, and are
+    solved as real symmetric matrices. The real copy is made after the
+    scatter's n_flux x n_flux translations are released.
+    """
+    blocks = _complex_blocks(basis, potential)
+    return np.ascontiguousarray(blocks.real) if not np.any(blocks.imag) else blocks
 
-    Coset c holds the indices level * n_flux + j with j = c mod g, at block
-    row level * (n_flux/g) + j // g. The kinetic ladder is the diagonal, and
-    each harmonic c e^{iK.r} = c G(K) (x) tau(K) adds c G[a, b] tau[j, k] at
-    the nonzero entries of tau only, in one scatter. Those must join indices
-    of one coset (j = k mod g): the zeros between cosets are structural, not
-    roundoff, so a nonzero (or NaN) entry across raises NumericalCheckError,
-    with no tolerance. Each block is checked Hermitian.
+
+def _complex_blocks(basis: LandauBasisSpec, potential: FourierPotential) -> np.ndarray:
+    """coset_blocks before the real switch. Coset c holds the indices
+    level * n_flux + j with j = c mod g, at block row level * (n_flux/g) +
+    j // g. The kinetic ladder is the diagonal, and each harmonic
+    c e^{iK.r} = c G(K) (x) tau(K) adds c G[a, b] tau[j, k] at the nonzero
+    entries of tau only, in one scatter. Those must join indices of one coset
+    (j = k mod g): the zeros between cosets are structural, not roundoff, so
+    a nonzero (or NaN) entry across raises NumericalCheckError, with no
+    tolerance. Each block is checked Hermitian.
     """
     g = coset_count(basis, potential)
     per_level = basis.n_flux // g
@@ -250,40 +262,29 @@ def coset_blocks(basis: LandauBasisSpec, potential: FourierPotential) -> np.ndar
     return blocks
 
 
-def real_if_exact(blocks: np.ndarray) -> np.ndarray:
-    """The coset blocks as the solver takes them: their real part when their
-    imaginary part is exactly zero, else the blocks themselves.
-
-    For a potential even in x, c(n, m) = c(-n, m), complex conjugation
-    combined with x -> -x is an antiunitary symmetry of the operator, and in
-    the level-major Landau basis it acts as plain conjugation (M. Robnik and
-    M. V. Berry, J. Phys. A 19, 669 (1986)): the blocks come out with an
-    imaginary part of exactly zero, and are solved as real symmetric
-    matrices, with real eigenvectors. An exactly real matrix is its own real
-    part, so the switch needs no tolerance; any other potential keeps the
-    complex solve.
-    """
-    if np.iscomplexobj(blocks) and not np.any(blocks.imag):
-        return np.ascontiguousarray(blocks.real)
-    return blocks
-
-
 def coset_eigh(basis: LandauBasisSpec, potential: FourierPotential) -> np.ndarray:
     """Sorted eigenvalues of the continuum operator, from one batched solve
-    of its coset_blocks(basis, potential), which all have the same size,
-    taken real when they are exactly real (real_if_exact)."""
-    blocks = real_if_exact(coset_blocks(basis, potential))
-    return np.sort(np.linalg.eigvalsh(blocks), axis=None)
+    of its coset_blocks(basis, potential), which all have the same size and
+    are real when they are exactly real."""
+    return np.sort(np.linalg.eigvalsh(coset_blocks(basis, potential)), axis=None)
 
 
-# A lowest cluster whose gap to the rest is at most this is not separated.
 SEPARATION_TOL = 1e-6
 
 
-def cluster_gap(w: np.ndarray, n_flux: int) -> float:
-    """Gap above the lowest n_flux of the sorted eigenvalues w; inf when w
-    holds only the lowest cluster."""
-    return float(w[n_flux] - w[n_flux - 1]) if len(w) > n_flux else float("inf")
+def separated_cluster(values: np.ndarray, basis: LandauBasisSpec):
+    """(w, gap, separated) of the eigenvalues of the operator on basis, given
+    per coset block or flat: w sorted, the gap above its lowest n_flux (inf
+    when w holds only that cluster), and gap > SEPARATION_TOL. Non-finite
+    eigenvalues raise NumericalCheckError, not an unseparated cluster."""
+    w = np.sort(values, axis=None)
+    if not np.all(np.isfinite(w)):
+        raise NumericalCheckError(
+            f"operator at B = {basis.field:.12g} has non-finite eigenvalues"
+        )
+    n_flux = basis.n_flux
+    gap = float(w[n_flux] - w[n_flux - 1]) if len(w) > n_flux else float("inf")
+    return w, gap, gap > SEPARATION_TOL
 
 
 @dataclass(frozen=True)
@@ -315,8 +316,8 @@ def strong_field_report(
     blocks, bit for bit, so one coset_blocks build per field serves both
     solves. The distance column is the Hausdorff distance between the lowest
     n_flux eigenvalues and the spectrum of that one-level operator; rows
-    whose lowest cluster is not separated from the rest are flagged rather
-    than failed.
+    whose lowest cluster is not separated (separated_cluster) are flagged
+    rather than failed.
     """
     return [
         _strong_field_row(
@@ -329,16 +330,13 @@ def strong_field_report(
 def _strong_field_row(b_req, basis, potential) -> StrongFieldRow:
     """strong_field_report's row for one field; the field's blocks are
     released on return, before the next field is built."""
-    blocks = real_if_exact(coset_blocks(basis, potential))
-    w = np.sort(np.linalg.eigvalsh(blocks), axis=None)
-    gap = cluster_gap(w, basis.n_flux)
-    separated = gap > SEPARATION_TOL
+    blocks = coset_blocks(basis, potential)
+    w, gap, separated = separated_cluster(np.linalg.eigvalsh(blocks), basis)
     distance = float("nan")
     if separated:
         per_level = basis.n_flux // len(blocks)
-        one_level = real_if_exact(blocks[:, :per_level, :per_level])
-        compressed = np.sort(np.linalg.eigvalsh(one_level), axis=None)
-        distance = hausdorff(w[: basis.n_flux], compressed)
+        one_level = np.linalg.eigvalsh(blocks[:, :per_level, :per_level])
+        distance = hausdorff(w[: basis.n_flux], np.sort(one_level, axis=None))
     return StrongFieldRow(
         field_requested=b_req,
         field=basis.field,

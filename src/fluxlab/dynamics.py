@@ -31,10 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuum import (
-    SEPARATION_TOL, FourierPotential, cluster_gap, coset_blocks, real_if_exact,
-    torus_basis,
-)
+from .continuum import FourierPotential, coset_blocks, separated_cluster, torus_basis
 from .disorder import hashed_normal
 from .errors import ConfigError, InfeasibleModelError, NumericalCheckError
 
@@ -179,11 +176,9 @@ def defect_scaling(
     eigendecomposition in one batched solve, project onto the lowest n_flux
     eigenvalues, intertwine with the lowest level, and evolve a seeded random
     packet under both the full operator and the lowest-level compression,
-    sector by sector. In the level-major basis that compression is the same
-    operator on one level, whose blocks are the leading n_flux/g rows and
-    columns of the full blocks. d(0) is always measured, whether or not 0 is
-    on the time grid. Rows whose lowest cluster is not separated are
-    flagged, not failed.
+    sector by sector. d(0) is always measured, whether or not 0 is on the
+    time grid. Rows whose lowest cluster is not separated
+    (continuum.separated_cluster) are flagged, not failed.
     """
     times = tuple(float(t) for t in times)
     return [
@@ -200,14 +195,10 @@ def _defect_row(b_req, basis, potential, times, seed) -> DefectRow:
     eigenvectors are released on return, before the next field is built."""
     b_used, n_flux = basis.field, basis.n_flux
     # coset_blocks checked each block Hermitian at 1e-12
-    blocks = real_if_exact(coset_blocks(basis, potential))
+    blocks = coset_blocks(basis, potential)
     values, vectors = np.linalg.eigh(blocks)
-    w = np.sort(values, axis=None)
-    if not np.all(np.isfinite(w)):
-        raise NumericalCheckError(
-            f"operator at B = {b_used:.12g} has non-finite eigenvalues"
-        )
-    if cluster_gap(w, n_flux) <= SEPARATION_TOL:
+    w, _, separated = separated_cluster(values, basis)
+    if not separated:
         nan = float("nan")
         return DefectRow(b_req, b_used, n_flux, nan, nan, nan, nan, separated=False)
     g = len(blocks)
@@ -237,7 +228,7 @@ def _defect_row(b_req, basis, potential, times, seed) -> DefectRow:
     # Q is the lowest level, the first n_flux/g rows of each sector, so the
     # overlap V_q^dag V_p is block diagonal, with blocks frames[:, :per_level]
     u = nagy_intertwiner(frames[:, :per_level])
-    w_eff, v_eff = np.linalg.eigh(real_if_exact(blocks[:, :per_level, :per_level]))
+    w_eff, v_eff = np.linalg.eigh(blocks[:, :per_level, :per_level])
     # index level * n_flux + j sits in sector j mod g at row
     # level * n_flux/g + j // g
     psi = random_packet(basis.dim, seed).reshape(basis.n_levels, per_level, g)

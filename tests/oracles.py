@@ -16,7 +16,6 @@ from fluxlab import (
     DefectRow,
     NumericalCheckError,
     RationalFlux,
-    cluster_gap,
     coset_blocks,
     defect_curve,
     fit_slope_through_origin,
@@ -24,10 +23,10 @@ from fluxlab import (
     level_form_factor,
     nagy_intertwiner,
     random_packet,
+    separated_cluster,
     torus_basis,
     weyl_translation,
 )
-from fluxlab.continuum import SEPARATION_TOL, real_if_exact
 
 
 def harper_fiber(flux, theta, k):
@@ -312,7 +311,7 @@ def scattered_frame(basis, potential, rank):
     the eigenvectors of its rank lowest, from one batched eigh of its coset
     blocks (real when exactly real), each eigenvector scattered back to the
     full rows of its coset: level * n_flux + j with j = c mod g."""
-    blocks = real_if_exact(coset_blocks(basis, potential))
+    blocks = coset_blocks(basis, potential)
     values, vectors = np.linalg.eigh(blocks)
     g, size = values.shape
     w = values.ravel()
@@ -353,9 +352,8 @@ def scattered_defect_scaling(
         basis = torus_basis(float(b_req), n_levels, n_cells)
         n_flux = basis.n_flux
         w, p = solve(basis, potential, n_flux)
-        if not np.all(np.isfinite(w)):
-            raise NumericalCheckError("non-finite eigenvalues")
-        if cluster_gap(w, n_flux) <= SEPARATION_TOL:
+        _, _, separated = separated_cluster(w, basis)
+        if not separated:
             nan = float("nan")
             rows.append(DefectRow(float(b_req), basis.field, n_flux, nan, nan, nan,
                                   nan, False))

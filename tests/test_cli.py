@@ -404,6 +404,12 @@ def test_overflowing_disorder_draw_exits_2_before_its_solve(monkeypatch, capsys)
         (["dynamics-defect", "--times=-1"], "--times", "must not hold a negative time"),
         (["dynamics-defect", "--times", "1e155"], "--times",
          "sum of squared times must be finite"),
+        # the sweeps' decreasing gates read the rows in the order given, and
+        # 10 and 10.1 both snap to 13 flux quanta on the 2 x 2 torus
+        (["lll-compare", "--B", "40,20,10", "--ncells", "2", "--nlevels", "3"],
+         "--B", "not strictly increasing"),
+        (["dynamics-defect", "--B", "10,10.1", "--ncells", "2", "--nlevels", "3"],
+         "--B", "not strictly increasing"),
     ],
 )
 def test_bad_value_exits_2_before_any_eigensolve(
@@ -470,13 +476,16 @@ def test_dense_box_is_held_once(argv, traced_peak, capsys):
     "argv, gate",
     [
         (["continuum-spectrum", "--B", "10", "--amplitude", "1e308"], "energy"),
-        (["lll-compare", "--B", "10", "--amplitude", "1e308"], "distance_or_coupling"),
         # the overflowing operator fails its eigenvalue check before any gate
+        (["lll-compare", "--B", "10", "--amplitude", "1e308"], None),
         (
             ["dynamics-defect", "--B", "10", "--ncells", "2", "--nlevels", "3",
              "--amplitude", "1e308"],
             None,
         ),
+        # a nan cluster gap is a numerical failure, not an unseparated cluster
+        (["lll-compare", "--B", "7", "--ncells", "2", "--nlevels", "6",
+          "--amplitude", "1.1e308"], None),
     ],
 )
 # the suite raises a numpy RuntimeWarning as an error, which would escape main

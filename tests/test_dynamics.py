@@ -23,7 +23,6 @@ from fluxlab import (
 )
 from fluxlab import continuum, dynamics, spectra
 from fluxlab.cli import decreasing_gate, main
-from fluxlab.continuum import real_if_exact
 from oracles import (
     dense_hamiltonian,
     projector_distance,
@@ -238,7 +237,7 @@ def test_level_zero_intertwiner_matches_the_two_frame_oracle(
     assert len(solved) == len(rows) == len(fields)
     for b, row, u in zip(fields, rows, solved):
         basis = torus_basis(b, n_levels, n_cells)
-        _, vectors = np.linalg.eigh(real_if_exact(coset_blocks(basis, potential)))
+        _, vectors = np.linalg.eigh(coset_blocks(basis, potential))
         g, size, _ = vectors.shape
         level = basis.n_flux // g
         assert u.shape == (g, level, level)

@@ -1,12 +1,13 @@
 """Module boundaries: no fluxlab module imports another one's private names,
-and no command loads scipy or numpy.ma, whose imports would cost every
-invocation more than numpy itself."""
+fluxlab.__all__ names no submodule, and no command loads scipy or numpy.ma,
+whose imports would cost every invocation more than numpy itself."""
 
 import ast
 import json
 import os
 import subprocess
 import sys
+import types
 
 import fluxlab
 from test_golden import CASES
@@ -38,6 +39,15 @@ def test_no_private_cross_module_imports():
         if entry.endswith(".py"):
             found += _private_imports(os.path.join(PACKAGE_DIR, entry))
     assert found == []
+
+
+def test_all_lists_only_the_reexported_names():
+    modules = [
+        name for name in fluxlab.__all__
+        if isinstance(getattr(fluxlab, name), types.ModuleType)
+    ]
+    assert modules == []
+    assert "coset_blocks" in fluxlab.__all__
 
 
 _LOADED_AFTER_EVERY_COMMAND = """

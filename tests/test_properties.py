@@ -40,7 +40,7 @@ from fluxlab import (
     torus_basis,
 )
 from fluxlab.cli import main
-from fluxlab.continuum import _genlaguerre, real_if_exact
+from fluxlab.continuum import _genlaguerre
 from oracles import (
     dense_eigh,
     dense_hamiltonian,
@@ -241,7 +241,7 @@ def test_potentials_even_in_x_give_exactly_real_blocks(drawn, odd, n_flux, n_lev
     values = coset_eigh(basis, potential)
     blocks = coset_blocks(basis, potential)
     assert bool(np.any(blocks.imag)) == odd
-    assert real_if_exact(blocks).dtype == (np.complex128 if odd else np.float64)
+    assert blocks.dtype == (np.complex128 if odd else np.float64)
     want = dense_eigh(dense_hamiltonian(basis, potential))
     assert np.all(np.abs(values - want) <= 1e-10 + 1e-10 * np.abs(want))
 
@@ -303,6 +303,11 @@ def test_continuum_commands_keep_the_exit_code_contract(
             for column, text in row.items():
                 if column != "cluster_gap" and text not in ("true", "false"):
                     assert math.isfinite(float(text)), (argv, column, text)
+    if code == 4 and out.getvalue():
+        # an unseparated row has a measured gap; a nan one exits 3. An
+        # infeasible intertwiner exits 4 with no table.
+        for row in table_rows(out.getvalue()):
+            assert not math.isnan(float(row.get("cluster_gap", 0.0))), argv
 
 
 # six drawn values a run: rarer invalid ones leave most runs valid
