@@ -32,7 +32,6 @@ from .spectra import (
     exact_bands,
     fiber_eigenvalues,
     hausdorff,
-    sample_values,
     spectrum_union,
     tknn_cherns,
 )

@@ -139,18 +139,13 @@ def level_form_factor(kx: float, ky: float, b: float, n_levels: int) -> np.ndarr
     pref = math.exp(-x / 2.0)
     g = np.zeros((n_levels, n_levels), dtype=complex)
     for n_hi in range(n_levels):
-        for n_lo in range(n_levels):
+        for n_lo in range(n_hi + 1):
             d = n_hi - n_lo
-            if d >= 0:
-                amp = math.exp(
-                    0.5 * (math.lgamma(n_lo + 1) - math.lgamma(n_hi + 1))
-                ) * _genlaguerre(n_lo, d, x)
-                g[n_hi, n_lo] = pref * amp * np.conj(kappa) ** d
-            else:
-                amp = math.exp(
-                    0.5 * (math.lgamma(n_hi + 1) - math.lgamma(n_lo + 1))
-                ) * _genlaguerre(n_hi, -d, x)
-                g[n_hi, n_lo] = pref * amp * (-kappa) ** (-d)
+            amp = math.exp(
+                0.5 * (math.lgamma(n_lo + 1) - math.lgamma(n_hi + 1))
+            ) * _genlaguerre(n_lo, d, x)
+            g[n_lo, n_hi] = pref * amp * (-kappa) ** d
+            g[n_hi, n_lo] = pref * amp * np.conj(kappa) ** d
     return g
 
 

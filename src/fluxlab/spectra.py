@@ -137,8 +137,8 @@ def exact_bands(flux: RationalFlux) -> np.ndarray:
     (W. G. Chambers, Phys. Rev. 140, A135 (1965)), the spectrum of the
     hofstadter_family fiber depends on k only through cos(q k1) + cos(q k2),
     so band j runs between eigenvalue j at k = (0, 0) and at (pi/q, pi/q).
-    For even q the two central rows touch at 0; hausdorff and
-    distance_to_intervals merge them.
+    For even q the two central rows touch at 0; band_intervals merges them
+    at any tolerance, as hausdorff and distance_to_intervals do.
     """
     return _solve_with_corners(flux.q, [flux.p])[1][0]
 
@@ -211,55 +211,44 @@ def band_quantiles(q: int, numerators, n: int, quantiles):
     return vals[:, 0], vals[:, -1], quants, solved, bands
 
 
-def sample_values(values) -> np.ndarray:
-    """The values as a sorted 1-D float array; raises on an empty one."""
-    vals = np.sort(np.asarray(values, dtype=float).ravel())
+def _sorted_sample(values) -> np.ndarray:
+    """The values as a sorted 1-D float array, sorted only if they do not
+    ascend already (a NaN fails that check); raises on an empty one."""
+    vals = np.asarray(values, dtype=float).ravel()
     if vals.size == 0:
         raise ValueError("empty spectrum sample")
+    if not np.all(vals[1:] >= vals[:-1]):
+        vals = np.sort(vals)
     return vals
 
 
-def band_intervals(bands, gap_tol: float) -> np.ndarray:
-    """Merge the adjacent rows of an ascending (n, 2) band set, or of a
-    sample's sorted values as zero-width rows, whose gap lo[i+1] - hi[i] is
-    at most gap_tol. Only a gap above gap_tol splits: a NaN gap merges."""
-    arr = np.asarray(bands, dtype=float)
-    if arr.ndim == 2 and arr.shape[1] == 2 and arr.size:
-        los, his = arr[:, 0], arr[:, 1]
-    else:
-        los = his = sample_values(arr)
+def _union(obj, gap_tol: float):
+    """(lo, hi) of the disjoint ascending union of (n, 2) rows in any order
+    or of a flat sample's values as points, merged across gaps <= gap_tol.
+
+    The running max of hi skips a NaN edge (fmax), so a NaN merges only its
+    own gap; the hi of its group is NaN.
+    """
     if gap_tol < 0:
         raise ValueError("gap_tol must be >= 0")
-    breaks = np.flatnonzero(los[1:] - his[:-1] > gap_tol)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [los.size - 1]))
-    return np.column_stack((los[starts], his[ends]))
-
-
-def _interval_arrays(obj):
-    """Canonical (lo, hi) arrays of a disjoint ascending interval union.
-
-    Accepts an (n, 2) array of intervals or a flat array of values
-    (degenerate intervals). Overlapping or duplicate inputs are merged so
-    downstream gap logic can rely on strict ordering. A flat array that is
-    already non-decreasing, such as a spectrum_union sample, is not sorted
-    again.
-    """
     arr = np.asarray(obj, dtype=float)
-    if arr.ndim == 2 and arr.shape[1] == 2:
-        order = np.argsort(arr[:, 0], kind="stable")
-        los, his = arr[order, 0], np.maximum(arr[order, 0], arr[order, 1])
+    if arr.ndim == 2 and arr.shape[1] == 2 and arr.size:
+        if not np.all(arr[1:, 0] >= arr[:-1, 0]):
+            arr = arr[np.argsort(arr[:, 0], kind="stable")]
+        los, his = arr[:, 0], np.maximum(arr[:, 0], arr[:, 1])
     else:
-        los = his = arr.ravel()
-        if not np.all(los[1:] >= los[:-1]):  # NaN compares false: sorted
-            los = his = np.sort(los)
-    if los.size == 0:
-        raise ValueError("empty interval set")
-    run = np.maximum.accumulate(his)
-    keep = np.flatnonzero(los[1:] > run[:-1])
-    starts = np.concatenate(([0], keep + 1))
-    ends = np.concatenate((keep, [los.size - 1]))
-    return los[starts], run[ends]
+        los = his = _sorted_sample(arr)
+    gaps = los[1:] - np.fmax.accumulate(his)[:-1]
+    starts = np.concatenate(([0], np.flatnonzero(gaps > gap_tol) + 1))
+    return los[starts], np.maximum.reduceat(his, starts)
+
+
+def band_intervals(bands, gap_tol: float) -> np.ndarray:
+    """The disjoint ascending (lo, hi) rows of an interval union in any form
+    hausdorff takes (rows in any order, or a sample's values as zero-width
+    rows); only a gap above gap_tol splits. A NaN edge merges its own gap
+    and makes its row's hi NaN; the later gaps stay."""
+    return np.column_stack(_union(bands, gap_tol))
 
 
 def _union_distance(points, los, his):
@@ -277,10 +266,10 @@ def _union_distance(points, los, his):
 def distance_to_intervals(points, intervals) -> np.ndarray:
     """Distance from each point to a finite union of closed intervals.
 
-    intervals takes any form hausdorff accepts; points inside the union
+    intervals takes any form band_intervals takes; points inside the union
     are at distance 0.
     """
-    los, his = _interval_arrays(intervals)
+    los, his = _union(intervals, 0.0)
     return _union_distance(np.asarray(points, dtype=float), los, his)
 
 
@@ -290,11 +279,12 @@ def hausdorff(a, b) -> float:
     The directed distance sup_{x in A} dist(x, B) is attained either at an
     endpoint of A or at the midpoint of a gap of B covered by A, so checking
     those finitely many candidates is exact. Everything runs on sorted
-    arrays, so million-point eigenvalue samples are fine as inputs. The
-    result is NaN when either directed distance is.
+    arrays (a sorted sample is not sorted again), so million-point
+    eigenvalue samples are fine as inputs; a and b merge as in
+    band_intervals(., 0). The result is NaN when either directed distance is.
     """
-    alos, ahis = _interval_arrays(a)
-    blos, bhis = _interval_arrays(b)
+    alos, ahis = _union(a, 0.0)
+    blos, bhis = _union(b, 0.0)
 
     def directed(flos, fhis, tlos, this):
         mids = 0.5 * (this[:-1] + tlos[1:])
@@ -317,7 +307,7 @@ def dos(sample, width: float, bins: int, bounds) -> tuple[np.ndarray, np.ndarray
     the bin (difference of error functions), not a midpoint evaluation. The
     masses are normalized over the range, so sum(density) * bin width is 1.
     """
-    vals = sample_values(sample)
+    vals = _sorted_sample(sample)
     if width <= 0:
         raise ValueError("width must be > 0")
     if bins < 1:

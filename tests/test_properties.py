@@ -1,9 +1,9 @@
-"""Property tests: Hausdorff metric axioms, Chambers invariance and
-monotonicity, Chern numbers against the TKNN Diophantine rule, the
-guiding-centre coset split of the continuum operator and its exactly real
-blocks for potentials even in x, the Laguerre recurrence and the windowed
-erf of the DOS against scipy, and the exit-code contract of the continuum,
-lattice and disorder commands.
+"""Property tests: Hausdorff metric axioms, the interval normal form of
+rows in any order, Chambers invariance and monotonicity, Chern numbers
+against the TKNN Diophantine rule, the guiding-centre coset split of the
+continuum operator and its exactly real blocks for potentials even in x,
+the Laguerre recurrence and the windowed erf of the DOS against scipy, and
+the exit-code contract of the continuum, lattice and disorder commands.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same cases. Hypothesis also caches the literals it scans from the
@@ -28,6 +28,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from fluxlab import (
     FourierPotential,
     RationalFlux,
+    band_intervals,
     chern_numbers,
     coset_blocks,
     coset_count,
@@ -87,6 +88,32 @@ def test_hausdorff_metric_axioms(a, b, c):
     assert hausdorff(a, a) == 0.0
     assert dab <= hausdorff(a, c) + hausdorff(c, b) + 1e-12
     assert {hausdorff(fa, fb) for fa in forms(a) for fb in forms(b)} == {dab}
+
+
+@st.composite
+def shuffled_unions(draw):
+    """A drawn interval union, and the same union as its rows in any order
+    with nested rows added inside some of them."""
+    iv = draw(interval_unions())
+    picks = draw(st.lists(st.integers(0, len(iv) - 1), max_size=6))
+    t = draw(
+        st.lists(st.floats(0.0, 1.0), min_size=2 * len(picks), max_size=2 * len(picks))
+    )
+    lo, hi = iv[picks, 0][:, None], iv[picks, 1][:, None]
+    t = np.sort(np.reshape(t, (-1, 2)), axis=1)
+    rows = np.concatenate((iv, np.clip(lo + t * (hi - lo), lo, hi)))
+    return iv, rows[draw(st.permutations(range(len(rows))))]
+
+
+@fixed
+@given(shuffled_unions())
+def test_band_intervals_normalizes_rows_in_any_order(drawn):
+    iv, rows = drawn
+    merged = band_intervals(rows, 0.0)
+    assert np.all(merged[:, 0] <= merged[:, 1])
+    assert np.all(merged[1:, 0] > merged[:-1, 1])
+    assert np.array_equal(merged, iv)
+    assert hausdorff(rows, merged) == 0.0
 
 
 @st.composite

@@ -116,13 +116,19 @@ def test_band_intervals_merges_a_band_set():
     sample = np.array([5.0, 0.0, 1.0])
     points = np.column_stack((np.sort(sample), np.sort(sample)))
     assert np.array_equal(band_intervals(sample, 1.0), band_intervals(points, 1.0))
+    # rows in any order, nested ones too, as hausdorff takes them
+    assert np.array_equal(band_intervals([[0.0, 10.0], [1.0, 2.0]], 0), [[0.0, 10.0]])
+    assert np.array_equal(
+        band_intervals([[2.0, 3.0], [0.0, 1.0]], 0), [[0.0, 1.0], [2.0, 3.0]]
+    )
 
 
 def test_band_intervals_keeps_the_gaps_after_a_nan_edge():
     # a running max of the upper edges would be NaN from the first row on
-    # and merge every later row
+    # and merge every later row; the NaN edge itself is not hidden
     bands = band_intervals(np.array([[0.0, np.nan], [1.0, 2.0], [5.0, 6.0]]), 0.5)
     assert len(bands) == 2
+    assert np.isnan(bands[0, 1])
     assert np.array_equal(bands[1], [5.0, 6.0])
 
 
@@ -175,6 +181,9 @@ def test_hausdorff_does_not_sort_a_sorted_sample(monkeypatch):
     # the unsorted sample is sorted first and gives the same bits
     assert hausdorff(sort(a), b) == hausdorff(a, b)
     assert hausdorff(b, sort(a)) == hausdorff(b, a)
+    assert np.array_equal(band_intervals(sort(a), 0.1), band_intervals(a, 0.1))
+    for got, want in zip(dos(sort(a), 0.2, 50, (-4, 4)), dos(a, 0.2, 50, (-4, 4))):
+        assert np.array_equal(got, want)
 
 
 def random_interval_union(rng):
