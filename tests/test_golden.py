@@ -6,13 +6,19 @@ products of unitary phases, so a refactor may move their values at roundoff;
 those are compared number by number at 1e-10 absolute + 1e-10 relative, with
 all text between the numbers still required to match exactly.
 
+Each case also stores its `.meta.json` sidecar, less the keys that vary from
+run to run (VOLATILE). Its config, row count, verdicts and every gate's name,
+limit and pass flag must match exactly; gate values follow the table's rule,
+except `defect_zero`, which is roundoff itself and is held only to its gate.
+
 The stored tables and the library versions that produced them live in
 tests/golden/. To regenerate them after an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
 
-This rewrites only the tables that fail the test's own comparison (and then
-environment.json), so tables the change does not move keep their bytes.
+This rewrites only the tables and sidecars that fail the test's own
+comparison (and, after a table, environment.json), so the files the change
+does not move keep their bytes.
 
 The golden runs are too small to reach LAPACK's blocked, threaded paths, so
 they cannot see the BLAS thread count. A second test reruns three larger
@@ -35,6 +41,8 @@ from fluxlab.cli import main
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 ATOL = 1e-10
 RTOL = 1e-10
+# sidecar keys that change from run to run, left out of the stored sidecars
+VOLATILE = ("wall_time_s",)
 
 # name -> (argv, compared byte for byte)
 CASES = {
@@ -99,11 +107,25 @@ def _split_numbers(text):
 
 
 def _run(name, directory):
+    """(table bytes, sidecar less its VOLATILE keys) of one run of the case."""
     argv, _ = CASES[name]
     path = os.path.join(directory, f"{name}.csv")
     assert main(argv + ["--out", path]) == 0
     with open(path, "rb") as fh:
-        return fh.read()
+        table = fh.read()
+    with open(_sidecar_path(path), encoding="utf-8") as fh:
+        sidecar = json.load(fh)
+    for key in VOLATILE:
+        del sidecar[key]
+    return table, sidecar
+
+
+def _sidecar_path(table_path):
+    return os.path.splitext(table_path)[0] + ".meta.json"
+
+
+def _close(a, b):
+    return abs(a - b) <= ATOL + RTOL * abs(b)
 
 
 def _numeric_mismatch(got, expected):
@@ -114,7 +136,7 @@ def _numeric_mismatch(got, expected):
     if got_text != want_text or len(got_numbers) != len(want_numbers):
         return "text between the numbers differs"
     for a, b in zip(got_numbers, want_numbers):
-        if not abs(a - b) <= ATOL + RTOL * abs(b):
+        if not _close(a, b):
             return f"{a!r} differs from {b!r}"
     return None
 
@@ -127,14 +149,82 @@ def _mismatch(name, got, expected):
     return _numeric_mismatch(got.decode(), expected.decode())
 
 
+def _exact(value):
+    return json.dumps(value, sort_keys=True)
+
+
+def _gate_value_mismatch(name, got, expected):
+    """Why the gate value in `got` differs from the stored one, or None."""
+    a, b = got["value"], expected["value"]
+    if got["name"] == "defect_zero":
+        return None if a <= got["limit"] else f"{a!r} is above its limit"
+    if CASES[name][1] or isinstance(a, str) or isinstance(b, str):
+        # bytes, and the text of a non-finite value
+        return None if _exact(a) == _exact(b) else f"{a!r} differs from {b!r}"
+    return None if _close(a, b) else f"{a!r} differs from {b!r}"
+
+
+def _sidecar_mismatch(name, got, expected):
+    """Why the sidecar `got` fails the comparison with the stored `expected`,
+    or None when it passes."""
+
+    def fixed(sidecar):
+        rest = {key: value for key, value in sidecar.items() if key != "gates"}
+        gates = [[g["name"], g["limit"], g["passed"]] for g in sidecar["gates"]]
+        return _exact([rest, gates])
+
+    if fixed(got) != fixed(expected):
+        return "config, rows, verdict or gate names, limits and flags differ"
+    for a, b in zip(got["gates"], expected["gates"]):
+        why = _gate_value_mismatch(name, a, b)
+        if why:
+            return f"gate {a['name']}: {why}"
+    return None
+
+
 def _stored(name):
     with open(os.path.join(GOLDEN, f"{name}.csv"), "rb") as fh:
         return fh.read()
 
 
+def _stored_sidecar(name):
+    with open(_sidecar_path(os.path.join(GOLDEN, f"{name}.csv")), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_table(name, tmp_path):
-    assert _mismatch(name, _run(name, str(tmp_path)), _stored(name)) is None
+    table, sidecar = _run(name, str(tmp_path))
+    assert _mismatch(name, table, _stored(name)) is None
+    assert _sidecar_mismatch(name, sidecar, _stored_sidecar(name)) is None
+
+
+def test_sidecar_comparison_catches_moved_gates():
+    # a gate value moved beyond the table's rule, a changed limit or flag,
+    # and a changed row count each fail; defect_zero moves freely under its
+    # gate, and the volatile wall time is not stored
+    stored = _stored_sidecar("dynamics-defect")
+    assert "wall_time_s" not in stored
+    assert _sidecar_mismatch("dynamics-defect", stored, stored) is None
+
+    def moved(change):
+        sidecar = json.loads(json.dumps(stored))
+        change(sidecar)
+        return _sidecar_mismatch("dynamics-defect", sidecar, stored)
+
+    def gate(sidecar, name):
+        return next(g for g in sidecar["gates"] if g["name"] == name)
+
+    assert moved(lambda s: gate(s, "max_defect").update(value=0.0733)) is not None
+    assert moved(lambda s: gate(s, "max_defect").update(limit=3.0)) is not None
+    assert moved(lambda s: gate(s, "max_defect").update(passed=False)) is not None
+    assert moved(lambda s: s.update(rows=4)) is not None
+    assert moved(lambda s: gate(s, "defect_zero").update(value=5e-11)) is None
+    assert moved(lambda s: gate(s, "defect_zero").update(value=2e-10)) is not None
+    butterfly = _stored_sidecar("butterfly")
+    nudged = json.loads(json.dumps(butterfly))
+    nudged["gates"][0]["value"] *= 1.0 + 1e-15
+    assert _sidecar_mismatch("butterfly", nudged, butterfly) is not None
 
 
 THREAD_CASES = [
@@ -183,21 +273,28 @@ def _environment():
 
 
 def write_golden():
-    """Rewrite the tables that fail test_golden_table, and then the
-    environment record; a missing table counts as failing."""
+    """Rewrite the tables and sidecars that fail test_golden_table, and after
+    a table the environment record; a missing file counts as failing."""
     os.makedirs(GOLDEN, exist_ok=True)
     rewritten = []
     with tempfile.TemporaryDirectory() as scratch:
         for name in sorted(CASES):
-            got = _run(name, scratch)
+            table, sidecar = _run(name, scratch)
             path = os.path.join(GOLDEN, f"{name}.csv")
-            if os.path.exists(path) and _mismatch(name, got, _stored(name)) is None:
-                continue
-            with open(path, "wb") as fh:
-                fh.write(got)
-            rewritten.append(name)
+            if not os.path.exists(path) or _mismatch(name, table, _stored(name)):
+                with open(path, "wb") as fh:
+                    fh.write(table)
+                rewritten.append(name)
+            meta = _sidecar_path(path)
+            if not os.path.exists(meta) or _sidecar_mismatch(
+                name, sidecar, _stored_sidecar(name)
+            ):
+                with open(meta, "w", encoding="utf-8") as fh:
+                    json.dump(sidecar, fh, sort_keys=True, indent=2)
+                    fh.write("\n")
+                rewritten.append(os.path.basename(meta))
     print("rewrote:", ", ".join(rewritten) or "nothing")
-    if not rewritten:
+    if not any(name in CASES for name in rewritten):
         return
     with open(os.path.join(GOLDEN, "environment.json"), "w", encoding="utf-8") as fh:
         json.dump(_environment(), fh, sort_keys=True, indent=2)
