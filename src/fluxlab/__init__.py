@@ -36,14 +36,20 @@ from .spectra import (
     tknn_cherns,
 )
 from .continuum import (
+    C2_DEVIATION_ULPS,
     FourierPotential,
     LandauBasisSpec,
+    Sector,
     StrongFieldRow,
     coset_blocks,
     coset_count,
     coset_eigh,
+    inversion_even,
     level_form_factor,
     next_level_coupling,
+    rank_runs,
+    sector_blocks,
+    sector_plan,
     separated_cluster,
     strong_field_report,
     torus_basis,

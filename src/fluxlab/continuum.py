@@ -15,6 +15,7 @@ magnetic translations.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -257,11 +258,232 @@ def _complex_blocks(basis: LandauBasisSpec, potential: FourierPotential) -> np.n
     return blocks
 
 
+# Bound on the inversion fold's deviation max |S H S^T - H|, in units of
+# eps * max |H| of the coset block. With the default cosine potential the
+# Weyl phases leave 0.6 to 1.6 of them (B = 1 to 320). A phase's rounding
+# grows with its angle, up to 2 pi n_cells for a cosine harmonic, so at large
+# amplitudes the deviation reaches about 6.4 n_cells units: 1024 covers tori
+# of up to about 150 cells.
+C2_DEVIATION_ULPS = 1024
+
+
+def inversion_even(potential: FourierPotential) -> bool:
+    """True when V(-r) = V(r): c(-n, -m) == c(n, m) bit for bit for every
+    harmonic, repeated (n, m) summed in order. The inversion split is decided
+    from the harmonics alone, never inferred from the matrix."""
+    table = {}
+    for n, m, c in potential.harmonics:
+        table[(n, m)] = table.get((n, m), 0.0) + c
+    return all(table.get((-n, -m)) == c for (n, m), c in table.items())
+
+
+def _level_parity(n_levels: int) -> np.ndarray:
+    """(-1)^n for each Landau level n: the inversion r -> -r acts on a
+    level's cyclotron part by that sign."""
+    return 1.0 - 2.0 * (np.arange(n_levels) % 2)
+
+
+def _max_abs(x: np.ndarray) -> float:
+    """max |x|, 0.0 when x is empty and NaN when x holds a NaN."""
+    if not x.size:
+        return 0.0
+    if np.iscomplexobj(x):
+        return float(np.max(np.abs(x)))
+    return float(max(np.max(x), -np.min(x)))
+
+
+@dataclass(frozen=True)
+class Sector:
+    """One diagonal block of the continuum operator.
+
+    The guiding-centre cosets split the operator (coset_blocks). For an
+    inversion_even potential, the inversion S = diag((-1)^n) (x) (j -> -j mod
+    n_flux) also commutes with H, with the lowest-level projector Q and with
+    H_eff. S maps coset c to coset -c mod g. A coset it maps to another one
+    stays whole (parity 0). A coset it maps to itself, c = 0 or c = g/2, splits
+    into its S = +1 and S = -1 halves (parity 1 and -1).
+
+    Within such a coset S sends guiding row t to (-t - 2c/g) mod per_level.
+    The rows it fixes (`fixed`) are S eigenvectors of sign (-1)^n at level n.
+    Each other row t in `lo` pairs with its image in `up` to give
+    (e_t + parity (-1)^n e_image) / sqrt 2. The sector's basis is level-major,
+    each level's fixed rows before its pairs, so Q restricted to the sector
+    is its leading `rank` rows.
+    """
+
+    coset: int
+    parity: int
+    n_levels: int
+    per_level: int
+    fixed: tuple = ()
+
+    @property
+    def _pairs(self) -> int:
+        return (self.per_level - len(self.fixed)) // 2
+
+    @property
+    def lo(self) -> slice:
+        start = 1 if self.coset == 0 else 0  # coset 0 fixes row 0
+        return slice(start, start + self._pairs)
+
+    @property
+    def up(self) -> slice:
+        return slice(self.per_level - 1, self.per_level - 1 - self._pairs, -1)
+
+    def _keeps_fixed(self) -> np.ndarray:
+        """Whether each level's fixed rows belong to this half."""
+        return self.parity * _level_parity(self.n_levels) > 0
+
+    @property
+    def dim(self) -> int:
+        if not self.parity:
+            return self.n_levels * self.per_level
+        kept = int(np.count_nonzero(self._keeps_fixed()))
+        return self.n_levels * self._pairs + kept * len(self.fixed)
+
+    @property
+    def rank(self) -> int:
+        """The sector's lowest-level dimension."""
+        if not self.parity:
+            return self.per_level
+        return self._pairs + len(self.fixed) * (self.parity > 0)
+
+    def fold(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
+        """U^T x along `axis`, where U's orthonormal real columns are the
+        sector's basis in its coset's level-major coordinates. A packet folds
+        along its one axis, and fold(fold(block, 1), 0) is the sector's block
+        of a coset block."""
+        if not self.parity:
+            return x
+        axis %= x.ndim
+        y = x.reshape(x.shape[:axis] + (self.n_levels, self.per_level)
+                      + x.shape[axis + 1:])
+        at = (slice(None),) * axis
+
+        def rows(index):
+            return y[at + (slice(None), index)]
+
+        sign = self.parity * _level_parity(self.n_levels)
+        pairs = rows(self.up) * sign.reshape((-1,) + (1,) * (x.ndim - axis))
+        pairs += rows(self.lo)
+        pairs *= math.sqrt(0.5)
+        fixed = rows(np.array(self.fixed, dtype=int))
+        pieces = []
+        for n, keep in enumerate(self._keeps_fixed()):
+            if keep:
+                pieces.append(fixed[at + (n,)])
+            pieces.append(pairs[at + (n,)])
+        return np.concatenate(pieces, axis=axis)
+
+    def deviation(self, block: np.ndarray) -> float:
+        """max |S H S^T - H| over a coset block, entry by entry: each part of
+        the block whose rows are the fixed rows or `lo`, against its image
+        under S, from the fixed rows and the `lo` <-> `up` pairs."""
+        h = block.reshape(self.n_levels, self.per_level, self.n_levels,
+                          self.per_level)
+        sign = _level_parity(self.n_levels)
+        flip = (sign[:, None] * sign)[:, None, :, None]
+        fixed = np.array(self.fixed, dtype=int)
+        rows = ((self.lo, self.up), (fixed, fixed))
+        cols = rows + ((self.up, self.lo),)
+        return max(
+            _max_abs(flip * h[:, ri][..., ci] - h[:, r][..., c])
+            for r, ri in rows for c, ci in cols
+        )
+
+    def describe(self) -> str:
+        half = {0: "whole", 1: "S = +1", -1: "S = -1"}[self.parity]
+        return f"coset {self.coset}, {half}"
+
+
+def sector_plan(basis: LandauBasisSpec, potential: FourierPotential) -> list:
+    """The Sector list of the operator on basis, from the config alone: each
+    coset c < coset_count(basis, potential), split into its two halves when
+    the potential is inversion_even and 2c = 0 mod g, else whole. Empty
+    halves are left out.
+
+    A fold entry sums four entries of H, each at most the top level energy
+    plus sum |c| in magnitude. An operator whose fold could overflow is
+    left whole, so that its solve still reports its non-finite eigenvalues.
+    """
+    g = coset_count(basis, potential)
+    per_level = basis.n_flux // g
+    largest = basis.level_energies()[-1] + sum(abs(c) for *_, c in potential.harmonics)
+    even = inversion_even(potential) and 4.0 * largest < np.finfo(float).max
+    sectors = []
+    for c in range(g):
+        if not even or 2 * c % g:
+            sectors.append(Sector(c, 0, basis.n_levels, per_level))
+            continue
+        t = np.arange(per_level)
+        fixed = tuple(t[(2 * t + 2 * c // g) % per_level == 0].tolist())
+        halves = (Sector(c, p, basis.n_levels, per_level, fixed) for p in (1, -1))
+        sectors += [half for half in halves if half.dim]
+    return sectors
+
+
+def _checked_deviation(basis: LandauBasisSpec, sector: Sector, block) -> float:
+    """sector.deviation(block), raising NumericalCheckError unless it is
+    within C2_DEVIATION_ULPS * eps * max |block| (a NaN or inf fails)."""
+    dev = sector.deviation(block)
+    bound = C2_DEVIATION_ULPS * np.finfo(float).eps * _max_abs(block)
+    if not dev <= bound < math.inf:
+        raise NumericalCheckError(
+            f"operator at B = {basis.field:.12g} breaks its inversion symmetry "
+            f"in coset {sector.coset}: C2 deviation max |S H S^T - H| = "
+            f"{dev:.3e} > {C2_DEVIATION_ULPS} eps max |H| = {bound:.3e}"
+        )
+    return dev
+
+
+def sector_blocks(basis: LandauBasisSpec, potential: FourierPotential):
+    """(stacks, deviation): the continuum operator as its sector blocks, in
+    the dtype of coset_blocks(basis, potential).
+
+    stacks holds one (sectors, blocks) pair per block size, in order of first
+    appearance in sector_plan: blocks has shape (len(sectors), dim, dim), and
+    sectors of equal rank are adjacent, ranks decreasing (rank_runs). Each
+    half is the fold of its coset block, so the solve sees the part of H that
+    commutes with S. Before any fold, every split coset's deviation from
+    that part is checked (_checked_deviation); deviation is the largest of
+    them, 0.0 when no coset splits. The coset blocks are released on return.
+    """
+    sectors = sector_plan(basis, potential)
+    blocks = coset_blocks(basis, potential)
+    if not any(s.parity for s in sectors):
+        return [(tuple(sectors), blocks)], 0.0
+    sizes = {}
+    for s in sectors:
+        sizes.setdefault(s.dim, []).append(s)
+    stacks, slots = [], {}
+    for dim, group in sizes.items():
+        group.sort(key=lambda s: -s.rank)
+        stack = np.empty((len(group), dim, dim), dtype=blocks.dtype)
+        slots.update(((s.coset, s.parity), block) for s, block in zip(group, stack))
+        stacks.append((tuple(group), stack))
+    split = {s.coset: s for s in sectors if s.parity}
+    deviation = max(_checked_deviation(basis, s, blocks[c]) for c, s in split.items())
+    for s in sectors:
+        slots[s.coset, s.parity][...] = s.fold(s.fold(blocks[s.coset], 1), 0)
+    return stacks, deviation
+
+
+def rank_runs(sectors) -> list:
+    """(start, stop, rank) of each run of sectors of equal rank."""
+    runs, start = [], 0
+    for rank, run in itertools.groupby(s.rank for s in sectors):
+        stop = start + sum(1 for _ in run)
+        runs.append((start, stop, rank))
+        start = stop
+    return runs
+
+
 def coset_eigh(basis: LandauBasisSpec, potential: FourierPotential) -> np.ndarray:
     """Sorted eigenvalues of the continuum operator, from one batched solve
-    of its coset_blocks(basis, potential), which all have the same size and
-    are real when they are exactly real."""
-    return np.sort(np.linalg.eigvalsh(coset_blocks(basis, potential)), axis=None)
+    per block size of its sector_blocks(basis, potential), real when they are
+    exactly real."""
+    stacks, _ = sector_blocks(basis, potential)
+    return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for _, b in stacks]))
 
 
 SEPARATION_TOL = 1e-6
@@ -307,9 +529,8 @@ def strong_field_report(
     Each requested B is snapped to the nearest feasible value on the fixed
     n_cells x n_cells torus (the row records both). In the level-major basis
     the lowest-level compression P H P is the same operator on one level,
-    whose coset blocks are the leading n_flux/g rows and columns of the full
-    blocks, bit for bit, so one coset_blocks build per field serves both
-    solves. The distance column is the Hausdorff distance between the lowest
+    whose sector blocks are the leading rank x rank corners of the full
+    ones, so one sector_blocks build per field serves both solves. The distance column is the Hausdorff distance between the lowest
     n_flux eigenvalues and the spectrum of that one-level operator; rows
     whose lowest cluster is not separated (separated_cluster) are flagged
     rather than failed.
@@ -325,13 +546,17 @@ def strong_field_report(
 def _strong_field_row(b_req, basis, potential) -> StrongFieldRow:
     """strong_field_report's row for one field; the field's blocks are
     released on return, before the next field is built."""
-    blocks = coset_blocks(basis, potential)
-    w, gap, separated = separated_cluster(np.linalg.eigvalsh(blocks), basis)
+    stacks, _ = sector_blocks(basis, potential)
+    w, gap, separated = separated_cluster(
+        np.concatenate([np.linalg.eigvalsh(b).ravel() for _, b in stacks]), basis
+    )
     distance = float("nan")
     if separated:
-        per_level = basis.n_flux // len(blocks)
-        one_level = np.linalg.eigvalsh(blocks[:, :per_level, :per_level])
-        distance = hausdorff(w[: basis.n_flux], np.sort(one_level, axis=None))
+        one_level = [
+            np.linalg.eigvalsh(blocks[i:j, :r, :r]).ravel()
+            for sectors, blocks in stacks for i, j, r in rank_runs(sectors) if r
+        ]
+        distance = hausdorff(w[: basis.n_flux], np.sort(np.concatenate(one_level)))
     return StrongFieldRow(
         field_requested=b_req,
         field=basis.field,

@@ -9,19 +9,19 @@ When H_eff is the exact compression of H_full the defect vanishes to
 roundoff, so any nonzero reading measures the effective model, not the
 plumbing.
 
-The magnetic translations split the operator into g guiding-centre sectors
-(continuum.coset_blocks), and P, Q and H_eff all commute with that split, so
-everything is computed sector by sector: P restricted to sector s is the
-orthonormal frame V_s of its block's lowest n_flux/g eigenvectors, Q
-restricted to it is the block's first n_flux/g rows (the lowest level), W
-restricted to ran P is the stack of the n_flux/g x n_flux/g polar factors of
-the overlaps V_s[:n_flux/g], and both evolutions run in those coordinates.
-No d x n_flux frame is formed. H_eff, the lowest-level compression P H P, is
-the same operator on one level, whose coset blocks are the leading
-n_flux/g rows and columns of the full blocks. For a potential even in x
-those blocks are exactly real, so the frames, the polar factors and the
-projector distance are computed in real arithmetic; only the wave packet and
-its evolution are complex.
+The magnetic translations and, for an even potential, the inversion split
+the operator into sectors (continuum.sector_blocks), and P, Q and H_eff all
+commute with that split, so everything is computed sector by sector: P
+restricted to sector s is the orthonormal frame V_s of its block's lowest
+rank_s eigenvectors, Q restricted to it is the block's first rank_s rows
+(the lowest level), W restricted to ran P is the stack of the rank_s x
+rank_s polar factors of the overlaps V_s[:rank_s], and both evolutions run
+in those coordinates. No d x n_flux frame is formed. H_eff, the lowest-level
+compression P H P, is the same operator on one level, whose sector blocks
+are the leading rank_s x rank_s corners of the full ones. For a potential
+even in x those blocks are exactly real, so the frames, the polar factors
+and the projector distance are computed in real arithmetic; only the wave
+packet and its evolution are complex.
 """
 
 from __future__ import annotations
@@ -31,7 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuum import FourierPotential, coset_blocks, separated_cluster, torus_basis
+from .continuum import (
+    FourierPotential,
+    coset_count,
+    rank_runs,
+    sector_blocks,
+    separated_cluster,
+    torus_basis,
+)
 from .disorder import hashed_normal
 from .errors import ConfigError, InfeasibleModelError, NumericalCheckError
 
@@ -87,12 +94,12 @@ def nagy_intertwiner(overlap: np.ndarray) -> np.ndarray:
 
 
 def defect_curve(
-    energies: np.ndarray,
-    frame: np.ndarray,
-    u: np.ndarray,
-    w_eff: np.ndarray,
-    v_eff: np.ndarray,
-    psi: np.ndarray,
+    energies,
+    frame,
+    u,
+    w_eff,
+    v_eff,
+    psi,
     times,
 ) -> np.ndarray:
     """Propagation defect d(t) on a grid of times, in rank-r coordinates.
@@ -107,31 +114,42 @@ def defect_curve(
 
     Every operand may carry the same leading sector axes, one entry per
     sector that H, H_eff, P and Q all commute with: frame (..., d_s, r_s),
-    psi (..., d_s) in the sectors' coordinates, and so on. c is then
-    normalized over all sectors together, and d(t) is the norm over all of
-    them, sqrt(sum_s d_s(t)^2).
+    psi (..., d_s) in the sectors' coordinates, and so on. Sectors of
+    different shapes come as tuples, one entry per shape in every operand.
+    c is then normalized over all sectors together, and d(t) is the norm
+    over all of them, sqrt(sum_s d_s(t)^2).
     """
-    lead, (dim, r) = frame.shape[:-2], frame.shape[-2:]
-    if (
-        psi.shape != lead + (dim,)
-        or energies.shape != lead + (r,)
-        or u.shape != lead + (r, r)
-        or w_eff.shape != lead + (r,)
-        or v_eff.shape != lead + (r, r)
+    operands = [
+        op if isinstance(op, tuple) else (op,)
+        for op in (energies, frame, u, w_eff, v_eff, psi)
+    ]
+    groups = list(zip(*operands))
+    if len(groups) != max(len(op) for op in operands) or any(
+        f.shape[:-2] + (f.shape[-2],) != p.shape
+        or e.shape != f.shape[:-2] + (f.shape[-1],)
+        or uu.shape != f.shape[:-2] + (f.shape[-1],) * 2
+        or we.shape != e.shape
+        or ve.shape != uu.shape
+        for e, f, uu, we, ve, p in groups
     ):
         raise ConfigError("dimension mismatch between operators, projector, state")
-    start = (frame.conj().swapaxes(-1, -2) @ psi[..., None])[..., 0]
-    norm = float(np.linalg.norm(start))
+    starts = [(f.conj().swapaxes(-1, -2) @ p[..., None])[..., 0]
+              for _, f, _, _, _, p in groups]
+    norm = float(np.linalg.norm(np.concatenate([c.ravel() for c in starts])))
     if norm < 1e-12:
         raise ConfigError("projected initial state vanishes")
-    start = start / norm
 
-    moved = (v_eff.conj().swapaxes(-1, -2) @ (u @ start[..., None]))[..., 0]
-    back = u.conj().swapaxes(-1, -2) @ v_eff
-    t = np.asarray(times, dtype=float).reshape((-1,) + (1,) * (len(lead) + 1))
-    full = np.exp(-1j * t * energies) * start
-    eff = (np.exp(-1j * t * w_eff) * moved)[..., None, :] @ back.swapaxes(-1, -2)
-    return np.linalg.norm((full - eff[..., 0, :]).reshape(len(t), -1), axis=1)
+    t = np.asarray(times, dtype=float)
+    misses = []
+    for (e, f, uu, we, ve, _), start in zip(groups, starts):
+        start = start / norm
+        moved = (ve.conj().swapaxes(-1, -2) @ (uu @ start[..., None]))[..., 0]
+        back = uu.conj().swapaxes(-1, -2) @ ve
+        tt = t.reshape((-1,) + (1,) * (f.ndim - 1))
+        full = np.exp(-1j * tt * e) * start
+        eff = (np.exp(-1j * tt * we) * moved)[..., None, :] @ back.swapaxes(-1, -2)
+        misses.append((full - eff[..., 0, :]).reshape(len(t), -1))
+    return np.linalg.norm(np.concatenate(misses, axis=1), axis=1)
 
 
 def fit_slope_through_origin(times, defects) -> float:
@@ -194,46 +212,62 @@ def _defect_row(b_req, basis, potential, times, seed) -> DefectRow:
     """defect_scaling's row for one field; the field's blocks and
     eigenvectors are released on return, before the next field is built."""
     b_used, n_flux = basis.field, basis.n_flux
-    # coset_blocks checked each block Hermitian at 1e-12
-    blocks = coset_blocks(basis, potential)
-    values, vectors = np.linalg.eigh(blocks)
-    w, _, separated = separated_cluster(values, basis)
+    # sector_blocks checked each coset block Hermitian at 1e-12 and each
+    # split coset's C2 deviation
+    stacks, _ = sector_blocks(basis, potential)
+    solved = [np.linalg.eigh(blocks) for _, blocks in stacks]
+    w, _, separated = separated_cluster(
+        np.concatenate([values.ravel() for values, _ in solved]), basis
+    )
     if not separated:
         nan = float("nan")
         return DefectRow(b_req, b_used, n_flux, nan, nan, nan, nan, separated=False)
-    g = len(blocks)
-    per_level = n_flux // g  # rows of one Landau level in each sector
-    # Q has n_flux/g dimensions in each sector; where P has more or fewer,
-    # that sector's block of the overlap X is not square, so X is singular
-    held = np.count_nonzero(values <= w[n_flux - 1], axis=1)
-    uneven = np.flatnonzero(held != per_level)
+    # Q has rank_s dimensions in sector s; where P has more or fewer, that
+    # sector's block of the overlap X is not square, so X is singular
+    sectors = [s for group, _ in stacks for s in group]
+    held = np.concatenate(
+        [np.count_nonzero(values <= w[n_flux - 1], axis=1) for values, _ in solved])
+    uneven = np.flatnonzero(held != [s.rank for s in sectors])
     if uneven.size:
-        sector = uneven[0]
+        i = uneven[0]
         raise InfeasibleModelError(
-            f"at B = {b_used:.12g}, guiding-centre sector {sector} of {g} "
-            f"holds {held[sector]} of the lowest {n_flux} eigenvalues, not "
-            f"{per_level}: its overlap block is not square, so ||P - Q|| = 1 "
-            "and no canonical intertwiner exists"
+            f"at B = {b_used:.12g}, sector {i} of {len(sectors)} "
+            f"({sectors[i].describe()}) holds {held[i]} of the lowest {n_flux} "
+            f"eigenvalues, not {sectors[i].rank}: its overlap block is not "
+            "square, so ||P - Q|| = 1 and no canonical intertwiner exists"
         )
-    energies, frames = values[:, :per_level], vectors[:, :, :per_level]
+    # one group per frame shape, sectors of one size and rank; a half with no
+    # lowest-level rows holds none of the cluster, so P and Q miss it
+    groups = [
+        (group[i:j], blocks[i:j, :r, :r], values[i:j, :r], vectors[i:j, :, :r])
+        for (group, blocks), (values, vectors) in zip(stacks, solved)
+        for i, j, r in rank_runs(group) if r
+    ]
     # ||V_s^dag V_s - I||_F over all sectors bounds the 2-norms of
     # P^2 - P and P - P^dag
-    dev = float(np.linalg.norm(
-        frames.conj().swapaxes(1, 2) @ frames - np.eye(per_level)))
+    dev = math.hypot(*(
+        np.linalg.norm(v.conj().swapaxes(1, 2) @ v - np.eye(v.shape[-1]))
+        for *_, v in groups))
     if dev > 1e-10:
         raise NumericalCheckError(
             f"projector frame at B = {b_used:.12g} is not orthonormal: "
             f"||V^dag V - I||_F = {dev:.3e} > 1e-10"
         )
-    # Q is the lowest level, the first n_flux/g rows of each sector, so the
-    # overlap V_q^dag V_p is block diagonal, with blocks frames[:, :per_level]
-    u = nagy_intertwiner(frames[:, :per_level])
-    w_eff, v_eff = np.linalg.eigh(blocks[:, :per_level, :per_level])
-    # index level * n_flux + j sits in sector j mod g at row
-    # level * n_flux/g + j // g
-    psi = random_packet(basis.dim, seed).reshape(basis.n_levels, per_level, g)
-    sectors = psi.transpose(2, 0, 1).reshape(g, -1)
-    defects = defect_curve(energies, frames, u, w_eff, v_eff, sectors, (0.0,) + times)
+    # Q is the lowest level, the first rank_s rows of each sector, so the
+    # overlap V_q^dag V_p is block diagonal, with blocks frames[:, :rank_s]
+    u = tuple(nagy_intertwiner(v[:, : v.shape[-1]]) for *_, v in groups)
+    w_eff, v_eff = zip(*(np.linalg.eigh(corner) for _, corner, _, _ in groups))
+    # index level * n_flux + j sits in coset j mod g at row
+    # level * n_flux/g + j // g, and each sector folds its coset's rows
+    psi = random_packet(basis.dim, seed).reshape(
+        basis.n_levels, -1, coset_count(basis, potential))
+    packets = tuple(
+        np.stack([s.fold(psi[:, :, s.coset].ravel()) for s in group])
+        for group, *_ in groups)
+    defects = defect_curve(
+        tuple(e for _, _, e, _ in groups), tuple(v for *_, v in groups), u,
+        w_eff, v_eff, packets, (0.0,) + times,
+    )
     return DefectRow(
         field_requested=b_req,
         field=b_used,
@@ -243,7 +277,8 @@ def _defect_row(b_req, basis, potential, times, seed) -> DefectRow:
         # overlap, the residual keeps its relative accuracy when P and Q
         # nearly coincide
         projector_distance=max(
-            float(np.linalg.norm(frame[per_level:], 2)) for frame in frames),
+            float(np.linalg.norm(frame[frame.shape[-1]:], 2))
+            for *_, v in groups for frame in v),
         defect_zero=float(defects[0]),
         max_defect=float(defects[1:].max()),
         slope=fit_slope_through_origin(times, defects[1:]),

@@ -231,6 +231,17 @@ def dense_hamiltonian(basis, potential):
     return h
 
 
+def inversion_matrix(basis):
+    """The inversion S = diag((-1)^n) (x) (j -> -j mod n_flux) as a d x d
+    signed permutation in the level-major basis: column level * n_flux + j
+    holds (-1)^level in row level * n_flux + (-j mod n_flux)."""
+    index = np.arange(basis.dim)
+    level, guiding = np.divmod(index, basis.n_flux)
+    s = np.zeros((basis.dim, basis.dim))
+    s[level * basis.n_flux + (-guiding) % basis.n_flux, index] = (-1.0) ** level
+    return s
+
+
 def dense_eigh(matrix, rank=None):
     """The unsplit solve of a continuum operator, ignoring its coset blocks.
 

@@ -16,13 +16,24 @@ from fluxlab import (
     coset_eigh,
     hofstadter_family,
     level_form_factor,
+    inversion_even,
     next_level_coupling,
+    rank_runs,
+    sector_blocks,
+    sector_plan,
     strong_field_report,
     torus_basis,
     weyl_translation,
 )
+from fluxlab import continuum
 from fluxlab.cli import decreasing_gate, main
-from oracles import dense_eigh, dense_hamiltonian, plane_wave_element, scattered_frame
+from oracles import (
+    dense_eigh,
+    dense_hamiltonian,
+    inversion_matrix,
+    plane_wave_element,
+    scattered_frame,
+)
 
 
 def standard_basis(n_levels=6, field=10.0, n_cells=4):
@@ -285,15 +296,19 @@ def test_fractional_harmonic_gives_one_coset():
     quarter = FourierPotential([(0.25, 0, 0.5), (-0.25, 0, 0.5), (0, 1, 1.0),
                                 (0, -1, 1.0)])
     assert coset_count(basis, quarter) == 1
+    # the one coset is the whole operator; the potential is even, so the
+    # inversion still halves it
+    assert [(s.coset, s.parity) for s in sector_plan(basis, quarter)] == [(0, 1), (0, -1)]
     h = dense_hamiltonian(basis, quarter)
-    assert np.array_equal(coset_eigh(basis, quarter), dense_eigh(h))
+    assert np.max(np.abs(coset_eigh(basis, quarter) - dense_eigh(h))) < 1e-12
     # no harmonics: every guiding index is its own coset
     assert coset_count(basis, FourierPotential.cosine_xy(0.0)) == basis.n_flux
 
 
 def test_flat_operator_is_one_batched_solve(monkeypatch, tmp_path):
     # no harmonics: B = 80 on 4 cells has n_flux = 407 cosets of 6 levels
-    # each, all solved in one eigvalsh call on the (407, 6, 6) stack
+    # each. The inversion maps coset c to 407 - c, so only coset 0 splits,
+    # into its even and odd levels: one eigvalsh per block size
     shapes = []
     real = np.linalg.eigvalsh
 
@@ -304,4 +319,145 @@ def test_flat_operator_is_one_batched_solve(monkeypatch, tmp_path):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     argv = ["continuum-spectrum", "--B", "80", "--amplitude", "0"]
     assert main(argv + ["--out", str(tmp_path / "flat.csv")]) == 0
-    assert shapes == [(407, 6, 6)]
+    assert shapes == [(2, 3, 3), (406, 6, 6)]
+
+
+def test_inversion_evenness_is_read_from_the_harmonics():
+    assert inversion_even(FourierPotential.cosine_xy(1.0))
+    assert inversion_even(FourierPotential.cosine_xy(0.0))
+    # cos(2 pi (x + y)) is even; -2 sin(2 pi (x + y)) and sin(2 pi x) are odd
+    assert inversion_even(FourierPotential([(1, 1, 0.5), (-1, -1, 0.5)]))
+    assert not inversion_even(FourierPotential([(1, 1, 1j), (-1, -1, -1j)]))
+    assert not inversion_even(FourierPotential([(1, 0, -0.5j), (-1, 0, 0.5j)]))
+    # bit for bit: a partner one ulp off breaks the symmetry
+    c = 0.3
+    assert not inversion_even(
+        FourierPotential([(1, 0, c), (-1, 0, math.nextafter(c, 1.0))]))
+    # repeated harmonics are summed before the comparison
+    assert inversion_even(
+        FourierPotential([(1, 0, 0.25), (1, 0, 0.25), (-1, 0, 0.5)]))
+
+
+@pytest.mark.parametrize(("field", "n_levels", "n_cells"),
+                         [(10.0, 3, 2), (5.0, 4, 2), (20.0, 5, 4), (7.0, 2, 3)])
+def test_sector_bases_are_the_inversion_eigenvectors(field, n_levels, n_cells):
+    # folding the identity gives each half's basis U in its coset's
+    # coordinates: orthonormal, S U = parity U, the first rank columns on the
+    # lowest level and the rest above it, and the halves of a coset together
+    # span it
+    potential = FourierPotential.cosine_xy(1.0)
+    basis = torus_basis(field, n_levels, n_cells)
+    g = coset_count(basis, potential)
+    per_level = basis.n_flux // g
+    rows = np.arange(basis.dim)
+    coset = rows % basis.n_flux % g
+    s = inversion_matrix(basis)
+    for c in range(g):
+        halves = [sec for sec in sector_plan(basis, potential) if sec.coset == c]
+        mine = np.flatnonzero(coset == c)
+        if (2 * c) % g:
+            assert [sec.parity for sec in halves] == [0]
+            continue
+        assert [sec.parity for sec in halves] == [1, -1]
+        s_c = s[np.ix_(mine, mine)]
+        spans = []
+        for sec in halves:
+            u = sec.fold(np.eye(len(mine)), 0).T
+            assert u.shape == (len(mine), sec.dim)
+            assert np.max(np.abs(u.T @ u - np.eye(sec.dim))) < 1e-15
+            assert np.array_equal(s_c @ u, sec.parity * u)
+            assert not np.any(u[per_level:, : sec.rank])
+            assert not np.any(u[:per_level, sec.rank:])
+            spans.append(u)
+        both = np.hstack(spans)
+        assert np.max(np.abs(both.T @ both - np.eye(len(mine)))) < 1e-15
+
+
+@pytest.mark.parametrize("n_levels", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n_cells", [1, 2, 3, 4])
+def test_sector_spectrum_matches_the_unsplit_solve(n_levels, n_cells):
+    # every sector size the inversion makes, odd level counts giving halves
+    # of unequal size: the spectrum, the one-level spectrum from the sector
+    # corners and the C2 deviation against the dense operator
+    potential = FourierPotential.cosine_xy(1.0)
+    for n_flux in (7, 8, 12, 13):
+        basis = torus_basis(math.pi * n_flux / n_cells**2, n_levels, n_cells)
+        h = dense_hamiltonian(basis, potential)
+        want = dense_eigh(h)
+        got = coset_eigh(basis, potential)
+        assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
+        stacks, deviation = sector_blocks(basis, potential)
+        sectors = [sec for group, _ in stacks for sec in group]
+        assert sum(sec.dim for sec in sectors) == basis.dim
+        assert sum(sec.rank for sec in sectors) == n_flux
+        one_level = np.sort(np.concatenate([
+            np.linalg.eigvalsh(blocks[i:j, :r, :r]).ravel()
+            for group, blocks in stacks for i, j, r in rank_runs(group) if r]))
+        want_one = dense_eigh(h[:n_flux, :n_flux])
+        assert np.all(np.abs(one_level - want_one) <= 1e-12 * (1 + np.abs(want_one)))
+        s = inversion_matrix(basis)
+        if coset_count(basis, potential) <= 2:  # every coset is split
+            assert deviation == np.max(np.abs(s @ h @ s.T - h))
+        bound = continuum.C2_DEVIATION_ULPS * np.finfo(float).eps * np.max(np.abs(h))
+        assert deviation <= bound
+
+
+def test_potentials_that_are_not_even_keep_whole_cosets(solve_dtypes):
+    # sin(2 pi x) is odd: the same code runs with one sector per coset, and
+    # the blocks stay complex
+    sine = FourierPotential([(1, 0, -0.5j), (-1, 0, 0.5j)])
+    basis = torus_basis(20.0, 3, 4)
+    sectors = sector_plan(basis, sine)
+    assert [(sec.coset, sec.parity) for sec in sectors] == [(0, 0), (1, 0)]
+    stacks, deviation = sector_blocks(basis, sine)
+    assert deviation == 0.0 and len(stacks) == 1
+    w = coset_eigh(basis, sine)
+    assert solve_dtypes == [np.dtype(np.complex128)]
+    want = dense_eigh(dense_hamiltonian(basis, sine))
+    assert np.max(np.abs(w - want)) < 1e-12
+
+
+def test_free_operator_splits_every_self_paired_coset():
+    # no harmonics: g = n_flux cosets of one guiding row each. Cosets 0 and
+    # n_flux/2 are their own images; their halves hold the even and the odd
+    # levels, and the odd half has no lowest-level row
+    basis = torus_basis(math.pi * 12 / 4, 3, 2)
+    free = FourierPotential.cosine_xy(0.0)
+    halves = [sec for sec in sector_plan(basis, free) if sec.parity]
+    assert [(sec.coset, sec.parity, sec.dim, sec.rank) for sec in halves] == [
+        (0, 1, 2, 1), (0, -1, 1, 0), (6, 1, 2, 1), (6, -1, 1, 0)]
+    w = coset_eigh(basis, free)
+    assert np.array_equal(w, np.repeat(basis.level_energies(), 12))
+
+
+@pytest.mark.parametrize(
+    "command", ["continuum-spectrum", "lll-compare", "dynamics-defect"]
+)
+@pytest.mark.parametrize("mutation", ["unsigned levels", "one entry", "nan"])
+def test_broken_inversion_symmetry_exits_3(command, mutation, monkeypatch, capsys):
+    # dropping the (-1)^n of the fold, moving one entry of a coset block
+    # (and its mirror, so the block stays Hermitian) by 1e-9, or a NaN entry,
+    # each fails the C2 deviation check before any solve. B = 5 on 2 cells:
+    # entry (0, 1) of coset 0 joins its fixed row 0 to row 1, whose image
+    # under the inversion is row 2
+    if mutation == "unsigned levels":
+        monkeypatch.setattr(continuum, "_level_parity", lambda n: np.ones(n))
+    else:
+        real = continuum.coset_blocks
+
+        def perturbed(basis, potential):
+            blocks = real(basis, potential)
+            delta = 1e-9 if mutation == "one entry" else float("nan")
+            blocks[0, 0, 1] += delta
+            blocks[0, 1, 0] += delta
+            return blocks
+
+        monkeypatch.setattr(continuum, "coset_blocks", perturbed)
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, **k: solves.append(a))
+    argv = [command, "--B", "5", "--ncells", "2", "--nlevels", "3"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "C2 deviation" in err and "Traceback" not in err
+    assert solves == []

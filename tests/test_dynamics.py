@@ -1,6 +1,7 @@
 """Tests for time evolution, projector frames, intertwiners, defects."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from fluxlab import (
     hashed_normal,
     nagy_intertwiner,
     random_packet,
+    rank_runs,
+    sector_blocks,
     strong_field_report,
     torus_basis,
 )
@@ -220,10 +223,11 @@ def test_nagy_intertwines_rotated_projectors():
 def test_level_zero_intertwiner_matches_the_two_frame_oracle(
     fields, n_cells, n_levels, monkeypatch
 ):
-    # Q is the lowest level, the first n_flux/g rows of each sector, so the
-    # overlap of sector s is V_s[:n_flux/g] and (I - Q) V_s is V_s[n_flux/g:]:
-    # defect_scaling has to give each sector's two-frame U bit for bit and
-    # the largest sector distance to roundoff
+    # Q is the lowest level, the first rank_s rows of each sector, so the
+    # overlap of sector s is V_s[:rank_s] and (I - Q) V_s is V_s[rank_s:]:
+    # defect_scaling has to give each sector's two-frame U bit for bit, one
+    # stack per sector size and rank, and the largest sector distance to
+    # roundoff
     potential = FourierPotential.cosine_xy(1.0)
     solved = []
     real = dynamics.nagy_intertwiner
@@ -234,20 +238,22 @@ def test_level_zero_intertwiner_matches_the_two_frame_oracle(
 
     monkeypatch.setattr(dynamics, "nagy_intertwiner", recorded)
     rows = defect_scaling(fields, potential, (0.5,), n_levels=n_levels, n_cells=n_cells)
-    assert len(solved) == len(rows) == len(fields)
-    for b, row, u in zip(fields, rows, solved):
+    for b, row in zip(fields, rows):
         basis = torus_basis(b, n_levels, n_cells)
-        _, vectors = np.linalg.eigh(coset_blocks(basis, potential))
-        g, size, _ = vectors.shape
-        level = basis.n_flux // g
-        assert u.shape == (g, level, level)
-        q = np.eye(size, level, dtype=vectors.dtype)
+        stacks, _ = sector_blocks(basis, potential)
         distances = []
-        for sector, v in zip(u, vectors):
-            p = v[:, :level]
-            assert np.array_equal(sector, two_frame_nagy(p, q))
-            distances.append(projector_distance(p, q))
+        for sectors, blocks in stacks:
+            _, vectors = np.linalg.eigh(blocks)
+            for i, j, r in rank_runs(sectors):
+                u = solved.pop(0)
+                assert u.shape == (j - i, r, r)
+                q = np.eye(blocks.shape[-1], r, dtype=vectors.dtype)
+                for sector, v in zip(u, vectors[i:j]):
+                    p = v[:, :r]
+                    assert np.array_equal(sector, two_frame_nagy(p, q))
+                    distances.append(projector_distance(p, q))
         assert abs(row.projector_distance - max(distances)) <= 1e-15
+    assert solved == []
 
 
 def block_dominant_hamiltonian(dim, seed, strength=0.05):
@@ -475,10 +481,15 @@ def test_non_orthonormal_frame_fails_the_frame_check(monkeypatch, capsys):
 
 
 def test_eigensolve_budget(monkeypatch):
-    # defect_scaling: per field, one batched eigh of the g guiding-centre
-    # coset blocks, shape (g, d/g, d/g), plus one of the one-level operator's
-    # g blocks, shape (g, r/g, r/g), no eigvalsh and no d x d 2-norm (an
-    # SVD); strong_field_report: the same two batches, eigenvalues only
+    # defect_scaling: per field, one batched eigh per sector size, plus one
+    # per sector size and rank of the one-level corners, no eigvalsh and no
+    # d x d 2-norm (an SVD); strong_field_report: the same batches,
+    # eigenvalues only. B = 5 on 2 cells: n_flux 6 in g = 2 cosets, both
+    # mapped to themselves by the inversion; each of 3 levels x 3 guiding
+    # rows has one fixed row and one pair, so it splits into an S = +1 half
+    # of 2 + 1 + 2 rows (rank 2) and an S = -1 half of 1 + 2 + 1 (rank 1).
+    # B = 10: n_flux 13, g = 1, one fixed row and 6 pairs per level: halves
+    # of 7 + 6 + 7 (rank 7) and 6 + 7 + 6 (rank 6)
     calls = []
 
     def counted(name, fn):
@@ -496,13 +507,11 @@ def test_eigensolve_budget(monkeypatch):
         [5.0, 10.0], potential, times=(0.5, 1.0), n_levels=3, n_cells=2
     )
     assert all(row.separated for row in report)
-    assert [row.n_flux for row in report] == [6, 13]  # g = 2, then g = 1
-    expected = []
+    assert [row.n_flux for row in report] == [6, 13]
+    expected = [(2, 5, 5), (2, 4, 4), (2, 2, 2), (2, 1, 1),
+                (1, 20, 20), (1, 19, 19), (1, 7, 7), (1, 6, 6)]
     for row in report:
         dim = 3 * row.n_flux
-        g = math.gcd(row.n_flux, 2)
-        r = row.n_flux
-        expected += [(g, dim // g, dim // g), (g, r // g, r // g)]
         assert not any(
             name == "norm" and shape == (dim, dim) and order == 2
             for name, shape, order in calls
@@ -549,6 +558,75 @@ def test_defect_rows_match_the_unsplit_solve():
         assert max(got.defect_zero, want.defect_zero) < 1e-10
 
 
+@pytest.mark.parametrize("n_levels", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n_cells", [1, 2, 3, 4])
+def test_inversion_halves_match_the_unsplit_solve(n_levels, n_cells):
+    # the cosine potential is even, so every self-paired coset is solved as
+    # its two inversion halves; odd level counts make halves of unequal
+    # size, and the halves of one size can differ in rank. Fields give
+    # n_flux 7, 8, 12 and 13, so both kinds of self-paired coset appear
+    potential = FourierPotential.cosine_xy(1.0)
+    fields = [math.pi * n / n_cells**2 for n in (7, 8, 12, 13)]
+    times = (0.5, 1.0, 2.0)
+    split = defect_scaling(fields, potential, times, n_levels=n_levels, n_cells=n_cells)
+    unsplit = scattered_defect_scaling(
+        fields, potential, times, n_levels, n_cells, solve=unsplit_frame)
+    for got, want in zip(split, unsplit):
+        assert got.separated == want.separated
+        if not got.separated:
+            continue
+        for name in ("projector_distance", "max_defect", "slope"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert abs(a - b) <= 1e-10 + 1e-10 * abs(b), name
+        assert max(got.defect_zero, want.defect_zero) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "potential",
+    [FourierPotential.cosine_xy(0.0), FourierPotential([(1, 0, -0.5j), (-1, 0, 0.5j)])],
+    ids=["free", "sine"],
+)
+def test_trivial_and_rankless_sectors_match_the_unsplit_solve(potential):
+    # no harmonics: g = n_flux cosets of one guiding row, the two self-paired
+    # ones split into even and odd levels, and an odd-level half has rank 0,
+    # so it holds none of the cluster and drops out of the dynamics.
+    # sin(2 pi x) is odd: one sector per coset and complex frames
+    fields, times = [5.0, 10.0], (0.5, 1.0)
+    split = defect_scaling(fields, potential, times, n_levels=3, n_cells=2)
+    unsplit = scattered_defect_scaling(fields, potential, times, 3, 2,
+                                       solve=unsplit_frame)
+    for got, want in zip(split, unsplit):
+        assert got.separated and want.separated
+        for name in ("projector_distance", "max_defect", "slope"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert abs(a - b) <= 1e-10 + 1e-10 * abs(b), name
+        assert max(got.defect_zero, want.defect_zero) < 1e-10
+
+
+def test_defect_workload_solve_plan(monkeypatch, tmp_path):
+    # the benchmark's defect workload, B = 10, 20, 40 on 4 cells with 6
+    # levels: n_flux 51, 102, 204 in g = 1, 2, 4 cosets of 306 rows. Cosets
+    # 0 (and 1 when g = 2, 2 when g = 4) are their own inversion images and
+    # split into halves of 153 rows, ranks 26 and 25; at B = 40 cosets 1 and
+    # 3 are each other's images and stay whole. Each field solves one stack
+    # per block size, then one per size and rank of the one-level corners
+    shapes = []
+    real = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    argv = ["dynamics-defect", "--B", "10,20,40", "--out", str(tmp_path / "d.csv")]
+    assert main(argv) == 0
+    assert shapes == [
+        (2, 153, 153), (1, 26, 26), (1, 25, 25),
+        (4, 153, 153), (2, 26, 26), (2, 25, 25),
+        (4, 153, 153), (2, 306, 306), (2, 26, 26), (2, 25, 25), (2, 51, 51),
+    ]
+
+
 @pytest.mark.parametrize("n_cells", [2, 3, 4])
 def test_sector_rows_match_the_scattered_frame_oracle(n_cells):
     # the per-sector frames, polar factors, distances and evolution against
@@ -568,18 +646,20 @@ def test_sector_rows_match_the_scattered_frame_oracle(n_cells):
 
 
 def test_uneven_sector_exits_4_before_any_svd(monkeypatch, capsys):
-    # B = 5 on 2 cells: n_flux 6 in g = 2 sectors of 3 levels x 3 guiding
-    # rows. Moving sector 0's lowest level-1 eigenvalue below the cluster and
-    # sector 1's highest cluster eigenvalue above it keeps the gap but gives
-    # sector 0 four of the lowest six: its overlap block is 3 x 4
+    # B = 5 on 2 cells: n_flux 6 in g = 2 cosets, each split by the inversion
+    # into an S = +1 half of 5 rows (rank 2) and an S = -1 half of 4 (rank 1);
+    # the two 5-row halves are solved in one (2, 5, 5) stack. Moving sector
+    # 0's lowest level-1 eigenvalue below the cluster and sector 1's highest
+    # cluster eigenvalue above it keeps the gap but gives sector 0 three of
+    # the lowest six: its overlap block is 2 x 3
     real = np.linalg.eigh
 
     def uneven(a, *args, **kwargs):
         w, v = real(a, *args, **kwargs)
-        if np.shape(a) == (2, 9, 9):
+        if np.shape(a) == (2, 5, 5):
             w = w.copy()
-            w[0, 3] = w.min() - 1.0
-            w[1, 2] = w.max() + 1.0
+            w[0, 2] = w.min() - 1.0
+            w[1, 1] = w.max() + 1.0
         return w, v
 
     svd_calls = []
@@ -592,11 +672,12 @@ def test_uneven_sector_exits_4_before_any_svd(monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "eigh", uneven)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     potential = FourierPotential.cosine_xy(1.0)
-    with pytest.raises(InfeasibleModelError, match="sector 0 of 2 holds 4 of the lowest"):
+    message = "sector 0 of 4 (coset 0, S = +1) holds 3 of the lowest 6"
+    with pytest.raises(InfeasibleModelError, match=re.escape(message)):
         defect_scaling([5.0], potential, (0.5,), n_levels=3, n_cells=2)
     argv = ["dynamics-defect", "--B", "5", "--nlevels", "3", "--ncells", "2"]
     assert main(argv) == 4
-    assert "sector 0 of 2 holds 4" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert svd_calls == []
 
 
@@ -638,7 +719,6 @@ def test_one_coset_build_per_field(experiment, monkeypatch):
         return real(basis, potential)
 
     monkeypatch.setattr(continuum, "coset_blocks", counted)
-    monkeypatch.setattr(dynamics, "coset_blocks", counted)
     fields = [5.0, 10.0, 20.0]
     potential = FourierPotential.cosine_xy(1.0)
     if experiment == "defect_scaling":

@@ -2,6 +2,8 @@
 rows in any order, Chambers invariance and monotonicity, Chern numbers
 against the TKNN Diophantine rule, the guiding-centre coset split of the
 continuum operator and its exactly real blocks for potentials even in x,
+the composition of plane-wave elements and the inversion halves of even
+potentials,
 the Laguerre recurrence and the windowed erf of the DOS against scipy, and
 the exit-code contract of the continuum, lattice and disorder commands.
 
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from fluxlab import (
+    C2_DEVIATION_ULPS,
     FourierPotential,
     RationalFlux,
     band_intervals,
@@ -37,7 +40,10 @@ from fluxlab import (
     exact_bands,
     hausdorff,
     hofstadter_family,
+    inversion_even,
     level_form_factor,
+    rank_runs,
+    sector_blocks,
     torus_basis,
 )
 from fluxlab.cli import main
@@ -228,6 +234,66 @@ def test_one_level_blocks_are_the_level_zero_blocks(drawn, n_flux, n_levels):
     s = n_flux // coset_count(basis, potential)
     one_level = coset_blocks(replace(basis, n_levels=1), potential)
     assert np.array_equal(one_level, coset_blocks(basis, potential)[:, :s, :s])
+
+
+@fixed
+@given(st.integers(1, 2), st.integers(0, 8), st.tuples(*[st.integers(-2, 2)] * 4))
+def test_plane_wave_elements_compose(n_cells, extra_flux, steps):
+    # plane waves are multiplication operators, so E(K) E(K') = E(K + K')
+    # for any K, K' on the torus's reciprocal grid (multiples of 1/n_cells,
+    # here with components in [-1, 1]): the Weyl phase of the guiding
+    # translations pairs with the form-factor phase. Level truncation breaks
+    # the product near the top of the ladder, so it is checked on the lowest
+    # 3 of 20 levels, with at least 8 n_cells^2 flux quanta keeping
+    # |K|^2 / (2b) below 0.8
+    n_flux = 8 * n_cells**2 + extra_flux
+    basis = torus_basis(math.pi * n_flux / n_cells**2, 20, n_cells)
+    assert basis.n_flux == n_flux
+    a, b, c, d = (max(-n_cells, min(n_cells, x)) / n_cells for x in steps)
+    low = 3 * n_flux
+    product = (plane_wave_element(basis, (a, b))[:low]
+               @ plane_wave_element(basis, (c, d))[:, :low])
+    whole = plane_wave_element(basis, (a + c, b + d))[:low, :low]
+    assert np.max(np.abs(product - whole)) < 1e-12
+
+
+@st.composite
+def inversion_even_potentials(draw):
+    """(n_cells, real potential with c(-n, -m) == c(n, m)): each drawn
+    (n, m, c) with real c comes with (-n, -m, c)."""
+    n_cells = draw(st.integers(1, 4))
+    steps = st.integers(-2 * n_cells, 2 * n_cells)
+    coefficients = st.floats(-2.0, 2.0)
+    harmonics = []
+    for a, b, c in draw(st.lists(st.tuples(steps, steps, coefficients), max_size=3)):
+        harmonics += [(a / n_cells, b / n_cells, c), (-a / n_cells, -b / n_cells, c)]
+    return n_cells, FourierPotential(harmonics)
+
+
+@fixed
+@given(inversion_even_potentials(), st.integers(1, 24), st.integers(1, 4))
+def test_inversion_halves_keep_the_spectrum(drawn, n_flux, n_levels):
+    # an even potential splits every self-paired coset into two halves whose
+    # sizes and ranks add up to the coset's, within the C2 bound, and the
+    # spectrum and the one-level spectrum from the corners are the unsplit
+    # ones to roundoff
+    n_cells, potential = drawn
+    basis = torus_basis(math.pi * n_flux / n_cells**2, n_levels, n_cells)
+    assert inversion_even(potential)
+    stacks, deviation = sector_blocks(basis, potential)
+    sectors = [s for group, _ in stacks for s in group]
+    assert sum(s.dim for s in sectors) == basis.dim
+    assert sum(s.rank for s in sectors) == n_flux
+    h = dense_hamiltonian(basis, potential)
+    scale = np.max(np.abs(h))
+    assert deviation <= C2_DEVIATION_ULPS * np.finfo(float).eps * scale
+    want = dense_eigh(h)
+    assert np.all(np.abs(coset_eigh(basis, potential) - want) <= 1e-12 * (1 + scale))
+    one_level = np.sort(np.concatenate([
+        np.linalg.eigvalsh(blocks[i:j, :r, :r]).ravel()
+        for group, blocks in stacks for i, j, r in rank_runs(group) if r]))
+    want_one = dense_eigh(h[:n_flux, :n_flux])
+    assert np.all(np.abs(one_level - want_one) <= 1e-12 * (1 + scale))
 
 
 @st.composite
