@@ -10,7 +10,9 @@ Basis layout: the torus is n_cells x n_cells copies of the unit potential
 cell, carries n_flux quanta of effective flux (b * area = 2 pi n_flux), and
 states are indexed level-major: index = level * n_flux + guiding, with the
 guiding degree of freedom carrying an n_flux-dimensional clock/shift pair of
-magnetic translations.
+magnetic translations. Those translations split the operator into guiding-
+centre cosets (coset_blocks), and for an even potential the inversion
+r -> -r halves the cosets it maps to themselves (Sector, sector_blocks).
 """
 
 from __future__ import annotations
@@ -530,10 +532,11 @@ def strong_field_report(
     n_cells x n_cells torus (the row records both). In the level-major basis
     the lowest-level compression P H P is the same operator on one level,
     whose sector blocks are the leading rank x rank corners of the full
-    ones, so one sector_blocks build per field serves both solves. The distance column is the Hausdorff distance between the lowest
-    n_flux eigenvalues and the spectrum of that one-level operator; rows
-    whose lowest cluster is not separated (separated_cluster) are flagged
-    rather than failed.
+    ones, so one sector_blocks build per field serves both solves. The
+    distance column is the Hausdorff distance between the lowest n_flux
+    eigenvalues and the spectrum of that one-level operator; rows whose
+    lowest cluster is not separated (separated_cluster) are flagged rather
+    than failed.
     """
     return [
         _strong_field_row(
