@@ -285,15 +285,6 @@ def _level_parity(n_levels: int) -> np.ndarray:
     return 1.0 - 2.0 * (np.arange(n_levels) % 2)
 
 
-def _max_abs(x: np.ndarray) -> float:
-    """max |x|, 0.0 when x is empty and NaN when x holds a NaN."""
-    if not x.size:
-        return 0.0
-    if np.iscomplexobj(x):
-        return float(np.max(np.abs(x)))
-    return float(max(np.max(x), -np.min(x)))
-
-
 @dataclass(frozen=True)
 class Sector:
     """One diagonal block of the continuum operator.
@@ -389,7 +380,8 @@ class Sector:
         rows = ((self.lo, self.up), (fixed, fixed))
         cols = rows + ((self.up, self.lo),)
         return max(
-            _max_abs(flip * h[:, ri][..., ci] - h[:, r][..., c])
+            float(np.max(np.abs(flip * h[:, ri][..., ci] - h[:, r][..., c]),
+                         initial=0.0))
             for r, ri in rows for c, ci in cols
         )
 
@@ -410,7 +402,8 @@ def sector_plan(basis: LandauBasisSpec, potential: FourierPotential) -> list:
     """
     g = coset_count(basis, potential)
     per_level = basis.n_flux // g
-    largest = basis.level_energies()[-1] + sum(abs(c) for *_, c in potential.harmonics)
+    largest = float(basis.level_energies()[-1])
+    largest += sum(abs(c) for *_, c in potential.harmonics)
     even = inversion_even(potential) and 4.0 * largest < np.finfo(float).max
     sectors = []
     for c in range(g):
@@ -428,7 +421,7 @@ def _checked_deviation(basis: LandauBasisSpec, sector: Sector, block) -> float:
     """sector.deviation(block), raising NumericalCheckError unless it is
     within C2_DEVIATION_ULPS * eps * max |block| (a NaN or inf fails)."""
     dev = sector.deviation(block)
-    bound = C2_DEVIATION_ULPS * np.finfo(float).eps * _max_abs(block)
+    bound = C2_DEVIATION_ULPS * np.finfo(float).eps * float(np.max(np.abs(block)))
     if not dev <= bound < math.inf:
         raise NumericalCheckError(
             f"operator at B = {basis.field:.12g} breaks its inversion symmetry "

@@ -93,15 +93,7 @@ def nagy_intertwiner(overlap: np.ndarray) -> np.ndarray:
     return u
 
 
-def defect_curve(
-    energies,
-    frame,
-    u,
-    w_eff,
-    v_eff,
-    psi,
-    times,
-) -> np.ndarray:
+def defect_curve(energies, frame, u, w_eff, v_eff, psi, times) -> np.ndarray:
     """Propagation defect d(t) on a grid of times, in rank-r coordinates.
 
     The full operator H enters through its spectral projection: the d x r

@@ -298,7 +298,8 @@ def test_fractional_harmonic_gives_one_coset():
     assert coset_count(basis, quarter) == 1
     # the one coset is the whole operator; the potential is even, so the
     # inversion still halves it
-    assert [(s.coset, s.parity) for s in sector_plan(basis, quarter)] == [(0, 1), (0, -1)]
+    halves = [(s.coset, s.parity) for s in sector_plan(basis, quarter)]
+    assert halves == [(0, 1), (0, -1)]
     h = dense_hamiltonian(basis, quarter)
     assert np.max(np.abs(coset_eigh(basis, quarter) - dense_eigh(h))) < 1e-12
     # no harmonics: every guiding index is its own coset

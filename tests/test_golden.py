@@ -188,7 +188,8 @@ def _stored(name):
 
 
 def _stored_sidecar(name):
-    with open(_sidecar_path(os.path.join(GOLDEN, f"{name}.csv")), encoding="utf-8") as fh:
+    path = _sidecar_path(os.path.join(GOLDEN, f"{name}.csv"))
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
