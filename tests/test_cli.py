@@ -15,7 +15,6 @@ from fluxlab import (
     band_intervals,
     cli,
     continuum,
-    dynamics,
     exact_bands,
     hausdorff,
     spectra,

@@ -12,7 +12,6 @@ from fluxlab import (
     FourierPotential,
     InfeasibleModelError,
     NumericalCheckError,
-    coset_blocks,
     defect_curve,
     defect_scaling,
     fit_slope_through_origin,

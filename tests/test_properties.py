@@ -2,10 +2,10 @@
 rows in any order, Chambers invariance and monotonicity, Chern numbers
 against the TKNN Diophantine rule, the guiding-centre coset split of the
 continuum operator and its exactly real blocks for potentials even in x,
-the composition of plane-wave elements and the inversion halves of even
-potentials,
-the Laguerre recurrence and the windowed erf of the DOS against scipy, and
-the exit-code contract of the continuum, lattice and disorder commands.
+the composition of plane-wave elements, the inversion halves of even
+potentials, the Laguerre recurrence and the windowed erf of the DOS against
+scipy, and the exit-code contract of the continuum, lattice and disorder
+commands.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same cases. Hypothesis also caches the literals it scans from the
