@@ -47,7 +47,6 @@ from .continuum import (
     inversion_even,
     level_form_factor,
     next_level_coupling,
-    rank_runs,
     sector_blocks,
     sector_plan,
     separated_cluster,

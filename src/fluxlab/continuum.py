@@ -17,7 +17,6 @@ r -> -r halves the cosets it maps to themselves (Sector, sector_blocks).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -285,7 +284,7 @@ def _level_parity(n_levels: int) -> np.ndarray:
     return 1.0 - 2.0 * (np.arange(n_levels) % 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sector:
     """One diagonal block of the continuum operator.
 
@@ -296,94 +295,53 @@ class Sector:
     stays whole (parity 0). A coset it maps to itself, c = 0 or c = g/2, splits
     into its S = +1 and S = -1 halves (parity 1 and -1).
 
-    Within such a coset S sends guiding row t to (-t - 2c/g) mod per_level.
-    The rows it fixes (`fixed`) are S eigenvectors of sign (-1)^n at level n.
-    Each other row t in `lo` pairs with its image in `up` to give
-    (e_t + parity (-1)^n e_image) / sqrt 2. The sector's basis is level-major,
-    each level's fixed rows before its pairs, so Q restricted to the sector
-    is its leading `rank` rows.
+    On such a coset's level-major rows S is a signed permutation and an
+    involution: S e_i = sign[i] e_image[i], with sign[i] = (-1)^n at level n.
+    A row it fixes is an S eigenvector of sign (-1)^n, and any other row r
+    gives (e_r + parity sign[r] e_image[r]) / sqrt 2. `rows` names the half's
+    basis vectors by their r: level-major, each level's fixed rows of sign
+    `parity` first, then its rows r < image[r] ascending, so Q restricted to
+    the sector is its leading `rank` rows. A whole sector's rows are all of
+    its coset's, with no image or sign.
     """
 
     coset: int
     parity: int
-    n_levels: int
-    per_level: int
-    fixed: tuple = ()
-
-    @property
-    def _pairs(self) -> int:
-        return (self.per_level - len(self.fixed)) // 2
-
-    @property
-    def lo(self) -> slice:
-        start = 1 if self.coset == 0 else 0  # coset 0 fixes row 0
-        return slice(start, start + self._pairs)
-
-    @property
-    def up(self) -> slice:
-        return slice(self.per_level - 1, self.per_level - 1 - self._pairs, -1)
-
-    def _keeps_fixed(self) -> np.ndarray:
-        """Whether each level's fixed rows belong to this half."""
-        return self.parity * _level_parity(self.n_levels) > 0
+    rank: int
+    rows: np.ndarray
+    image: np.ndarray = None
+    sign: np.ndarray = None
 
     @property
     def dim(self) -> int:
-        if not self.parity:
-            return self.n_levels * self.per_level
-        kept = int(np.count_nonzero(self._keeps_fixed()))
-        return self.n_levels * self._pairs + kept * len(self.fixed)
-
-    @property
-    def rank(self) -> int:
-        """The sector's lowest-level dimension."""
-        if not self.parity:
-            return self.per_level
-        return self._pairs + len(self.fixed) * (self.parity > 0)
+        return self.rows.size
 
     def fold(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
         """U^T x along `axis`, where U's orthonormal real columns are the
         sector's basis in its coset's level-major coordinates. A packet folds
         along its one axis, and fold(fold(block, 1), 0) is the sector's block
-        of a coset block."""
+        of a coset block. A fixed row is (x + x) / 2, which is exact."""
         if not self.parity:
             return x
-        axis %= x.ndim
-        y = x.reshape(x.shape[:axis] + (self.n_levels, self.per_level)
-                      + x.shape[axis + 1:])
-        at = (slice(None),) * axis
-
-        def rows(index):
-            return y[at + (slice(None), index)]
-
-        sign = self.parity * _level_parity(self.n_levels)
-        pairs = rows(self.up) * sign.reshape((-1,) + (1,) * (x.ndim - axis))
-        pairs += rows(self.lo)
-        pairs *= math.sqrt(0.5)
-        fixed = rows(np.array(self.fixed, dtype=int))
-        pieces = []
-        for n, keep in enumerate(self._keeps_fixed()):
-            if keep:
-                pieces.append(fixed[at + (n,)])
-            pieces.append(pairs[at + (n,)])
-        return np.concatenate(pieces, axis=axis)
+        shape = (-1,) + (1,) * (x.ndim - 1 - axis % x.ndim)
+        pair = self.image[self.rows]
+        y = np.take(x, pair, axis)
+        y *= (self.parity * self.sign[self.rows]).reshape(shape)
+        y += np.take(x, self.rows, axis)
+        y *= np.where(pair == self.rows, 0.5, math.sqrt(0.5)).reshape(shape)
+        return y
 
     def deviation(self, block: np.ndarray) -> float:
-        """max |S H S^T - H| over a coset block, entry by entry: each part of
-        the block whose rows are the fixed rows or `lo`, against its image
-        under S, from the fixed rows and the `lo` <-> `up` pairs."""
-        h = block.reshape(self.n_levels, self.per_level, self.n_levels,
-                          self.per_level)
-        sign = _level_parity(self.n_levels)
-        flip = (sign[:, None] * sign)[:, None, :, None]
-        fixed = np.array(self.fixed, dtype=int)
-        rows = ((self.lo, self.up), (fixed, fixed))
-        cols = rows + ((self.up, self.lo),)
-        return max(
-            float(np.max(np.abs(flip * h[:, ri][..., ci] - h[:, r][..., c]),
-                         initial=0.0))
-            for r, ri in rows for c, ci in cols
-        )
+        """max |S H S^T - H| over a coset block. Entry (i, j) of S H S^T is
+        sign[i] sign[j] H[image[i], image[j]], and S is an involution, so
+        entries (i, j) and (image[i], image[j]) deviate equally: only the
+        rows r <= image[r] are scanned."""
+        half = np.flatnonzero(np.arange(self.image.size) <= self.image)
+        h = np.take(block[self.image[half]], self.image, 1)
+        h *= self.sign[half, None]
+        h *= self.sign
+        h -= block[half]
+        return float(np.max(np.abs(h), initial=0.0))
 
     def describe(self) -> str:
         half = {0: "whole", 1: "S = +1", -1: "S = -1"}[self.parity]
@@ -405,15 +363,23 @@ def sector_plan(basis: LandauBasisSpec, potential: FourierPotential) -> list:
     largest = float(basis.level_energies()[-1])
     largest += sum(abs(c) for *_, c in potential.harmonics)
     even = inversion_even(potential) and 4.0 * largest < np.finfo(float).max
+    index = np.arange(basis.n_levels * per_level)
+    level, t = np.divmod(index, per_level)
+    sign = _level_parity(basis.n_levels)[level]
     sectors = []
     for c in range(g):
         if not even or 2 * c % g:
-            sectors.append(Sector(c, 0, basis.n_levels, per_level))
+            sectors.append(Sector(c, 0, per_level, index))
             continue
-        t = np.arange(per_level)
-        fixed = tuple(t[(2 * t + 2 * c // g) % per_level == 0].tolist())
-        halves = (Sector(c, p, basis.n_levels, per_level, fixed) for p in (1, -1))
-        sectors += [half for half in halves if half.dim]
+        # S sends guiding row t of coset c to (-t - 2c/g) mod per_level
+        image = level * per_level + (-t - 2 * c // g) % per_level
+        order = np.lexsort((image != index, level))  # each level's fixed rows first
+        for parity in (1, -1):
+            keep = (index < image) | ((index == image) & (parity * sign > 0))
+            rows = order[keep[order]]
+            if rows.size:
+                rank = int(np.count_nonzero(rows < per_level))
+                sectors.append(Sector(c, parity, rank, rows, image, sign))
     return sectors
 
 
@@ -435,48 +401,34 @@ def sector_blocks(basis: LandauBasisSpec, potential: FourierPotential):
     """(stacks, deviation): the continuum operator as its sector blocks, in
     the dtype of coset_blocks(basis, potential).
 
-    stacks holds one (sectors, blocks) pair per block size, in order of first
-    appearance in sector_plan: blocks has shape (len(sectors), dim, dim), and
-    sectors of equal rank are adjacent, ranks decreasing (rank_runs). Each
-    half is the fold of its coset block, so the solve sees the part of H that
-    commutes with S. Before any fold, every split coset's deviation from
-    that part is checked (_checked_deviation); deviation is the largest of
-    them, 0.0 when no coset splits. The coset blocks are released on return.
+    stacks holds one (sectors, blocks) pair per block size and rank, in order
+    of first appearance in sector_plan: blocks has shape (len(sectors), dim,
+    dim), and every sector in it has rank sectors[0].rank. Each half is the
+    fold of its coset block, so the solve sees the part of H that commutes
+    with S. Before any fold, every split coset's deviation from that part is
+    checked (_checked_deviation); deviation is the largest of them, 0.0 when
+    no coset splits. The coset blocks are released on return.
     """
     sectors = sector_plan(basis, potential)
     blocks = coset_blocks(basis, potential)
     if not any(s.parity for s in sectors):
         return [(tuple(sectors), blocks)], 0.0
-    sizes = {}
-    for s in sectors:
-        sizes.setdefault(s.dim, []).append(s)
-    stacks, slots = [], {}
-    for dim, group in sizes.items():
-        group.sort(key=lambda s: -s.rank)
-        stack = np.empty((len(group), dim, dim), dtype=blocks.dtype)
-        slots.update(((s.coset, s.parity), block) for s, block in zip(group, stack))
-        stacks.append((tuple(group), stack))
     split = {s.coset: s for s in sectors if s.parity}
     deviation = max(_checked_deviation(basis, s, blocks[c]) for c, s in split.items())
+    groups = {}
     for s in sectors:
-        slots[s.coset, s.parity][...] = s.fold(s.fold(blocks[s.coset], 1), 0)
+        groups.setdefault((s.dim, s.rank), []).append(s)
+    stacks = [
+        (tuple(group), np.stack([s.fold(s.fold(blocks[s.coset], 1), 0) for s in group]))
+        for group in groups.values()
+    ]
     return stacks, deviation
-
-
-def rank_runs(sectors) -> list:
-    """(start, stop, rank) of each run of sectors of equal rank."""
-    runs, start = [], 0
-    for rank, run in itertools.groupby(s.rank for s in sectors):
-        stop = start + sum(1 for _ in run)
-        runs.append((start, stop, rank))
-        start = stop
-    return runs
 
 
 def coset_eigh(basis: LandauBasisSpec, potential: FourierPotential) -> np.ndarray:
     """Sorted eigenvalues of the continuum operator, from one batched solve
-    per block size of its sector_blocks(basis, potential), real when they are
-    exactly real."""
+    per block size and rank of its sector_blocks(basis, potential), real when
+    they are exactly real."""
     stacks, _ = sector_blocks(basis, potential)
     return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for _, b in stacks]))
 
@@ -549,8 +501,8 @@ def _strong_field_row(b_req, basis, potential) -> StrongFieldRow:
     distance = float("nan")
     if separated:
         one_level = [
-            np.linalg.eigvalsh(blocks[i:j, :r, :r]).ravel()
-            for sectors, blocks in stacks for i, j, r in rank_runs(sectors) if r
+            np.linalg.eigvalsh(blocks[:, :r, :r]).ravel()
+            for sectors, blocks in stacks for r in [sectors[0].rank] if r
         ]
         distance = hausdorff(w[: basis.n_flux], np.sort(np.concatenate(one_level)))
     return StrongFieldRow(

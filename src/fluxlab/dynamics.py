@@ -34,7 +34,6 @@ import numpy as np
 from .continuum import (
     FourierPotential,
     coset_count,
-    rank_runs,
     sector_blocks,
     separated_cluster,
     torus_basis,
@@ -182,13 +181,13 @@ def defect_scaling(
     """Defect experiment across a list of field values, one row per field.
 
     For each requested B (snapped to the nearest feasible torus value): build
-    the full operator's g guiding-centre coset blocks once, take their
-    eigendecomposition in one batched solve, project onto the lowest n_flux
-    eigenvalues, intertwine with the lowest level, and evolve a seeded random
-    packet under both the full operator and the lowest-level compression,
-    sector by sector. d(0) is always measured, whether or not 0 is on the
-    time grid. Rows whose lowest cluster is not separated
-    (continuum.separated_cluster) are flagged, not failed.
+    the full operator's sector blocks once (continuum.sector_blocks), take
+    their eigendecomposition in one batched solve per block size and rank,
+    project onto the lowest n_flux eigenvalues, intertwine with the lowest
+    level, and evolve a seeded random packet under both the full operator and
+    the lowest-level compression, sector by sector. d(0) is always measured,
+    whether or not 0 is on the time grid. Rows whose lowest cluster is not
+    separated (continuum.separated_cluster) are flagged, not failed.
     """
     times = tuple(float(t) for t in times)
     return [
@@ -228,12 +227,12 @@ def _defect_row(b_req, basis, potential, times, seed) -> DefectRow:
             f"eigenvalues, not {sectors[i].rank}: its overlap block is not "
             "square, so ||P - Q|| = 1 and no canonical intertwiner exists"
         )
-    # one group per frame shape, sectors of one size and rank; a half with no
+    # one group per stack, sectors of one size and rank; a half with no
     # lowest-level rows holds none of the cluster, so P and Q miss it
     groups = [
-        (group[i:j], blocks[i:j, :r, :r], values[i:j, :r], vectors[i:j, :, :r])
+        (group, blocks[:, :r, :r], values[:, :r], vectors[:, :, :r])
         for (group, blocks), (values, vectors) in zip(stacks, solved)
-        for i, j, r in rank_runs(group) if r
+        for r in [group[0].rank] if r
     ]
     # ||V_s^dag V_s - I||_F over all sectors bounds the 2-norms of
     # P^2 - P and P - P^dag

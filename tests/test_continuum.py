@@ -18,7 +18,6 @@ from fluxlab import (
     level_form_factor,
     inversion_even,
     next_level_coupling,
-    rank_runs,
     sector_blocks,
     sector_plan,
     strong_field_report,
@@ -309,7 +308,8 @@ def test_fractional_harmonic_gives_one_coset():
 def test_flat_operator_is_one_batched_solve(monkeypatch, tmp_path):
     # no harmonics: B = 80 on 4 cells has n_flux = 407 cosets of 6 levels
     # each. The inversion maps coset c to 407 - c, so only coset 0 splits,
-    # into its even and odd levels: one eigvalsh per block size
+    # into its even and odd levels (rank 1 and 0): one eigvalsh per block
+    # size and rank
     shapes = []
     real = np.linalg.eigvalsh
 
@@ -320,7 +320,7 @@ def test_flat_operator_is_one_batched_solve(monkeypatch, tmp_path):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     argv = ["continuum-spectrum", "--B", "80", "--amplitude", "0"]
     assert main(argv + ["--out", str(tmp_path / "flat.csv")]) == 0
-    assert shapes == [(2, 3, 3), (406, 6, 6)]
+    assert shapes == [(1, 3, 3), (1, 3, 3), (406, 6, 6)]
 
 
 def test_inversion_evenness_is_read_from_the_harmonics():
@@ -392,8 +392,8 @@ def test_sector_spectrum_matches_the_unsplit_solve(n_levels, n_cells):
         assert sum(sec.dim for sec in sectors) == basis.dim
         assert sum(sec.rank for sec in sectors) == n_flux
         one_level = np.sort(np.concatenate([
-            np.linalg.eigvalsh(blocks[i:j, :r, :r]).ravel()
-            for group, blocks in stacks for i, j, r in rank_runs(group) if r]))
+            np.linalg.eigvalsh(blocks[:, :r, :r]).ravel()
+            for group, blocks in stacks for r in [group[0].rank] if r]))
         want_one = dense_eigh(h[:n_flux, :n_flux])
         assert np.all(np.abs(one_level - want_one) <= 1e-12 * (1 + np.abs(want_one)))
         s = inversion_matrix(basis)
@@ -401,6 +401,50 @@ def test_sector_spectrum_matches_the_unsplit_solve(n_levels, n_cells):
             assert deviation == np.max(np.abs(s @ h @ s.T - h))
         bound = continuum.C2_DEVIATION_ULPS * np.finfo(float).eps * np.max(np.abs(h))
         assert deviation <= bound
+
+
+@pytest.mark.parametrize(("field", "cosets"), [(10.0, 1), (20.0, 2), (40.0, 4)])
+def test_sector_deviation_is_the_dense_one(field, cosets):
+    # Sector.deviation scans only the rows r <= image[r]. It must still give
+    # the dense max |S_c H_c S_c^T - H_c| exactly on every split coset, also
+    # after entry (r, image[r]) of a row r > image[r] moves while its mirror
+    # does not, so that only the scan of the image row can see it, and after
+    # one entry of a fixed row moves, which only the scan of that row can see
+    potential = FourierPotential.cosine_xy(1.0)
+    basis = torus_basis(field, 2, 4)
+    assert coset_count(basis, potential) == cosets
+    blocks = coset_blocks(basis, potential)
+    s = inversion_matrix(basis)
+    coset = np.arange(basis.dim) % basis.n_flux % cosets
+    split = {sec.coset: sec for sec in sector_plan(basis, potential) if sec.parity}
+    assert sorted(split) == [c for c in range(cosets) if 2 * c % cosets == 0]
+    for c, sec in split.items():
+        mine = np.flatnonzero(coset == c)
+        s_c = s[np.ix_(mine, mine)]
+        r = basis.n_flux // cosets - 1  # the last lowest-level row
+        fixed = np.flatnonzero(sec.image == np.arange(sec.image.size))[0]
+        assert sec.image[r] < r
+        for entry, delta in (((r, r), 0.0), ((r, sec.image[r]), 1e-9), ((fixed, r), 1e-9)):
+            h = blocks[c].copy()
+            h[entry] += delta
+            deviation = sec.deviation(h)
+            assert deviation == np.max(np.abs(s_c @ h @ s_c.T - h))
+            assert deviation >= delta / 2
+
+
+def test_fold_stage_holds_less_than_a_block_and_a_half(monkeypatch, traced_peak):
+    # B = 30 on 4 cells with 6 levels: n_flux 153 in g = 1 coset, one real
+    # 918 x 918 block of 6.74 MB, prebuilt so that only the deviation scan,
+    # the folds and the stacks are traced. A gather of the whole block for
+    # the deviation or a fold stage that holds the stacks, a whole-width fold
+    # and its temporary at once would each exceed the bound
+    potential = FourierPotential.cosine_xy(1.0)
+    basis = torus_basis(30.0, 6, 4)
+    blocks = coset_blocks(basis, potential)
+    assert blocks.shape == (1, 918, 918) and blocks.dtype == np.float64
+    monkeypatch.setattr(continuum, "coset_blocks", lambda *_: blocks)
+    peak = traced_peak(lambda: sector_blocks(basis, potential))
+    assert peak <= 1.4 * blocks.nbytes, f"peak {peak / blocks.nbytes:.2f} blocks"
 
 
 def test_potentials_that_are_not_even_keep_whole_cosets(solve_dtypes):

@@ -18,7 +18,6 @@ from fluxlab import (
     hashed_normal,
     nagy_intertwiner,
     random_packet,
-    rank_runs,
     sector_blocks,
     strong_field_report,
     torus_basis,
@@ -243,14 +242,14 @@ def test_level_zero_intertwiner_matches_the_two_frame_oracle(
         distances = []
         for sectors, blocks in stacks:
             _, vectors = np.linalg.eigh(blocks)
-            for i, j, r in rank_runs(sectors):
-                u = solved.pop(0)
-                assert u.shape == (j - i, r, r)
-                q = np.eye(blocks.shape[-1], r, dtype=vectors.dtype)
-                for sector, v in zip(u, vectors[i:j]):
-                    p = v[:, :r]
-                    assert np.array_equal(sector, two_frame_nagy(p, q))
-                    distances.append(projector_distance(p, q))
+            r = sectors[0].rank
+            u = solved.pop(0)
+            assert u.shape == (len(sectors), r, r)
+            q = np.eye(blocks.shape[-1], r, dtype=vectors.dtype)
+            for sector, v in zip(u, vectors):
+                p = v[:, :r]
+                assert np.array_equal(sector, two_frame_nagy(p, q))
+                distances.append(projector_distance(p, q))
         assert abs(row.projector_distance - max(distances)) <= 1e-15
     assert solved == []
 
@@ -608,7 +607,7 @@ def test_defect_workload_solve_plan(monkeypatch, tmp_path):
     # 0 (and 1 when g = 2, 2 when g = 4) are their own inversion images and
     # split into halves of 153 rows, ranks 26 and 25; at B = 40 cosets 1 and
     # 3 are each other's images and stay whole. Each field solves one stack
-    # per block size, then one per size and rank of the one-level corners
+    # per block size and rank, then one per stack of the one-level corners
     shapes = []
     real = np.linalg.eigh
 
@@ -620,9 +619,10 @@ def test_defect_workload_solve_plan(monkeypatch, tmp_path):
     argv = ["dynamics-defect", "--B", "10,20,40", "--out", str(tmp_path / "d.csv")]
     assert main(argv) == 0
     assert shapes == [
-        (2, 153, 153), (1, 26, 26), (1, 25, 25),
-        (4, 153, 153), (2, 26, 26), (2, 25, 25),
-        (4, 153, 153), (2, 306, 306), (2, 26, 26), (2, 25, 25), (2, 51, 51),
+        (1, 153, 153), (1, 153, 153), (1, 26, 26), (1, 25, 25),
+        (2, 153, 153), (2, 153, 153), (2, 26, 26), (2, 25, 25),
+        (2, 153, 153), (2, 153, 153), (2, 306, 306), (2, 26, 26), (2, 25, 25),
+        (2, 51, 51),
     ]
 
 

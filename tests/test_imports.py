@@ -49,6 +49,7 @@ def test_all_lists_only_the_reexported_names():
     assert modules == []
     assert "coset_blocks" in fluxlab.__all__
     assert "sample_values" not in fluxlab.__all__
+    assert "rank_runs" not in fluxlab.__all__
 
 
 _LOADED_AFTER_EVERY_COMMAND = """
