@@ -165,19 +165,6 @@ def _harmonic_shift(basis: LandauBasisSpec, n: float, m: float) -> tuple[int, in
     return j1, j2
 
 
-def _harmonic_translation(basis: LandauBasisSpec, n: float, m: float) -> np.ndarray:
-    """Projective torus translation tau(j1, j2) carried by a cell-reciprocal
-    harmonic, with (j1, j2) = n_cells * (n, m).
-
-    tau(j1, j2) = weyl_translation(1/n_flux, -j1, j2), that is
-    e^{i pi j1 j2 / n_flux} times j1 cyclic up-shifts and j2 clocks; the
-    symmetrization phase pairs with the form-factor phase so that full
-    plane-wave elements compose exactly: E(K) E(K') = E(K + K').
-    """
-    j1, j2 = _harmonic_shift(basis, n, m)
-    return weyl_translation(RationalFlux(1, basis.n_flux), -j1, j2)
-
-
 def next_level_coupling(basis: LandauBasisSpec, potential: FourierPotential) -> float:
     """Largest potential matrix element from the top retained level into the
     first dropped one; the standard truncation-error proxy."""
@@ -216,22 +203,18 @@ def coset_blocks(basis: LandauBasisSpec, potential: FourierPotential) -> np.ndar
     conjugation combined with x -> -x is an antiunitary symmetry that acts as
     plain conjugation in the level-major Landau basis (M. Robnik and M. V.
     Berry, J. Phys. A 19, 669 (1986)), so the blocks are exactly real, and are
-    solved as real symmetric matrices. The real copy is made after the
-    scatter's n_flux x n_flux translations are released.
-    """
-    blocks = _complex_blocks(basis, potential)
-    return np.ascontiguousarray(blocks.real) if not np.any(blocks.imag) else blocks
+    solved as real symmetric matrices.
 
-
-def _complex_blocks(basis: LandauBasisSpec, potential: FourierPotential) -> np.ndarray:
-    """coset_blocks before the real switch. Coset c holds the indices
-    level * n_flux + j with j = c mod g, at block row level * (n_flux/g) +
-    j // g. The kinetic ladder is the diagonal, and each harmonic
-    c e^{iK.r} = c G(K) (x) tau(K) adds c G[a, b] tau[j, k] at the nonzero
-    entries of tau only, in one scatter. Those must join indices of one coset
-    (j = k mod g): the zeros between cosets are structural, not roundoff, so
-    a nonzero (or NaN) entry across raises NumericalCheckError, with no
-    tolerance. Each block is checked Hermitian.
+    Coset c holds the indices level * n_flux + j with j = c mod g, at block
+    row level * (n_flux/g) + j // g. The kinetic ladder is the diagonal, and
+    each harmonic c e^{iK.r} = c G(K) (x) tau(K) adds c G[a, b] tau[j] at the
+    n_flux entries (j, k[j]) of its guiding translation (k, tau) =
+    weyl_translation(1/n_flux, -j1, j2), (j1, j2) = n_cells * (n, m), in one
+    scatter. Its symmetrization phase pairs with the form-factor phase so
+    that plane-wave elements compose exactly: E(K) E(K') = E(K + K'). Each
+    entry must join indices of one coset (j = k mod g): the zeros between
+    cosets are structural, so an entry across raises NumericalCheckError.
+    Each block is checked Hermitian.
     """
     g = coset_count(basis, potential)
     per_level = basis.n_flux // g
@@ -239,9 +222,10 @@ def _complex_blocks(basis: LandauBasisSpec, potential: FourierPotential) -> np.n
     blocks = np.zeros((g, diag.size, diag.size), dtype=complex)
     blocks[:, diag, diag] = np.repeat(basis.level_energies(), per_level)
     first = np.arange(basis.n_levels) * per_level  # each level's first block row
+    j = np.arange(basis.n_flux)
     for n, m, c in potential.harmonics:
-        tau = _harmonic_translation(basis, n, m)
-        j, k = np.nonzero(tau)
+        j1, j2 = _harmonic_shift(basis, n, m)
+        k, tau = weyl_translation(RationalFlux(1, basis.n_flux), -j1, j2)
         leak = np.count_nonzero(j % g != k % g)
         if leak:
             raise NumericalCheckError(
@@ -253,10 +237,10 @@ def _complex_blocks(basis: LandauBasisSpec, potential: FourierPotential) -> np.n
             2.0 * np.pi * n, 2.0 * np.pi * m, basis.effective_field, basis.n_levels
         )
         blocks[j % g, first[:, None, None] + j // g, first[None, :, None] + k // g] += (
-            c * (form[:, :, None] * tau[j, k]))
+            c * (form[:, :, None] * tau))
     for block in blocks:
         check_hermitian(block)
-    return blocks
+    return np.ascontiguousarray(blocks.real) if not np.any(blocks.imag) else blocks
 
 
 # Bound on the inversion fold's deviation max |S H S^T - H|, in units of

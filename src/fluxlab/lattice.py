@@ -15,7 +15,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import fmod, gcd, isfinite, pi
 from typing import Sequence
@@ -87,7 +87,9 @@ NEAREST_NEIGHBOR = ((1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0))
 class BlochFiberFamily:
     """k-dependent Hermitian fiber H(k) = sum_t e^{i (n_t k1 + m_t k2)} M_t.
 
-    The terms must come in conjugate pairs so H(k) is Hermitian at every k.
+    Each term (n, m, cols, values) holds M_t as a permutation with values,
+    like a weyl_translation: row j holds values[j] in column cols[j]. The
+    terms must come in conjugate pairs so H(k) is Hermitian at every k.
     Storing the harmonic decomposition lets batch evaluate any array of
     momenta with one array operation per term instead of a loop per point.
 
@@ -97,32 +99,22 @@ class BlochFiberFamily:
     """
 
     dim: int
-    terms: tuple  # ((n, m, matrix), ...)
+    terms: tuple  # ((n, m, cols, values), ...)
     chambers: bool = False
-    # each term as (n, m, rows, cols, values) of its matrix's nonzero entries
-    _entries: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        entries = []
-        for n, m, mat in self.terms:
-            i, j = np.nonzero(mat)
-            entries.append((n, m, i, j, mat[i, j]))
-        object.__setattr__(self, "_entries", tuple(entries))
 
     def batch(self, k1, k2) -> np.ndarray:
         """Fibers H(k1, k2) at momenta broadcast against each other, shape
         np.broadcast(k1, k2).shape + (q, q): scalars give one fiber,
         (k1[:, None], k2) the product grid.
 
-        Each term adds its phase only at its matrix's nonzero entries (q for
-        a Weyl translation, found once when the family is built), in one
-        fancy-index add; a term with n == 0
-        (m == 0) takes its phase from k2 (k1) alone. Skipping a zero entry
-        only skips adding a signed zero, and dropping a zero multiple of a
+        Each term adds its phase at its q entries (j, cols[j]) only, in one
+        fancy-index add; a term with n == 0 (m == 0) takes its phase from k2
+        (k1) alone. The zeros a term leaves out would only add signed zeros
+        onto a sum that starts at +0, and dropping a zero multiple of a
         finite momentum changes at most the sign of a zero argument, where
         exp gives 1 + 0j either way, so for finite momenta each fiber is
         bit-identical to the dense sum of e^{i (n k1 + m k2)} * M. The
-        product is phase * entry as there: numpy's SIMD complex multiply
+        product is phase * value as there: numpy's SIMD complex multiply
         rounds the two orders differently. The result is a view of
         contiguous (q, q) + shape planes with the matrix axes last.
         """
@@ -130,40 +122,40 @@ class BlochFiberFamily:
         k2 = np.asarray(k2, dtype=float)
         shape = np.broadcast(k1, k2).shape
         out = np.zeros((self.dim, self.dim) + shape, dtype=complex)
-        for n, m, i, j, values in self._entries:
+        rows = np.arange(self.dim)
+        for n, m, cols, values in self.terms:
             phase = np.exp(1j * ((n * k1 if n else 0.0) + (m * k2 if m else 0.0)))
-            out[i, j] += phase * values.reshape((-1,) + (1,) * len(shape))
+            out[rows, cols] += phase * values.reshape((-1,) + (1,) * len(shape))
         return out.transpose(*range(2, out.ndim), 0, 1)
 
 
-def weyl_translation(flux: RationalFlux, n: int, m: int) -> np.ndarray:
-    """Weyl-ordered magnetic translation W(n, m) = e^{-i pi n m p/q} D^n C^m.
+def weyl_translation(flux: RationalFlux, n: int, m: int):
+    """Weyl-ordered magnetic translation W(n, m) = e^{-i pi n m p/q} D^n C^m,
+    held as (cols, phase): row j holds phase[j] in column cols[j].
 
     D is the cyclic down-shift (D x)_j = x_{j+1 mod q} and C the clock
     diag(e^{i 2 pi (p/q) j}) on C^q, so D C = e^{i 2 pi p/q} C D. The
     symmetrization phase makes W(n, m)^dag = W(-n, -m). The product is a
-    permutation times a phase: row j holds e^{i pi (p/q) (2 m k - n m)} in
-    column k = j + n mod q, with one rounding in each phase angle. For m = 0
-    the phase is exactly 1 and W(n, 0) is the bare permutation.
+    permutation times a phase: cols[j] = j + n mod q and phase[j] =
+    e^{i pi (p/q) (2 m cols[j] - n m)}, with one rounding in each angle.
+    For m = 0 the phase is exactly 1 and W(n, 0) is the bare permutation.
     """
     q = flux.q
     cols = (np.arange(q) + n) % q
-    w = np.zeros((q, q), dtype=complex)
-    phase = np.exp(1j * pi * flux.value * (2 * m * cols - n * m)) if m else 1.0
-    w[np.arange(q), cols] = phase
-    return w
+    if not m:
+        return cols, np.ones(q, dtype=complex)
+    return cols, np.exp(1j * pi * flux.value * (2 * m * cols - n * m))
 
 
 def hofstadter_family(flux: RationalFlux) -> BlochFiberFamily:
     """Landau-gauge Bloch fiber family of the square-lattice magnetic model."""
-    s = weyl_translation(flux, -1, 0)
-    # 2 cos(k2 + 2 pi alpha j) split into e^{+-i k2} clock factors.
-    c = weyl_translation(flux, 0, 1)
+    # W(-1, 0)^dag = W(1, 0), and the diagonal clock W(0, 1)^dag is its conjugate
+    diag, clock = weyl_translation(flux, 0, 1)
     terms = (
-        (1, 0, s),
-        (-1, 0, s.conj().T),
-        (0, 1, c),
-        (0, -1, c.conj().T),
+        (1, 0, *weyl_translation(flux, -1, 0)),
+        (-1, 0, *weyl_translation(flux, 1, 0)),
+        (0, 1, diag, clock),
+        (0, -1, diag, clock.conj()),
     )
     return BlochFiberFamily(dim=flux.q, terms=terms, chambers=True)
 
@@ -172,21 +164,27 @@ def peierls_quantize(harmonics, flux: RationalFlux) -> BlochFiberFamily:
     """Quantize a Bloch dispersion into a magnetic fiber family.
 
     harmonics is the dispersion sum_h c_h e^{i (n k1 + m k2)} as a sequence
-    of (n, m, c). Each harmonic maps to c e^{i (n k1 + m k2)} W(n, m) with W
+    of (n, m, c) with integral n and m; any other (n, m) raises ValueError.
+    Each harmonic maps to c e^{i (n k1 + m k2)} W(n, m) with W
     the Weyl-ordered weyl_translation at this flux. W(n, m)^dag = W(-n, -m)
     makes the result Hermitian for every real dispersion, mixed harmonics
     included.
     """
-    harmonics = [(int(n), int(m), complex(c)) for n, m, c in harmonics]
-    if not conjugate_paired(harmonics):
+    checked = []
+    for n, m, c in harmonics:
+        if not (float(n).is_integer() and float(m).is_integer()):
+            raise ValueError(f"harmonic ({n}, {m}, {c}) needs integral (n, m)")
+        checked.append((int(n), int(m), complex(c)))
+    if not conjugate_paired(checked):
         raise ValueError(
             "dispersion is not real: every harmonic (n, m, c) needs the "
             "partner (-n, -m, conj(c))"
         )
-    terms = tuple(
-        (n, m, c * weyl_translation(flux, n, m)) for n, m, c in harmonics
-    )
-    return BlochFiberFamily(dim=flux.q, terms=terms)
+    terms = []
+    for n, m, c in checked:
+        cols, phase = weyl_translation(flux, n, m)
+        terms.append((n, m, cols, c * phase))
+    return BlochFiberFamily(dim=flux.q, terms=tuple(terms))
 
 
 def box_flux(B: float, L: int) -> RationalFlux:

@@ -196,6 +196,19 @@ def corner_bands(flux):
     return np.sort(np.linalg.eigvalsh(corners).T, axis=1)
 
 
+def dense_term(dim, cols, values):
+    """The dim x dim matrix of a permutation with values, held as
+    (cols, values): row j holds values[j] in column cols[j], on zeros."""
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[np.arange(dim), cols] = values
+    return mat
+
+
+def dense_weyl(flux, n, m):
+    """`weyl_translation(flux, n, m)` written out as its q x q matrix."""
+    return dense_term(flux.q, *weyl_translation(flux, n, m))
+
+
 def plane_wave_element(basis, K):
     """Matrix of e^{i K . r} in the truncated Landau basis, built whole as
     kron(G(K), tau(K)); `continuum.coset_blocks` builds the same entries
@@ -203,7 +216,7 @@ def plane_wave_element(basis, K):
 
     K = (n, m) is in reciprocal units 2 pi and must be a multiple of
     1 / n_cells. G(K) is the inter-level `level_form_factor` at 2 pi (n, m)
-    and tau(K) the guiding translation weyl_translation(1/n_flux, -j1, j2)
+    and tau(K) the guiding translation dense_weyl(1/n_flux, -j1, j2)
     with (j1, j2) = n_cells (n, m). The product is unitary up to the level
     truncation.
     """
@@ -211,7 +224,7 @@ def plane_wave_element(basis, K):
     j1, j2 = round(n * basis.n_cells), round(m * basis.n_cells)
     if abs(n * basis.n_cells - j1) > 1e-9 or abs(m * basis.n_cells - j2) > 1e-9:
         raise ValueError(f"harmonic {K} is not a multiple of 1 / n_cells")
-    tau = weyl_translation(RationalFlux(1, basis.n_flux), -j1, j2)
+    tau = dense_weyl(RationalFlux(1, basis.n_flux), -j1, j2)
     g = level_form_factor(
         2.0 * np.pi * n, 2.0 * np.pi * m, basis.effective_field, basis.n_levels
     )

@@ -775,19 +775,19 @@ def test_memory_error_exits_2(argv, monkeypatch, capsys):
     "command", ["continuum-spectrum", "lll-compare", "dynamics-defect"]
 )
 def test_cross_coset_entry_exits_3(command, monkeypatch, capsys):
-    # B = 5 on 2 cells: n_flux 6 in g = 2 cosets; guiding 0 and 1 lie in
-    # different ones. The zeros between cosets are structural, so even a
-    # 1e-300 entry of a guiding translation is a leak
-    real = continuum._harmonic_translation
+    # B = 5 on 2 cells: n_flux 6 in g = 2 cosets, and moving row 0's entry
+    # of a guiding translation by one column puts it in the other coset.
+    # The zeros between cosets are structural, so one such entry is a leak
+    real = continuum.weyl_translation
 
-    def leaky(basis, n, m):
-        tau = real(basis, n, m)
-        tau[0, 1] = 1e-300
-        return tau
+    def leaky(flux, n, m):
+        cols, phase = real(flux, n, m)
+        cols[0] = (cols[0] + 1) % flux.q
+        return cols, phase
 
     argv = [command, "--B", "5", "--ncells", "2", "--nlevels", "3"]
     assert main(argv) == 0
-    monkeypatch.setattr(continuum, "_harmonic_translation", leaky)
+    monkeypatch.setattr(continuum, "weyl_translation", leaky)
     capsys.readouterr()
     assert main(argv) == 3
     assert "nonzero entries between its 2 guiding-centre cosets" in (

@@ -22,13 +22,13 @@ from fluxlab import (
     sector_plan,
     strong_field_report,
     torus_basis,
-    weyl_translation,
 )
 from fluxlab import continuum
 from fluxlab.cli import decreasing_gate, main
 from oracles import (
     dense_eigh,
     dense_hamiltonian,
+    dense_weyl,
     inversion_matrix,
     plane_wave_element,
     scattered_frame,
@@ -60,7 +60,7 @@ def test_basis_bookkeeping():
     assert basis.dim == 12
     assert np.allclose(basis.level_energies(), 2.0 * np.pi * np.array([1, 3, 5]))
     guiding = RationalFlux(1, basis.n_flux)
-    u, v = weyl_translation(guiding, 0, 1), weyl_translation(guiding, -1, 0)
+    u, v = dense_weyl(guiding, 0, 1), dense_weyl(guiding, -1, 0)
     phase = np.exp(2j * np.pi / 4)
     assert np.allclose(u @ v, phase * (v @ u), atol=1e-12)
 
@@ -140,8 +140,8 @@ def test_form_factor_point_values_and_adjoint():
 
 def tau(j1, j2, n_flux):
     """Torus translation tau(j1, j2) on the guiding space, as the continuum
-    module builds it."""
-    return weyl_translation(RationalFlux(1, n_flux), -j1, j2)
+    module builds it, written out as a matrix."""
+    return dense_weyl(RationalFlux(1, n_flux), -j1, j2)
 
 
 def test_guiding_translation_algebra():
@@ -445,6 +445,23 @@ def test_fold_stage_holds_less_than_a_block_and_a_half(monkeypatch, traced_peak)
     monkeypatch.setattr(continuum, "coset_blocks", lambda *_: blocks)
     peak = traced_peak(lambda: sector_blocks(basis, potential))
     assert peak <= 1.4 * blocks.nbytes, f"peak {peak / blocks.nbytes:.2f} blocks"
+
+
+@pytest.mark.parametrize(
+    "potential",
+    [FourierPotential.cosine_xy(1.0), FourierPotential([(0.25, 0, -0.5j), (-0.25, 0, 0.5j)])],
+    ids=["cosine", "sine"],
+)
+def test_coset_build_holds_no_dense_translation(potential, traced_peak):
+    # B = 80 on 4 cells with 1 level: n_flux 407 in g = 1 coset, one
+    # 407 x 407 block. The build holds the complex block, its scatter's
+    # temporaries and, for the real cosine, the real copy (1.5 complex
+    # blocks); a dense n_flux x n_flux translation is one more complex
+    # block each, and two alive at once reach 3.0
+    basis = torus_basis(80.0, 1, 4)
+    complex_bytes = 16 * basis.dim ** 2
+    peak = traced_peak(lambda: coset_blocks(basis, potential))
+    assert peak <= 2.0 * complex_bytes, f"peak {peak / complex_bytes:.2f} blocks"
 
 
 def test_potentials_that_are_not_even_keep_whole_cosets(solve_dtypes):

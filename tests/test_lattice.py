@@ -20,7 +20,7 @@ from fluxlab import (
     symmetric_gauge_box,
     weyl_translation,
 )
-from oracles import harper_fiber, plaquette_flux, site_loop_box
+from oracles import dense_term, dense_weyl, harper_fiber, plaquette_flux, site_loop_box
 
 HERM_TOL = 1e-12
 
@@ -279,21 +279,26 @@ def test_peierls_mixed_harmonic_hermitian():
 
 def dense_term_sum(fam, k1, k2):
     """sum_t e^{i (n_t k1 + m_t k2)} * M_t over every entry of every term,
-    at the broadcast momenta."""
+    each term written out dense, at the broadcast momenta."""
     k1, k2 = np.asarray(k1, dtype=float), np.asarray(k2, dtype=float)
     out = np.zeros(np.broadcast_shapes(k1.shape, k2.shape) + (fam.dim, fam.dim), dtype=complex)
-    for n, m, mat in fam.terms:
-        out += np.exp(1j * (n * k1 + m * k2))[..., None, None] * mat
+    for n, m, cols, values in fam.terms:
+        out += np.exp(1j * (n * k1 + m * k2))[..., None, None] * dense_term(fam.dim, cols, values)
     return out
 
 
 def test_batch_is_bit_identical_to_dense_term_sum():
     rng = np.random.default_rng(3)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    m[rng.random((4, 4)) < 0.5] = 0.0
-    dense_pair = BlochFiberFamily(dim=4, terms=((2, -1, m), (-2, 1, m.conj().T)))
+    # a random phased permutation with one zero value, and its adjoint
+    cols = rng.permutation(4)
+    values = rng.normal(size=4) + 1j * rng.normal(size=4)
+    values[1] = 0.0
+    adjoint = np.argsort(cols)
+    pair = BlochFiberFamily(
+        dim=4, terms=((2, -1, cols, values), (-2, 1, adjoint, values[adjoint].conj()))
+    )
     mixed = NEAREST_NEIGHBOR + ((1, 1, 0.3 + 0.2j), (-1, -1, 0.3 - 0.2j))
-    families = [dense_pair, peierls_quantize(mixed, RationalFlux(2, 5))]
+    families = [pair, peierls_quantize(mixed, RationalFlux(2, 5))]
     families += [hofstadter_family(RationalFlux(p, q)) for p, q in ((0, 1), (1, 2), (-3, 7))]
     # the negated grids put -0.0 among the momenta
     g1 = 2.0 * np.pi * np.arange(9) / 9
@@ -320,7 +325,7 @@ def test_peierls_rejects_non_real_dispersion():
 
 def test_magnetic_translations_commutation():
     for flux in (RationalFlux(1, 3), RationalFlux(2, 5), RationalFlux(3, 7)):
-        u, v = weyl_translation(flux, 1, 0), weyl_translation(flux, 0, 1)
+        u, v = dense_weyl(flux, 1, 0), dense_weyl(flux, 0, 1)
         phase = np.exp(2j * np.pi * flux.value)
         assert np.allclose(u @ v, phase * (v @ u), atol=1e-12)
         assert np.allclose(u @ u.conj().T, np.eye(flux.q), atol=1e-12)
@@ -348,9 +353,51 @@ def test_weyl_translation_matches_matrix_power_oracle():
     for flux in fluxes:
         for n in range(-4, 5):
             for m in range(-4, 5):
-                w = weyl_translation(flux, n, m)
+                w = dense_weyl(flux, n, m)
                 assert np.max(np.abs(w - reference_weyl(flux, n, m))) < 1e-12
-                assert np.max(np.abs(w.conj().T - weyl_translation(flux, -n, -m))) < 1e-12
+                assert np.max(np.abs(w.conj().T - dense_weyl(flux, -n, -m))) < 1e-12
+
+
+def test_weyl_translation_is_a_shift_with_phases():
+    for q in (1, 2, 5, 12):
+        for p in range(-q, q + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            for n in range(-3, 4):
+                for m in range(-3, 4):
+                    cols, phase = weyl_translation(RationalFlux(p, q), n, m)
+                    assert np.array_equal(cols, (np.arange(q) + n) % q)
+                    assert phase.shape == (q,) and phase.dtype == complex
+                    if m == 0:
+                        ones = np.ones(q, dtype=complex)
+                        assert np.array_equal(phase.view(np.uint64), ones.view(np.uint64))
+
+
+def test_hofstadter_terms_are_adjoint_pairs():
+    for q in range(1, 13):
+        for p in range(q):
+            if math.gcd(p, q) != 1:
+                continue
+            terms = {(n, m): dense_term(q, cols, values)
+                     for n, m, cols, values in hofstadter_family(RationalFlux(p, q)).terms}
+            assert set(terms) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+            for (n, m), mat in terms.items():
+                assert np.array_equal(mat, terms[(-n, -m)].conj().T), (p, q, n, m)
+
+
+def test_peierls_rejects_non_integer_harmonics():
+    flux = RationalFlux(1, 3)
+    # truncated to integers, the half harmonics would give the constant
+    # fiber 2 I and (1.9, 0) the harmonic (1, 0)
+    for disp in ([(0.5, 0, 1), (-0.5, 0, 1)], [(1.9, 0, 1.0), (-1.9, 0, 1.0)],
+                 [(0, np.float64(0.5), 1), (0, -0.5, 1)], [(float("nan"), 0, 1)]):
+        with pytest.raises(ValueError, match=r"harmonic \("):
+            peierls_quantize(disp, flux)
+    # integral floats and numpy integers are the integers they hold
+    whole = [(1.0, 0.0, 1.0), (-1.0, np.int64(0), 1.0), (np.int32(0), 1, 1.0), (0, -1.0, 1.0)]
+    got = peierls_quantize(whole, flux).batch([0.3, -1.2], [0.7, 2.0])
+    want = peierls_quantize(NEAREST_NEIGHBOR, flux).batch([0.3, -1.2], [0.7, 2.0])
+    assert np.array_equal(got, want)
 
 
 def test_harper_fiber_examples():
