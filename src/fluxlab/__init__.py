@@ -47,6 +47,7 @@ from .continuum import (
     inversion_even,
     level_form_factor,
     next_level_coupling,
+    orbit_rows,
     sector_blocks,
     sector_plan,
     separated_cluster,

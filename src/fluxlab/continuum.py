@@ -11,8 +11,9 @@ cell, carries n_flux quanta of effective flux (b * area = 2 pi n_flux), and
 states are indexed level-major: index = level * n_flux + guiding, with the
 guiding degree of freedom carrying an n_flux-dimensional clock/shift pair of
 magnetic translations. Those translations split the operator into guiding-
-centre cosets (coset_blocks), and for an even potential the inversion
-r -> -r halves the cosets it maps to themselves (Sector, sector_blocks).
+centre cosets (coset_blocks), one per guiding-shift orbit is solved
+(orbit_rows), and for an even potential the inversion r -> -r halves the
+cosets it maps to themselves (Sector, sector_blocks).
 """
 
 from __future__ import annotations
@@ -243,12 +244,13 @@ def coset_blocks(basis: LandauBasisSpec, potential: FourierPotential) -> np.ndar
     return np.ascontiguousarray(blocks.real) if not np.any(blocks.imag) else blocks
 
 
-# Bound on the inversion fold's deviation max |S H S^T - H|, in units of
-# eps * max |H| of the coset block. With the default cosine potential the
-# Weyl phases leave 0.6 to 1.6 of them (B = 1 to 320). A phase's rounding
-# grows with its angle, up to 2 pi n_cells for a cosine harmonic, so at large
-# amplitudes the deviation reaches about 6.4 n_cells units: 1024 covers tori
-# of up to about 150 cells.
+# Bound on both deviations sector_blocks checks, the inversion fold's and the
+# guiding shift's, in units of eps * max |H| of the coset block. With the
+# default cosine potential the Weyl phases leave 0.6 to 1.6 of them in the
+# fold (B = 1 to 320). A phase's rounding grows with its angle, up to 2 pi
+# n_cells for a cosine harmonic, so at large amplitudes the fold's deviation
+# reaches about 6.4 n_cells units: 1024 covers tori of up to about 150 cells.
+# The shift's stayed within 29 (B = 1 to 80, 2 to 8 cells, amplitude <= 300).
 C2_DEVIATION_ULPS = 1024
 
 
@@ -332,21 +334,25 @@ class Sector:
         return f"coset {self.coset}, {half}"
 
 
+def _may_overflow(basis: LandauBasisSpec, potential: FourierPotential) -> bool:
+    """True when a sum of four entries of H, each at most the top level
+    energy plus sum |c| in magnitude, could overflow."""
+    top = basis.level_energies()[-1] + sum(abs(c) for *_, c in potential.harmonics)
+    return not 4.0 * float(top) < np.finfo(float).max
+
+
 def sector_plan(basis: LandauBasisSpec, potential: FourierPotential) -> list:
     """The Sector list of the operator on basis, from the config alone: each
     coset c < coset_count(basis, potential), split into its two halves when
     the potential is inversion_even and 2c = 0 mod g, else whole. Empty
     halves are left out.
 
-    A fold entry sums four entries of H, each at most the top level energy
-    plus sum |c| in magnitude. An operator whose fold could overflow is
-    left whole, so that its solve still reports its non-finite eigenvalues.
+    An operator whose fold could overflow (_may_overflow) is left whole, so
+    that its solve still reports its non-finite eigenvalues.
     """
     g = coset_count(basis, potential)
     per_level = basis.n_flux // g
-    largest = float(basis.level_energies()[-1])
-    largest += sum(abs(c) for *_, c in potential.harmonics)
-    even = inversion_even(potential) and 4.0 * largest < np.finfo(float).max
+    even = inversion_even(potential) and not _may_overflow(basis, potential)
     index = np.arange(basis.n_levels * per_level)
     level, t = np.divmod(index, per_level)
     sign = _level_parity(basis.n_levels)[level]
@@ -367,54 +373,94 @@ def sector_plan(basis: LandauBasisSpec, potential: FourierPotential) -> list:
     return sectors
 
 
-def _checked_deviation(basis: LandauBasisSpec, sector: Sector, block) -> float:
-    """sector.deviation(block), raising NumericalCheckError unless it is
+def orbit_rows(basis: LandauBasisSpec, potential: FourierPotential) -> np.ndarray:
+    """Row maps (g/h, d/g) of the guiding-shift orbits, from the config alone.
+
+    The shift j -> j + a, a = n_flux / gcd(n_flux, every harmonic's j2),
+    multiplies each clock phase by e^{2 pi i j2 a / n_flux} = 1, so it
+    commutes with H and maps coset c onto c + a mod g: the g cosets fall into
+    h = gcd(a, g) orbits c mod h. Coset r + m h is H_c[rows[m][i],
+    rows[m][k]] = H_r[i, k], rows[m] the shift by k a = m h mod g, which
+    sends row t of each level to (t + k a // g) mod n_flux/g. An operator
+    that may overflow (_may_overflow) keeps a = n_flux: one coset per orbit.
+    """
+    g = coset_count(basis, potential)
+    a = basis.n_flux
+    if not _may_overflow(basis, potential):
+        a //= math.gcd(a, *(_harmonic_shift(basis, n, m)[1]
+                            for n, m, _ in potential.harmonics))
+    h = math.gcd(a, g)
+    per_level = basis.n_flux // g
+    ka = np.arange(g // h) * a
+    steps = np.empty_like(ka)
+    steps[ka % g // h] = ka // g
+    level, t = np.divmod(np.arange(basis.n_levels * per_level), per_level)
+    return level * per_level + (t + steps[:, None]) % per_level
+
+
+def _checked_deviation(basis: LandauBasisSpec, dev: float, block, broken: str):
+    """dev, raising NumericalCheckError naming what is `broken` unless dev is
     within C2_DEVIATION_ULPS * eps * max |block| (a NaN or inf fails)."""
-    dev = sector.deviation(block)
     bound = C2_DEVIATION_ULPS * np.finfo(float).eps * float(np.max(np.abs(block)))
     if not dev <= bound < math.inf:
         raise NumericalCheckError(
-            f"operator at B = {basis.field:.12g} breaks its inversion symmetry "
-            f"in coset {sector.coset}: C2 deviation max |S H S^T - H| = "
-            f"{dev:.3e} > {C2_DEVIATION_ULPS} eps max |H| = {bound:.3e}"
+            f"operator at B = {basis.field:.12g} breaks its {broken} = {dev:.3e} "
+            f"> {C2_DEVIATION_ULPS} eps max |H| = {bound:.3e}"
         )
     return dev
 
 
 def sector_blocks(basis: LandauBasisSpec, potential: FourierPotential):
-    """(stacks, deviation): the continuum operator as its sector blocks, in
-    the dtype of coset_blocks(basis, potential).
+    """(stacks, c2_deviation, shift_deviation): the sector blocks of the
+    orbit representatives 0..h-1 (orbit_rows), in the dtype of coset_blocks.
 
-    stacks holds one (sectors, blocks) pair per block size and rank, in order
-    of first appearance in sector_plan: blocks has shape (len(sectors), dim,
-    dim), and every sector in it has rank sectors[0].rank. Each half is the
-    fold of its coset block, so the solve sees the part of H that commutes
-    with S. Before any fold, every split coset's deviation from that part is
-    checked (_checked_deviation); deviation is the largest of them, 0.0 when
-    no coset splits. The coset blocks are released on return.
+    stacks holds one (sectors, blocks, copies) triple per block size and rank,
+    in order of first appearance in sector_plan: blocks has shape
+    (len(sectors), dim, dim), every sector in it has rank sectors[0].rank,
+    and each of its eigenvalues is copies = g/h (the orbit size) of H's. Each
+    half is the fold of its coset block, so the solve sees the part of H that
+    commutes with S. Before any fold, each split representative's C2
+    deviation, then each other coset's shift deviation is checked
+    (_checked_deviation); each returned is the largest of its kind, or 0.0.
     """
+    rows = orbit_rows(basis, potential)
     sectors = sector_plan(basis, potential)
     blocks = coset_blocks(basis, potential)
-    if not any(s.parity for s in sectors):
-        return [(tuple(sectors), blocks)], 0.0
+    h = len(blocks) // len(rows)
+    sectors = [s for s in sectors if s.coset < h]
     split = {s.coset: s for s in sectors if s.parity}
-    deviation = max(_checked_deviation(basis, s, blocks[c]) for c, s in split.items())
+    c2 = max((_checked_deviation(basis, s.deviation(blocks[c]), blocks[c],
+                                 f"inversion symmetry in coset {c}: C2 deviation "
+                                 "max |S H S^T - H|")
+              for c, s in split.items()), default=0.0)
+    shift = 0.0
+    for c in range(h, len(blocks)):  # level by level: no block-size temporary
+        r, m = c % h, rows[c // h]
+        dev = float(np.max([np.max(np.abs(blocks[c][np.ix_(m[i], m)] - blocks[r][i]))
+                            for i in np.split(np.arange(m.size), basis.n_levels)]))
+        shift = max(shift, _checked_deviation(
+            basis, dev, blocks[r], f"guiding shift symmetry in coset {c}: shift "
+            f"deviation max |H_c[rows, rows] - H_r| from coset {r}"))
+    if not any(s.parity for s in sectors):
+        return [(tuple(sectors), blocks[:h], len(rows))], c2, shift
     groups = {}
     for s in sectors:
         groups.setdefault((s.dim, s.rank), []).append(s)
     stacks = [
-        (tuple(group), np.stack([s.fold(s.fold(blocks[s.coset], 1), 0) for s in group]))
+        (tuple(group), np.stack([s.fold(s.fold(blocks[s.coset], 1), 0) for s in group]),
+         len(rows))
         for group in groups.values()
     ]
-    return stacks, deviation
+    return stacks, c2, shift
 
 
 def coset_eigh(basis: LandauBasisSpec, potential: FourierPotential) -> np.ndarray:
     """Sorted eigenvalues of the continuum operator, from one batched solve
-    per block size and rank of its sector_blocks(basis, potential), real when
-    they are exactly real."""
-    stacks, _ = sector_blocks(basis, potential)
-    return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for _, b in stacks]))
+    per block size and rank of its sector_blocks(basis, potential), each
+    repeated once per orbit member, real when they are exactly real."""
+    stacks, *_ = sector_blocks(basis, potential)
+    return np.sort(np.concatenate(
+        [np.tile(np.linalg.eigvalsh(b).ravel(), n) for _, b, n in stacks]))
 
 
 SEPARATION_TOL = 1e-6
@@ -461,11 +507,11 @@ def strong_field_report(
     n_cells x n_cells torus (the row records both). In the level-major basis
     the lowest-level compression P H P is the same operator on one level,
     whose sector blocks are the leading rank x rank corners of the full
-    ones, so one sector_blocks build per field serves both solves. The
-    distance column is the Hausdorff distance between the lowest n_flux
-    eigenvalues and the spectrum of that one-level operator; rows whose
-    lowest cluster is not separated (separated_cluster) are flagged rather
-    than failed.
+    ones, so one sector_blocks build per field serves both solves, of the
+    orbit representatives only. The distance column is the Hausdorff
+    distance between the lowest n_flux eigenvalues and the spectrum of that
+    one-level operator; rows whose lowest cluster is not separated
+    (separated_cluster) are flagged rather than failed.
     """
     return [
         _strong_field_row(
@@ -478,15 +524,16 @@ def strong_field_report(
 def _strong_field_row(b_req, basis, potential) -> StrongFieldRow:
     """strong_field_report's row for one field; the field's blocks are
     released on return, before the next field is built."""
-    stacks, _ = sector_blocks(basis, potential)
+    stacks, *_ = sector_blocks(basis, potential)
     w, gap, separated = separated_cluster(
-        np.concatenate([np.linalg.eigvalsh(b).ravel() for _, b in stacks]), basis
+        np.concatenate([np.tile(np.linalg.eigvalsh(b).ravel(), n)
+                        for _, b, n in stacks]), basis
     )
     distance = float("nan")
     if separated:
         one_level = [
-            np.linalg.eigvalsh(blocks[:, :r, :r]).ravel()
-            for sectors, blocks in stacks for r in [sectors[0].rank] if r
+            np.tile(np.linalg.eigvalsh(blocks[:, :r, :r]).ravel(), n)
+            for sectors, blocks, n in stacks for r in [sectors[0].rank] if r
         ]
         distance = hausdorff(w[: basis.n_flux], np.sort(np.concatenate(one_level)))
     return StrongFieldRow(

@@ -16,7 +16,9 @@ restricted to sector s is the orthonormal frame V_s of its block's lowest
 rank_s eigenvectors, Q restricted to it is the block's first rank_s rows
 (the lowest level), W restricted to ran P is the stack of the rank_s x
 rank_s polar factors of the overlaps V_s[:rank_s], and both evolutions run
-in those coordinates. No d x n_flux frame is formed. H_eff, the lowest-level
+in those coordinates. No d x n_flux frame is formed. Only the guiding-shift
+orbit representatives are solved: the shift keeps Q, so each member's packet
+evolves against its representative's frames. H_eff, the lowest-level
 compression P H P, is the same operator on one level, whose sector blocks
 are the leading rank_s x rank_s corners of the full ones. For a potential
 even in x those blocks are exactly real, so the frames, the polar factors
@@ -33,7 +35,7 @@ import numpy as np
 
 from .continuum import (
     FourierPotential,
-    coset_count,
+    orbit_rows,
     sector_blocks,
     separated_cluster,
     torus_basis,
@@ -107,7 +109,9 @@ def defect_curve(energies, frame, u, w_eff, v_eff, psi, times) -> np.ndarray:
     sector that H, H_eff, P and Q all commute with: frame (..., d_s, r_s),
     psi (..., d_s) in the sectors' coordinates, and so on. Sectors of
     different shapes come as tuples, one entry per shape in every operand.
-    c is then normalized over all sectors together, and d(t) is the norm
+    psi may lead with more axes, one entry per packet of the same operators
+    (the orbit members), which broadcast and copy no operand. c is then
+    normalized over all sectors and packets together, and d(t) is the norm
     over all of them, sqrt(sum_s d_s(t)^2).
     """
     operands = [
@@ -116,7 +120,7 @@ def defect_curve(energies, frame, u, w_eff, v_eff, psi, times) -> np.ndarray:
     ]
     groups = list(zip(*operands))
     if len(groups) != max(len(op) for op in operands) or any(
-        f.shape[:-2] + (f.shape[-2],) != p.shape
+        f.shape[:-2] + (f.shape[-2],) != p.shape[-(f.ndim - 1):]
         or e.shape != f.shape[:-2] + (f.shape[-1],)
         or uu.shape != f.shape[:-2] + (f.shape[-1],) * 2
         or we.shape != e.shape
@@ -136,7 +140,7 @@ def defect_curve(energies, frame, u, w_eff, v_eff, psi, times) -> np.ndarray:
         start = start / norm
         moved = (ve.conj().swapaxes(-1, -2) @ (uu @ start[..., None]))[..., 0]
         back = uu.conj().swapaxes(-1, -2) @ ve
-        tt = t.reshape((-1,) + (1,) * (f.ndim - 1))
+        tt = t.reshape((-1,) + (1,) * start.ndim)
         full = np.exp(-1j * tt * e) * start
         eff = (np.exp(-1j * tt * we) * moved)[..., None, :] @ back.swapaxes(-1, -2)
         misses.append((full - eff[..., 0, :]).reshape(len(t), -1))
@@ -203,19 +207,20 @@ def _defect_row(b_req, basis, potential, times, seed) -> DefectRow:
     """defect_scaling's row for one field; the field's blocks and
     eigenvectors are released on return, before the next field is built."""
     b_used, n_flux = basis.field, basis.n_flux
-    # sector_blocks checked each coset block Hermitian at 1e-12 and each
-    # split coset's C2 deviation
-    stacks, _ = sector_blocks(basis, potential)
-    solved = [np.linalg.eigh(blocks) for _, blocks in stacks]
-    w, _, separated = separated_cluster(
-        np.concatenate([values.ravel() for values, _ in solved]), basis
-    )
+    # sector_blocks checked each coset block Hermitian at 1e-12, each split
+    # representative's C2 deviation and each other coset's shift deviation
+    stacks, *_ = sector_blocks(basis, potential)
+    solved = [np.linalg.eigh(blocks) for _, blocks, _ in stacks]
+    w, _, separated = separated_cluster(np.concatenate(
+        [np.tile(values.ravel(), n) for (*_, n), (values, _) in zip(stacks, solved)]
+    ), basis)
     if not separated:
         nan = float("nan")
         return DefectRow(b_req, b_used, n_flux, nan, nan, nan, nan, separated=False)
     # Q has rank_s dimensions in sector s; where P has more or fewer, that
-    # sector's block of the overlap X is not square, so X is singular
-    sectors = [s for group, _ in stacks for s in group]
+    # sector's block of the overlap X is not square, so X is singular (the
+    # representatives' orbit members hold the same counts)
+    sectors = [s for group, *_ in stacks for s in group]
     held = np.concatenate(
         [np.count_nonzero(values <= w[n_flux - 1], axis=1) for values, _ in solved])
     uneven = np.flatnonzero(held != [s.rank for s in sectors])
@@ -231,7 +236,7 @@ def _defect_row(b_req, basis, potential, times, seed) -> DefectRow:
     # lowest-level rows holds none of the cluster, so P and Q miss it
     groups = [
         (group, blocks[:, :r, :r], values[:, :r], vectors[:, :, :r])
-        for (group, blocks), (values, vectors) in zip(stacks, solved)
+        for (group, blocks, _), (values, vectors) in zip(stacks, solved)
         for r in [group[0].rank] if r
     ]
     # ||V_s^dag V_s - I||_F over all sectors bounds the 2-norms of
@@ -248,12 +253,16 @@ def _defect_row(b_req, basis, potential, times, seed) -> DefectRow:
     # overlap V_q^dag V_p is block diagonal, with blocks frames[:, :rank_s]
     u = tuple(nagy_intertwiner(v[:, : v.shape[-1]]) for *_, v in groups)
     w_eff, v_eff = zip(*(np.linalg.eigh(corner) for _, corner, _, _ in groups))
-    # index level * n_flux + j sits in coset j mod g at row
-    # level * n_flux/g + j // g, and each sector folds its coset's rows
+    # index level * n_flux + j sits in coset j mod g at row level * n_flux/g
+    # + j // g; coset r + m h, gathered through rows[m], is in the
+    # coordinates of its representative r, whose sectors fold it
+    rows = orbit_rows(basis, potential)
     psi = random_packet(basis.dim, seed).reshape(
-        basis.n_levels, -1, coset_count(basis, potential))
+        basis.n_levels, rows.shape[1] // basis.n_levels, -1)
+    cosets = psi.transpose(2, 0, 1).reshape(len(rows), -1, rows.shape[1])
+    members = np.take_along_axis(cosets, rows[:, None], 2)
     packets = tuple(
-        np.stack([s.fold(psi[:, :, s.coset].ravel()) for s in group])
+        np.stack([s.fold(members[:, s.coset]) for s in group], 1)
         for group, *_ in groups)
     defects = defect_curve(
         tuple(e for _, _, e, _ in groups), tuple(v for *_, v in groups), u,

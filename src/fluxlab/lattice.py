@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fmod, gcd, isfinite, pi
+from math import fmod, gcd, hypot, isfinite, pi
 from typing import Sequence
 
 import numpy as np
@@ -67,13 +67,14 @@ def conjugate_paired(harmonics) -> bool:
 
     harmonics is a sequence of (n, m, c); repeated (n, m) entries add up. The
     series is real exactly when every summed coefficient c_{n,m} equals
-    conj(c_{-n,-m}) to within 1e-12.
+    conj(c_{-n,-m}) to within 1e-12; a NaN or infinite coefficient fails.
     """
     table = {}
     for n, m, c in harmonics:
         table[(n, m)] = table.get((n, m), 0.0) + c
     for (n, m), c in table.items():
-        if abs(c - np.conj(table.get((-n, -m), 0.0))) > 1e-12:
+        diff = complex(c) - complex(table.get((-n, -m), 0.0)).conjugate()
+        if not hypot(diff.real, diff.imag) <= 1e-12:
             return False
     return True
 

@@ -255,6 +255,46 @@ def inversion_matrix(basis):
     return s
 
 
+def shift_deviation(basis, potential):
+    """(h, deviation) of the guiding-shift orbits of the coset blocks, with
+    each shift taken as a dense permutation matrix.
+
+    The step a is the least a >= 1 with a j2 = 0 mod n_flux for every
+    harmonic's j2 = n_cells m. From each coset r that no earlier orbit
+    reached, the shift j -> j + k a, k = 1, 2, ..., carries the full index
+    level * n_flux + j of coset r to level * n_flux + (j + k a) mod n_flux;
+    the first k that reaches a coset c gives the permutation matrix P with
+    P[block row of the image of i, i] = 1. h counts the orbits, and the
+    deviation is the largest max |P^T H_c P - H_r| over every c.
+    """
+    blocks = coset_blocks(basis, potential)
+    g, n_flux = len(blocks), basis.n_flux
+    j2 = [round(m * basis.n_cells) for _, m, _ in potential.harmonics]
+    a = next(a for a in range(1, n_flux + 1) if all(a * j % n_flux == 0 for j in j2))
+    level, guiding = np.divmod(np.arange(basis.dim), n_flux)
+    coset = guiding % g
+    row = np.zeros(basis.dim, dtype=int)
+    for c in range(g):
+        row[coset == c] = np.arange(np.count_nonzero(coset == c))
+    reached, h, worst = set(), 0, 0.0
+    for r in range(g):
+        if r in reached:
+            continue
+        reached.add(r)
+        h += 1
+        mine = np.flatnonzero(coset == r)
+        for k in range(1, g + 1):
+            image = level[mine] * n_flux + (guiding[mine] + k * a) % n_flux
+            c = coset[image[0]]
+            if c in reached:
+                continue
+            reached.add(c)
+            p = np.zeros((mine.size, mine.size))
+            p[row[image], np.arange(mine.size)] = 1.0
+            worst = max(worst, float(np.max(np.abs(p.T @ blocks[c] @ p - blocks[r]))))
+    return h, worst
+
+
 def dense_eigh(matrix, rank=None):
     """The unsplit solve of a continuum operator, ignoring its coset blocks.
 

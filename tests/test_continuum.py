@@ -18,6 +18,7 @@ from fluxlab import (
     level_form_factor,
     inversion_even,
     next_level_coupling,
+    orbit_rows,
     sector_blocks,
     sector_plan,
     strong_field_report,
@@ -32,6 +33,7 @@ from oracles import (
     inversion_matrix,
     plane_wave_element,
     scattered_frame,
+    shift_deviation,
 )
 
 
@@ -307,9 +309,10 @@ def test_fractional_harmonic_gives_one_coset():
 
 def test_flat_operator_is_one_batched_solve(monkeypatch, tmp_path):
     # no harmonics: B = 80 on 4 cells has n_flux = 407 cosets of 6 levels
-    # each. The inversion maps coset c to 407 - c, so only coset 0 splits,
-    # into its even and odd levels (rank 1 and 0): one eigvalsh per block
-    # size and rank
+    # each, and the guiding shift by 1 maps each onto the next, so all of
+    # them form one orbit and coset 0 stands for the rest. The inversion
+    # maps coset 0 to itself and splits it into its even and odd levels
+    # (rank 1 and 0): one eigvalsh per block size and rank
     shapes = []
     real = np.linalg.eigvalsh
 
@@ -320,7 +323,7 @@ def test_flat_operator_is_one_batched_solve(monkeypatch, tmp_path):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     argv = ["continuum-spectrum", "--B", "80", "--amplitude", "0"]
     assert main(argv + ["--out", str(tmp_path / "flat.csv")]) == 0
-    assert shapes == [(1, 3, 3), (1, 3, 3), (406, 6, 6)]
+    assert shapes == [(1, 3, 3), (1, 3, 3)]
 
 
 def test_inversion_evenness_is_read_from_the_harmonics():
@@ -379,7 +382,8 @@ def test_sector_bases_are_the_inversion_eigenvectors(field, n_levels, n_cells):
 def test_sector_spectrum_matches_the_unsplit_solve(n_levels, n_cells):
     # every sector size the inversion makes, odd level counts giving halves
     # of unequal size: the spectrum, the one-level spectrum from the sector
-    # corners and the C2 deviation against the dense operator
+    # corners of the orbit representatives, each repeated once per orbit
+    # member, and the C2 deviation against the dense operator
     potential = FourierPotential.cosine_xy(1.0)
     for n_flux in (7, 8, 12, 13):
         basis = torus_basis(math.pi * n_flux / n_cells**2, n_levels, n_cells)
@@ -387,20 +391,25 @@ def test_sector_spectrum_matches_the_unsplit_solve(n_levels, n_cells):
         want = dense_eigh(h)
         got = coset_eigh(basis, potential)
         assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
-        stacks, deviation = sector_blocks(basis, potential)
-        sectors = [sec for group, _ in stacks for sec in group]
-        assert sum(sec.dim for sec in sectors) == basis.dim
-        assert sum(sec.rank for sec in sectors) == n_flux
+        stacks, deviation, shift = sector_blocks(basis, potential)
+        sectors = [sec for group, *_ in stacks for sec in group]
+        copies = stacks[0][2]
+        assert {n for *_, n in stacks} == {copies}
+        assert copies * sum(sec.dim for sec in sectors) == basis.dim
+        assert copies * sum(sec.rank for sec in sectors) == n_flux
         one_level = np.sort(np.concatenate([
-            np.linalg.eigvalsh(blocks[:, :r, :r]).ravel()
-            for group, blocks in stacks for r in [group[0].rank] if r]))
+            np.tile(np.linalg.eigvalsh(blocks[:, :r, :r]).ravel(), n)
+            for group, blocks, n in stacks for r in [group[0].rank] if r]))
         want_one = dense_eigh(h[:n_flux, :n_flux])
         assert np.all(np.abs(one_level - want_one) <= 1e-12 * (1 + np.abs(want_one)))
         s = inversion_matrix(basis)
-        if coset_count(basis, potential) <= 2:  # every coset is split
-            assert deviation == np.max(np.abs(s @ h @ s.T - h))
+        g = coset_count(basis, potential)
+        if g <= 2:  # every coset is split; the representatives' rows count
+            rep = np.arange(basis.dim) % n_flux % g < g // copies
+            assert deviation == np.max(np.abs(s @ h @ s.T - h)[rep])
         bound = continuum.C2_DEVIATION_ULPS * np.finfo(float).eps * np.max(np.abs(h))
         assert deviation <= bound
+        assert shift <= bound
 
 
 @pytest.mark.parametrize(("field", "cosets"), [(10.0, 1), (20.0, 2), (40.0, 4)])
@@ -471,7 +480,7 @@ def test_potentials_that_are_not_even_keep_whole_cosets(solve_dtypes):
     basis = torus_basis(20.0, 3, 4)
     sectors = sector_plan(basis, sine)
     assert [(sec.coset, sec.parity) for sec in sectors] == [(0, 0), (1, 0)]
-    stacks, deviation = sector_blocks(basis, sine)
+    stacks, deviation, _ = sector_blocks(basis, sine)
     assert deviation == 0.0 and len(stacks) == 1
     w = coset_eigh(basis, sine)
     assert solve_dtypes == [np.dtype(np.complex128)]
@@ -522,4 +531,88 @@ def test_broken_inversion_symmetry_exits_3(command, mutation, monkeypatch, capsy
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert "C2 deviation" in err and "Traceback" not in err
+    assert solves == []
+
+
+# sin(2 pi x) + 2 cos(2 pi y): complex blocks; and cos(2 pi x) + cos(pi y),
+# whose half harmonic has j2 = n_cells / 2, so the guiding shift by
+# n_flux / g leaves it only where g divides n_cells / 2
+ORBIT_POTENTIALS = {
+    "cosine": FourierPotential.cosine_xy(1.0),
+    "odd": FourierPotential([(1, 0, -0.5j), (-1, 0, 0.5j), (0, 1, 1.0), (0, -1, 1.0)]),
+    "half": FourierPotential([(1, 0, 0.5), (-1, 0, 0.5), (0, 0.5, 0.5), (0, -0.5, 0.5)]),
+    "strong": FourierPotential.cosine_xy(300.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_POTENTIALS))
+@pytest.mark.parametrize("n_cells", [2, 4, 6, 8])
+def test_orbit_spectrum_matches_every_coset_solved(name, n_cells):
+    # each representative's eigenvalues, repeated once per orbit member, are
+    # the eigenvalues of all g coset blocks solved one by one; the orbit
+    # count h and the shift deviation are the dense permutation oracle's,
+    # the deviation bit for bit
+    potential = ORBIT_POTENTIALS[name]
+    for n_flux in (6, 8, 12, 16, 18, 24, 32):
+        basis = torus_basis(math.pi * n_flux / n_cells**2, 3, n_cells)
+        want = np.sort(np.linalg.eigvalsh(coset_blocks(basis, potential)), axis=None)
+        got = coset_eigh(basis, potential)
+        assert np.max(np.abs(got - want)) <= 1e-10, n_flux
+        h, deviation = shift_deviation(basis, potential)
+        g = coset_count(basis, potential)
+        assert g // len(orbit_rows(basis, potential)) == h
+        _, _, shift = sector_blocks(basis, potential)
+        assert shift == deviation, n_flux
+        bound = continuum.C2_DEVIATION_ULPS * np.finfo(float).eps
+        assert shift <= bound * np.max(np.abs(coset_blocks(basis, potential)))
+
+
+@pytest.mark.parametrize(("n_flux", "n_cells", "cosets", "orbits"),
+                         [(8, 4, 4, 2), (18, 6, 6, 3), (16, 4, 4, 4), (10, 2, 2, 1)])
+def test_orbit_counts(n_flux, n_cells, cosets, orbits):
+    # cosine: the shift by n_flux/g gives h = gcd(n_flux/g, g) orbits, the
+    # cosets c mod h. Cosets of one orbit share a spectrum, and the first two
+    # representatives do not (the inversion pairs coset c with -c, so 1 and 3
+    # agree at n_flux 16 on 4 cells, across orbits)
+    basis = torus_basis(math.pi * n_flux / n_cells**2, 2, n_cells)
+    potential = FourierPotential.cosine_xy(1.0)
+    rows = orbit_rows(basis, potential)
+    assert coset_count(basis, potential) == cosets
+    assert rows.shape == (cosets // orbits, basis.dim // cosets)
+    assert np.array_equal(rows[0], np.arange(basis.dim // cosets))
+    values = np.linalg.eigvalsh(coset_blocks(basis, potential))
+    for c in range(cosets):
+        assert np.max(np.abs(values[c] - values[c % orbits])) < 1e-10
+    if orbits > 1:
+        assert np.max(np.abs(values[0] - values[1])) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "command", ["continuum-spectrum", "lll-compare", "dynamics-defect"]
+)
+@pytest.mark.parametrize("delta", [1e-9, float("nan")])
+@pytest.mark.parametrize("entry", [(0, 1), (8, 7)], ids=["level 0", "level 2"])
+def test_broken_shift_symmetry_exits_3(command, delta, entry, monkeypatch, capsys):
+    # B = 5 on 2 cells with 3 levels: n_flux 6 in g = 2 cosets of one orbit,
+    # so coset 1 is solved as coset 0 only if the shift deviation check
+    # passes. Moving one entry of coset 1 (and its mirror) by 1e-9, or making
+    # it NaN, in the first or the last level, fails that check before any
+    # solve
+    real = continuum.coset_blocks
+
+    def perturbed(basis, potential):
+        blocks = real(basis, potential)
+        blocks[(1,) + entry] += delta
+        blocks[(1,) + entry[::-1]] += delta
+        return blocks
+
+    monkeypatch.setattr(continuum, "coset_blocks", perturbed)
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, **k: solves.append(a))
+    argv = [command, "--B", "5", "--ncells", "2", "--nlevels", "3"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "shift deviation" in err and "in coset 1" in err
+    assert "Traceback" not in err
     assert solves == []

@@ -223,9 +223,9 @@ def test_level_zero_intertwiner_matches_the_two_frame_oracle(
 ):
     # Q is the lowest level, the first rank_s rows of each sector, so the
     # overlap of sector s is V_s[:rank_s] and (I - Q) V_s is V_s[rank_s:]:
-    # defect_scaling has to give each sector's two-frame U bit for bit, one
-    # stack per sector size and rank, and the largest sector distance to
-    # roundoff
+    # defect_scaling has to give each orbit representative's two-frame U bit
+    # for bit, one stack per sector size and rank, and the largest sector
+    # distance to roundoff
     potential = FourierPotential.cosine_xy(1.0)
     solved = []
     real = dynamics.nagy_intertwiner
@@ -238,9 +238,9 @@ def test_level_zero_intertwiner_matches_the_two_frame_oracle(
     rows = defect_scaling(fields, potential, (0.5,), n_levels=n_levels, n_cells=n_cells)
     for b, row in zip(fields, rows):
         basis = torus_basis(b, n_levels, n_cells)
-        stacks, _ = sector_blocks(basis, potential)
+        stacks, *_ = sector_blocks(basis, potential)
         distances = []
-        for sectors, blocks in stacks:
+        for sectors, blocks, _ in stacks:
             _, vectors = np.linalg.eigh(blocks)
             r = sectors[0].rank
             u = solved.pop(0)
@@ -479,15 +479,16 @@ def test_non_orthonormal_frame_fails_the_frame_check(monkeypatch, capsys):
 
 
 def test_eigensolve_budget(monkeypatch):
-    # defect_scaling: per field, one batched eigh per sector size, plus one
-    # per sector size and rank of the one-level corners, no eigvalsh and no
-    # d x d 2-norm (an SVD); strong_field_report: the same batches,
-    # eigenvalues only. B = 5 on 2 cells: n_flux 6 in g = 2 cosets, both
-    # mapped to themselves by the inversion; each of 3 levels x 3 guiding
-    # rows has one fixed row and one pair, so it splits into an S = +1 half
-    # of 2 + 1 + 2 rows (rank 2) and an S = -1 half of 1 + 2 + 1 (rank 1).
-    # B = 10: n_flux 13, g = 1, one fixed row and 6 pairs per level: halves
-    # of 7 + 6 + 7 (rank 7) and 6 + 7 + 6 (rank 6)
+    # defect_scaling: per field, one batched eigh per sector size and rank
+    # of the orbit representatives, plus one per stack of their one-level
+    # corners, no eigvalsh and no d x d 2-norm (an SVD); strong_field_report:
+    # the same batches, eigenvalues only. B = 5 on 2 cells: n_flux 6 in
+    # g = 2 cosets, which the guiding shift by 3 maps onto each other, so
+    # coset 0 alone is solved. The inversion maps it to itself; each of 3
+    # levels x 3 guiding rows has one fixed row and one pair, so it splits
+    # into an S = +1 half of 2 + 1 + 2 rows (rank 2) and an S = -1 half of
+    # 1 + 2 + 1 (rank 1). B = 10: n_flux 13, g = 1, one fixed row and 6
+    # pairs per level: halves of 7 + 6 + 7 (rank 7) and 6 + 7 + 6 (rank 6)
     calls = []
 
     def counted(name, fn):
@@ -506,7 +507,7 @@ def test_eigensolve_budget(monkeypatch):
     )
     assert all(row.separated for row in report)
     assert [row.n_flux for row in report] == [6, 13]
-    expected = [(2, 5, 5), (2, 4, 4), (2, 2, 2), (2, 1, 1),
+    expected = [(1, 5, 5), (1, 4, 4), (1, 2, 2), (1, 1, 1),
                 (1, 20, 20), (1, 19, 19), (1, 7, 7), (1, 6, 6)]
     for row in report:
         dim = 3 * row.n_flux
@@ -603,11 +604,12 @@ def test_trivial_and_rankless_sectors_match_the_unsplit_solve(potential):
 
 def test_defect_workload_solve_plan(monkeypatch, tmp_path):
     # the benchmark's defect workload, B = 10, 20, 40 on 4 cells with 6
-    # levels: n_flux 51, 102, 204 in g = 1, 2, 4 cosets of 306 rows. Cosets
-    # 0 (and 1 when g = 2, 2 when g = 4) are their own inversion images and
-    # split into halves of 153 rows, ranks 26 and 25; at B = 40 cosets 1 and
-    # 3 are each other's images and stay whole. Each field solves one stack
-    # per block size and rank, then one per stack of the one-level corners
+    # levels: n_flux 51, 102, 204 in g = 1, 2, 4 cosets of 306 rows. The
+    # guiding shift by n_flux/g = 51 maps coset c onto c + 51 mod g, so each
+    # field's cosets form h = gcd(51, g) = 1 orbit and coset 0 alone is
+    # solved. It is its own inversion image and splits into halves of 153
+    # rows, ranks 26 and 25. Each field solves one stack per half, then one
+    # per stack of the one-level corners: no 306-row solve
     shapes = []
     real = np.linalg.eigh
 
@@ -618,12 +620,7 @@ def test_defect_workload_solve_plan(monkeypatch, tmp_path):
     monkeypatch.setattr(np.linalg, "eigh", recorded)
     argv = ["dynamics-defect", "--B", "10,20,40", "--out", str(tmp_path / "d.csv")]
     assert main(argv) == 0
-    assert shapes == [
-        (1, 153, 153), (1, 153, 153), (1, 26, 26), (1, 25, 25),
-        (2, 153, 153), (2, 153, 153), (2, 26, 26), (2, 25, 25),
-        (2, 153, 153), (2, 153, 153), (2, 306, 306), (2, 26, 26), (2, 25, 25),
-        (2, 51, 51),
-    ]
+    assert shapes == [(1, 153, 153), (1, 153, 153), (1, 26, 26), (1, 25, 25)] * 3
 
 
 @pytest.mark.parametrize("n_cells", [2, 3, 4])
@@ -644,21 +641,74 @@ def test_sector_rows_match_the_scattered_frame_oracle(n_cells):
         assert max(got.defect_zero, want.defect_zero) < 1e-10, field
 
 
+@pytest.mark.parametrize(("n_flux", "n_cells", "orbits"),
+                         [(8, 4, 2), (18, 6, 3), (16, 4, 4), (20, 2, 2), (20, 4, 1)])
+def test_orbit_members_match_the_unsplit_solve(n_flux, n_cells, orbits):
+    # g cosets in h shift orbits: each member's packet, gathered into its
+    # representative's coordinates, against the representative's frames,
+    # gives the rows of the dense unsplit solve, for the even cosine and an
+    # odd potential with complex frames
+    field = math.pi * n_flux / n_cells**2
+    basis = torus_basis(field, 3, n_cells)
+    times = (0.5, 1.0, 2.0)
+    for potential in (FourierPotential.cosine_xy(1.0),
+                      FourierPotential([(1, 0, -0.5j), (-1, 0, 0.5j), (0, 1, 1.0),
+                                        (0, -1, 1.0)])):
+        rows = continuum.orbit_rows(basis, potential)
+        assert continuum.coset_count(basis, potential) // len(rows) == orbits
+        got = defect_scaling([field], potential, times, n_levels=3, n_cells=n_cells)
+        want = scattered_defect_scaling([field], potential, times, 3, n_cells,
+                                        solve=unsplit_frame)
+        for a_row, b_row in zip(got, want):
+            assert a_row.separated and b_row.separated
+            for name in ("projector_distance", "max_defect", "slope"):
+                a, b = getattr(a_row, name), getattr(b_row, name)
+                assert abs(a - b) <= 1e-10 + 1e-10 * abs(b), name
+            assert max(a_row.defect_zero, b_row.defect_zero) < 1e-10
+
+
+def test_member_packets_broadcast_against_shared_frames():
+    # psi with a leading member axis against frames without one gives the
+    # curve of the frames copied once per member, and copies no frame
+    rng = np.random.default_rng(3)
+    members, sectors, dim, rank = 3, 2, 6, 2
+    h = [block_dominant_hamiltonian(dim, seed) for seed in range(sectors)]
+    frames = np.stack([np.linalg.eigh(m)[1][:, :rank] for m in h])
+    energies = np.stack([np.linalg.eigh(m)[0][:rank] for m in h])
+    u = nagy_intertwiner(frames[:, :rank])
+    w_eff, v_eff = np.linalg.eigh(np.stack([m[:rank, :rank] for m in h]))
+    psi = rng.standard_normal((members, sectors, dim)) + 0j
+    times = (0.0, 0.5, 1.5)
+    got = defect_curve(energies, frames, u, w_eff, v_eff, psi, times)
+
+    def tiled(x):
+        return np.broadcast_to(x, (members,) + x.shape).reshape((-1,) + x.shape[1:])
+
+    want = defect_curve(*(tiled(x) for x in (energies, frames, u, w_eff, v_eff)),
+                        psi.reshape(-1, dim), times)
+    assert np.max(np.abs(got - want)) <= 1e-15
+    with pytest.raises(ConfigError, match="dimension mismatch"):
+        defect_curve(energies, frames, u, w_eff, v_eff, psi[..., 1:], times)
+
+
 def test_uneven_sector_exits_4_before_any_svd(monkeypatch, capsys):
-    # B = 5 on 2 cells: n_flux 6 in g = 2 cosets, each split by the inversion
-    # into an S = +1 half of 5 rows (rank 2) and an S = -1 half of 4 (rank 1);
-    # the two 5-row halves are solved in one (2, 5, 5) stack. Moving sector
-    # 0's lowest level-1 eigenvalue below the cluster and sector 1's highest
-    # cluster eigenvalue above it keeps the gap but gives sector 0 three of
-    # the lowest six: its overlap block is 2 x 3
+    # B = 5 on 2 cells: n_flux 6 in g = 2 cosets in one shift orbit, so
+    # coset 0 stands for both. The inversion splits it into an S = +1 half
+    # of 5 rows (rank 2) and an S = -1 half of 4 (rank 1), solved as a
+    # (1, 5, 5) and a (1, 4, 4) stack. Moving sector 0's lowest level-1
+    # eigenvalue below the cluster and sector 1's one cluster eigenvalue
+    # above it keeps the gap but gives sector 0 three of the lowest six (its
+    # orbit holds them twice): its overlap block is 2 x 3
     real = np.linalg.eigh
 
     def uneven(a, *args, **kwargs):
         w, v = real(a, *args, **kwargs)
-        if np.shape(a) == (2, 5, 5):
+        if np.shape(a) in ((1, 5, 5), (1, 4, 4)):
             w = w.copy()
-            w[0, 2] = w.min() - 1.0
-            w[1, 1] = w.max() + 1.0
+            if np.shape(a) == (1, 5, 5):
+                w[0, 2] = w.min() - 1.0
+            else:
+                w[0, 0] = w.max() + 1.0
         return w, v
 
     svd_calls = []
@@ -671,7 +721,7 @@ def test_uneven_sector_exits_4_before_any_svd(monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "eigh", uneven)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     potential = FourierPotential.cosine_xy(1.0)
-    message = "sector 0 of 4 (coset 0, S = +1) holds 3 of the lowest 6"
+    message = "sector 0 of 2 (coset 0, S = +1) holds 3 of the lowest 6"
     with pytest.raises(InfeasibleModelError, match=re.escape(message)):
         defect_scaling([5.0], potential, (0.5,), n_levels=3, n_cells=2)
     argv = ["dynamics-defect", "--B", "5", "--nlevels", "3", "--ncells", "2"]

@@ -8,6 +8,7 @@ import pytest
 from fluxlab import (
     NEAREST_NEIGHBOR,
     BlochFiberFamily,
+    FourierPotential,
     InfeasibleModelError,
     RationalFlux,
     add_onsite_disorder,
@@ -321,6 +322,20 @@ def test_peierls_rejects_non_real_dispersion():
     assert not conjugate_paired(disp)
     with pytest.raises(ValueError):
         peierls_quantize(disp, RationalFlux(1, 3))
+
+
+def test_nan_and_infinite_harmonics_are_not_real():
+    # abs(nan - conj(partner)) > 1e-12 is False, so an unpaired NaN would
+    # pass a test written with >; a paired NaN or inf is no real series either
+    nan, inf = float("nan"), float("inf")
+    assert not conjugate_paired([(1, 0, nan)])
+    assert not conjugate_paired([(1, 0, nan), (-1, 0, nan)])
+    assert not conjugate_paired([(1, 0, inf), (-1, 0, inf)])
+    assert not conjugate_paired([(1, 0, 1.5e308 + 1.5e308j)])
+    with pytest.raises(ValueError, match="not real"):
+        peierls_quantize([(1, 0, nan)], RationalFlux(1, 3))
+    with pytest.raises(ValueError, match="not real"):
+        FourierPotential([(1, 0, nan)])
 
 
 def test_magnetic_translations_commutation():

@@ -273,24 +273,27 @@ def inversion_even_potentials(draw):
 @given(inversion_even_potentials(), st.integers(1, 24), st.integers(1, 4))
 def test_inversion_halves_keep_the_spectrum(drawn, n_flux, n_levels):
     # an even potential splits every self-paired coset into two halves whose
-    # sizes and ranks add up to the coset's, within the C2 bound, and the
-    # spectrum and the one-level spectrum from the corners are the unsplit
-    # ones to roundoff
+    # sizes and ranks add up to the coset's, within the C2 bound; the orbit
+    # representatives' sectors, once per orbit member, add up to the
+    # operator within the shift bound; and the spectrum and the one-level
+    # spectrum from the corners are the unsplit ones to roundoff
     n_cells, potential = drawn
     basis = torus_basis(math.pi * n_flux / n_cells**2, n_levels, n_cells)
     assert inversion_even(potential)
-    stacks, deviation = sector_blocks(basis, potential)
-    sectors = [s for group, _ in stacks for s in group]
-    assert sum(s.dim for s in sectors) == basis.dim
-    assert sum(s.rank for s in sectors) == n_flux
+    stacks, deviation, shift = sector_blocks(basis, potential)
+    sectors = [s for group, *_ in stacks for s in group]
+    copies = stacks[0][2]
+    assert copies * sum(s.dim for s in sectors) == basis.dim
+    assert copies * sum(s.rank for s in sectors) == n_flux
     h = dense_hamiltonian(basis, potential)
     scale = np.max(np.abs(h))
     assert deviation <= C2_DEVIATION_ULPS * np.finfo(float).eps * scale
+    assert shift <= C2_DEVIATION_ULPS * np.finfo(float).eps * scale
     want = dense_eigh(h)
     assert np.all(np.abs(coset_eigh(basis, potential) - want) <= 1e-12 * (1 + scale))
     one_level = np.sort(np.concatenate([
-        np.linalg.eigvalsh(blocks[:, :r, :r]).ravel()
-        for group, blocks in stacks for r in [group[0].rank] if r]))
+        np.tile(np.linalg.eigvalsh(blocks[:, :r, :r]).ravel(), n)
+        for group, blocks, n in stacks for r in [group[0].rank] if r]))
     want_one = dense_eigh(h[:n_flux, :n_flux])
     assert np.all(np.abs(one_level - want_one) <= 1e-12 * (1 + scale))
 
