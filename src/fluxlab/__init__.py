@@ -41,9 +41,9 @@ from .continuum import (
     LandauBasisSpec,
     Sector,
     StrongFieldRow,
-    coset_blocks,
     coset_count,
     coset_eigh,
+    guiding_bands,
     inversion_even,
     level_form_factor,
     next_level_coupling,

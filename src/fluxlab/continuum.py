@@ -10,8 +10,9 @@ Basis layout: the torus is n_cells x n_cells copies of the unit potential
 cell, carries n_flux quanta of effective flux (b * area = 2 pi n_flux), and
 states are indexed level-major: index = level * n_flux + guiding, with the
 guiding degree of freedom carrying an n_flux-dimensional clock/shift pair of
-magnetic translations. Those translations split the operator into guiding-
-centre cosets (coset_blocks), one per guiding-shift orbit is solved
+magnetic translations. Those translations make the operator a short sum of
+guiding-offset bands (guiding_bands) and split it into guiding-centre
+cosets, of which one per guiding-shift orbit is built dense and solved
 (orbit_rows), and for an even potential the inversion r -> -r halves the
 cosets it maps to themselves (Sector, sector_blocks).
 """
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalCheckError
 from .lattice import RationalFlux, conjugate_paired, weyl_translation
-from .spectra import check_hermitian, hausdorff
+from .spectra import hausdorff
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class FourierPotential:
     They are kept sorted by (n, |m|, m), so that (n, -m) and (n, m) are
     neighbours: for a potential even in x their terms are complex conjugates,
     and adding them one after the other onto a real entry leaves its
-    imaginary part exactly zero (see coset_blocks).
+    imaginary part exactly zero (see guiding_bands).
     """
 
     harmonics: tuple
@@ -166,16 +167,25 @@ def _harmonic_shift(basis: LandauBasisSpec, n: float, m: float) -> tuple[int, in
     return j1, j2
 
 
+def _form_factor(basis: LandauBasisSpec, n: float, m: float, n_levels: int):
+    """level_form_factor of the harmonic (n, m) on n_levels levels at the
+    basis field, an overflow of its kappa powers raised as a check error."""
+    try:
+        return level_form_factor(
+            2.0 * np.pi * n, 2.0 * np.pi * m, basis.effective_field, n_levels)
+    except OverflowError:
+        raise NumericalCheckError(
+            f"operator at B = {basis.field:.12g} on {basis.n_levels} Landau "
+            f"levels: the form factor of harmonic ({n:g}, {m:g}) overflows") from None
+
+
 def next_level_coupling(basis: LandauBasisSpec, potential: FourierPotential) -> float:
     """Largest potential matrix element from the top retained level into the
     first dropped one; the standard truncation-error proxy."""
-    b = basis.effective_field
     top = basis.n_levels
     worst = 0.0
     for n, m, c in potential.harmonics:
-        kx = 2.0 * np.pi * n
-        ky = 2.0 * np.pi * m
-        g = level_form_factor(kx, ky, b, top + 1)
+        g = _form_factor(basis, n, m, top + 1)
         worst = max(worst, abs(c) * abs(g[top, top - 1]))
     return worst
 
@@ -195,34 +205,20 @@ def coset_count(basis: LandauBasisSpec, potential: FourierPotential) -> int:
     return g
 
 
-def coset_blocks(basis: LandauBasisSpec, potential: FourierPotential) -> np.ndarray:
-    """The continuum operator as its g = coset_count(basis, potential)
-    guiding-centre coset blocks, shape (g, d/g, d/g), real when their
-    imaginary part is exactly zero, else complex; the d x d operator is never
-    built (the magnetic translation group: J. Zak, Phys. Rev. 134, A1602
-    (1964)). For a potential even in x, c(n, m) = c(-n, m), complex
-    conjugation combined with x -> -x is an antiunitary symmetry that acts as
-    plain conjugation in the level-major Landau basis (M. Robnik and M. V.
-    Berry, J. Phys. A 19, 669 (1986)), so the blocks are exactly real, and are
-    solved as real symmetric matrices.
-
-    Coset c holds the indices level * n_flux + j with j = c mod g, at block
-    row level * (n_flux/g) + j // g. The kinetic ladder is the diagonal, and
-    each harmonic c e^{iK.r} = c G(K) (x) tau(K) adds c G[a, b] tau[j] at the
-    n_flux entries (j, k[j]) of its guiding translation (k, tau) =
-    weyl_translation(1/n_flux, -j1, j2), (j1, j2) = n_cells * (n, m), in one
-    scatter. Its symmetrization phase pairs with the form-factor phase so
-    that plane-wave elements compose exactly: E(K) E(K') = E(K + K'). Each
-    entry must join indices of one coset (j = k mod g): the zeros between
-    cosets are structural, so an entry across raises NumericalCheckError.
-    Each block is checked Hermitian.
+def guiding_bands(basis: LandauBasisSpec, potential: FourierPotential) -> dict:
+    """{o: V_o}: the continuum operator as complex (n_levels, n_levels,
+    n_flux) guiding-offset bands, H[(a, j), (b, (j + o) mod n_flux)] =
+    V_o[a, b, j] (J. Zak, Phys. Rev. 134, A1602 (1964); J. Bellissard, A. van
+    Elst and H. Schulz-Baldes, J. Math. Phys. 35, 5373 (1994)). Band 0 holds
+    the kinetic ladder; each harmonic c G(K) (x) tau(K) adds c G[a, b] tau[j]
+    onto band o = -j1 mod n_flux, (k, tau) = weyl_translation(1/n_flux, -j1,
+    j2), (j1, j2) = n_cells (n, m), k[j] = j + o, whose Weyl phase pairs with
+    G's so that E(K) E(K') = E(K + K'). An entry across guiding-centre cosets
+    (j != k mod coset_count) raises NumericalCheckError: they are structural.
     """
     g = coset_count(basis, potential)
-    per_level = basis.n_flux // g
-    diag = np.arange(basis.dim // g)
-    blocks = np.zeros((g, diag.size, diag.size), dtype=complex)
-    blocks[:, diag, diag] = np.repeat(basis.level_energies(), per_level)
-    first = np.arange(basis.n_levels) * per_level  # each level's first block row
+    ladder = np.diag(basis.level_energies()).astype(complex)
+    bands = {0: np.repeat(ladder[:, :, None], basis.n_flux, 2)}
     j = np.arange(basis.n_flux)
     for n, m, c in potential.harmonics:
         j1, j2 = _harmonic_shift(basis, n, m)
@@ -234,14 +230,10 @@ def coset_blocks(basis: LandauBasisSpec, potential: FourierPotential) -> np.ndar
                 f"between its {g} guiding-centre cosets: harmonic ({n:g}, {m:g}) "
                 f"joins {leak} guiding pairs across them"
             )
-        form = level_form_factor(
-            2.0 * np.pi * n, 2.0 * np.pi * m, basis.effective_field, basis.n_levels
-        )
-        blocks[j % g, first[:, None, None] + j // g, first[None, :, None] + k // g] += (
-            c * (form[:, :, None] * tau))
-    for block in blocks:
-        check_hermitian(block)
-    return np.ascontiguousarray(blocks.real) if not np.any(blocks.imag) else blocks
+        form = _form_factor(basis, n, m, basis.n_levels)
+        o = -j1 % basis.n_flux
+        bands[o] = bands.get(o, 0) + c * (form[:, :, None] * tau)
+    return bands
 
 
 # Bound on both deviations sector_blocks checks, the inversion fold's and the
@@ -274,7 +266,7 @@ def _level_parity(n_levels: int) -> np.ndarray:
 class Sector:
     """One diagonal block of the continuum operator.
 
-    The guiding-centre cosets split the operator (coset_blocks). For an
+    The guiding-centre cosets split the operator (sector_blocks). For an
     inversion_even potential, the inversion S = diag((-1)^n) (x) (j -> -j mod
     n_flux) also commutes with H, with the lowest-level projector Q and with
     H_eff. S maps coset c to coset -c mod g. A coset it maps to another one
@@ -410,39 +402,65 @@ def _checked_deviation(basis: LandauBasisSpec, dev: float, block, broken: str):
     return dev
 
 
+def _hermitian_deviations(bands: dict, g: int) -> np.ndarray:
+    """max |H - H^dag| of each of the g cosets, from the guiding_bands: band o
+    against its mirror, conj V_-o[b, a, j + o] (0 if absent); NaN stays."""
+    skews = [np.abs(v - np.roll(bands.get(-o % v.shape[2], np.zeros_like(v)), -o, 2)
+                    .transpose(1, 0, 2).conj()) for o, v in bands.items()]
+    return np.max([s.reshape(-1, s.shape[2] // g, g).max((0, 1)) for s in skews], 0)
+
+
 def sector_blocks(basis: LandauBasisSpec, potential: FourierPotential):
-    """(stacks, c2_deviation, shift_deviation): the sector blocks of the
-    orbit representatives 0..h-1 (orbit_rows), in the dtype of coset_blocks.
+    """(stacks, hermitian_deviation, c2_deviation, shift_deviation): the
+    sector blocks of the orbit representatives 0..h-1 (orbit_rows), the only
+    cosets built dense, scattered from the guiding_bands; coset c holds the
+    indices level * n_flux + j, j = c mod g, at block row level * (n_flux/g)
+    + j // g. They are real when no band has an imaginary part (every
+    potential even in x), then solved as real symmetric matrices, else complex.
 
     stacks holds one (sectors, blocks, copies) triple per block size and rank,
     in order of first appearance in sector_plan: blocks has shape
     (len(sectors), dim, dim), every sector in it has rank sectors[0].rank,
     and each of its eigenvalues is copies = g/h (the orbit size) of H's. Each
     half is the fold of its coset block, so the solve sees the part of H that
-    commutes with S. Before any fold, each split representative's C2
-    deviation, then each other coset's shift deviation is checked
-    (_checked_deviation); each returned is the largest of its kind, or 0.0.
+    commutes with S. Before any fold, each coset's _hermitian_deviations must
+    be at most 1e-12, else NumericalCheckError gives the first one that is
+    not; then each split representative's C2 deviation and each other coset's
+    shift deviation, read from the bands, is checked (_checked_deviation).
+    Each returned is the largest of its kind.
     """
     rows = orbit_rows(basis, potential)
-    sectors = sector_plan(basis, potential)
-    blocks = coset_blocks(basis, potential)
-    h = len(blocks) // len(rows)
-    sectors = [s for s in sectors if s.coset < h]
+    bands = guiding_bands(basis, potential)
+    n_flux, g = basis.n_flux, basis.dim // rows.shape[1]
+    h, per_level = g // len(rows), n_flux // g
+    hermitian = _hermitian_deviations(bands, g)
+    bad = np.flatnonzero(~(hermitian <= 1e-12))
+    if bad.size:
+        raise NumericalCheckError(
+            f"matrix is not Hermitian: max |M - M^dag| = {hermitian[bad[0]]:.3e}")
+    # guiding[m, r]: the rows of coset r + m h that rows[m] maps r's onto
+    guiding = np.arange(g).reshape(-1, h)[:, :, None] + g * rows[:, None, :per_level]
+    real = not any(np.any(v.imag) for v in bands.values())
+    blocks = np.zeros((h,) + rows.shape[1:] * 2, dtype=float if real else complex)
+    index = np.arange(rows.shape[1]).reshape(basis.n_levels, per_level)
+    for o, v in bands.items():  # band o joins row t of each level to row t + o/g
+        blocks[:, index[:, None], np.roll(index, -(o // g), 1)] = np.moveaxis(
+            (v.real if real else v)[:, :, guiding[0]], 2, 0)
+    sectors = [s for s in sector_plan(basis, potential) if s.coset < h]
     split = {s.coset: s for s in sectors if s.parity}
     c2 = max((_checked_deviation(basis, s.deviation(blocks[c]), blocks[c],
                                  f"inversion symmetry in coset {c}: C2 deviation "
                                  "max |S H S^T - H|")
               for c, s in split.items()), default=0.0)
-    shift = 0.0
-    for c in range(h, len(blocks)):  # level by level: no block-size temporary
-        r, m = c % h, rows[c // h]
-        dev = float(np.max([np.max(np.abs(blocks[c][np.ix_(m[i], m)] - blocks[r][i]))
-                            for i in np.split(np.arange(m.size), basis.n_levels)]))
-        shift = max(shift, _checked_deviation(
-            basis, dev, blocks[r], f"guiding shift symmetry in coset {c}: shift "
-            f"deviation max |H_c[rows, rows] - H_r| from coset {r}"))
+    shift = np.max([np.abs(v[:, :, guiding[1:]] - v[:, :, guiding[:1]]).max((0, 1, 4))
+                    for v in bands.values()], 0)
+    shift = max((_checked_deviation(
+        basis, float(dev), blocks[c % h], f"guiding shift symmetry in coset {c}: "
+        f"shift deviation max |H_c[rows, rows] - H_r| from coset {c % h}")
+        for c, dev in enumerate(shift.ravel(), h)), default=0.0)
+    hermitian = float(hermitian.max())
     if not any(s.parity for s in sectors):
-        return [(tuple(sectors), blocks[:h], len(rows))], c2, shift
+        return [(tuple(sectors), blocks, len(rows))], hermitian, c2, shift
     groups = {}
     for s in sectors:
         groups.setdefault((s.dim, s.rank), []).append(s)
@@ -451,7 +469,7 @@ def sector_blocks(basis: LandauBasisSpec, potential: FourierPotential):
          len(rows))
         for group in groups.values()
     ]
-    return stacks, c2, shift
+    return stacks, hermitian, c2, shift
 
 
 def coset_eigh(basis: LandauBasisSpec, potential: FourierPotential) -> np.ndarray:

@@ -207,7 +207,7 @@ def _defect_row(b_req, basis, potential, times, seed) -> DefectRow:
     """defect_scaling's row for one field; the field's blocks and
     eigenvectors are released on return, before the next field is built."""
     b_used, n_flux = basis.field, basis.n_flux
-    # sector_blocks checked each coset block Hermitian at 1e-12, each split
+    # sector_blocks checked every coset Hermitian on its bands, each split
     # representative's C2 deviation and each other coset's shift deviation
     stacks, *_ = sector_blocks(basis, potential)
     solved = [np.linalg.eigh(blocks) for _, blocks, _ in stacks]

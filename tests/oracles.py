@@ -16,7 +16,8 @@ from fluxlab import (
     DefectRow,
     NumericalCheckError,
     RationalFlux,
-    coset_blocks,
+    check_hermitian,
+    coset_count,
     defect_curve,
     fit_slope_through_origin,
     hofstadter_family,
@@ -211,8 +212,8 @@ def dense_weyl(flux, n, m):
 
 def plane_wave_element(basis, K):
     """Matrix of e^{i K . r} in the truncated Landau basis, built whole as
-    kron(G(K), tau(K)); `continuum.coset_blocks` builds the same entries
-    coset by coset.
+    kron(G(K), tau(K)); `continuum.guiding_bands` builds the same entries
+    band by band.
 
     K = (n, m) is in reciprocal units 2 pi and must be a multiple of
     1 / n_cells. G(K) is the inter-level `level_form_factor` at 2 pi (n, m)
@@ -242,6 +243,41 @@ def dense_hamiltonian(basis, potential):
     for n, m, c in potential.harmonics:
         h += c * plane_wave_element(basis, (n, m))
     return h
+
+
+def coset_blocks(basis, potential):
+    """The continuum operator as all its g = coset_count(basis, potential)
+    dense guiding-centre coset blocks, shape (g, d/g, d/g), real when their
+    imaginary part is exactly zero, else complex: the oracle of
+    `continuum.guiding_bands` and of the blocks `continuum.sector_blocks`
+    scatters from them for the orbit representatives only.
+
+    Coset c holds the indices level * n_flux + j with j = c mod g, at block
+    row level * (n_flux/g) + j // g. The kinetic ladder is the diagonal, and
+    each harmonic adds c G[a, b] tau[j] at the n_flux entries (j, k[j]) of
+    its guiding translation (k, tau) = weyl_translation(1/n_flux, -j1, j2),
+    (j1, j2) = n_cells * (n, m), in one scatter. Each block is checked with
+    `spectra.check_hermitian`.
+    """
+    g = coset_count(basis, potential)
+    per_level = basis.n_flux // g
+    diag = np.arange(basis.dim // g)
+    blocks = np.zeros((g, diag.size, diag.size), dtype=complex)
+    blocks[:, diag, diag] = np.repeat(basis.level_energies(), per_level)
+    first = np.arange(basis.n_levels) * per_level  # each level's first block row
+    j = np.arange(basis.n_flux)
+    for n, m, c in potential.harmonics:
+        j1, j2 = round(n * basis.n_cells), round(m * basis.n_cells)
+        k, tau = weyl_translation(RationalFlux(1, basis.n_flux), -j1, j2)
+        assert not np.any(j % g != k % g), "entry across guiding-centre cosets"
+        form = level_form_factor(
+            2.0 * np.pi * n, 2.0 * np.pi * m, basis.effective_field, basis.n_levels
+        )
+        blocks[j % g, first[:, None, None] + j // g, first[None, :, None] + k // g] += (
+            c * (form[:, :, None] * tau))
+    for block in blocks:
+        check_hermitian(block)
+    return np.ascontiguousarray(blocks.real) if not np.any(blocks.imag) else blocks
 
 
 def inversion_matrix(basis):

@@ -764,11 +764,23 @@ def test_memory_error_exits_2(argv, monkeypatch, capsys):
     def oversize(*args, **kwargs):
         raise MemoryError("Unable to allocate 755. GiB for an array")
 
-    monkeypatch.setattr(continuum, "coset_blocks", oversize)
+    monkeypatch.setattr(continuum, "guiding_bands", oversize)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error: Unable to allocate 755. GiB" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command", ["continuum-spectrum", "lll-compare", "dynamics-defect"]
+)
+def test_form_factor_overflow_exits_3(command, capsys):
+    # B = 0.2 on 4 cells is one flux quantum, so d is only 400, but the
+    # kappa^d of the form factor, |kappa| ~ 7, overflows for d > 364
+    assert main([command, "--B", "0.2", "--nlevels", "400"]) == 3
+    err = capsys.readouterr().err
+    assert "B = 0.196349540849 on 400 Landau levels" in err
+    assert "harmonic (-1, 0) overflows" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -11,9 +11,10 @@ from fluxlab import (
     ConfigError,
     FourierPotential,
     RationalFlux,
-    coset_blocks,
+    check_hermitian,
     coset_count,
     coset_eigh,
+    guiding_bands,
     hofstadter_family,
     level_form_factor,
     inversion_even,
@@ -27,6 +28,7 @@ from fluxlab import (
 from fluxlab import continuum
 from fluxlab.cli import decreasing_gate, main
 from oracles import (
+    coset_blocks,
     dense_eigh,
     dense_hamiltonian,
     dense_weyl,
@@ -220,7 +222,7 @@ def test_lll_spectrum_dual_to_lattice_model():
 def test_incompatible_harmonic_rejected():
     basis = standard_basis(n_levels=2)
     off_grid = FourierPotential([(0.3, 0.0, 1.0), (-0.3, 0.0, 1.0)])
-    for build in (coset_count, coset_blocks):
+    for build in (coset_count, guiding_bands):
         with pytest.raises(ConfigError):
             build(basis, off_grid)
     # fractional harmonics that do land on the torus grid are fine
@@ -391,7 +393,7 @@ def test_sector_spectrum_matches_the_unsplit_solve(n_levels, n_cells):
         want = dense_eigh(h)
         got = coset_eigh(basis, potential)
         assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
-        stacks, deviation, shift = sector_blocks(basis, potential)
+        stacks, _, deviation, shift = sector_blocks(basis, potential)
         sectors = [sec for group, *_ in stacks for sec in group]
         copies = stacks[0][2]
         assert {n for *_, n in stacks} == {copies}
@@ -443,17 +445,19 @@ def test_sector_deviation_is_the_dense_one(field, cosets):
 
 def test_fold_stage_holds_less_than_a_block_and_a_half(monkeypatch, traced_peak):
     # B = 30 on 4 cells with 6 levels: n_flux 153 in g = 1 coset, one real
-    # 918 x 918 block of 6.74 MB, prebuilt so that only the deviation scan,
-    # the folds and the stacks are traced. A gather of the whole block for
-    # the deviation or a fold stage that holds the stacks, a whole-width fold
-    # and its temporary at once would each exceed the bound
+    # 918 x 918 block of 6.74 MB, scattered from prebuilt bands, so that only
+    # that block, the deviation scan, the folds and the stacks are traced. A
+    # gather of the whole block for the deviation or a fold stage that holds
+    # the stacks, a whole-width fold and its temporary at once would each
+    # take the stage above the bound on top of the block
     potential = FourierPotential.cosine_xy(1.0)
     basis = torus_basis(30.0, 6, 4)
+    bands = guiding_bands(basis, potential)
     blocks = coset_blocks(basis, potential)
     assert blocks.shape == (1, 918, 918) and blocks.dtype == np.float64
-    monkeypatch.setattr(continuum, "coset_blocks", lambda *_: blocks)
-    peak = traced_peak(lambda: sector_blocks(basis, potential))
-    assert peak <= 1.4 * blocks.nbytes, f"peak {peak / blocks.nbytes:.2f} blocks"
+    monkeypatch.setattr(continuum, "guiding_bands", lambda *_: bands)
+    stage = traced_peak(lambda: sector_blocks(basis, potential)) - blocks.nbytes
+    assert stage <= 1.4 * blocks.nbytes, f"stage {stage / blocks.nbytes:.2f} blocks"
 
 
 @pytest.mark.parametrize(
@@ -463,13 +467,13 @@ def test_fold_stage_holds_less_than_a_block_and_a_half(monkeypatch, traced_peak)
 )
 def test_coset_build_holds_no_dense_translation(potential, traced_peak):
     # B = 80 on 4 cells with 1 level: n_flux 407 in g = 1 coset, one
-    # 407 x 407 block. The build holds the complex block, its scatter's
-    # temporaries and, for the real cosine, the real copy (1.5 complex
-    # blocks); a dense n_flux x n_flux translation is one more complex
-    # block each, and two alive at once reach 3.0
+    # 407 x 407 block. The build holds the bands (n_flux entries each), the
+    # block scattered from them, real for the cosine, and the checks' and
+    # folds' temporaries; a dense n_flux x n_flux translation is one more
+    # complex block each, and two alive at once reach the bound
     basis = torus_basis(80.0, 1, 4)
     complex_bytes = 16 * basis.dim ** 2
-    peak = traced_peak(lambda: coset_blocks(basis, potential))
+    peak = traced_peak(lambda: sector_blocks(basis, potential))
     assert peak <= 2.0 * complex_bytes, f"peak {peak / complex_bytes:.2f} blocks"
 
 
@@ -480,7 +484,7 @@ def test_potentials_that_are_not_even_keep_whole_cosets(solve_dtypes):
     basis = torus_basis(20.0, 3, 4)
     sectors = sector_plan(basis, sine)
     assert [(sec.coset, sec.parity) for sec in sectors] == [(0, 0), (1, 0)]
-    stacks, deviation, _ = sector_blocks(basis, sine)
+    stacks, _, deviation, _ = sector_blocks(basis, sine)
     assert deviation == 0.0 and len(stacks) == 1
     w = coset_eigh(basis, sine)
     assert solve_dtypes == [np.dtype(np.complex128)]
@@ -507,23 +511,26 @@ def test_free_operator_splits_every_self_paired_coset():
 @pytest.mark.parametrize("mutation", ["unsigned levels", "one entry", "nan"])
 def test_broken_inversion_symmetry_exits_3(command, mutation, monkeypatch, capsys):
     # dropping the (-1)^n of the fold, moving one entry of a coset block
-    # (and its mirror, so the block stays Hermitian) by 1e-9, or a NaN entry,
-    # each fails the C2 deviation check before any solve. B = 5 on 2 cells:
+    # (and its mirror, so the block stays Hermitian) by 1e-9, or a NaN level
+    # sign, each fails the C2 deviation check before any solve (a NaN entry
+    # fails the Hermiticity check on the bands first). B = 5 on 2 cells:
     # entry (0, 1) of coset 0 joins its fixed row 0 to row 1, whose image
-    # under the inversion is row 2
+    # under the inversion is row 2; they are guiding rows 0 and 2 of level 0,
+    # in bands 2 and -2 mod 6
     if mutation == "unsigned levels":
         monkeypatch.setattr(continuum, "_level_parity", lambda n: np.ones(n))
+    elif mutation == "nan":
+        monkeypatch.setattr(continuum, "_level_parity", lambda n: np.full(n, np.nan))
     else:
-        real = continuum.coset_blocks
+        real = continuum.guiding_bands
 
         def perturbed(basis, potential):
-            blocks = real(basis, potential)
-            delta = 1e-9 if mutation == "one entry" else float("nan")
-            blocks[0, 0, 1] += delta
-            blocks[0, 1, 0] += delta
-            return blocks
+            bands = real(basis, potential)
+            bands[2][0, 0, 0] += 1e-9
+            bands[4][0, 0, 2] += 1e-9
+            return bands
 
-        monkeypatch.setattr(continuum, "coset_blocks", perturbed)
+        monkeypatch.setattr(continuum, "guiding_bands", perturbed)
     solves = []
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, lambda *a, **k: solves.append(a))
@@ -561,7 +568,7 @@ def test_orbit_spectrum_matches_every_coset_solved(name, n_cells):
         h, deviation = shift_deviation(basis, potential)
         g = coset_count(basis, potential)
         assert g // len(orbit_rows(basis, potential)) == h
-        _, _, shift = sector_blocks(basis, potential)
+        *_, shift = sector_blocks(basis, potential)
         assert shift == deviation, n_flux
         bound = continuum.C2_DEVIATION_ULPS * np.finfo(float).eps
         assert shift <= bound * np.max(np.abs(coset_blocks(basis, potential)))
@@ -595,24 +602,126 @@ def test_orbit_counts(n_flux, n_cells, cosets, orbits):
 def test_broken_shift_symmetry_exits_3(command, delta, entry, monkeypatch, capsys):
     # B = 5 on 2 cells with 3 levels: n_flux 6 in g = 2 cosets of one orbit,
     # so coset 1 is solved as coset 0 only if the shift deviation check
-    # passes. Moving one entry of coset 1 (and its mirror) by 1e-9, or making
-    # it NaN, in the first or the last level, fails that check before any
-    # solve
-    real = continuum.coset_blocks
+    # passes. Moving one entry of coset 1 (and its mirror) by 1e-9 in the
+    # first or the last level fails that check before any solve; a NaN there
+    # fails the Hermiticity check on the bands, which comes first. Block
+    # entry (0, 1) joins guiding rows 1 and 3 of level 0, in bands 2 and -2
+    # mod 6, and (8, 7) rows 5 and 3 of level 2, in bands -2 and 2
+    real = continuum.guiding_bands
+    level, row, col = {(0, 1): (0, 1, 3), (8, 7): (2, 5, 3)}[entry]
 
     def perturbed(basis, potential):
-        blocks = real(basis, potential)
-        blocks[(1,) + entry] += delta
-        blocks[(1,) + entry[::-1]] += delta
-        return blocks
+        bands = real(basis, potential)
+        bands[(col - row) % 6][level, level, row] += delta
+        bands[(row - col) % 6][level, level, col] += delta
+        return bands
 
-    monkeypatch.setattr(continuum, "coset_blocks", perturbed)
+    monkeypatch.setattr(continuum, "guiding_bands", perturbed)
     solves = []
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, lambda *a, **k: solves.append(a))
     argv = [command, "--B", "5", "--ncells", "2", "--nlevels", "3"]
     assert main(argv) == 3
     err = capsys.readouterr().err
-    assert "shift deviation" in err and "in coset 1" in err
+    if delta == delta:
+        assert "shift deviation" in err and "in coset 1" in err
+    else:
+        assert "matrix is not Hermitian" in err
     assert "Traceback" not in err
     assert solves == []
+
+
+# the band path's oracle sweep: each potential with the cell counts it is
+# defined on. The quarter harmonic gives g = 1, and cos(2 pi x) + cos(pi y)
+# on 4 cells gives h = g
+BAND_POTENTIALS = {
+    "cosine": (FourierPotential.cosine_xy(1.0), (1, 2, 3, 4)),
+    "strong": (FourierPotential.cosine_xy(300.0), (1, 2, 3, 4)),
+    "odd": (ORBIT_POTENTIALS["odd"], (1, 2, 3, 4)),
+    "quarter": (FourierPotential([(0.25, 0, 0.5), (-0.25, 0, 0.5), (0, 1, 1.0),
+                                  (0, -1, 1.0)]), (4,)),
+    "half": (ORBIT_POTENTIALS["half"], (4,)),
+}
+
+
+def bits(x):
+    """x as its uint64 words, so that equality is bit for bit."""
+    return np.array(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("n_levels", [1, 3, 6])
+@pytest.mark.parametrize("name", sorted(BAND_POTENTIALS))
+def test_band_path_is_the_dense_oracle_bit_for_bit(name, n_levels):
+    # the representative blocks, solved whole or folded into their sectors,
+    # each coset's Hermiticity deviation, and the C2 and shift deviations are
+    # those of the dense all-coset scatter. B = 1.6 on 4 cells is n_flux 8,
+    # where cos(2 pi x) + cos(pi y) has g = h = 4
+    potential, cells = BAND_POTENTIALS[name]
+    orbits = set()
+    for n_cells in cells:
+        for field in (1.0, 1.6, 5.0, 13.0, 40.0, 80.0):
+            basis = torus_basis(field, n_levels, n_cells)
+            dense = coset_blocks(basis, potential)
+            g = len(dense)
+            stacks, hermitian, c2, shift = sector_blocks(basis, potential)
+            each = continuum._hermitian_deviations(guiding_bands(basis, potential), g)
+            want = [check_hermitian(block) for block in dense]
+            assert np.array_equal(bits(each), bits(want))
+            assert bits(hermitian) == bits(max(want))
+            h, want_shift = shift_deviation(basis, potential)
+            orbits.add((g, h))
+            sectors = [s for group, *_ in stacks for s in group]
+            for group, blocks, copies in stacks:
+                assert copies == g // h
+                folded = np.stack([s.fold(s.fold(dense[s.coset], 1), 0) for s in group])
+                assert blocks.dtype == dense.dtype
+                assert np.array_equal(bits(blocks), bits(folded)), (field, n_cells)
+            assert {s.coset for s in sectors} == set(range(h))
+            want_c2 = max((s.deviation(dense[s.coset]) for s in sectors if s.parity),
+                          default=0.0)
+            assert bits(c2) == bits(want_c2) and bits(shift) == bits(want_shift)
+    assert name != "half" or (4, 4) in orbits
+
+
+@pytest.mark.parametrize(
+    "command", ["continuum-spectrum", "lll-compare", "dynamics-defect"]
+)
+@pytest.mark.parametrize("delta", [1e-9, float("nan")])
+def test_cosets_never_built_dense_are_still_checked(command, delta, monkeypatch, capsys):
+    # B = 5 on 2 cells with 3 levels: n_flux 6 in g = 2 cosets of one orbit,
+    # so coset 1 is never built dense. Moving one entry of its bands by 1e-9
+    # without its mirror, or making it NaN, fails the Hermiticity check on
+    # the bands before any solve. Band 2 at row (level 0, guiding 3) joins
+    # guiding rows 3 and 5 of coset 1, here from level 0 to level 1
+    potential = FourierPotential.cosine_xy(1.0)
+    basis = torus_basis(5.0, 3, 2)
+    assert coset_count(basis, potential) == len(orbit_rows(basis, potential)) == 2
+    real = continuum.guiding_bands
+
+    def perturbed(basis, potential):
+        bands = real(basis, potential)
+        bands[2][0, 1, 3] += delta
+        return bands
+
+    monkeypatch.setattr(continuum, "guiding_bands", perturbed)
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, **k: solves.append(a))
+    argv = [command, "--B", "5", "--ncells", "2", "--nlevels", "3"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "matrix is not Hermitian" in err and "Traceback" not in err
+    assert solves == []
+
+
+def test_no_all_coset_array_is_held(traced_peak):
+    # B = 40 on 4 cells with 6 levels: n_flux 204 in g = 4 cosets of 306 rows
+    # and one orbit (h = 1). sector_blocks holds the bands, the one real
+    # representative block and the temporaries of its checks and folds, less
+    # than the 4 real blocks that one all-coset (g, d/g, d/g) array would take
+    potential = FourierPotential.cosine_xy(1.0)
+    basis = torus_basis(40.0, 6, 4)
+    assert coset_count(basis, potential) == len(orbit_rows(basis, potential)) == 4
+    block = 8 * 306 ** 2
+    peak = traced_peak(lambda: sector_blocks(basis, potential))
+    assert peak < 4 * block, f"peak {peak / block:.2f} blocks"

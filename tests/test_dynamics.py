@@ -731,9 +731,10 @@ def test_uneven_sector_exits_4_before_any_svd(monkeypatch, capsys):
 
 
 def test_one_hermiticity_check_per_field(monkeypatch):
-    # coset_blocks checks each (d/g) x (d/g) coset block once, never a d x d
-    # matrix when g > 1; the one-level operator is sliced from those blocks
-    # and the eigensolves do not check again
+    # sector_blocks checks the g cosets of each field once, on their guiding
+    # bands, the cosets never built dense included, and never a dense block
+    # or a d x d matrix; the one-level operator is sliced from the checked
+    # blocks and the eigensolves do not check again
     shapes = []
     real = spectra.check_hermitian
 
@@ -741,33 +742,36 @@ def test_one_hermiticity_check_per_field(monkeypatch):
         shapes.append(np.shape(matrix))
         real(matrix)
 
+    checked = []
+    real_bands = continuum._hermitian_deviations
+
+    def per_coset(bands, g):
+        checked.append(g)
+        return real_bands(bands, g)
+
     monkeypatch.setattr(spectra, "check_hermitian", counted)
-    monkeypatch.setattr(continuum, "check_hermitian", counted)
+    monkeypatch.setattr(continuum, "_hermitian_deviations", per_coset)
     report = defect_scaling(
         [5.0, 10.0], FourierPotential.cosine_xy(1.0), times=(0.5, 1.0), n_levels=3,
         n_cells=2,
     )
     assert [row.n_flux for row in report] == [6, 13]  # g = 2, then g = 1
-    expected = []
-    for row in report:
-        r = row.n_flux
-        g = math.gcd(r, 2)
-        expected += [(3 * r // g, 3 * r // g)] * g
-    assert shapes == expected
+    assert checked == [math.gcd(row.n_flux, 2) for row in report]
+    assert shapes == []
 
 
 @pytest.mark.parametrize("experiment", ["defect_scaling", "strong_field_report"])
 def test_one_coset_build_per_field(experiment, monkeypatch):
     # the one-level operator's blocks are sliced from the full ones, so each
-    # field builds its coset blocks once, unseparated fields included
+    # field builds its guiding bands once, unseparated fields included
     built = []
-    real = continuum.coset_blocks
+    real = continuum.guiding_bands
 
     def counted(basis, potential):
         built.append((basis.field, basis.n_levels))
         return real(basis, potential)
 
-    monkeypatch.setattr(continuum, "coset_blocks", counted)
+    monkeypatch.setattr(continuum, "guiding_bands", counted)
     fields = [5.0, 10.0, 20.0]
     potential = FourierPotential.cosine_xy(1.0)
     if experiment == "defect_scaling":

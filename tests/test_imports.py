@@ -47,7 +47,7 @@ def test_all_lists_only_the_reexported_names():
         if isinstance(getattr(fluxlab, name), types.ModuleType)
     ]
     assert modules == []
-    assert "coset_blocks" in fluxlab.__all__
+    assert "guiding_bands" in fluxlab.__all__
     assert "sample_values" not in fluxlab.__all__
     assert "rank_runs" not in fluxlab.__all__
 

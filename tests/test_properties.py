@@ -33,11 +33,11 @@ from fluxlab import (
     RationalFlux,
     band_intervals,
     chern_numbers,
-    coset_blocks,
     coset_count,
     coset_eigh,
     dos,
     exact_bands,
+    guiding_bands,
     hausdorff,
     hofstadter_family,
     inversion_even,
@@ -48,6 +48,7 @@ from fluxlab import (
 from fluxlab.cli import main
 from fluxlab.continuum import _genlaguerre
 from oracles import (
+    coset_blocks,
     dense_eigh,
     dense_hamiltonian,
     erf_dos,
@@ -215,6 +216,12 @@ def test_plane_wave_elements_never_cross_cosets(drawn, n_flux, n_levels):
         assert not np.any(plane_wave_element(basis, (n, m))[across]), (n, m, g)
     h = dense_hamiltonian(basis, potential)
     assert not np.any(h[across])
+    # the guiding bands put the same entries at (a, j), (b, j + o)
+    rebuilt = np.zeros_like(h).reshape(n_levels, n_flux, n_levels, n_flux)
+    j = np.arange(n_flux)
+    for o, band in guiding_bands(basis, potential).items():
+        rebuilt[:, j, :, (j + o) % n_flux] = band.transpose(2, 0, 1)
+    assert np.array_equal(rebuilt.reshape(h.shape), h)
     blocks = coset_blocks(basis, potential)
     assert blocks.shape == (g, basis.dim // g, basis.dim // g)
     for c in range(g):
@@ -233,6 +240,10 @@ def test_one_level_blocks_are_the_level_zero_blocks(drawn, n_flux, n_levels):
     s = n_flux // coset_count(basis, potential)
     one_level = coset_blocks(replace(basis, n_levels=1), potential)
     assert np.array_equal(one_level, coset_blocks(basis, potential)[:, :s, :s])
+    one_level, full = (guiding_bands(b, potential) for b in (replace(basis, n_levels=1), basis))
+    assert one_level.keys() == full.keys()
+    for o, band in one_level.items():
+        assert np.array_equal(band, full[o][:1, :1])
 
 
 @fixed
@@ -280,7 +291,7 @@ def test_inversion_halves_keep_the_spectrum(drawn, n_flux, n_levels):
     n_cells, potential = drawn
     basis = torus_basis(math.pi * n_flux / n_cells**2, n_levels, n_cells)
     assert inversion_even(potential)
-    stacks, deviation, shift = sector_blocks(basis, potential)
+    stacks, _, deviation, shift = sector_blocks(basis, potential)
     sectors = [s for group, *_ in stacks for s in group]
     copies = stacks[0][2]
     assert copies * sum(s.dim for s in sectors) == basis.dim
@@ -337,6 +348,8 @@ def test_potentials_even_in_x_give_exactly_real_blocks(drawn, odd, n_flux, n_lev
     blocks = coset_blocks(basis, potential)
     assert bool(np.any(blocks.imag)) == odd
     assert blocks.dtype == (np.complex128 if odd else np.float64)
+    stacks, *_ = sector_blocks(basis, potential)
+    assert {b.dtype for _, b, _ in stacks} == {blocks.dtype}
     want = dense_eigh(dense_hamiltonian(basis, potential))
     assert np.all(np.abs(values - want) <= 1e-10 + 1e-10 * np.abs(want))
 
