@@ -119,37 +119,40 @@ def torus_basis(B: float, n_levels: int, n_cells: int) -> LandauBasisSpec:
     )
 
 
-def _genlaguerre(n: int, alpha: int, x: float) -> float:
-    """Generalized Laguerre polynomial L_n^(alpha)(x) for integer n >= 0, by
-    the three-term recurrence
-    L_{k+1} = ((2k + 1 + alpha - x) L_k - (k + alpha) L_{k-1}) / (k + 1)."""
-    prev, cur = 0.0, 1.0
-    for k in range(n):
-        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
-    return cur
-
-
 def level_form_factor(kx: float, ky: float, b: float, n_levels: int) -> np.ndarray:
     """Matrix of e^{i K . (cyclotron coordinate)} between Landau levels.
 
-    With kappa = l (Kx + i Ky) / sqrt(2), entry (n', n) for n' >= n is
-    e^{-|kappa|^2 / 2} sqrt(n!/n'!) conj(kappa)^{n'-n} L_n^{(n'-n)}(|kappa|^2),
-    and the n' < n entries follow from G(K)^dag = G(-K). The diagonal is the
-    familiar e^{-|K|^2/(4b)} L_n(|K|^2/(2b)).
+    With kappa = l (Kx + i Ky) / sqrt(2), x = |kappa|^2 and u = kappa/|kappa|,
+    entry (n + d, n) is A[n, d] conj(u)^d and entry (n, n + d) is
+    A[n, d] (-u)^d, where A[n, d] = e^{-x/2} |kappa|^d sqrt(n!/(n+d)!)
+    L_n^{(d)}(x); the diagonal is the familiar e^{-|K|^2/(4b)} L_n(|K|^2/(2b)).
+    G is a block of the unitary displacement operator (K. E. Cahill and R. J.
+    Glauber, Phys. Rev. 177, 1857 (1969)), so |A| <= 1. A is therefore carried
+    directly, over n and for every d at once, by the Laguerre three-term
+    recurrence normalized to it (M. Abramowitz and I. A. Stegun, 22.7), and
+    no value on the way can overflow. The powers of the unit u are repeated
+    products, so a K on an axis keeps its exactly real or imaginary entries.
     """
-    ell2 = 1.0 / b
-    kappa = math.sqrt(ell2 / 2.0) * (kx + 1j * ky)
+    kappa = math.sqrt(0.5 / b) * (kx + 1j * ky)
     x = abs(kappa) ** 2
-    pref = math.exp(-x / 2.0)
-    g = np.zeros((n_levels, n_levels), dtype=complex)
-    for n_hi in range(n_levels):
-        for n_lo in range(n_hi + 1):
-            d = n_hi - n_lo
-            amp = math.exp(
-                0.5 * (math.lgamma(n_lo + 1) - math.lgamma(n_hi + 1))
-            ) * _genlaguerre(n_lo, d, x)
-            g[n_lo, n_hi] = pref * amp * (-kappa) ** d
-            g[n_hi, n_lo] = pref * amp * np.conj(kappa) ** d
+    d = np.arange(n_levels)
+    a = np.zeros((n_levels, n_levels))
+    if x == 0.0:
+        u = 1.0
+        a[0, 0] = 1.0
+    else:
+        u = kappa / abs(kappa)
+        lgamma = np.array([math.lgamma(k + 1) for k in d])
+        a[0] = np.exp(d * math.log(abs(kappa)) - x / 2.0 - 0.5 * lgamma)
+    for k in range(n_levels - 1):
+        a[k + 1] = (
+            (2 * k + 1 + d - x) * a[k] - np.sqrt(k * (k + d)) * a[k - 1]
+        ) / np.sqrt((k + 1) * (k + 1 + d))
+    hi, lo = np.tril_indices(n_levels)
+    amp = a[lo, hi - lo]
+    g = np.empty((n_levels, n_levels), dtype=complex)
+    g[hi, lo] = amp * np.cumprod([1.0] + [np.conj(u)] * (n_levels - 1))[hi - lo]
+    g[lo, hi] = amp * np.cumprod([1.0] + [-u] * (n_levels - 1))[hi - lo]
     return g
 
 
@@ -167,25 +170,14 @@ def _harmonic_shift(basis: LandauBasisSpec, n: float, m: float) -> tuple[int, in
     return j1, j2
 
 
-def _form_factor(basis: LandauBasisSpec, n: float, m: float, n_levels: int):
-    """level_form_factor of the harmonic (n, m) on n_levels levels at the
-    basis field, an overflow of its kappa powers raised as a check error."""
-    try:
-        return level_form_factor(
-            2.0 * np.pi * n, 2.0 * np.pi * m, basis.effective_field, n_levels)
-    except OverflowError:
-        raise NumericalCheckError(
-            f"operator at B = {basis.field:.12g} on {basis.n_levels} Landau "
-            f"levels: the form factor of harmonic ({n:g}, {m:g}) overflows") from None
-
-
 def next_level_coupling(basis: LandauBasisSpec, potential: FourierPotential) -> float:
     """Largest potential matrix element from the top retained level into the
     first dropped one; the standard truncation-error proxy."""
     top = basis.n_levels
     worst = 0.0
     for n, m, c in potential.harmonics:
-        g = _form_factor(basis, n, m, top + 1)
+        g = level_form_factor(
+            2.0 * np.pi * n, 2.0 * np.pi * m, basis.effective_field, top + 1)
         worst = max(worst, abs(c) * abs(g[top, top - 1]))
     return worst
 
@@ -230,7 +222,8 @@ def guiding_bands(basis: LandauBasisSpec, potential: FourierPotential) -> dict:
                 f"between its {g} guiding-centre cosets: harmonic ({n:g}, {m:g}) "
                 f"joins {leak} guiding pairs across them"
             )
-        form = _form_factor(basis, n, m, basis.n_levels)
+        form = level_form_factor(
+            2.0 * np.pi * n, 2.0 * np.pi * m, basis.effective_field, basis.n_levels)
         o = -j1 % basis.n_flux
         bands[o] = bands.get(o, 0) + c * (form[:, :, None] * tau)
     return bands

@@ -348,10 +348,12 @@ def dense_eigh(matrix, rank=None):
 
 
 def scipy_level_form_factor(kx, ky, b, n_levels):
-    """`continuum.level_form_factor` with its Laguerre values taken from
-    scipy's eval_genlaguerre: entry (n', n) for n' >= n is
+    """The closed form of `continuum.level_form_factor`, with its Laguerre
+    values taken from scipy's eval_genlaguerre: entry (n', n) for n' >= n is
     e^{-|kappa|^2 / 2} sqrt(n!/n'!) conj(kappa)^{n'-n} L_n^{(n'-n)}(|kappa|^2),
     kappa = (Kx + i Ky) / sqrt(2b), and G(K)^dag = G(-K) gives the rest.
+    Each factor is computed apart, so the oracle is finite only while
+    kappa^{n_levels - 1} is.
     """
     kappa = math.sqrt(0.5 / b) * (kx + 1j * ky)
     x = abs(kappa) ** 2

@@ -774,13 +774,19 @@ def test_memory_error_exits_2(argv, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "command", ["continuum-spectrum", "lll-compare", "dynamics-defect"]
 )
-def test_form_factor_overflow_exits_3(command, capsys):
-    # B = 0.2 on 4 cells is one flux quantum, so d is only 400, but the
-    # kappa^d of the form factor, |kappa| ~ 7, overflows for d > 364
-    assert main([command, "--B", "0.2", "--nlevels", "400"]) == 3
-    err = capsys.readouterr().err
-    assert "B = 0.196349540849 on 400 Landau levels" in err
-    assert "harmonic (-1, 0) overflows" in err and "Traceback" not in err
+def test_form_factor_at_400_levels_exits_0(command, capsys):
+    # B = 0.2 on 4 cells is one flux quantum on 400 levels: with |kappa| ~ 7
+    # a bare kappa^d would overflow for d > 364, but every form-factor entry
+    # is a displacement-operator element of modulus <= 1, and so is each
+    # value the recurrence carries
+    assert main([command, "--B", "0.2", "--nlevels", "400"]) == 0
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    _, *rows = [line for line in out.splitlines() if not line.startswith("#")]
+    cells = [cell for row in rows for cell in row.split(",")]
+    assert rows and all(
+        cell in ("true", "false") or math.isfinite(float(cell)) for cell in cells
+    )
 
 
 @pytest.mark.parametrize(

@@ -35,6 +35,7 @@ from oracles import (
     inversion_matrix,
     plane_wave_element,
     scattered_frame,
+    scipy_level_form_factor,
     shift_deviation,
 )
 
@@ -140,6 +141,33 @@ def test_form_factor_point_values_and_adjoint():
         a = level_form_factor(kx, ky, b, 6)
         c = level_form_factor(-kx, -ky, b, 6)
         assert np.max(np.abs(a.conj().T - c)) < 1e-12
+
+
+def test_form_factor_on_401_levels_is_bounded_and_keeps_axis_zeros():
+    # B = 0.2 on 4 cells: |kappa| ~ 7.1, so the closed form's kappa^d
+    # overflows past d ~ 362, while the recurrence carries only entries of
+    # a unitary's block
+    b = torus_basis(0.2, 401, 4).effective_field
+    g = level_form_factor(2.0 * np.pi, 0.0, b, 401)
+    assert np.all(np.isfinite(g)) and np.max(np.abs(g)) <= 1.0
+    # the low levels keep all their weight inside the 401 retained ones
+    assert np.max(np.abs((g @ g.conj().T)[:50, :50] - np.eye(50))) < 1e-12
+    # each row n runs over n alone, so more levels only append
+    assert np.array_equal(g[:400, :400], level_form_factor(2.0 * np.pi, 0.0, b, 400))
+    # a K on an axis: the same exact zeros as the closed form where its
+    # complex powers are repeated products (d < 100), and on all 401 levels
+    # an entry of phase (+-1)^d or (+-i)^d has one part exactly zero
+    d = np.subtract.outer(np.arange(401), np.arange(401))
+    for k in ((2.0 * np.pi, 0.0), (-2.0 * np.pi, 0.0), (0.0, 2.0 * np.pi),
+              (0.0, -2.0 * np.pi)):
+        g = level_form_factor(*k, b, 401)
+        want = scipy_level_form_factor(*k, b, 100)
+        assert np.array_equal(g.real[:100, :100] == 0, want.real == 0)
+        assert np.array_equal(g.imag[:100, :100] == 0, want.imag == 0)
+        if k[1] == 0.0:
+            assert not np.any(g.imag)
+        else:
+            assert not np.any(g.real[d % 2 == 1]) and not np.any(g.imag[d % 2 == 0])
 
 
 def tau(j1, j2, n_flux):

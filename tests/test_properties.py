@@ -46,13 +46,11 @@ from fluxlab import (
     torus_basis,
 )
 from fluxlab.cli import main
-from fluxlab.continuum import _genlaguerre
 from oracles import (
     coset_blocks,
     dense_eigh,
     dense_hamiltonian,
     erf_dos,
-    eval_genlaguerre,
     math_erf,
     plane_wave_element,
     scipy_erf,
@@ -495,20 +493,11 @@ def test_disorder_command_keeps_the_exit_code_contract(
 
 
 @fixed
-@given(st.integers(0, 12), st.integers(0, 12), st.floats(0.0, 60.0))
-def test_laguerre_recurrence_matches_scipy(n, alpha, x):
-    # relative to the bound |L_n^(alpha)(x)| <= C(n + alpha, n) e^{x/2}: near a
-    # root neither value has a small relative error of its own
-    scale = math.comb(n + alpha, n) * math.exp(x / 2.0)
-    assert abs(_genlaguerre(n, alpha, x) - eval_genlaguerre(n, alpha, x)) <= 1e-13 * scale
-
-
-@fixed
 @given(
     st.floats(-20.0, 20.0),
     st.floats(-20.0, 20.0),
     st.floats(0.5, 50.0),
-    st.integers(1, 8),
+    st.integers(1, 40),
 )
 def test_level_form_factor_matches_scipy_laguerre(kx, ky, b, n_levels):
     # entries of a unitary's matrix block: every one has modulus <= 1
