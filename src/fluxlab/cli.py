@@ -763,11 +763,17 @@ def _json_value(value):
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to path through a temporary file renamed onto it, with the
+    mode open(path, "w") leaves: path's own, else 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fluxlab-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        umask = os.umask(0o022)
+        os.umask(umask)
+        exists = os.path.exists(path)
+        os.chmod(tmp, os.stat(path).st_mode & 0o7777 if exists else 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -68,14 +68,18 @@ class FourierPotential:
 class LandauBasisSpec:
     """Validated magnetic-torus basis bookkeeping.
 
-    field is the B of the Hamiltonian above; the physical field strength
-    (curl of the gauge potential) is effective_field = 2B.
+    field is the B of the Hamiltonian above, pi n_flux / n_cells^2 by the
+    flux quantization (torus_basis); the physical field strength (curl of
+    the gauge potential) is effective_field = 2B.
     """
 
-    field: float
     n_flux: int
     n_levels: int
     n_cells: int
+
+    @property
+    def field(self) -> float:
+        return math.pi * self.n_flux / (self.n_cells * self.n_cells)
 
     @property
     def effective_field(self) -> float:
@@ -111,12 +115,7 @@ def torus_basis(B: float, n_levels: int, n_cells: int) -> LandauBasisSpec:
             "non-finite flux-quantum count"
         )
     n_flux = max(1, round(quanta))
-    return LandauBasisSpec(
-        field=math.pi * n_flux / (n_cells * n_cells),
-        n_flux=int(n_flux),
-        n_levels=int(n_levels),
-        n_cells=int(n_cells),
-    )
+    return LandauBasisSpec(n_flux, int(n_levels), int(n_cells))
 
 
 def level_form_factor(kx: float, ky: float, b: float, n_levels: int) -> np.ndarray:
@@ -229,13 +228,14 @@ def guiding_bands(basis: LandauBasisSpec, potential: FourierPotential) -> dict:
     return bands
 
 
-# Bound on both deviations sector_blocks checks, the inversion fold's and the
-# guiding shift's, in units of eps * max |H| of the coset block. With the
-# default cosine potential the Weyl phases leave 0.6 to 1.6 of them in the
-# fold (B = 1 to 320). A phase's rounding grows with its angle, up to 2 pi
-# n_cells for a cosine harmonic, so at large amplitudes the fold's deviation
-# reaches about 6.4 n_cells units: 1024 covers tori of up to about 150 cells.
-# The shift's stayed within 29 (B = 1 to 80, 2 to 8 cells, amplitude <= 300).
+# Bound on both deviations sector_blocks checks on the bands, the inversion's
+# and the guiding shift's, in units of eps * max |H| of the representative
+# coset. With the default cosine potential the Weyl phases leave 0.6 to 1.6
+# of them in the C2 deviation (B = 1 to 320). A phase's rounding grows with
+# its angle, up to 2 pi n_cells for a cosine harmonic, so at large amplitudes
+# the C2 deviation reaches about 6.4 n_cells units: 1024 covers tori of up
+# to about 150 cells. The shift's stayed within 29 (B = 1 to 80, 2 to 8
+# cells, amplitude <= 300).
 C2_DEVIATION_ULPS = 1024
 
 
@@ -257,7 +257,7 @@ def _level_parity(n_levels: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Sector:
-    """One diagonal block of the continuum operator.
+    """The basis of one diagonal block of H: a whole coset or one half of it.
 
     The guiding-centre cosets split the operator (sector_blocks). For an
     inversion_even potential, the inversion S = diag((-1)^n) (x) (j -> -j mod
@@ -301,18 +301,6 @@ class Sector:
         y += np.take(x, self.rows, axis)
         y *= np.where(pair == self.rows, 0.5, math.sqrt(0.5)).reshape(shape)
         return y
-
-    def deviation(self, block: np.ndarray) -> float:
-        """max |S H S^T - H| over a coset block. Entry (i, j) of S H S^T is
-        sign[i] sign[j] H[image[i], image[j]], and S is an involution, so
-        entries (i, j) and (image[i], image[j]) deviate equally: only the
-        rows r <= image[r] are scanned."""
-        half = np.flatnonzero(np.arange(self.image.size) <= self.image)
-        h = np.take(block[self.image[half]], self.image, 1)
-        h *= self.sign[half, None]
-        h *= self.sign
-        h -= block[half]
-        return float(np.max(np.abs(h), initial=0.0))
 
     def describe(self) -> str:
         half = {0: "whole", 1: "S = +1", -1: "S = -1"}[self.parity]
@@ -383,24 +371,25 @@ def orbit_rows(basis: LandauBasisSpec, potential: FourierPotential) -> np.ndarra
     return level * per_level + (t + steps[:, None]) % per_level
 
 
-def _checked_deviation(basis: LandauBasisSpec, dev: float, block, broken: str):
-    """dev, raising NumericalCheckError naming what is `broken` unless dev is
-    within C2_DEVIATION_ULPS * eps * max |block| (a NaN or inf fails)."""
-    bound = C2_DEVIATION_ULPS * np.finfo(float).eps * float(np.max(np.abs(block)))
+def _checked_deviation(basis: LandauBasisSpec, dev: float, scale: float, broken: str):
+    """float(dev), raising NumericalCheckError naming what is `broken` unless
+    dev is within C2_DEVIATION_ULPS * eps * scale (a NaN or inf fails)."""
+    bound = C2_DEVIATION_ULPS * np.finfo(float).eps * float(scale)
     if not dev <= bound < math.inf:
         raise NumericalCheckError(
             f"operator at B = {basis.field:.12g} breaks its {broken} = {dev:.3e} "
             f"> {C2_DEVIATION_ULPS} eps max |H| = {bound:.3e}"
         )
-    return dev
+    return float(dev)
 
 
-def _hermitian_deviations(bands: dict, g: int) -> np.ndarray:
-    """max |H - H^dag| of each of the g cosets, from the guiding_bands: band o
-    against its mirror, conj V_-o[b, a, j + o] (0 if absent); NaN stays."""
-    skews = [np.abs(v - np.roll(bands.get(-o % v.shape[2], np.zeros_like(v)), -o, 2)
-                    .transpose(1, 0, 2).conj()) for o, v in bands.items()]
-    return np.max([s.reshape(-1, s.shape[2] // g, g).max((0, 1)) for s in skews], 0)
+def _mirror_deviations(bands: dict, g: int, mirror) -> np.ndarray:
+    """max |V_o - mirror(V_-o, o)| of each of the g cosets (guiding j in coset
+    j mod g) over the guiding_bands V, an absent V_-o counting as 0; a NaN
+    stays. mirror(V_-o, o) is band o of the mirrored operator."""
+    return np.max([  # each coset's entries copied into one row: a strided max is slow
+        np.abs(v - mirror(bands.get(-o % v.shape[2], np.zeros_like(v)), o))
+        .reshape(-1, g).T.copy().max(1) for o, v in bands.items()], 0)
 
 
 def sector_blocks(basis: LandauBasisSpec, potential: FourierPotential):
@@ -416,42 +405,46 @@ def sector_blocks(basis: LandauBasisSpec, potential: FourierPotential):
     (len(sectors), dim, dim), every sector in it has rank sectors[0].rank,
     and each of its eigenvalues is copies = g/h (the orbit size) of H's. Each
     half is the fold of its coset block, so the solve sees the part of H that
-    commutes with S. Before any fold, each coset's _hermitian_deviations must
-    be at most 1e-12, else NumericalCheckError gives the first one that is
-    not; then each split representative's C2 deviation and each other coset's
-    shift deviation, read from the bands, is checked (_checked_deviation).
-    Each returned is the largest of its kind.
+    commutes with S. Every check reads the bands (_mirror_deviations) before
+    any block is built: each coset's max |H - H^dag| must be at most 1e-12,
+    else NumericalCheckError gives the first one that is not; then each split
+    representative's C2 deviation max |S H S^T - H| and each other coset's
+    shift deviation is checked (_checked_deviation). Each returned is the
+    largest of its kind.
     """
     rows = orbit_rows(basis, potential)
     bands = guiding_bands(basis, potential)
     n_flux, g = basis.n_flux, basis.dim // rows.shape[1]
     h, per_level = g // len(rows), n_flux // g
-    hermitian = _hermitian_deviations(bands, g)
+    hermitian = _mirror_deviations(  # H^dag's band o: conj V_-o[b, a, j + o]
+        bands, g, lambda w, o: np.roll(w, -o, 2).transpose(1, 0, 2).conj())
     bad = np.flatnonzero(~(hermitian <= 1e-12))
     if bad.size:
         raise NumericalCheckError(
             f"matrix is not Hermitian: max |M - M^dag| = {hermitian[bad[0]]:.3e}")
+    scale = _mirror_deviations(bands, g, lambda w, o: 0.0)  # max |H| of each coset
+    parity = _level_parity(basis.n_levels)[:, None, None]
+    inverted = _mirror_deviations(  # S H S^T's band o: (-1)^(a+b) V_-o[a, b, -j]
+        bands, g, lambda w, o: parity * parity[:, 0] * np.roll(w[:, :, ::-1], 1, 2))
+    sectors = [s for s in sector_plan(basis, potential) if s.coset < h]
+    c2 = max((_checked_deviation(basis, inverted[c], scale[c], f"inversion symmetry in "
+                                 f"coset {c}: C2 deviation max |S H S^T - H|")
+              for c in sorted({s.coset for s in sectors if s.parity})), default=0.0)
     # guiding[m, r]: the rows of coset r + m h that rows[m] maps r's onto
     guiding = np.arange(g).reshape(-1, h)[:, :, None] + g * rows[:, None, :per_level]
+    shift = np.max([np.abs(v[:, :, guiding[1:]] - v[:, :, guiding[:1]]).max((0, 1, 4))
+                    for v in bands.values()], 0)
+    shift = max((_checked_deviation(
+        basis, dev, scale[c % h], f"guiding shift symmetry in coset {c}: "
+        f"shift deviation max |H_c[rows, rows] - H_r| from coset {c % h}")
+        for c, dev in enumerate(shift.ravel(), h)), default=0.0)
+    hermitian = float(hermitian.max())
     real = not any(np.any(v.imag) for v in bands.values())
     blocks = np.zeros((h,) + rows.shape[1:] * 2, dtype=float if real else complex)
     index = np.arange(rows.shape[1]).reshape(basis.n_levels, per_level)
     for o, v in bands.items():  # band o joins row t of each level to row t + o/g
         blocks[:, index[:, None], np.roll(index, -(o // g), 1)] = np.moveaxis(
             (v.real if real else v)[:, :, guiding[0]], 2, 0)
-    sectors = [s for s in sector_plan(basis, potential) if s.coset < h]
-    split = {s.coset: s for s in sectors if s.parity}
-    c2 = max((_checked_deviation(basis, s.deviation(blocks[c]), blocks[c],
-                                 f"inversion symmetry in coset {c}: C2 deviation "
-                                 "max |S H S^T - H|")
-              for c, s in split.items()), default=0.0)
-    shift = np.max([np.abs(v[:, :, guiding[1:]] - v[:, :, guiding[:1]]).max((0, 1, 4))
-                    for v in bands.values()], 0)
-    shift = max((_checked_deviation(
-        basis, float(dev), blocks[c % h], f"guiding shift symmetry in coset {c}: "
-        f"shift deviation max |H_c[rows, rows] - H_r| from coset {c % h}")
-        for c, dev in enumerate(shift.ravel(), h)), default=0.0)
-    hermitian = float(hermitian.max())
     if not any(s.parity for s in sectors):
         return [(tuple(sectors), blocks, len(rows))], hermitian, c2, shift
     groups = {}

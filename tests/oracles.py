@@ -291,6 +291,16 @@ def inversion_matrix(basis):
     return s
 
 
+def c2_deviation(sector, block):
+    """max |S H S^T - H| over every entry of a coset block, S the inversion
+    on the coset as `sector` holds it, S e_i = sign[i] e_image[i]: entry
+    (i, k) of S H S^T is sign[i] sign[k] H[image[i], image[k]]. The dense
+    twin of the C2 check `continuum.sector_blocks` reads from the bands."""
+    image, sign = sector.image, sector.sign
+    inverted = np.outer(sign, sign) * block[np.ix_(image, image)]
+    return float(np.max(np.abs(inverted - block), initial=0.0))
+
+
 def shift_deviation(basis, potential):
     """(h, deviation) of the guiding-shift orbits of the coset blocks, with
     each shift taken as a dense permutation matrix.

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -236,6 +237,24 @@ def test_out_under_a_regular_file_exits_2(tmp_path, forbid_solves, capsys):
     assert f"error: --out: {str(parent)!r} is not a directory" in err
     assert parent.read_text() == "kept\n"
     assert sorted(os.listdir(tmp_path)) == ["file"]
+
+
+def test_written_files_take_the_mode_open_would_leave(tmp_path):
+    # under umask 022 a new table and its sidecar are 0o644, as
+    # open(path, "w") leaves a new file, and a rerun onto a 0o640 table
+    # keeps that table's mode
+    out = tmp_path / "c.csv"
+    argv = ["chern", "--flux", "1/3", "--kgrid", "12", "--out", str(out)]
+    umask = os.umask(0o022)
+    try:
+        assert main(argv) == 0
+        for path in (out, tmp_path / "c.meta.json"):
+            assert stat.S_IMODE(os.stat(path).st_mode) == 0o644, path.name
+        os.chmod(out, 0o640)
+        assert main(argv) == 0
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o640
+    finally:
+        os.umask(umask)
 
 
 @pytest.mark.parametrize("make", [os.mkfifo, os.mkdir], ids=["fifo", "directory"])

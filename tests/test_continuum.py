@@ -10,6 +10,7 @@ from scipy.special import eval_hermite
 from fluxlab import (
     ConfigError,
     FourierPotential,
+    NumericalCheckError,
     RationalFlux,
     check_hermitian,
     coset_count,
@@ -28,6 +29,7 @@ from fluxlab import (
 from fluxlab import continuum
 from fluxlab.cli import decreasing_gate, main
 from oracles import (
+    c2_deviation,
     coset_blocks,
     dense_eigh,
     dense_hamiltonian,
@@ -443,32 +445,61 @@ def test_sector_spectrum_matches_the_unsplit_solve(n_levels, n_cells):
 
 
 @pytest.mark.parametrize(("field", "cosets"), [(10.0, 1), (20.0, 2), (40.0, 4)])
-def test_sector_deviation_is_the_dense_one(field, cosets):
-    # Sector.deviation scans only the rows r <= image[r]. It must still give
-    # the dense max |S_c H_c S_c^T - H_c| exactly on every split coset, also
-    # after entry (r, image[r]) of a row r > image[r] moves while its mirror
-    # does not, so that only the scan of the image row can see it, and after
-    # one entry of a fixed row moves, which only the scan of that row can see
+def test_sector_deviation_is_the_dense_one(field, cosets, monkeypatch):
+    # h = 1 orbit, so coset 0 is the one representative whose C2 deviation
+    # sector_blocks reads from the bands. It is the dense max |S H S^T - H|
+    # of the same coset block (c2_deviation) bit for bit, also after one
+    # entry moves in the bands and the block, each with its Hermitian
+    # mirror: entry (r, image[r]) by an imaginary delta (S maps it onto its
+    # mirror, which moves by the conjugate, so a real delta would not show),
+    # and entry (fixed, r) of a fixed row. Each delta is below the check's
+    # bound, so the check passes and reports it
     potential = FourierPotential.cosine_xy(1.0)
     basis = torus_basis(field, 2, 4)
-    assert coset_count(basis, potential) == cosets
-    blocks = coset_blocks(basis, potential)
-    s = inversion_matrix(basis)
-    coset = np.arange(basis.dim) % basis.n_flux % cosets
-    split = {sec.coset: sec for sec in sector_plan(basis, potential) if sec.parity}
-    assert sorted(split) == [c for c in range(cosets) if 2 * c % cosets == 0]
-    for c, sec in split.items():
-        mine = np.flatnonzero(coset == c)
-        s_c = s[np.ix_(mine, mine)]
-        r = basis.n_flux // cosets - 1  # the last lowest-level row
-        fixed = np.flatnonzero(sec.image == np.arange(sec.image.size))[0]
-        assert sec.image[r] < r
-        for entry, delta in (((r, r), 0.0), ((r, sec.image[r]), 1e-9), ((fixed, r), 1e-9)):
-            h = blocks[c].copy()
-            h[entry] += delta
-            deviation = sec.deviation(h)
-            assert deviation == np.max(np.abs(s_c @ h @ s_c.T - h))
-            assert deviation >= delta / 2
+    assert coset_count(basis, potential) == len(orbit_rows(basis, potential)) == cosets
+    split = [sec for sec in sector_plan(basis, potential) if sec.parity]
+    assert sorted({sec.coset for sec in split}) == [
+        c for c in range(cosets) if 2 * c % cosets == 0]
+    sec, per_level = split[0], basis.n_flux // cosets
+    r = per_level - 1  # the last lowest-level row
+    fixed = np.flatnonzero(sec.image == np.arange(sec.image.size))[0]
+    assert sec.coset == 0 and sec.image[r] < r
+    real = continuum.guiding_bands
+    for entry, delta in (((r, r), 0.0), ((r, sec.image[r]), 1e-12j), ((fixed, r), 1e-12)):
+        block = coset_blocks(basis, potential)[0].astype(complex)
+        bands = real(basis, potential)
+        for (i, k), d in ((entry, delta), (entry[::-1], np.conj(delta))):
+            block[i, k] += d
+            (a, t), (b, u) = divmod(i, per_level), divmod(k, per_level)
+            o = cosets * (u - t) % basis.n_flux  # guiding rows cosets * t, cosets * u
+            bands.setdefault(o, np.zeros_like(bands[0]))[a, b, cosets * t] += d
+        monkeypatch.setattr(continuum, "guiding_bands", lambda *_: bands)
+        _, _, deviation, _ = sector_blocks(basis, potential)
+        assert bits(deviation) == bits(c2_deviation(sec, block))
+        assert deviation >= abs(delta) / 2
+
+
+def test_a_failing_check_builds_nothing_dense(monkeypatch, traced_peak):
+    # B = 30 on 4 cells with 6 levels: n_flux 153 in g = 1 coset, one real
+    # 918 x 918 block of 6.74 MB. A 1e-9 C2 break in the bands, with its
+    # Hermitian mirror, fails the C2 check, which reads the bands before any
+    # block is built: the call holds less than one block. Entry (0, 4) of
+    # level 0 is in band 4 at guiding row 0, its mirror in band -4 at row 4
+    potential = FourierPotential.cosine_xy(1.0)
+    basis = torus_basis(30.0, 6, 4)
+    bands = guiding_bands(basis, potential)
+    bands[4][0, 0, 0] += 1e-9
+    bands[-4 % 153][0, 0, 4] += 1e-9
+    monkeypatch.setattr(continuum, "guiding_bands", lambda *_: bands)
+    block = 8 * 918 ** 2
+
+    def failing():
+        with pytest.raises(NumericalCheckError, match="C2 deviation"):
+            sector_blocks(basis, potential)
+
+    peak = traced_peak(failing)
+    assert basis.n_flux == 153 and coset_count(basis, potential) == 1
+    assert peak < block, f"peak {peak / block:.2f} blocks"
 
 
 def test_fold_stage_holds_less_than_a_block_and_a_half(monkeypatch, traced_peak):
@@ -692,7 +723,9 @@ def test_band_path_is_the_dense_oracle_bit_for_bit(name, n_levels):
             dense = coset_blocks(basis, potential)
             g = len(dense)
             stacks, hermitian, c2, shift = sector_blocks(basis, potential)
-            each = continuum._hermitian_deviations(guiding_bands(basis, potential), g)
+            each = continuum._mirror_deviations(  # against conj V_-o[b, a, j + o]
+                guiding_bands(basis, potential), g,
+                lambda w, o: np.roll(w, -o, 2).transpose(1, 0, 2).conj())
             want = [check_hermitian(block) for block in dense]
             assert np.array_equal(bits(each), bits(want))
             assert bits(hermitian) == bits(max(want))
@@ -705,7 +738,7 @@ def test_band_path_is_the_dense_oracle_bit_for_bit(name, n_levels):
                 assert blocks.dtype == dense.dtype
                 assert np.array_equal(bits(blocks), bits(folded)), (field, n_cells)
             assert {s.coset for s in sectors} == set(range(h))
-            want_c2 = max((s.deviation(dense[s.coset]) for s in sectors if s.parity),
+            want_c2 = max((c2_deviation(s, dense[s.coset]) for s in sectors if s.parity),
                           default=0.0)
             assert bits(c2) == bits(want_c2) and bits(shift) == bits(want_shift)
     assert name != "half" or (4, 4) in orbits

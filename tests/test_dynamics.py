@@ -734,7 +734,9 @@ def test_one_hermiticity_check_per_field(monkeypatch):
     # sector_blocks checks the g cosets of each field once, on their guiding
     # bands, the cosets never built dense included, and never a dense block
     # or a d x d matrix; the one-level operator is sliced from the checked
-    # blocks and the eigensolves do not check again
+    # blocks and the eigensolves do not check again. The band reads are the
+    # Hermiticity deviation, the check scale and the C2 deviation, each of
+    # the field's g cosets
     shapes = []
     real = spectra.check_hermitian
 
@@ -743,20 +745,20 @@ def test_one_hermiticity_check_per_field(monkeypatch):
         real(matrix)
 
     checked = []
-    real_bands = continuum._hermitian_deviations
+    real_bands = continuum._mirror_deviations
 
-    def per_coset(bands, g):
+    def per_coset(bands, g, mirror):
         checked.append(g)
-        return real_bands(bands, g)
+        return real_bands(bands, g, mirror)
 
     monkeypatch.setattr(spectra, "check_hermitian", counted)
-    monkeypatch.setattr(continuum, "_hermitian_deviations", per_coset)
+    monkeypatch.setattr(continuum, "_mirror_deviations", per_coset)
     report = defect_scaling(
         [5.0, 10.0], FourierPotential.cosine_xy(1.0), times=(0.5, 1.0), n_levels=3,
         n_cells=2,
     )
     assert [row.n_flux for row in report] == [6, 13]  # g = 2, then g = 1
-    assert checked == [math.gcd(row.n_flux, 2) for row in report]
+    assert checked == [math.gcd(row.n_flux, 2) for row in report for _ in range(3)]
     assert shapes == []
 
 
